@@ -1,16 +1,25 @@
 //! The untraced and the traced run of one workload, and the report both
 //! print.
 //!
-//! Both runs share one shape. Set-up generates and analyzes every netlist
-//! of the workload. One untimed warm-up pass then runs the flow on every
-//! netlist, checks each result and keeps it as the netlist's reference;
-//! the quality ratios come from these results. Timed passes follow,
-//! round-robin over the timed netlists (variant 0 of each circuit), until
-//! the run's seconds are up. Every timed flow is checked again and must
-//! reproduce its reference bit for bit. One more set-up is due per half
-//! second of the timed window and runs between passes, so that
-//! `setup_s`, the median over all set-ups, samples the whole run rather
-//! than its first instant.
+//! Both runs share one driver, [`drive`]. Set-up generates and analyzes
+//! every netlist of the workload. One untimed warm-up pass then runs the
+//! flow on every netlist, checks each result and keeps it as the
+//! netlist's reference; the quality ratios come from these results.
+//! Timed passes follow, round-robin over the timed netlists (the first
+//! `TIMED_VARIANTS` of each circuit), until the run's seconds are up.
+//! Every timed flow is checked again and must reproduce its reference
+//! bit for bit. The traced run differs only in its [`Hooks`]: it replays
+//! each flow after the flow and folds each pass's spans into per-layer
+//! times.
+//!
+//! `setup_s` is the lower quartile over [`FIRST_SETUPS`] set-ups before
+//! the warm-up and one more per [`SETUP_EVERY_S`] of the timed window, run
+//! between passes. The host this was tuned on runs everything up to 2.3×
+//! slower for seconds to minutes at a time. Set-ups spread over the run
+//! see every state it went through, where a block of set-ups before the
+//! warm-up sees whatever state the run starts in; the lower quartile, of
+//! set-ups as of flows, reads full speed unless three quarters of the run
+//! were slow, where a median flips whenever half were (see `README.md`).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -20,15 +29,15 @@ use pops::flow::{optimize_circuit, FlowOptions};
 use pops::prelude::Library;
 
 use crate::check::{check_result, Quality};
-use crate::replay::{replay_flow, retime_core, CoreTiming, LayerCounts};
+use crate::replay::{replay_flow, retime_core, CoreCall, CoreTiming, LayerCounts};
 use crate::stats::{geomean, median, quartiles};
 use crate::trace::{self_times_ns, Tracer};
 use crate::workload::{set_up, Prepared, Workload};
 
 /// Set-ups before the warm-up pass.
 const FIRST_SETUPS: usize = 5;
-/// One more set-up is due per this much of the timed window (s); due
-/// set-ups run between passes.
+/// During the timed passes, one more set-up is due per this much time
+/// (s); due set-ups run between passes.
 const SETUP_EVERY_S: f64 = 0.5;
 /// Failure messages printed before the rest are only counted.
 const MAX_NOTES: usize = 5;
@@ -115,51 +124,6 @@ impl Report {
     }
 }
 
-/// Wall times of every set-up a run made (s).
-#[derive(Debug, Default)]
-struct SetupTimes {
-    /// Generation plus minimum-size analysis.
-    totals: Vec<f64>,
-    /// Generation alone.
-    generates: Vec<f64>,
-}
-
-impl SetupTimes {
-    /// Set the workload up `reps` times; returns the last set-up's
-    /// netlists.
-    fn sample(
-        &mut self,
-        w: &Workload,
-        seed: u64,
-        lib: &Library,
-        reps: usize,
-    ) -> Result<Vec<Prepared>, String> {
-        let mut prepared = Vec::new();
-        for _ in 0..reps {
-            let s = set_up(w, seed, lib)?;
-            self.totals.push(s.total_s);
-            self.generates.push(s.generate_s);
-            prepared = s.prepared;
-        }
-        Ok(prepared)
-    }
-
-    /// Run the set-ups due `elapsed_s` into the timed window.
-    fn catch_up(
-        &mut self,
-        w: &Workload,
-        seed: u64,
-        lib: &Library,
-        elapsed_s: f64,
-    ) -> Result<(), String> {
-        let due = FIRST_SETUPS + (elapsed_s / SETUP_EVERY_S) as usize;
-        if self.totals.len() < due {
-            self.sample(w, seed, lib, due - self.totals.len())?;
-        }
-        Ok(())
-    }
-}
-
 /// Run `optimize_circuit` once, timing only that call, then check the
 /// result.
 fn timed_flow(
@@ -178,26 +142,154 @@ fn timed_flow(
     (seconds, quality)
 }
 
-/// Geomean over circuits of a per-netlist ratio, each circuit's value
-/// being the geomean over its variants. Netlists without a result are
-/// skipped (their failure is counted elsewhere).
-fn circuit_geomean(
-    prepared: &[Prepared],
-    results: &[Option<Quality>],
-    ratio: fn(&Quality, &Prepared) -> f64,
-) -> f64 {
-    let mut per_circuit: Vec<(&str, Vec<f64>)> = Vec::new();
-    for (p, q) in prepared.iter().zip(results) {
-        let Some(q) = q else { continue };
-        let r = ratio(q, p);
-        match per_circuit.last_mut() {
-            Some((name, values)) if *name == p.profile => values.push(r),
-            _ => per_circuit.push((p.profile, vec![r])),
+/// What a run does besides timing the flow. The untraced run uses `()`,
+/// which does nothing.
+trait Hooks {
+    /// After the warm-up flow of `p`, whose checked result is `flow`.
+    fn warm_up(&mut self, _p: &Prepared, _flow: Option<&Quality>, _report: &mut Report) {}
+    /// After the timed flow of netlist `i`, `p`.
+    fn timed(
+        &mut self,
+        _i: usize,
+        _p: &Prepared,
+        _reference: Option<&Quality>,
+        _report: &mut Report,
+    ) {
+    }
+    /// After every timed pass.
+    fn end_pass(&mut self) {}
+}
+
+impl Hooks for () {}
+
+/// What the shared driver measured.
+struct Run {
+    /// Every netlist of the last set-up.
+    prepared: Vec<Prepared>,
+    /// Each netlist's checked warm-up result; `None` where it failed.
+    reference: Vec<Option<Quality>>,
+    /// Indices of the netlists whose flows are timed.
+    timed: Vec<usize>,
+    /// Per netlist, the wall time of each timed flow (s).
+    samples: Vec<Vec<f64>>,
+    /// Every set-up's wall times.
+    setups: SetupTimes,
+    /// Flows attempted and failed so far.
+    report: Report,
+}
+
+/// Wall times of every set-up a run made (s).
+#[derive(Debug, Default)]
+struct SetupTimes {
+    /// Generation plus minimum-size analysis.
+    totals: Vec<f64>,
+    /// Generation alone.
+    generates: Vec<f64>,
+}
+
+impl SetupTimes {
+    /// Set the workload up until `count` set-ups have been made; returns
+    /// the last one's netlists, if it made any.
+    fn up_to(
+        &mut self,
+        count: usize,
+        w: &Workload,
+        seed: u64,
+        lib: &Library,
+    ) -> Result<Option<Vec<Prepared>>, String> {
+        let mut prepared = None;
+        while self.totals.len() < count {
+            let s = set_up(w, seed, lib)?;
+            self.totals.push(s.total_s);
+            self.generates.push(s.generate_s);
+            prepared = Some(s.prepared);
+        }
+        Ok(prepared)
+    }
+}
+
+/// Set up, warm up and run timed passes for `seconds` (see the module
+/// docs), calling `hooks` after each flow and pass.
+///
+/// # Errors
+///
+/// A set-up failure, or no netlist producing a result at all.
+fn drive(
+    w: &Workload,
+    seed: u64,
+    seconds: f64,
+    lib: &Library,
+    hooks: &mut impl Hooks,
+) -> Result<Run, String> {
+    let mut setups = SetupTimes::default();
+    let prepared = setups
+        .up_to(FIRST_SETUPS, w, seed, lib)?
+        .expect("the first set-ups make netlists");
+
+    let opts = w.flow_options();
+    let mut report = Report::default();
+    let mut reference = Vec::with_capacity(prepared.len());
+    for p in &prepared {
+        let (_, quality) = timed_flow(p, lib, &opts, w.vt_assignment);
+        report.record(&p.label, &quality, None);
+        hooks.warm_up(p, quality.as_ref().ok(), &mut report);
+        reference.push(quality.ok());
+    }
+    if reference.iter().all(Option::is_none) {
+        return Err("no flow produced a result".into());
+    }
+
+    let timed: Vec<usize> = (0..prepared.len())
+        .filter(|&i| prepared[i].timed())
+        .collect();
+    let mut samples = vec![Vec::new(); prepared.len()];
+    let start = Instant::now();
+    loop {
+        let due = FIRST_SETUPS + (start.elapsed().as_secs_f64() / SETUP_EVERY_S) as usize;
+        setups.up_to(due, w, seed, lib)?;
+        for &i in &timed {
+            let p = &prepared[i];
+            let (t, quality) = timed_flow(p, lib, &opts, w.vt_assignment);
+            samples[i].push(t);
+            report.record(&p.label, &quality, reference[i].as_ref());
+            hooks.timed(i, p, reference[i].as_ref(), &mut report);
+        }
+        hooks.end_pass();
+        if start.elapsed().as_secs_f64() >= seconds {
+            break;
         }
     }
-    let means: Vec<f64> = per_circuit.iter().map(|(_, v)| geomean(v)).collect();
-    geomean(&means)
+    Ok(Run {
+        prepared,
+        reference,
+        timed,
+        samples,
+        setups,
+        report,
+    })
 }
+
+/// Each circuit's netlist indices, in workload order.
+fn by_circuit(prepared: &[Prepared]) -> Vec<(&'static str, Vec<usize>)> {
+    let mut groups: Vec<(&'static str, Vec<usize>)> = Vec::new();
+    for (i, p) in prepared.iter().enumerate() {
+        match groups.last_mut() {
+            Some((name, ids)) if *name == p.profile => ids.push(i),
+            _ => groups.push((p.profile, vec![i])),
+        }
+    }
+    groups
+}
+
+/// A quality ratio of one netlist's result.
+type Ratio = fn(&Quality, &Prepared) -> f64;
+
+/// The three quality ratios, in metric order: delay/tc, area, leakage.
+const RATIOS: [Ratio; 3] = [
+    |q, p| q.delay_ps() / p.tc_ps,
+    |q, p| q.cin_ff() / p.min_cin_ff,
+    |q, p| q.leakage_nw() / p.min_leakage_nw,
+];
 
 /// Peak resident set (VmHWM) of this process, in MB.
 fn peak_rss_mb() -> Result<f64, String> {
@@ -215,65 +307,69 @@ fn ms(seconds: f64) -> f64 {
     seconds * 1e3
 }
 
-/// Indices of the netlists whose flows are timed.
-fn timed_indices(prepared: &[Prepared]) -> Vec<usize> {
-    (0..prepared.len())
-        .filter(|&i| prepared[i].variant == 0)
-        .collect()
-}
-
 /// The end-to-end run (see the module docs).
 ///
 /// # Errors
 ///
 /// A set-up failure, or no netlist producing a result at all.
 pub fn untraced(w: &Workload, seed: u64, seconds: f64, lib: &Library) -> Result<Report, String> {
-    let mut setups = SetupTimes::default();
-    let prepared = setups.sample(w, seed, lib, FIRST_SETUPS)?;
-    let opts = w.flow_options();
-    let mut report = Report::default();
+    let Run {
+        prepared,
+        reference,
+        timed,
+        samples,
+        setups,
+        mut report,
+    } = drive(w, seed, seconds, lib, &mut ())?;
 
-    let reference: Vec<Option<Quality>> = prepared
-        .iter()
-        .map(|p| {
-            let (_, quality) = timed_flow(p, lib, &opts, w.vt_assignment);
-            report.record(&p.label, &quality, None);
-            quality.ok()
-        })
-        .collect();
-    if reference.iter().all(Option::is_none) {
-        return Err("no flow produced a result".into());
-    }
-
-    let timed = timed_indices(&prepared);
-    let mut samples = vec![Vec::new(); prepared.len()];
-    let start = Instant::now();
-    loop {
-        setups.catch_up(w, seed, lib, start.elapsed().as_secs_f64())?;
-        for &i in &timed {
-            let (t, quality) = timed_flow(&prepared[i], lib, &opts, w.vt_assignment);
-            samples[i].push(t);
-            report.record(&prepared[i].label, &quality, reference[i].as_ref());
+    // A timed netlist's time is the lower quartile of its timed flows,
+    // the speed of the flow whenever the host ran at full speed for a
+    // quarter of the run (see `README.md`); a circuit's time is the median
+    // over its timed netlists. Its quality ratio is the geomean over its
+    // netlists with a result (failures are counted in `report`).
+    let mut flow_s = 0.0;
+    let mut circuit_ratios: [Vec<f64>; 3] = Default::default();
+    report.lines.push(format!(
+        "{:<10} {:>4} {:>5} {:>10} {:>8} {:>8} {:>8}",
+        "circuit", "nets", "timed", "time_ms", "delay/tc", "area", "leakage"
+    ));
+    for (name, ids) in by_circuit(&prepared) {
+        let lower_quartiles: Vec<f64> = ids
+            .iter()
+            .filter(|&&i| !samples[i].is_empty())
+            .map(|&i| quartiles(&samples[i])[0])
+            .collect();
+        let time = median(&lower_quartiles);
+        flow_s += time;
+        let mut row = format!(
+            "{name:<10} {:>4} {:>5} {:>10.3}",
+            ids.len(),
+            lower_quartiles.len(),
+            ms(time)
+        );
+        for (ratio, values) in RATIOS.iter().zip(&mut circuit_ratios) {
+            let of_netlists: Vec<f64> = ids
+                .iter()
+                .filter_map(|&i| Some(ratio(reference[i].as_ref()?, &prepared[i])))
+                .collect();
+            if of_netlists.is_empty() {
+                row.push_str(&format!(" {:>8}", "failed"));
+            } else {
+                values.push(geomean(&of_netlists));
+                row.push_str(&format!(" {:>8.4}", values[values.len() - 1]));
+            }
         }
-        if start.elapsed().as_secs_f64() >= seconds {
-            break;
-        }
+        report.lines.push(row);
     }
-
-    let flow_s: f64 = timed.iter().map(|&i| median(&samples[i])).sum();
-    let setup_s = median(&setups.totals);
-    let delay_over_tc = circuit_geomean(&prepared, &reference, |q, p| q.delay_ps() / p.tc_ps);
-    let area_ratio = circuit_geomean(&prepared, &reference, |q, p| q.cin_ff() / p.min_cin_ff);
-    let leakage_ratio = circuit_geomean(&prepared, &reference, |q, p| {
-        q.leakage_nw() / p.min_leakage_nw
-    });
+    let [delay_over_tc, area_ratio, leakage_ratio] = circuit_ratios.map(|v| geomean(&v));
+    let setup_s = quartiles(&setups.totals)[0];
 
     report.lines.push(format!(
-        "{:<10} {:>3} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8} {:>6} {:>5} {:>5} {:>6}",
-        "circuit",
+        "{:<10} {:>4} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8} {:>6} {:>5} {:>5} {:>6}",
+        "netlist",
         "n",
-        "median_ms",
         "q1_ms",
+        "median_ms",
         "q3_ms",
         "delay/tc",
         "area",
@@ -285,23 +381,17 @@ pub fn untraced(w: &Workload, seed: u64, seconds: f64, lib: &Library) -> Result<
     ));
     for ((p, s), q) in prepared.iter().zip(&samples).zip(&reference) {
         let times = if s.is_empty() {
-            format!("{:>3} {:>10} {:>10} {:>10}", 0, "-", "-", "-")
+            format!("{:>10} {:>10} {:>10}", "-", "-", "-")
         } else {
             let [q1, mid, q3] = quartiles(s);
-            format!(
-                "{:>3} {:>10.3} {:>10.3} {:>10.3}",
-                s.len(),
-                ms(mid),
-                ms(q1),
-                ms(q3)
-            )
+            format!("{:>10.3} {:>10.3} {:>10.3}", ms(q1), ms(mid), ms(q3))
         };
         let quality = match q {
             Some(q) => format!(
                 "{:>8.4} {:>8.4} {:>8.4} {:>6} {:>5} {:>5} {:>6}",
-                q.delay_ps() / p.tc_ps,
-                q.cin_ff() / p.min_cin_ff,
-                q.leakage_nw() / p.min_leakage_nw,
+                RATIOS[0](q, p),
+                RATIOS[1](q, p),
+                RATIOS[2](q, p),
                 q.rounds,
                 q.paths,
                 q.edits,
@@ -311,11 +401,11 @@ pub fn untraced(w: &Workload, seed: u64, seconds: f64, lib: &Library) -> Result<
         };
         report
             .lines
-            .push(format!("{:<10} {times} {quality}", p.label));
+            .push(format!("{:<10} {:>4} {times} {quality}", p.label, s.len()));
     }
     report.lines.push(format!(
-        "workload {} seed {seed}: flow_s {flow_s:.4} s over {} timed circuits x {} passes; \
-         quality over {} netlists; setup_s {setup_s:.5} s (median of {}); failed {} of {}",
+        "workload {} seed {seed}: flow_s {flow_s:.4} s over {} timed netlists x {} passes; \
+         quality over {} netlists; setup_s {setup_s:.5} s (lower quartile of {}); failed {} of {}",
         w.name,
         timed.len(),
         samples[timed[0]].len(),
@@ -395,14 +485,91 @@ fn share(num: usize, den: usize) -> f64 {
     }
 }
 
-/// The traced run: the same set-up, then a warm-up pass that runs every
-/// netlist's flow and its replay and compares them, then timed passes in
-/// which each timed netlist's flow (untraced) is followed by its traced
-/// replay. Per-layer times are medians over passes of each pass's summed
-/// self times; counts are one pass's, since a replay is deterministic.
-/// After each pass, `protocol::optimize`'s two halves are re-timed on the
-/// timed netlists' recorded inputs, so they see the same machine as the
-/// pass they split. The last pass's spans are written to `spans_path`.
+/// The traced run's hooks: each flow is followed by its replay, which
+/// must reproduce the flow's quality outputs (a mismatch is counted, not
+/// failed). Warm-up replays record the inputs of the timed netlists'
+/// `protocol::optimize` calls; their spans are dropped. Each timed pass
+/// gets a fresh tracer, folded into per-layer times when the pass ends,
+/// and `protocol::optimize`'s two halves are re-timed on the recorded
+/// inputs then, so they see the same machine as the pass they split.
+struct Replayer<'a> {
+    lib: &'a Library,
+    opts: FlowOptions,
+    core_calls: Vec<CoreCall>,
+    mismatches: usize,
+    /// Per netlist, the wall time of each timed replay (s).
+    samples: Vec<Vec<f64>>,
+    /// The current pass's spans and counts.
+    tracer: Tracer,
+    counts: LayerCounts,
+    /// Every finished pass's per-layer times.
+    per_pass: Vec<LayerTimes>,
+    /// The last finished pass's spans and counts.
+    last_tracer: Tracer,
+    last_counts: LayerCounts,
+}
+
+impl Replayer<'_> {
+    fn compare(&mut self, label: &str, flow: Option<&Quality>, replay: &Quality) {
+        if flow != Some(replay) {
+            if self.mismatches < MAX_NOTES {
+                eprintln!("flowbench: {label}: replay {replay:?} differs from flow {flow:?}");
+            }
+            self.mismatches += 1;
+        }
+    }
+}
+
+impl Hooks for Replayer<'_> {
+    fn warm_up(&mut self, p: &Prepared, flow: Option<&Quality>, report: &mut Report) {
+        let calls = p.timed().then_some(&mut self.core_calls);
+        let mut tracer = Tracer::new();
+        match replay_flow(
+            &p.circuit,
+            self.lib,
+            p.tc_ps,
+            &self.opts,
+            &mut tracer,
+            calls,
+        ) {
+            Ok(r) => self.compare(&p.label, flow, &r.quality),
+            Err(e) => report.fail(&p.label, &format!("replay failed: {e}")),
+        }
+    }
+
+    fn timed(&mut self, i: usize, p: &Prepared, reference: Option<&Quality>, report: &mut Report) {
+        let root = self.tracer.spans().len();
+        match replay_flow(
+            &p.circuit,
+            self.lib,
+            p.tc_ps,
+            &self.opts,
+            &mut self.tracer,
+            None,
+        ) {
+            Ok(r) => {
+                let seconds = self.tracer.spans()[root].duration_ns() as f64 * 1e-9;
+                self.samples[i].push(seconds);
+                self.counts.add(&r.counts);
+                self.compare(&p.label, reference, &r.quality);
+            }
+            Err(e) => report.fail(&p.label, &format!("replay failed: {e}")),
+        }
+    }
+
+    fn end_pass(&mut self) {
+        let mut times = LayerTimes::of(&self.tracer);
+        times.core = retime_core(self.lib, &self.core_calls, &self.opts.protocol.sensitivity);
+        self.per_pass.push(times);
+        self.last_tracer = std::mem::take(&mut self.tracer);
+        self.last_counts = std::mem::take(&mut self.counts);
+    }
+}
+
+/// The traced run: the shared driver with a [`Replayer`]. Per-layer
+/// times are medians over passes of each pass's summed self times;
+/// counts are the last pass's, since a replay is deterministic. The last
+/// pass's spans are written to `spans_path`.
 ///
 /// # Errors
 ///
@@ -414,84 +581,46 @@ pub fn traced(
     lib: &Library,
     spans_path: &Path,
 ) -> Result<Report, String> {
-    let mut setups = SetupTimes::default();
-    let prepared = setups.sample(w, seed, lib, FIRST_SETUPS)?;
-    let opts = w.flow_options();
-    let mut report = Report::default();
-    let mut mismatches = 0usize;
-    let mut mismatch = |label: &str, flow: Option<&Quality>, replay: &Quality| {
-        if flow != Some(replay) {
-            if mismatches < MAX_NOTES {
-                eprintln!("flowbench: {label}: replay {replay:?} differs from flow {flow:?}");
-            }
-            mismatches += 1;
-        }
+    let mut replayer = Replayer {
+        lib,
+        opts: w.flow_options(),
+        core_calls: Vec::new(),
+        mismatches: 0,
+        samples: vec![Vec::new(); w.netlists().count()],
+        tracer: Tracer::new(),
+        counts: LayerCounts::default(),
+        per_pass: Vec::new(),
+        last_tracer: Tracer::new(),
+        last_counts: LayerCounts::default(),
     };
-
-    // Warm-up spans go to a tracer that is dropped unread.
-    let mut core_calls = Vec::new();
-    let mut warm_up = Tracer::new();
-    let mut reference = Vec::with_capacity(prepared.len());
-    for p in &prepared {
-        let (_, quality) = timed_flow(p, lib, &opts, w.vt_assignment);
-        report.record(&p.label, &quality, None);
-        let calls = (p.variant == 0).then_some(&mut core_calls);
-        match replay_flow(&p.circuit, lib, p.tc_ps, &opts, &mut warm_up, calls) {
-            Ok(r) => mismatch(&p.label, quality.as_ref().ok(), &r.quality),
-            Err(e) => report.fail(&p.label, &format!("replay failed: {e}")),
-        }
-        reference.push(quality.ok());
-    }
-    drop(warm_up);
-    if reference.iter().all(Option::is_none) {
-        return Err("no flow produced a result".into());
-    }
-
-    // Each pass gets its own tracer, folded into per-layer times when the
-    // pass ends; only the last pass's spans are kept for writing out.
-    let timed = timed_indices(&prepared);
-    let mut flow_samples = vec![Vec::new(); prepared.len()];
-    let mut replay_samples = vec![Vec::new(); prepared.len()];
-    let mut per_pass = Vec::new();
-    let start = Instant::now();
-    let (tracer, counts) = loop {
-        setups.catch_up(w, seed, lib, start.elapsed().as_secs_f64())?;
-        let mut tracer = Tracer::new();
-        let mut pass_counts = LayerCounts::default();
-        for &i in &timed {
-            let p = &prepared[i];
-            let (t, quality) = timed_flow(p, lib, &opts, w.vt_assignment);
-            flow_samples[i].push(t);
-            report.record(&p.label, &quality, reference[i].as_ref());
-            let root = tracer.spans().len();
-            match replay_flow(&p.circuit, lib, p.tc_ps, &opts, &mut tracer, None) {
-                Ok(r) => {
-                    replay_samples[i].push(tracer.spans()[root].duration_ns() as f64 * 1e-9);
-                    pass_counts.add(&r.counts);
-                    mismatch(&p.label, reference[i].as_ref(), &r.quality);
-                }
-                Err(e) => report.fail(&p.label, &format!("replay failed: {e}")),
-            }
-        }
-        let mut times = LayerTimes::of(&tracer);
-        times.core = retime_core(lib, &core_calls, &opts.protocol.sensitivity);
-        per_pass.push(times);
-        if start.elapsed().as_secs_f64() >= seconds {
-            break (tracer, pass_counts);
-        }
-    };
+    let Run {
+        prepared,
+        timed,
+        samples,
+        setups,
+        mut report,
+        ..
+    } = drive(w, seed, seconds, lib, &mut replayer)?;
+    let Replayer {
+        mismatches,
+        samples: replay_samples,
+        per_pass,
+        last_tracer: tracer,
+        last_counts: counts,
+        ..
+    } = replayer;
 
     let pass_median =
         |f: fn(&LayerTimes) -> f64| median(&per_pass.iter().map(f).collect::<Vec<_>>());
-    let last = *per_pass.last().expect("the loop runs at least one pass");
+    let last = *per_pass.last().expect("the driver runs at least one pass");
     let mut flow_s = 0.0;
     let mut replay_s = 0.0;
     report.lines.push(format!(
         "{:<10} {:>3} {:>12} {:>12} {:>9}",
-        "circuit", "n", "flow_ms", "replay_ms", "overhead"
+        "netlist", "n", "flow_ms", "replay_ms", "overhead"
     ));
     for &i in &timed {
-        let f = median(&flow_samples[i]);
+        let f = median(&samples[i]);
         flow_s += f;
         let r = if replay_samples[i].is_empty() {
             f64::NAN
@@ -504,14 +633,14 @@ pub fn traced(
         report.lines.push(format!(
             "{:<10} {:>3} {:>12.3} {:>12.3} {:>+9.4}",
             prepared[i].label,
-            flow_samples[i].len(),
+            samples[i].len(),
             ms(f),
             ms(r),
             r / f - 1.0
         ));
     }
 
-    report.metric("netlist.build_s", "s", median(&setups.generates));
+    report.metric("netlist.build_s", "s", quartiles(&setups.generates)[0]);
     report.metric("sta.build_s", "s", pass_median(|t| t.build));
     report.metric("sta.builds", "count", counts.builds as f64);
     report.metric("sta.query_s", "s", pass_median(|t| t.query));
@@ -603,7 +732,7 @@ pub fn traced(
     report.metric("fail_frac", "ratio", share(report.failed, report.attempted));
 
     report.lines.push(format!(
-        "workload {} seed {seed}: {} timed circuits x {} traced passes; replay checked on {} \
+        "workload {} seed {seed}: {} timed netlists x {} traced passes; replay checked on {} \
          netlists; {} spans in the last pass",
         w.name,
         timed.len(),

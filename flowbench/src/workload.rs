@@ -8,21 +8,28 @@ use pops::netlist::rng::SplitMix64;
 use pops::netlist::{builders, suite, Circuit, VtClass};
 use pops::prelude::{analyze, Library, Sizing};
 
+/// Variants per circuit whose flows are timed: the first ones. A suite
+/// circuit's flow time moves with its wiring (c7552 took 139 to 516 ms
+/// over ten seeds, c6288 2.0 to 2.9 s), so one timed netlist per circuit
+/// would let the seed, not the code, move `flow_s`.
+pub const TIMED_VARIANTS: usize = 3;
+
 /// The six suite circuits both suite workloads run, smallest first, each
-/// with its number of netlist variants. Variant 0 is the circuit whose
-/// flow is timed; every variant's result feeds the quality ratios. After
-/// a tight flow, fpd's and c432's area depends so much on the wiring
-/// (0.12 and 0.13 log-variance over 24 generator seeds) that one netlist
-/// each would let the seed, not the code, move the area metric; c880
-/// follows at 0.003, the others stay below 0.0002. Their extra variants
-/// run once per run, untimed.
+/// with its number of netlist variants. Every variant's result feeds the
+/// quality ratios; the first [`TIMED_VARIANTS`] are also timed. After a
+/// tight flow, fpd's and c432's area depends so much on the wiring (0.12
+/// log-variance over 300 generator seeds each) that few netlists would
+/// let the seed, not the code, move the area metric; c880 follows at
+/// 0.02, the others stay below 0.0002. Beyond the timed ones, the counts
+/// split a few seconds of untimed flows per run in proportion to the
+/// square root of each circuit's variance over its flow time.
 const SUITE: &[(&str, usize)] = &[
-    ("fpd", 12),
-    ("c432", 12),
-    ("c880", 3),
-    ("c1908", 1),
-    ("c6288", 1),
-    ("c7552", 1),
+    ("fpd", 32),
+    ("c432", 20),
+    ("c880", 8),
+    ("c1908", TIMED_VARIANTS),
+    ("c6288", TIMED_VARIANTS),
+    ("c7552", TIMED_VARIANTS),
 ];
 
 /// One named workload: which circuits, at which constraint, with which
@@ -101,7 +108,7 @@ impl Workload {
 pub struct Prepared {
     /// Suite profile or scaling-class name.
     pub profile: &'static str,
-    /// Variant index; variant 0 is the timed netlist.
+    /// Variant index; variants below [`TIMED_VARIANTS`] are timed.
     pub variant: usize,
     /// Row label: the name, plus `/v` for variant `v > 0`.
     pub label: String,
@@ -113,6 +120,13 @@ pub struct Prepared {
     pub min_cin_ff: f64,
     /// All-SVT leakage at minimum size (nW).
     pub min_leakage_nw: f64,
+}
+
+impl Prepared {
+    /// Whether this netlist's flows are timed.
+    pub fn timed(&self) -> bool {
+        self.variant < TIMED_VARIANTS
+    }
 }
 
 /// Derive a generator seed from a circuit's canonical seed, the benchmark
@@ -290,7 +304,7 @@ mod tests {
         }
         assert_eq!(
             Workload::by_name("suite_tight").unwrap().netlists().count(),
-            30
+            69
         );
     }
 }
