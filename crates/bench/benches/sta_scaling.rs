@@ -4,18 +4,11 @@
 //!
 //! * `full_sweep` — forced-sweep throughput (budgets `(0,1)`): one gate
 //!   resize per round, the delay read pays a whole rank-major forward
-//!   sweep. One row per worker-thread count; `parallel_speedup_median`
-//!   is the 1-thread median over this row's median. Every thread row
-//!   records `host_cores` (the recording host's available parallelism)
-//!   so `bench_gate` can tell a comparable environment from an
-//!   oversubscribed one; worker counts beyond the host's cores are
-//!   dropped up front — a 4-worker pool on a 1-core container measures
-//!   scheduler thrash, not scaling.
+//!   sweep.
 //! * `backward_sweep` — same shape for the backward direction: each
 //!   round toggles the timing constraint (wholesale backward
 //!   invalidation) so the worst-slack read pays exactly one gate-centric
-//!   `sweep_required_full` plus the worst-slack index refold, the
-//!   level-barrier parallel path under test.
+//!   `sweep_required_full` plus the worst-slack index refold.
 //! * `lazy` — the merged-flush-vs-per-mutation workload of
 //!   `sta_forward`, K resizes per delay read, on the fabrics. The
 //!   speedup is a ratio of two strategies on the same machine in the
@@ -35,14 +28,9 @@
 //! Every timed comparison cross-checks the two sides bit-for-bit each
 //! round; a divergence aborts the bench.
 //!
-//! Environment knobs (CI runs the small class only):
-//!
-//! * `STA_SCALING_CLASSES` — comma list of class names
-//!   (default `synth10k,synth100k`; `synth1m` opts in the full run).
-//! * `STA_SCALING_THREADS` — comma list of worker counts for the
-//!   `full_sweep` / `backward_sweep` rows (default `1,2,4,8`; `1` is
-//!   always prepended — it anchors the speedup column; counts beyond
-//!   the host's cores are dropped with a note).
+//! Environment knob (CI runs the small class only):
+//! `STA_SCALING_CLASSES` — comma list of class names (default
+//! `synth10k,synth100k`; `synth1m` opts in the full run).
 
 use std::time::Instant;
 
@@ -57,26 +45,20 @@ struct SweepRow {
     kind: &'static str,
     circuit: String,
     gates: usize,
-    threads: usize,
-    host_cores: usize,
     rounds: usize,
     sweep_median_ns: f64,
     sweep_mean_ns: f64,
     gates_per_sec: f64,
-    parallel_speedup_median: f64,
     optional: bool,
 }
 pops_bench::json_fields!(SweepRow {
     kind,
     circuit,
     gates,
-    threads,
-    host_cores,
     rounds,
     sweep_median_ns,
     sweep_mean_ns,
     gates_per_sec,
-    parallel_speedup_median,
     optional
 });
 
@@ -141,8 +123,6 @@ struct ConfigRow {
     forward_sweep_fraction: f64,
     backward_sweep_fraction: f64,
     measured_crossover_fraction: f64,
-    default_threads: usize,
-    parallel_threshold: usize,
     optional: bool,
 }
 pops_bench::json_fields!(ConfigRow {
@@ -154,8 +134,6 @@ pops_bench::json_fields!(ConfigRow {
     forward_sweep_fraction,
     backward_sweep_fraction,
     measured_crossover_fraction,
-    default_threads,
-    parallel_threshold,
     optional
 });
 
@@ -174,13 +152,6 @@ impl ToJson for Row {
             Row::Config(r) => r.write_json(out),
         }
     }
-}
-
-/// The recording host's available parallelism, stamped onto every
-/// thread row so the gate can tell whether the environment could
-/// actually run that many workers.
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 fn env_list(name: &str, default: &str) -> Vec<String> {
@@ -225,37 +196,30 @@ fn crossover_fraction(points: &[(f64, f64)]) -> f64 {
     }
 }
 
+/// One sweep-throughput row from its per-round timings (optional: the
+/// rows are informational, never gated).
+fn sweep_row(kind: &'static str, class: &str, n: usize, ns: &[f64]) -> Row {
+    let med = median(ns.to_vec());
+    println!(
+        "  {kind:<14}  median {:>10}  {:>12.0} gates/s",
+        format_ns(med),
+        n as f64 / (med * 1e-9),
+    );
+    Row::Sweep(SweepRow {
+        kind,
+        circuit: class.to_string(),
+        gates: n,
+        rounds: ns.len(),
+        sweep_median_ns: med,
+        sweep_mean_ns: mean(ns),
+        gates_per_sec: n as f64 / (med * 1e-9),
+        optional: true,
+    })
+}
+
 fn main() {
     let lib = Library::cmos025();
     let classes = env_list("STA_SCALING_CLASSES", "synth10k,synth100k");
-    let mut thread_counts: Vec<usize> = env_list("STA_SCALING_THREADS", "1,2,4,8")
-        .iter()
-        .map(|s| match s.parse() {
-            Ok(0) => panic!("STA_SCALING_THREADS: count must be at least 1, got \"0\""),
-            Ok(n) => n,
-            Err(e) => panic!("STA_SCALING_THREADS: \"{s}\" is not a count: {e}"),
-        })
-        .collect();
-    if !thread_counts.contains(&1) {
-        thread_counts.insert(0, 1);
-    }
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-    // Oversubscribed pools measure scheduler thrash, not scaling: a row
-    // recorded that way poisons the artifact (a 1-core container makes
-    // `parallel_speedup_median` < 1 by construction). Drop those counts
-    // up front instead of recording incomparable numbers.
-    let cores = host_cores();
-    let dropped: Vec<usize> = thread_counts
-        .iter()
-        .copied()
-        .filter(|&t| t > cores)
-        .collect();
-    thread_counts.retain(|&t| t <= cores);
-    for t in &dropped {
-        println!("note: dropping {t}-thread rows — host has {cores} core(s)");
-    }
-
     let mut rows: Vec<Row> = Vec::new();
 
     for class in &classes {
@@ -267,70 +231,29 @@ fn main() {
         let mandatory = class == "synth10k";
         println!("== {class} ({n} gates) ==");
 
-        // ---- full-sweep throughput across worker-thread counts ----
+        // ---- forward full-sweep throughput ----
         {
             let mut graph = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
             graph.set_sweep_budgets((0, 1), (0, 1)); // every flush is a full sweep
-            graph.set_parallel_threshold(0);
             let probe = gates[gates.len() / 2];
             let base = graph.sizing().cin_ff(probe);
             let rounds = ((1usize << 21) / n).clamp(4, 64) & !1;
-            let mut anchor_bits: [Option<u64>; 2] = [None, None];
-            let mut t1_median = f64::NAN;
-
-            for &t in &thread_counts {
-                graph.set_threads(t);
-                let mut ns = Vec::with_capacity(rounds);
-                for r in 0..rounds {
-                    let cin = if r % 2 == 0 { base * 1.2 } else { base };
-                    let t0 = Instant::now();
-                    graph.resize_gate(probe, cin);
-                    let d = std::hint::black_box(graph.critical_delay_ps());
-                    ns.push(t0.elapsed().as_nanos() as f64);
-                    // The sweep must produce the same bits at every
-                    // thread count (phase parity selects which of the
-                    // two toggled states this round landed on).
-                    match anchor_bits[r % 2] {
-                        None => anchor_bits[r % 2] = Some(d.to_bits()),
-                        Some(bits) => assert_eq!(
-                            bits,
-                            d.to_bits(),
-                            "{class}: {t}-thread sweep diverged from 1-thread"
-                        ),
-                    }
-                }
-                let med = median(ns.clone());
-                if t == 1 {
-                    t1_median = med;
-                }
-                let row = SweepRow {
-                    kind: "full_sweep",
-                    circuit: class.clone(),
-                    gates: n,
-                    threads: t,
-                    host_cores: cores,
-                    rounds,
-                    sweep_median_ns: med,
-                    sweep_mean_ns: mean(&ns),
-                    gates_per_sec: n as f64 / (med * 1e-9),
-                    parallel_speedup_median: t1_median / med,
-                    optional: true,
-                };
-                println!(
-                    "  full_sweep  threads={t}  median {:>10}  {:>12.0} gates/s  speedup {:.2}x",
-                    format_ns(row.sweep_median_ns),
-                    row.gates_per_sec,
-                    row.parallel_speedup_median,
-                );
-                rows.push(Row::Sweep(row));
+            let mut ns = Vec::with_capacity(rounds);
+            for r in 0..rounds {
+                let cin = if r % 2 == 0 { base * 1.2 } else { base };
+                let t0 = Instant::now();
+                graph.resize_gate(probe, cin);
+                std::hint::black_box(graph.critical_delay_ps());
+                ns.push(t0.elapsed().as_nanos() as f64);
             }
+            rows.push(sweep_row("full_sweep", class, n, &ns));
         }
 
-        // ---- backward full-sweep throughput across worker-thread counts ----
+        // ---- backward full-sweep throughput ----
         {
             let mut graph = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            graph.set_sweep_budgets((0, 1), (0, 1)); // every flush is a full sweep
-            graph.set_parallel_threshold(0);
+            // Every flush is a full sweep.
+            graph.set_sweep_budgets((0, 1), (0, 1));
             // Settle the forward side once up front; each timed round
             // then toggles the constraint — a wholesale backward
             // invalidation — so the worst-slack read pays exactly one
@@ -339,53 +262,14 @@ fn main() {
             let d0 = graph.critical_delay_ps();
             let tc = [d0 * 1.05, d0 * 1.10];
             let rounds = ((1usize << 21) / n).clamp(4, 64) & !1;
-            let mut anchor_bits: [Option<u64>; 2] = [None, None];
-            let mut t1_median = f64::NAN;
-
-            for &t in &thread_counts {
-                graph.set_threads(t);
-                let mut ns = Vec::with_capacity(rounds);
-                for r in 0..rounds {
-                    let t0 = Instant::now();
-                    graph.set_constraint(tc[r % 2]);
-                    let s = std::hint::black_box(
-                        graph.worst_slack_overall_ps().expect("finite constraint"),
-                    );
-                    ns.push(t0.elapsed().as_nanos() as f64);
-                    match anchor_bits[r % 2] {
-                        None => anchor_bits[r % 2] = Some(s.to_bits()),
-                        Some(bits) => assert_eq!(
-                            bits,
-                            s.to_bits(),
-                            "{class}: {t}-thread backward sweep diverged from 1-thread"
-                        ),
-                    }
-                }
-                let med = median(ns.clone());
-                if t == 1 {
-                    t1_median = med;
-                }
-                let row = SweepRow {
-                    kind: "backward_sweep",
-                    circuit: class.clone(),
-                    gates: n,
-                    threads: t,
-                    host_cores: cores,
-                    rounds,
-                    sweep_median_ns: med,
-                    sweep_mean_ns: mean(&ns),
-                    gates_per_sec: n as f64 / (med * 1e-9),
-                    parallel_speedup_median: t1_median / med,
-                    optional: true,
-                };
-                println!(
-                    "  bwd_sweep   threads={t}  median {:>10}  {:>12.0} gates/s  speedup {:.2}x",
-                    format_ns(row.sweep_median_ns),
-                    row.gates_per_sec,
-                    row.parallel_speedup_median,
-                );
-                rows.push(Row::Sweep(row));
+            let mut ns = Vec::with_capacity(rounds);
+            for r in 0..rounds {
+                let t0 = Instant::now();
+                graph.set_constraint(tc[r % 2]);
+                std::hint::black_box(graph.worst_slack_overall_ps().expect("finite constraint"));
+                ns.push(t0.elapsed().as_nanos() as f64);
             }
+            rows.push(sweep_row("backward_sweep", class, n, &ns));
         }
 
         // ---- lazy merged flush vs per-mutation reads (the gated rows) ----
@@ -395,8 +279,6 @@ fn main() {
             let probes = spaced_gates(&gates, k * rounds);
             let mut merged = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
             let mut eager = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            merged.set_threads(1); // strategy comparison, not thread scaling
-            eager.set_threads(1);
             let base: Vec<f64> = probes.iter().map(|&g| merged.sizing().cin_ff(g)).collect();
 
             // Warm-up: two flushes on each side so the first timed round
@@ -470,8 +352,6 @@ fn main() {
         {
             let mut drain = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
             let mut sweep = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            drain.set_threads(1);
-            sweep.set_threads(1);
             drain.set_sweep_budgets((1, 1), (1, 1)); // the cut-over can never fire
             sweep.set_sweep_budgets((0, 1), (0, 1)); // every flush is a full sweep
             let rounds = ((1usize << 20) / n).clamp(4, 8) & !1;
@@ -547,8 +427,6 @@ fn main() {
                 forward_sweep_fraction: f64::from(fwd.0) / f64::from(fwd.1),
                 backward_sweep_fraction: f64::from(bwd.0) / f64::from(bwd.1),
                 measured_crossover_fraction: crossover,
-                default_threads: graph.threads(),
-                parallel_threshold: graph.parallel_threshold(),
                 optional: true,
             }));
         }

@@ -9,9 +9,9 @@
 //! Every `BENCH_*.json` in `<baseline_dir>` that also exists in
 //! `<current_dir>` is parsed as an array of row objects; rows are keyed
 //! by their `kind` and `circuit` members plus the optional `k`,
-//! `threads` and `dirty_fraction` members (the mixed workload's batch
-//! size, the scaling bench's worker count and calibration point). For
-//! each pair of rows, every `speedup_*` member in the baseline must be
+//! `threads` and `dirty_fraction` members (a batch size, a worker count
+//! and a calibration point). For each pair of rows, every `speedup_*`
+//! member in the baseline must be
 //! matched by a current value no lower than `baseline · (1 − tolerance)`
 //! (default tolerance 0.20 — bench runners are noisy; the gate catches
 //! real regressions, not jitter). A baseline row or member missing from
@@ -19,18 +19,8 @@
 //! how regressions hide. The one escape hatch is a baseline row
 //! carrying `"optional": true` — those rows may be absent from the
 //! current run (the scaling bench's large classes and machine-dependent
-//! thread rows are committed from a full local run, while CI
-//! regenerates only the small class); when present they are gated
-//! normally.
-//!
-//! Thread-scaling rows (`parallel_speedup_median`) gate only when both
-//! sides are *comparable*: each row must record a `host_cores` at least
-//! as large as its worker count, proving the environment could actually
-//! run the pool it timed. A multi-worker row recorded on a 1-core
-//! container has `parallel_speedup_median < 1` by construction —
-//! comparing against it (or holding a multi-core baseline against a
-//! 1-core rerun) gates scheduler thrash, not scaling, so those pairs
-//! are skipped with a note instead.
+//! rows are committed from a full local run, while CI regenerates only
+//! the small class); when present they are gated normally.
 //!
 //! Exit code 0 when everything passes, 1 otherwise, with one line per
 //! comparison on stdout.
@@ -44,19 +34,15 @@ use pops_bench::json::{parse, Value};
 /// criteria quote; means ride along with the same tolerance.
 const GATED: [&str; 2] = ["speedup_median", "speedup_mean"];
 
-/// Gated too, but only between rows whose recorded `host_cores` covers
-/// their worker count on *both* sides (see the module docs).
-const THREAD_GATED: &str = "parallel_speedup_median";
-
 fn row_key(row: &Value) -> String {
     let mut key = row
         .get("circuit")
         .and_then(Value::as_str)
         .unwrap_or("<unkeyed>")
         .to_string();
-    // Row families of one artifact can share a circuit AND a worker
-    // count (the scaling bench's forward and backward sweep rows), so
-    // the family tag leads the key when present.
+    // Row families of one artifact can share a circuit (the scaling
+    // bench's forward and backward sweep rows), so the family tag leads
+    // the key when present.
     if let Some(kind) = row.get("kind").and_then(Value::as_str) {
         key = format!("{kind} {key}");
     }
@@ -76,23 +62,6 @@ fn row_key(row: &Value) -> String {
 /// gates normally whenever the current artifact does contain it).
 fn is_optional(row: &Value) -> bool {
     row.get("optional") == Some(&Value::Bool(true))
-}
-
-/// Whether a row's thread-scaling number was recorded in an environment
-/// that could actually run its worker pool. Single-worker rows are
-/// trivially comparable; multi-worker rows must carry a `host_cores` at
-/// least as large as `threads` (rows predating the metadata are treated
-/// as incomparable — their provenance is unknown).
-fn thread_scaling_comparable(row: &Value) -> bool {
-    let Some(t) = row.get("threads").and_then(Value::as_f64) else {
-        return true;
-    };
-    if t <= 1.0 {
-        return true;
-    }
-    row.get("host_cores")
-        .and_then(Value::as_f64)
-        .is_some_and(|c| c >= t)
 }
 
 fn load_rows(path: &Path) -> Result<Vec<Value>, String> {
@@ -126,21 +95,6 @@ fn gate_rows(name: &str, base_rows: &[Value], cur_rows: &[Value], tolerance: f64
         };
         for member in GATED {
             failures += gate_member(name, &key, member, base, cur, tolerance);
-        }
-        if base.get(THREAD_GATED).and_then(Value::as_f64).is_some() {
-            if !thread_scaling_comparable(base) {
-                println!(
-                    "skip {name} [{key}] {THREAD_GATED}: baseline host could not \
-                     run this worker count"
-                );
-            } else if !thread_scaling_comparable(cur) {
-                println!(
-                    "skip {name} [{key}] {THREAD_GATED}: current host cannot \
-                     run this worker count"
-                );
-            } else {
-                failures += gate_member(name, &key, THREAD_GATED, base, cur, tolerance);
-            }
         }
     }
     failures
@@ -315,18 +269,15 @@ mod tests {
     #[test]
     fn row_keys_distinguish_sweep_directions() {
         // The scaling bench's forward and backward sweep rows share a
-        // circuit and a worker count; only the `kind` tells them apart.
+        // circuit; only the `kind` tells them apart.
         let r = rows(
             r#"[
-                {"kind":"full_sweep","circuit":"synth10k","threads":1},
-                {"kind":"backward_sweep","circuit":"synth10k","threads":1}
+                {"kind":"full_sweep","circuit":"synth10k"},
+                {"kind":"backward_sweep","circuit":"synth10k"}
             ]"#,
         );
         let keys: Vec<String> = r.iter().map(row_key).collect();
-        assert_eq!(
-            keys,
-            ["full_sweep synth10k T=1", "backward_sweep synth10k T=1"]
-        );
+        assert_eq!(keys, ["full_sweep synth10k", "backward_sweep synth10k"]);
         assert_ne!(keys[0], keys[1]);
     }
 
@@ -379,67 +330,6 @@ mod tests {
             ]"#,
         );
         assert_eq!(gate_rows("t", &base, &cur, 0.2), 1);
-    }
-
-    #[test]
-    fn thread_rows_gate_only_between_capable_hosts() {
-        // Both sides recorded on a host with cores >= workers: the
-        // thread speedup gates like any other member.
-        let base = rows(
-            r#"[{"circuit":"synth10k","threads":4,"host_cores":8,
-                 "parallel_speedup_median":3.0}]"#,
-        );
-        let fine = rows(
-            r#"[{"circuit":"synth10k","threads":4,"host_cores":8,
-                 "parallel_speedup_median":2.9}]"#,
-        );
-        assert_eq!(gate_rows("t", &base, &fine, 0.2), 0);
-        let regressed = rows(
-            r#"[{"circuit":"synth10k","threads":4,"host_cores":8,
-                 "parallel_speedup_median":1.1}]"#,
-        );
-        assert_eq!(gate_rows("t", &base, &regressed, 0.2), 1);
-
-        // Current run on a 1-core container: skipped, not failed — the
-        // oversubscribed pool measures scheduler thrash, not scaling.
-        let cramped = rows(
-            r#"[{"circuit":"synth10k","threads":4,"host_cores":1,
-                 "parallel_speedup_median":0.6}]"#,
-        );
-        assert_eq!(gate_rows("t", &base, &cramped, 0.2), 0);
-
-        // Baseline itself recorded on an undersized host (or predating
-        // the metadata entirely): never gate against it.
-        let bad_base = rows(
-            r#"[{"circuit":"synth10k","threads":4,"host_cores":1,
-                 "parallel_speedup_median":0.6}]"#,
-        );
-        assert_eq!(gate_rows("t", &bad_base, &regressed, 0.2), 0);
-        let legacy_base = rows(
-            r#"[{"circuit":"synth10k","threads":4,
-                 "parallel_speedup_median":3.0}]"#,
-        );
-        assert_eq!(gate_rows("t", &legacy_base, &regressed, 0.2), 0);
-    }
-
-    #[test]
-    fn single_worker_rows_are_always_comparable() {
-        // threads = 1 needs no host_cores: any machine can run one
-        // worker, and its speedup column is the 1.0 anchor.
-        let base = rows(
-            r#"[{"circuit":"synth10k","threads":1,
-                 "parallel_speedup_median":1.0}]"#,
-        );
-        let cur = rows(
-            r#"[{"circuit":"synth10k","threads":1,
-                 "parallel_speedup_median":1.0}]"#,
-        );
-        assert_eq!(gate_rows("t", &base, &cur, 0.2), 0);
-        let broken = rows(
-            r#"[{"circuit":"synth10k","threads":1,
-                 "parallel_speedup_median":0.5}]"#,
-        );
-        assert_eq!(gate_rows("t", &base, &broken, 0.2), 1);
     }
 
     #[test]

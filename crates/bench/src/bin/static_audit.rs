@@ -1,25 +1,20 @@
-//! In-tree source-policy linter — the static half of PR 10's audit pair
-//! (the dynamic half is `pops_sta::audit`, the shadow-access race
-//! detector).
+//! In-tree source-policy linter.
 //!
 //! Walks every `.rs` file of the workspace (no external deps, a simple
 //! line/token scanner over comment- and string-stripped source) and
 //! enforces the repo's source policy:
 //!
-//! 1. **`unsafe` confinement** — the token `unsafe` appears only in
-//!    `crates/sta/src/parallel.rs`, the one module whose safety argument
-//!    the race auditor mechanically checks.
-//! 2. **Deny headers** — every crate root (`crates/*/src/lib.rs` and the
-//!    facade `src/lib.rs`) carries `#![deny(unsafe_code)]` (or
-//!    `forbid`).
+//! 1. **No `unsafe`** — the token `unsafe` appears in no file.
+//! 2. **Forbid headers** — every crate root (`crates/*/src/lib.rs` and
+//!    the facade `src/lib.rs`) carries `#![forbid(unsafe_code)]`.
 //! 3. **No `unwrap` in library code** — `.unwrap()` is banned outside
 //!    `#[cfg(test)]` regions and `src/bin/` CLIs; failures must travel
 //!    as typed errors (`StaError` and friends).
 //! 4. **`expect` needs a license** — `.expect(` in library code must be
 //!    listed in `crates/bench/static_audit_allow.txt` (invariant-backed
 //!    proofs like lock poisoning or builder arity).
-//! 5. **`Ordering::Relaxed` confinement** — only the `faultinject` and
-//!    `audit` arming fast paths may use relaxed atomics.
+//! 5. **No `Ordering::Relaxed`** — library code uses no relaxed
+//!    atomics.
 //! 6. **Float `==` confinement** — bitwise float equality is a
 //!    deliberate tool of the bit-stability modules; everywhere else it
 //!    is a bug magnet and must be allowlisted.
@@ -398,15 +393,12 @@ fn scan_repo(root: &Path) -> Result<Vec<Violation>, String> {
             rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"));
         if is_crate_root {
             lib_roots_seen.push(rel.clone());
-            let has_header = mask.lines().any(|l| {
-                l.contains("#![deny(unsafe_code)]") || l.contains("#![forbid(unsafe_code)]")
-            });
-            if !has_header {
+            if !mask.lines().any(|l| l.contains("#![forbid(unsafe_code)]")) {
                 violations.push(Violation {
-                    rule: "deny-header",
+                    rule: "forbid-header",
                     path: rel.clone(),
                     line: 1,
-                    text: "crate root lacks #![deny(unsafe_code)]".into(),
+                    text: "crate root lacks #![forbid(unsafe_code)]".into(),
                 });
             }
         }
@@ -415,10 +407,10 @@ fn scan_repo(root: &Path) -> Result<Vec<Violation>, String> {
         for (idx, line) in mask.lines().enumerate() {
             let shown = src_lines.get(idx).copied().unwrap_or(line).to_string();
             let lineno = idx + 1;
-            // 1. `unsafe` confinement (everywhere, tests included).
-            if has_word(line, "unsafe") && rel != "crates/sta/src/parallel.rs" {
+            // 1. No `unsafe` (everywhere, tests included).
+            if has_word(line, "unsafe") {
                 violations.push(Violation {
-                    rule: "unsafe-outside-parallel",
+                    rule: "unsafe",
                     path: rel.clone(),
                     line: lineno,
                     text: shown.clone(),
@@ -445,11 +437,8 @@ fn scan_repo(root: &Path) -> Result<Vec<Violation>, String> {
                     text: shown.clone(),
                 });
             }
-            // 5. Relaxed atomics only in the arming fast paths.
-            if line.contains("Ordering::Relaxed")
-                && rel != "crates/sta/src/faultinject.rs"
-                && rel != "crates/sta/src/audit.rs"
-            {
+            // 5. No relaxed atomics.
+            if line.contains("Ordering::Relaxed") {
                 violations.push(Violation {
                     rule: "relaxed-ordering",
                     path: rel.clone(),

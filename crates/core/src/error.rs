@@ -14,6 +14,12 @@ pub enum OptimizeError {
         /// Best minimum delay achievable on the (possibly modified) path.
         tmin_ps: f64,
     },
+    /// A delay constraint that is NaN, zero or negative: no sizing can
+    /// meet it, and the solvers' ratios against it are meaningless.
+    InvalidConstraint {
+        /// The offending constraint (ps).
+        tc_ps: f64,
+    },
     /// An iterative solver failed to converge within its budget.
     NoConvergence {
         /// Which solver gave up.
@@ -30,6 +36,9 @@ impl fmt::Display for OptimizeError {
                 f,
                 "delay constraint {tc_ps:.1} ps is below the achievable minimum {tmin_ps:.1} ps"
             ),
+            OptimizeError::InvalidConstraint { tc_ps } => {
+                write!(f, "invalid delay constraint {tc_ps} ps: must be positive")
+            }
             OptimizeError::NoConvergence { solver, iterations } => {
                 write!(
                     f,

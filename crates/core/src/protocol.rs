@@ -137,15 +137,19 @@ struct Candidate {
 ///
 /// # Errors
 ///
-/// [`OptimizeError::Infeasible`] when `tc_ps` is below the minimum delay
-/// of every allowed implementation (sized, buffered, restructured).
+/// [`OptimizeError::InvalidConstraint`] when `tc_ps` is NaN, zero or
+/// negative; [`OptimizeError::Infeasible`] when it is below the minimum
+/// delay of every allowed implementation (sized, buffered,
+/// restructured).
 pub fn optimize(
     lib: &Library,
     path: &TimedPath,
     tc_ps: f64,
     options: &ProtocolOptions,
 ) -> Result<ProtocolOutcome, OptimizeError> {
-    assert!(tc_ps > 0.0, "constraint must be positive");
+    if tc_ps.is_nan() || tc_ps <= 0.0 {
+        return Err(OptimizeError::InvalidConstraint { tc_ps });
+    }
     let bounds = delay_bounds(lib, path);
 
     let mut candidates: Vec<Candidate> = Vec::new();
@@ -343,6 +347,19 @@ mod tests {
             out.inserted_buffers > 0 || out.restructured_gates > 0,
             "structure must have been modified"
         );
+    }
+
+    #[test]
+    fn invalid_constraints_are_typed_errors() {
+        let lib = lib();
+        let path = loaded_path();
+        for tc in [f64::NAN, 0.0, -1.0] {
+            let err = optimize(&lib, &path, tc, &ProtocolOptions::default()).unwrap_err();
+            assert!(
+                matches!(err, OptimizeError::InvalidConstraint { tc_ps } if tc_ps.to_bits() == tc.to_bits()),
+                "tc {tc}: got {err}"
+            );
+        }
     }
 
     #[test]

@@ -244,8 +244,8 @@ pub struct ScalingClass {
     pub seed: u64,
 }
 
-/// Scaling size classes used by the `sta_scaling` bench and the parallel
-/// differential tests. Unlike [`PROFILES`], these model no published
+/// Scaling size classes used by the `sta_scaling` bench and the
+/// flush-schedule tests. Unlike [`PROFILES`], these model no published
 /// benchmark — they exist to exercise the engine at 10k–1M gates.
 pub const SCALING_CLASSES: &[ScalingClass] = &[
     ScalingClass {

@@ -13,33 +13,6 @@ use std::fmt;
 
 use pops_netlist::NetlistError;
 
-/// Classification of a shadow-access race hazard reported by the
-/// [`audit`](crate::audit) module's barrier-time verifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RaceKind {
-    /// Two workers wrote the same slab index inside one level batch —
-    /// the disjoint-slot partition was violated.
-    WriteWrite,
-    /// A worker read a slab index another worker wrote inside the same
-    /// level batch — the read raced an in-flight write.
-    ReadWrite,
-    /// A read touched a slot that is not finalized at the current level
-    /// (forward: a slot at the current or a higher level the reader does
-    /// not own; backward: a slot at a strictly lower level or a source
-    /// slot), or an index outside the slab entirely.
-    CrossLevel,
-}
-
-impl fmt::Display for RaceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RaceKind::WriteWrite => "write-write overlap",
-            RaceKind::ReadWrite => "read aliases a concurrent write",
-            RaceKind::CrossLevel => "cross-level read of an unfinalized slot",
-        })
-    }
-}
-
 /// Errors produced at the timing engine's validated mutation boundary and
 /// by the [`verify_state`](crate::TimingGraph::verify_state) auditor.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,23 +57,6 @@ pub enum StaError {
         /// Which invariant failed, with the offending values.
         detail: String,
     },
-    /// The shadow-access race auditor ([`crate::audit`]) caught a level
-    /// batch whose recorded accesses violate the parallel flush's
-    /// disjoint-slot contract.
-    RaceHazard {
-        /// Worker id that performed the offending access (ids ≥ 1000 are
-        /// phantom workers synthesized by the seeded overlap planner).
-        worker: usize,
-        /// Topological level batch the hazard occurred in.
-        level: usize,
-        /// Net slot (forward slabs) or gate position (pos-indexed slabs)
-        /// of the offending access, with the corner stride divided out.
-        slot: usize,
-        /// Which invariant the access pattern violated.
-        kind: RaceKind,
-        /// Slab name, raw widened index, corner and peer worker.
-        detail: String,
-    },
 }
 
 impl fmt::Display for StaError {
@@ -131,18 +87,6 @@ impl fmt::Display for StaError {
             StaError::InvalidEdit(e) => write!(f, "invalid edit plan: {e}"),
             StaError::StateCorrupt { detail } => {
                 write!(f, "timing state corrupt: {detail}")
-            }
-            StaError::RaceHazard {
-                worker,
-                level,
-                slot,
-                kind,
-                detail,
-            } => {
-                write!(
-                    f,
-                    "race hazard ({kind}): worker {worker} at level {level}, slot {slot}: {detail}"
-                )
             }
         }
     }

@@ -106,32 +106,26 @@
 //! nets) leaf update folded in at flush time; the design-worst slack
 //! query is then O(1) at the root, bit-identical to the full fold.
 //!
-//! # Rank-major slabs and the level-synchronized parallel flush
+//! # Rank-major slabs
 //!
 //! At 100k–1M gates the budgeted full sweeps are memory-bound, so the
 //! floating-point state lives in **rank-major struct-of-arrays slabs**
 //! instead of id-keyed records. The cached topo order is *level-major*:
 //! gates are counting-sorted by logic level (stable by topo order
 //! within a level), `rank[g]` is the gate's position in that order and
-//! `level_start[l] .. level_start[l+1]` delimits level `l`. A
-//! level-major order is still a topological order, so every ascending /
-//! descending bitset cursor works unchanged. Net state is indexed by
+//! `level_start[l] .. level_start[l+1]` delimits level `l` — the level
+//! profile the adaptive drain-to-sweep cut-over reads off a dirty set.
+//! A level-major order is still a topological order, so every ascending
+//! / descending bitset cursor works unchanged. Net state is indexed by
 //! **slot**: the driverless nets (primary inputs and any undriven nets)
 //! occupy slots `0..n_src` in net-id order, and the net driven by the
 //! gate at position `p` occupies slot `n_src + p` — a full sweep
 //! therefore *streams* the arrival/slope/pred/load/required slabs in
 //! memory order instead of pointer-chasing the netlist.
 //!
-//! Same-level gates are mutually independent and write level-contiguous
-//! slots, so each dirty level is a natural parallel batch: above
-//! [`TimingGraph::parallel_threshold`] the flush evaluates levels
-//! across an in-tree scoped-thread pool with per-level barriers (see
-//! [`crate::parallel`]), falling back to the sequential single-cursor
-//! drain below it so small-circuit latency is untouched. Both paths run
-//! the *same* per-gate kernel, and per-gate results are independent of
-//! evaluation order within a level — parallel state is bit-identical to
-//! sequential by construction (`tests/parallel_flush_equivalence.rs`
-//! proves it differentially anyway).
+//! Every flush is sequential: one bitset cursor per direction drives
+//! the per-gate kernels of `crate::kernel`, the same kernels the full
+//! sweeps run.
 
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
@@ -145,29 +139,11 @@ use crate::analysis::{
     compatible_input_edges, eidx, AnalyzeOptions, EdgeDir, NetlistPath, TimingView, EDGES,
 };
 use crate::error::StaError;
-use crate::parallel::{
-    gather_range, range_any, run_parallel, run_parallel_bwd, BwdView, EvalCtx, FwdView, PredPair,
-    F_ARRIVAL, F_DELAY, F_OUT_CHANGED, F_SLOPE,
+use crate::kernel::{
+    range_any, BwdView, EvalCtx, FwdView, PredPair, F_ARRIVAL, F_DELAY, F_OUT_CHANGED, F_SLOPE,
 };
 use crate::sizing::Sizing;
 use crate::slack::{min2, SlackReport, SlackView, WorstSlackIndex};
-
-/// Default gate count below which flushes stay sequential: at small
-/// sizes the per-level barrier crossings cost more than the arc work
-/// they spread out ([`TimingGraph::set_parallel_threshold`] overrides).
-const PAR_MIN_GATES: usize = 10_000;
-
-/// Levels (or dirty-level batches) smaller than this are evaluated
-/// inline by the coordinator — two barrier crossings to spread a
-/// handful of gates over the pool is a loss.
-const PAR_LEVEL_MIN: usize = 128;
-
-/// Marker returned by the flush internals when a worker-pool panic was
-/// caught and the pool drained: the slabs the panicked pass touched are
-/// suspect, so the caller discards them and rebuilds with a sequential
-/// full pass (the recovery state machine in the module docs). Never
-/// escapes the crate — queries always return the bit-exact answer.
-struct RecoveredPanic;
 
 /// Cumulative work counters, for benchmarks and cone-size assertions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -212,23 +188,6 @@ pub struct UpdateStats {
     /// — the whole merged forward union stays unflushed (the K=1 probe
     /// fast path).
     pub gate_delay_settles: usize,
-    /// Worker-pool panics caught and recovered from: the flush
-    /// discarded the partially written slabs, rebuilt the state with a
-    /// sequential full sweep, and the query answered bit-exactly (see
-    /// the module docs' recovery state machine).
-    pub panic_recoveries: usize,
-    /// Flushes that abandoned the parallel path for a sequential full
-    /// rebuild — every panic recovery counts one, as does a poisoned
-    /// slab detected while fault injection is armed.
-    pub sequential_fallbacks: usize,
-    /// Level batches verified by the shadow-access race auditor
-    /// ([`crate::audit`]) across this graph's parallel flushes. Zero
-    /// unless the auditor is armed (env `STA_AUDIT=1` or
-    /// [`TimingGraph::set_audit`]).
-    pub audit_levels_checked: usize,
-    /// Race hazards the auditor attributed to this graph's flushes (see
-    /// [`crate::audit::take_hazards`] for the typed reports).
-    pub audit_hazards: usize,
 }
 
 /// Per-(gate, corner) model constants, flattened out of the corner
@@ -257,8 +216,8 @@ pub(crate) struct GateParams {
 }
 
 /// Fanin-independent arc terms of one gate under its current drive and
-/// load, hoisted out of the per-arc loops of the forward gate kernel
-/// ([`crate::parallel`]) *and* the backward `eval_required`.
+/// load, hoisted out of the per-arc loops of the forward and backward
+/// kernels ([`crate::kernel`]).
 pub(crate) struct ArcTerms {
     /// τ_out per *output* edge: `(τ·S) · C_L / C_IN`.
     pub(crate) tau_out_by_edge: [f64; 2],
@@ -342,7 +301,7 @@ pub struct TimingGraph<'c> {
     /// Gates in the cached topological order. The order is
     /// **level-major**: counting-sorted by logic level, stable by the
     /// circuit's base topo order within a level — still a topological
-    /// order, but with every level contiguous (the parallel batches).
+    /// order, but with every level contiguous.
     topo: Vec<GateId>,
     /// `rank[gate] = position in `topo`` — the propagation priority.
     rank: Vec<u32>,
@@ -402,16 +361,6 @@ pub struct TimingGraph<'c> {
     /// last flushed at; the pairs implement the lazy clean →
     /// dirty(gen) → flushed cycle in both directions.
     gen: u64,
-    /// Worker threads the parallel flush may use (coordinator
-    /// included); 1 keeps every flush sequential. `None` (the default)
-    /// resolves to the host's available parallelism, capped at 8, *at
-    /// flush time* — not construction time — so a graph built on one
-    /// host and driven on another (or inside a shrunken cgroup) never
-    /// runs a pool wider than the cores actually present.
-    threads: Option<usize>,
-    /// Gate count below which flushes stay sequential regardless of
-    /// `threads`.
-    par_min_gates: usize,
     /// Forward sweep cut-over budget as a rational fraction
     /// `(num, den)` of the gate count: the flush abandons the drain for
     /// a full sweep once `dirty_count >= n·num/den + 1`.
@@ -419,10 +368,6 @@ pub struct TimingGraph<'c> {
     /// Backward (required/completion) sweep cut-over budget, same
     /// encoding.
     bwd_budget: (u32, u32),
-    /// Per-graph race-audit flag ([`TimingGraph::set_audit`]): audit
-    /// this graph's parallel flushes even when the process-wide
-    /// [`crate::audit::arm`] switch is off.
-    audit: bool,
     /// Maintained forward state (arrivals, slopes, loads, worst gate
     /// delays) plus its lazy seed logs. Interior-mutable so `&self`
     /// queries can perform the lazy flush — mutators go through
@@ -445,10 +390,8 @@ struct ForwardState {
     /// [`TimingGraph::slot_of`]); `-inf` where unreachable. Slabs
     /// instead of per-net records: a full sweep writes slots in memory
     /// order (gate `p` owns slot `n_src + p`), so the budgeted cut-over
-    /// streams memory-bandwidth-bound, and same-level gates write
-    /// disjoint contiguous slots — the parallel batches. The corner
-    /// lanes ride in the same stride-`n_corners` layout, propagated
-    /// together in one pass.
+    /// streams memory-bandwidth-bound. The corner lanes ride in the
+    /// same stride-`n_corners` layout, propagated together in one pass.
     arrival: Vec<[f64; 2]>,
     /// Transition time per edge (ps), slot- and corner-indexed.
     slope: Vec<[f64; 2]>,
@@ -544,6 +487,12 @@ fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
     let base_topo = circuit.topo_order()?;
     let levels = circuit.logic_levels()?;
     let n_gates = circuit.gate_count();
+    // Slots, ranks, level starts and adjacency offsets are stored as
+    // `u32`; net and pin counts bound every one of them.
+    assert!(
+        u32::try_from(circuit.net_count()).is_ok() && u32::try_from(circuit.pin_count()).is_ok(),
+        "net and pin counts must fit the u32 slot, rank and offset indices"
+    );
     let n_levels = levels.iter().copied().max().unwrap_or(0);
     let mut level_start = vec![0u32; n_levels + 1];
     for &g in &base_topo {
@@ -824,10 +773,10 @@ impl<'c> TimingGraph<'c> {
     /// Build a **multi-corner** graph: one characterized library per
     /// [`CornerSet`] corner, with every forward/backward slab widened to
     /// a fixed-stride per-corner array propagated together in one pass —
-    /// same dirty-cone drain, same lazy generation-counted flush, same
-    /// parallel barrier model. Corner 0 (the set's primary corner) is
-    /// what every plain query reads; the `*_corner` query variants view
-    /// the rest, and [`TimingGraph::worst_slack_overall_ps`] becomes the
+    /// same dirty-cone drain, same lazy generation-counted flush. Corner
+    /// 0 (the set's primary corner) is what every plain query reads; the
+    /// `*_corner` query variants view the rest, and
+    /// [`TimingGraph::worst_slack_overall_ps`] becomes the
     /// worst **over all corners**. Every per-corner lane is bit-identical
     /// to an independent single-corner graph built on that corner's
     /// library (`tests/corner_equivalence.rs` proves it differentially).
@@ -857,21 +806,10 @@ impl<'c> TimingGraph<'c> {
         sizing: &Sizing,
         options: &AnalyzeOptions,
     ) -> Result<Self, NetlistError> {
-        // CI's armed runs inject faults via `STA_FAULT_SEED`; a no-op
-        // unless the variable is set (and parses).
-        crate::faultinject::arm_from_env_once();
-        // Likewise the race auditor via `STA_AUDIT=1`.
-        crate::audit::arm_from_env_once();
         let s = build_structure(circuit)?;
         let n_nets = circuit.net_count();
         let n_gates = circuit.gate_count();
         let nc = corner_libs.len();
-        // The backward sweep's emit keys pack `slot * nc + corner` into
-        // 31 bits (bit 31 carries the edge).
-        assert!(
-            n_nets.saturating_mul(nc) < (1usize << 31),
-            "net-slot × corner space must fit in 31 bits"
-        );
         let vt_class = vec![VtClass::Svt; n_gates];
         let gate_params = build_gate_params(circuit, &corner_libs, &vt_class);
 
@@ -900,11 +838,8 @@ impl<'c> TimingGraph<'c> {
             pis: s.pis,
             pos: s.pos,
             gen: 0,
-            threads: None,
-            par_min_gates: PAR_MIN_GATES,
             fwd_budget: (3, 4),
             bwd_budget: (1, 3),
-            audit: false,
             fwd: RefCell::new(ForwardState {
                 arrival: vec![[f64::NEG_INFINITY; 2]; n_nets * nc],
                 slope: vec![[0.0; 2]; n_nets * nc],
@@ -946,21 +881,7 @@ impl<'c> TimingGraph<'c> {
                     }
                 }
             }
-            // A worker panic or an injected NaN mid-construction (fault
-            // injection armed) rebuilds with the infallible sequential
-            // pass — same recovery as the flush-time path.
-            let recovered =
-                match graph.full_forward_sweep(&mut fwd, None, graph.use_parallel(n_gates)) {
-                    Ok(_) => crate::faultinject::armed() && Self::forward_slabs_poisoned(&fwd),
-                    Err(RecoveredPanic) => {
-                        graph.stat(|s| s.panic_recoveries += 1);
-                        true
-                    }
-                };
-            if recovered {
-                graph.stat(|s| s.sequential_fallbacks += 1);
-                graph.recover_forward(&mut fwd, None);
-            }
+            graph.full_forward_sweep(&mut fwd, None);
             graph.recompute_critical(&mut fwd);
         }
         Ok(graph)
@@ -989,9 +910,9 @@ impl<'c> TimingGraph<'c> {
         self.stats.get()
     }
 
-    /// Deep-consistency audit of the engine's internal state — the
-    /// post-recovery oracle of the fault-containment story and a cheap
-    /// health check for long-lived service processes. Pending lazy
+    /// Deep-consistency audit of the engine's internal state — a cheap
+    /// health check for long-lived processes and the oracle the
+    /// mutation-boundary tests consult. Pending lazy
     /// seeds are flushed first (the invariants hold over settled
     /// state); the audit then checks, in order:
     ///
@@ -1001,8 +922,7 @@ impl<'c> TimingGraph<'c> {
     ///   topo order;
     /// * **level monotonicity** — `level_start` partitions the topo
     ///   positions and every gate's fanin drivers sit in strictly lower
-    ///   levels (the independence property the parallel barriers rely
-    ///   on);
+    ///   levels;
     /// * **dirty-bitset vs generation agreement** — bitset popcounts
     ///   bit-match the maintained counts, and state flushed to the
     ///   current mutation generation holds no pending marks, seed-log
@@ -1282,65 +1202,25 @@ impl<'c> TimingGraph<'c> {
 
     // ---- execution knobs ----
     //
-    // Performance-only: none of these change what any query returns
-    // (parallel and sequential flushes are bit-identical, and drain vs
-    // sweep converge to the same bits), so none bumps the mutation
-    // generation.
+    // Performance-only: drain and sweep converge to the same bits, so
+    // none of these changes what any query returns or bumps the
+    // mutation generation.
 
-    /// Worker threads the parallel flush may use, coordinator included.
-    /// Until [`TimingGraph::set_threads`] pins a count, this resolves
-    /// the host's *current* available parallelism (capped at 8) on
-    /// every call — the default is clamped at flush time, so a pool
-    /// never runs wider than the cores present when it actually spins
-    /// up.
+    /// Always 1: every flush is sequential. Kept only for callers
+    /// written against the removed worker pool.
     pub fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        })
+        1
     }
 
-    /// Pin the worker-thread count; `1` (or `0`, clamped) keeps every
-    /// flush sequential. An explicit count is honored as given — never
-    /// clamped to the host's core count, so differential tests can
-    /// force a real pool on a single-core host. Purely a performance
-    /// knob — the parallel flush is bit-identical to the sequential
-    /// drain at any count.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = Some(threads.max(1));
-    }
+    /// Does nothing: every flush is sequential. Kept only for callers
+    /// written against the removed worker pool.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
-    /// Gate count below which flushes stay sequential regardless of
-    /// [`TimingGraph::threads`] (default 10 000: below that, per-level
-    /// barrier crossings outweigh the arc work they distribute).
+    /// Always `usize::MAX`: no graph is large enough for a parallel
+    /// flush. Kept only for callers written against the removed worker
+    /// pool.
     pub fn parallel_threshold(&self) -> usize {
-        self.par_min_gates
-    }
-
-    /// Override the sequential-fallback threshold. `0` forces the
-    /// parallel path on any circuit when `threads >= 2` (differential
-    /// tests use this to exercise the pool on small suites).
-    pub fn set_parallel_threshold(&mut self, min_gates: usize) {
-        self.par_min_gates = min_gates;
-    }
-
-    /// Whether this graph's parallel flushes are race-audited — the
-    /// per-graph flag OR the process-wide [`crate::audit::arm`] /
-    /// `STA_AUDIT=1` switch.
-    pub fn audit_enabled(&self) -> bool {
-        self.audit || crate::audit::armed()
-    }
-
-    /// Audit this graph's parallel flushes with the shadow-access race
-    /// detector ([`crate::audit`]) regardless of the process-wide
-    /// switch. Purely an observation knob: armed flushes stay
-    /// bit-identical to disarmed ones; hazards surface through
-    /// [`crate::audit::take_hazards`] and the
-    /// [`UpdateStats::audit_hazards`] counter.
-    pub fn set_audit(&mut self, on: bool) {
-        self.audit = on;
+        usize::MAX
     }
 
     /// The sweep cut-over budgets as `(forward, backward)` rational
@@ -1379,37 +1259,6 @@ impl<'c> TimingGraph<'c> {
         n * num as usize / den as usize + 1
     }
 
-    /// Open a race-audit scope for one parallel flush (the scope carries
-    /// the level geometry the barrier checks decode slab indices
-    /// against). Returns whether a scope was actually opened — `false`
-    /// when auditing is off *or* another flush is already being audited
-    /// (the session is process-global).
-    fn audit_begin(&self, backward: bool) -> bool {
-        if !self.audit_enabled() {
-            return false;
-        }
-        crate::audit::begin_scope(crate::audit::Scope {
-            level_start: self.level_start.clone(),
-            n_src: self.n_src as u32,
-            nc: self.corner_libs.len() as u32,
-            n_slots: self.slot_of.len() as u32,
-            n_pos: self.topo.len() as u32,
-            backward,
-        })
-    }
-
-    /// Close a scope opened by [`TimingGraph::audit_begin`] and fold its
-    /// counters into this graph's stats.
-    fn audit_end(&self, opened: bool) {
-        if opened {
-            let (levels, hazards) = crate::audit::end_scope();
-            self.stat(|s| {
-                s.audit_levels_checked += levels;
-                s.audit_hazards += hazards;
-            });
-        }
-    }
-
     /// Slab slot of a net's timing state.
     #[inline]
     fn slot(&self, net: NetId) -> usize {
@@ -1436,13 +1285,6 @@ impl<'c> TimingGraph<'c> {
     /// The Vt variant a gate is currently implemented in.
     pub fn vt_class(&self, gate: GateId) -> VtClass {
         self.vt_class[gate.index()]
-    }
-
-    /// Whether a flush over `n_gates` takes the parallel path. The
-    /// size check comes first: small circuits must not pay the default
-    /// thread count's host probe on every flush.
-    fn use_parallel(&self, n_gates: usize) -> bool {
-        n_gates >= self.par_min_gates && self.threads() >= 2
     }
 
     /// 0-based level of a topo position (`level_start` is sorted; empty
@@ -1504,10 +1346,7 @@ impl<'c> TimingGraph<'c> {
         &mut self,
         changes: impl IntoIterator<Item = (GateId, f64)>,
     ) -> Result<(), StaError> {
-        let mut changes: Vec<(GateId, f64)> = changes.into_iter().collect();
-        // Fault injection (no-op unless a `FaultPlan` armed batch
-        // corruption): the boundary below must catch what it plants.
-        crate::faultinject::corrupt_resizes(&mut changes);
+        let changes: Vec<(GateId, f64)> = changes.into_iter().collect();
         let n_gates = self.rank.len();
         for &(gate, cin_ff) in &changes {
             if gate.index() >= n_gates {
@@ -1722,10 +1561,6 @@ impl<'c> TimingGraph<'c> {
         let n_gates = s.topo.len();
         let n_nets = s.net_driver.len();
         let nc = self.corner_libs.len();
-        assert!(
-            n_nets.saturating_mul(nc) < (1usize << 31),
-            "net-slot × corner space must fit in 31 bits"
-        );
 
         // Pending lazy seeds live in the id-keyed logs, which survive
         // append-only surgery untouched. The rank-keyed backward
@@ -2045,7 +1880,7 @@ impl<'c> TimingGraph<'c> {
     /// The flushless worst-delay settle (see
     /// [`TimingGraph::gate_delay_worst_ps`] for why it is sound only
     /// under pure-resize seeds). Fold order and expressions replicate
-    /// [`crate::parallel::FwdView::eval_shared`] exactly.
+    /// [`crate::kernel::FwdView::eval_gate`] exactly.
     fn settle_gate_delay(&self, fwd: &ForwardState, gate: GateId) -> f64 {
         let gi = gate.index();
         let nc = self.corner_libs.len();
@@ -2571,9 +2406,6 @@ impl<'c> TimingGraph<'c> {
         // which is why its sweep breaks even a third of the way in and
         // is still worth bailing to mid-drain.)
         let budget = Self::budget(n_gates, self.fwd_budget);
-        let mut reevals = 0usize;
-        let mut cuts = 0usize;
-        let mut any_changed = false;
         let mut sweep = fwd.dirty_count >= budget;
         if !sweep && fwd.dirty_count > 0 {
             // Adaptive cut-over: sweep when the seed set's level-span
@@ -2581,54 +2413,17 @@ impl<'c> TimingGraph<'c> {
             // the synthetic fabrics; see `forward_closure_estimate`).
             sweep = self.forward_closure_estimate(fwd) >= budget;
         }
-        let mut recovered_panic = false;
-        if !sweep && fwd.dirty_count > 0 {
-            match self.drain_forward(fwd, bw.as_deref_mut()) {
-                Ok((r, c, a)) => {
-                    reevals = r;
-                    cuts = c;
-                    any_changed = a;
-                }
-                Err(RecoveredPanic) => recovered_panic = true,
-            }
-        }
+        let (reevals, cuts, any_changed) = if sweep {
+            let any_changed = self.full_forward_sweep(fwd, bw);
+            fwd.dirty_bits.iter_mut().for_each(|w| *w = 0);
+            fwd.dirty_count = 0;
+            (n_gates, 0, any_changed)
+        } else if fwd.dirty_count > 0 {
+            self.drain_forward(fwd, bw)
+        } else {
+            (0, 0, false)
+        };
         fwd.min_dirty_rank = u32::MAX;
-        if sweep && !recovered_panic {
-            match self.full_forward_sweep(fwd, bw.as_deref_mut(), self.use_parallel(n_gates)) {
-                Ok(a) => {
-                    any_changed = a;
-                    fwd.dirty_bits.iter_mut().for_each(|w| *w = 0);
-                    fwd.dirty_count = 0;
-                    reevals += n_gates;
-                }
-                Err(RecoveredPanic) => recovered_panic = true,
-            }
-        }
-        // Post-flush audit, armed only (zero cost otherwise): a NaN the
-        // fault layer injected into an eval's load lands in the slope
-        // slab at minimum (`arc_terms` propagates it into `tau_out`),
-        // so one scan over the forward slabs catches every poisoned
-        // pass even when it completed without panicking.
-        let poisoned =
-            !recovered_panic && crate::faultinject::armed() && Self::forward_slabs_poisoned(fwd);
-        if recovered_panic || poisoned {
-            // Recovery: the partially written (or poisoned) slabs are
-            // unusable and the seed bookkeeping consumed mid-pass no
-            // longer describes what is stale — discard wholesale and
-            // rebuild from the ground truth with the infallible
-            // sequential pass, then invalidate the backward state (its
-            // partial seeds under-report relative to the rebuilt
-            // forward slabs).
-            self.recover_forward(fwd, bw);
-            reevals += n_gates;
-            any_changed = true;
-            self.stat(|s| {
-                if recovered_panic {
-                    s.panic_recoveries += 1;
-                }
-                s.sequential_fallbacks += 1;
-            });
-        }
         self.stat(|s| {
             s.forward_flushes += 1;
             s.gates_reevaluated += reevals;
@@ -2639,64 +2434,8 @@ impl<'c> TimingGraph<'c> {
         }
     }
 
-    /// Whether any forward slab holds a NaN — the armed-only poison
-    /// audit ([`crate::faultinject`] injects NaN loads; the policy slabs
-    /// never hold NaN legitimately, see the finiteness rules
-    /// [`TimingGraph::verify_state`] enforces).
-    fn forward_slabs_poisoned(fwd: &ForwardState) -> bool {
-        fwd.load.iter().any(|l| l.is_nan())
-            || fwd.gate_delay_worst.iter().any(|d| d.is_nan())
-            || fwd.slope.iter().any(|s| s[0].is_nan() || s[1].is_nan())
-            || fwd.arrival.iter().any(|a| a[0].is_nan() || a[1].is_nan())
-    }
-
-    /// Rebuild the forward state from the ground truth (circuit,
-    /// sizing, options) after a caught worker panic or a detected
-    /// poison: discard every pending mark and seed, recompute all net
-    /// loads, re-initialize the source slots and run the sequential
-    /// full sweep — the same pass construction runs, so the result is
-    /// bit-identical to a fresh build. Any maintained backward state is
-    /// invalidated wholesale: the change flags of the rebuild are
-    /// relative to corrupted values, so per-cone seeds would
-    /// under-report.
-    fn recover_forward(&self, fwd: &mut ForwardState, bw: Option<&mut BackwardState>) {
-        let n_gates = self.topo.len();
-        let n_nets = self.net_driver.len();
-        let nc = self.corner_libs.len();
-        fwd.dirty_bits.iter_mut().for_each(|w| *w = 0);
-        fwd.dirty_count = 0;
-        fwd.min_dirty_rank = u32::MAX;
-        fwd.resized_log.clear();
-        fwd.gate_log.clear();
-        fwd.scan_loads = false;
-        fwd.reload_pos = false;
-        fwd.reslope_pis = false;
-        for net in 0..n_nets {
-            self.recompute_net_load(fwd, net);
-        }
-        for i in 0..self.pis.len() {
-            let pi = self.pis[i];
-            let slot = self.slot_of[pi.index()] as usize;
-            for c in 0..nc {
-                for e in EDGES {
-                    fwd.arrival[slot * nc + c][eidx(e)] = 0.0;
-                    fwd.slope[slot * nc + c][eidx(e)] = self.options.input_transition_ps;
-                }
-            }
-        }
-        let swept = self.full_forward_sweep(fwd, None, false);
-        debug_assert!(swept.is_ok(), "the sequential sweep is infallible");
-        if let Some(bw) = bw {
-            // `mark_all_*` subsume and discard the pending seed logs
-            // and schedule the wholesale index refold.
-            Self::mark_all_required(bw, n_gates, &self.pis);
-            Self::mark_all_completion(bw, n_gates);
-        }
-    }
-
-    /// Assemble the read-only circuit-array view the per-gate kernel
-    /// ([`crate::parallel`]) consumes. Borrows only `Sync` arrays — the
-    /// `RefCell`s stay behind on the graph.
+    /// Assemble the read-only circuit-array view the per-gate kernels
+    /// ([`crate::kernel`]) consume.
     fn eval_ctx(&self) -> EvalCtx<'_> {
         EvalCtx {
             topo: &self.topo,
@@ -2722,7 +2461,7 @@ impl<'c> TimingGraph<'c> {
     /// for — plain log appends, exactly the old eager engine's: arcs
     /// *from* the output net move with its slope; the gate's completion
     /// bound with its worst delay; the net's worst-slack leaf with its
-    /// arrival. Called by the coordinator only (workers return flags).
+    /// arrival.
     fn push_bw_seeds(&self, bw: &mut BackwardState, pos: usize, flags: u8) {
         let gid = self.topo[pos];
         if flags & F_SLOPE != 0 {
@@ -2757,27 +2496,12 @@ impl<'c> TimingGraph<'c> {
     }
 
     /// Drain the forward dirty bitset in ascending rank order; returns
-    /// `(reevals, cuts, any_changed)`. Above the parallel threshold the
-    /// drain walks dirty *levels*: gather one level's dirty positions,
-    /// evaluate them across the pool (inline when the batch is tiny),
-    /// expand cones into strictly higher levels, barrier, repeat — the
-    /// cone never re-marks at or below the level being evaluated, so
-    /// level order is rank order. Below the threshold (or with one
-    /// thread) the classic single-cursor `trailing_zeros` walk runs the
-    /// same kernel; the two paths are bit-identical by construction.
-    ///
-    /// # Errors
-    ///
-    /// [`RecoveredPanic`] when the worker pool panicked mid-drain (the
-    /// pool is already drained); the slabs and dirty bookkeeping are
-    /// then partially written and the caller must rebuild through
-    /// [`TimingGraph::recover_forward`]. The sequential path is
-    /// infallible.
+    /// `(reevals, cuts, any_changed)`.
     fn drain_forward(
         &self,
         fwd: &mut ForwardState,
         mut bw: Option<&mut BackwardState>,
-    ) -> Result<(usize, usize, bool), RecoveredPanic> {
+    ) -> (usize, usize, bool) {
         let ForwardState {
             arrival,
             slope,
@@ -2790,115 +2514,53 @@ impl<'c> TimingGraph<'c> {
             ..
         } = fwd;
         let ctx = self.eval_ctx();
-        let mut view = FwdView::new(arrival, slope, pred, load, gate_delay_worst);
+        let mut view = FwdView {
+            arrival,
+            slope,
+            pred,
+            load,
+            gate_delay_worst,
+        };
         let mut reevals = 0usize;
         let mut changed = 0usize;
-        if self.use_parallel(self.topo.len()) {
-            let n_levels = self.level_start.len() - 1;
-            let mut positions: Vec<u32> = Vec::new();
-            let audited = self.audit_begin(false);
-            let run = run_parallel(&ctx, &mut view, self.threads(), |d| {
-                let mut level = self.level_of(*min_dirty_rank);
-                while *dirty_count > 0 && level < n_levels {
-                    // Fault-injection point: between level barriers every
-                    // worker is parked at the start barrier, so an
-                    // injected panic unwinds through `run_parallel`'s
-                    // `catch_unwind` and its shutdown releases the pool
-                    // cleanly — no barrier deadlock.
-                    crate::faultinject::on_dispatch();
-                    let lvl = level;
-                    let (lo, hi) = (self.level_start[level], self.level_start[level + 1]);
-                    level += 1;
-                    positions.clear();
-                    gather_range(dirty_bits, lo, hi, &mut positions);
-                    if positions.is_empty() {
-                        continue;
-                    }
-                    *dirty_count -= positions.len();
-                    reevals += positions.len();
-                    if positions.len() < PAR_LEVEL_MIN {
-                        for &p in &positions {
-                            let pos = p as usize;
-                            let f = d.eval_one(pos);
-                            if f & F_OUT_CHANGED != 0 {
-                                changed += 1;
-                                self.mark_fanouts_raw(dirty_bits, dirty_count, pos);
-                            }
-                            if f != 0 {
-                                if let Some(bw) = bw.as_deref_mut() {
-                                    self.push_bw_seeds(bw, pos, f);
-                                }
-                            }
-                        }
-                    } else {
-                        for &(pos, f) in d.eval_list(&mut positions) {
-                            if f & F_OUT_CHANGED != 0 {
-                                changed += 1;
-                                self.mark_fanouts_raw(dirty_bits, dirty_count, pos as usize);
-                            }
-                            if let Some(bw) = bw.as_deref_mut() {
-                                self.push_bw_seeds(bw, pos as usize, f);
-                            }
-                        }
-                    }
-                    // Workers are parked again: verify this level's
-                    // shadow-access batch at the barrier.
-                    crate::audit::check_level(lvl);
-                }
-            });
-            self.audit_end(audited);
-            if run.is_err() {
-                return Err(RecoveredPanic);
+        let mut word = *min_dirty_rank as usize / 64;
+        while *dirty_count > 0 {
+            // Re-read each round: processing a gate may mark ranks
+            // within the current word (always above the bit just
+            // cleared).
+            let bits = dirty_bits[word];
+            if bits == 0 {
+                word += 1;
+                continue;
             }
-        } else {
-            let mut word = *min_dirty_rank as usize / 64;
-            while *dirty_count > 0 {
-                // Re-read each round: processing a gate may mark ranks
-                // within the current word (always above the bit just
-                // cleared).
-                let bits = dirty_bits[word];
-                if bits == 0 {
-                    word += 1;
-                    continue;
-                }
-                let bit = bits.trailing_zeros();
-                dirty_bits[word] &= !(1u64 << bit);
-                *dirty_count -= 1;
-                let pos = word * 64 + bit as usize;
-                reevals += 1;
-                let f = view.eval_gate(&ctx, pos);
-                if f & F_OUT_CHANGED != 0 {
-                    changed += 1;
-                    self.mark_fanouts_raw(dirty_bits, dirty_count, pos);
-                }
-                if f != 0 {
-                    if let Some(bw) = bw.as_deref_mut() {
-                        self.push_bw_seeds(bw, pos, f);
-                    }
+            let bit = bits.trailing_zeros();
+            dirty_bits[word] &= !(1u64 << bit);
+            *dirty_count -= 1;
+            let pos = word * 64 + bit as usize;
+            reevals += 1;
+            let f = view.eval_gate(&ctx, pos);
+            if f & F_OUT_CHANGED != 0 {
+                changed += 1;
+                self.mark_fanouts_raw(dirty_bits, dirty_count, pos);
+            }
+            if f != 0 {
+                if let Some(bw) = bw.as_deref_mut() {
+                    self.push_bw_seeds(bw, pos, f);
                 }
             }
         }
-        Ok((reevals, reevals - changed, changed > 0))
+        (reevals, reevals - changed, changed > 0)
     }
 
     /// Evaluate every gate once in topological order — exactly the full
     /// pass of `analyze_with` — streaming the slabs in memory order.
-    /// With `parallel` set each level is one pool dispatch (tiny levels
-    /// evaluate inline between barriers); the recovery path passes
-    /// `false` to force the infallible sequential pass. Returns whether
-    /// any output moved. The caller clears the dirty bitset: a full
-    /// sweep subsumes every pending mark.
-    ///
-    /// # Errors
-    ///
-    /// [`RecoveredPanic`] as [`TimingGraph::drain_forward`] (parallel
-    /// path only).
+    /// Returns whether any output moved. The caller clears the dirty
+    /// bitset: a full sweep subsumes every pending mark.
     fn full_forward_sweep(
         &self,
         fwd: &mut ForwardState,
         mut bw: Option<&mut BackwardState>,
-        parallel: bool,
-    ) -> Result<bool, RecoveredPanic> {
+    ) -> bool {
         let ForwardState {
             arrival,
             slope,
@@ -2908,55 +2570,24 @@ impl<'c> TimingGraph<'c> {
             ..
         } = fwd;
         let ctx = self.eval_ctx();
-        let mut view = FwdView::new(arrival, slope, pred, load, gate_delay_worst);
-        let n_gates = self.topo.len();
+        let mut view = FwdView {
+            arrival,
+            slope,
+            pred,
+            load,
+            gate_delay_worst,
+        };
         let mut any_changed = false;
-        if parallel {
-            let n_levels = self.level_start.len() - 1;
-            let audited = self.audit_begin(false);
-            let run = run_parallel(&ctx, &mut view, self.threads(), |d| {
-                for level in 0..n_levels {
-                    // Injected-panic point: workers parked, deadlock-free.
-                    crate::faultinject::on_dispatch();
-                    let (lo, hi) = (self.level_start[level], self.level_start[level + 1]);
-                    if (hi - lo) < PAR_LEVEL_MIN as u32 {
-                        for pos in lo as usize..hi as usize {
-                            let f = d.eval_one(pos);
-                            any_changed |= f & F_OUT_CHANGED != 0;
-                            if f != 0 {
-                                if let Some(bw) = bw.as_deref_mut() {
-                                    self.push_bw_seeds(bw, pos, f);
-                                }
-                            }
-                        }
-                    } else {
-                        for &(pos, f) in d.eval_range(lo, hi) {
-                            any_changed |= f & F_OUT_CHANGED != 0;
-                            if let Some(bw) = bw.as_deref_mut() {
-                                self.push_bw_seeds(bw, pos as usize, f);
-                            }
-                        }
-                    }
-                    // Workers parked again: verify this level's batch.
-                    crate::audit::check_level(level);
-                }
-            });
-            self.audit_end(audited);
-            if run.is_err() {
-                return Err(RecoveredPanic);
-            }
-        } else {
-            for pos in 0..n_gates {
-                let f = view.eval_gate(&ctx, pos);
-                any_changed |= f & F_OUT_CHANGED != 0;
-                if f != 0 {
-                    if let Some(bw) = bw.as_deref_mut() {
-                        self.push_bw_seeds(bw, pos, f);
-                    }
+        for pos in 0..self.topo.len() {
+            let f = view.eval_gate(&ctx, pos);
+            any_changed |= f & F_OUT_CHANGED != 0;
+            if f != 0 {
+                if let Some(bw) = bw.as_deref_mut() {
+                    self.push_bw_seeds(bw, pos, f);
                 }
             }
         }
-        Ok(any_changed)
+        any_changed
     }
 
     /// Same worst-output scan (and tie-breaking order) as the full
@@ -3179,95 +2810,56 @@ impl<'c> TimingGraph<'c> {
         }
 
         // Required times over driven nets, highest driver rank first.
-        // The parallel drain reports changed nets' refreshed
-        // worst-slack leaf keys here (computed by the workers) instead
-        // of the slack log; a bail to the sweep drops the batch —
-        // `refold_all` subsumes it.
-        let mut leaf_updates: Vec<(usize, f64)> = Vec::new();
         if !req_sweep && bw.req_count > 0 {
-            if self.use_parallel(n_gates_total) {
-                req_sweep = match self.drain_required_parallel(
-                    &fwd,
-                    bw,
-                    budget,
-                    &mut req_reevals,
-                    &mut req_cuts,
-                    &mut leaf_updates,
-                ) {
-                    Ok(bailed) => bailed,
-                    // A caught worker panic: the required slab and the
-                    // dirty bookkeeping are partial — the full sweep
-                    // below reinitializes and rebuilds all of it (and
-                    // `refold_all` discards the partial leaf batch).
-                    Err(RecoveredPanic) => {
-                        self.stat(|s| {
-                            s.panic_recoveries += 1;
-                            s.sequential_fallbacks += 1;
-                        });
-                        true
-                    }
-                };
-            } else {
-                // Hoist the kernel context and view once: rebuilding
-                // the slice bundle per net dominates the small probe
-                // cones this path exists for.
-                let BackwardState {
-                    tc_ps,
-                    required,
-                    completion,
-                    req_bits,
-                    req_count,
-                    req_max_rank,
-                    pi_bits,
-                    pi_dirty,
-                    slack_net_log,
-                    ..
-                } = &mut *bw;
-                let ctx = self.eval_ctx();
-                let mut view = BwdView::new(
-                    required,
-                    completion,
-                    &fwd.arrival,
-                    &fwd.slope,
-                    &fwd.load,
-                    &fwd.gate_delay_worst,
-                    *tc_ps,
-                );
-                let mut word = *req_max_rank as usize / 64;
-                loop {
-                    // Re-read each round: processing a net may mark
-                    // ranks within the current word (always below the
-                    // bit just cleared).
-                    let bits = req_bits[word];
-                    if bits == 0 {
-                        if word == 0 {
-                            break;
-                        }
-                        word -= 1;
-                        continue;
-                    }
-                    let bit = 63 - bits.leading_zeros();
-                    req_bits[word] &= !(1u64 << bit);
-                    *req_count -= 1;
-                    let pos = word * 64 + bit as usize;
-                    let net = self.out_net[self.topo[pos].index()];
-                    req_reevals += 1;
-                    let (changed, _key) = view.eval_required_net(&ctx, net.index(), self.slot(net));
-                    if changed {
-                        slack_net_log.push(net);
-                        self.mark_required_fanins_raw(req_bits, req_count, pi_bits, pi_dirty, pos);
-                    } else {
-                        req_cuts += 1;
-                    }
-                    if *req_count == 0 {
+            // Hoist the kernel context and view once: rebuilding the
+            // slice bundle per net dominates the small probe cones this
+            // path exists for.
+            let BackwardState {
+                tc_ps,
+                required,
+                completion,
+                req_bits,
+                req_count,
+                req_max_rank,
+                pi_bits,
+                pi_dirty,
+                slack_net_log,
+                ..
+            } = &mut *bw;
+            let ctx = self.eval_ctx();
+            let mut view = bwd_view(&fwd, *tc_ps, required, completion);
+            let mut word = *req_max_rank as usize / 64;
+            loop {
+                // Re-read each round: processing a net may mark ranks
+                // within the current word (always below the bit just
+                // cleared).
+                let bits = req_bits[word];
+                if bits == 0 {
+                    if word == 0 {
                         break;
                     }
-                    if req_reevals >= budget {
-                        // The cone saturated mid-drain: bail to the
-                        // sweep.
-                        req_sweep = true;
-                        break;
-                    }
+                    word -= 1;
+                    continue;
+                }
+                let bit = 63 - bits.leading_zeros();
+                req_bits[word] &= !(1u64 << bit);
+                *req_count -= 1;
+                let pos = word * 64 + bit as usize;
+                let net = self.out_net[self.topo[pos].index()];
+                req_reevals += 1;
+                if view.eval_required_net(&ctx, net.index(), self.slot(net)) {
+                    slack_net_log.push(net);
+                    self.mark_required_fanins_raw(req_bits, req_count, pi_bits, pi_dirty, pos);
+                } else {
+                    req_cuts += 1;
+                }
+                if *req_count == 0 {
+                    break;
+                }
+                if req_reevals >= budget {
+                    // The cone saturated mid-drain: bail to the sweep.
+                    req_sweep = true;
+                    break;
                 }
             }
             bw.req_max_rank = 0;
@@ -3279,12 +2871,7 @@ impl<'c> TimingGraph<'c> {
             // multiset is order-independent — bit-identical), at
             // once-per-gate hoisting cost. Subsumes the PI sinks and
             // every pending mark.
-            if self.sweep_required_full(&fwd, bw) {
-                self.stat(|s| {
-                    s.panic_recoveries += 1;
-                    s.sequential_fallbacks += 1;
-                });
-            }
+            self.sweep_required_full(&fwd, bw);
             bw.req_bits.iter_mut().for_each(|w| *w = 0);
             bw.req_count = 0;
             bw.req_max_rank = 0;
@@ -3307,21 +2894,12 @@ impl<'c> TimingGraph<'c> {
                 ..
             } = &mut *bw;
             let ctx = self.eval_ctx();
-            let mut view = BwdView::new(
-                required,
-                completion,
-                &fwd.arrival,
-                &fwd.slope,
-                &fwd.load,
-                &fwd.gate_delay_worst,
-                *tc_ps,
-            );
+            let mut view = bwd_view(&fwd, *tc_ps, required, completion);
             for net in pi_dirty.drain(..) {
                 let i = net.index();
                 pi_bits[i / 64] &= !(1u64 << (i % 64));
                 req_reevals += 1;
-                let (changed, _key) = view.eval_required_net(&ctx, i, self.slot(net));
-                if changed {
+                if view.eval_required_net(&ctx, i, self.slot(net)) {
                     slack_net_log.push(net);
                 } else {
                     req_cuts += 1;
@@ -3341,7 +2919,7 @@ impl<'c> TimingGraph<'c> {
         // (bit-identical worst; surgery re-keys under `refold_all`).
         let n_nets = self.slot_of.len();
         let nc = self.corner_libs.len();
-        if bw.refold_all || bw.slack_net_log.len() + leaf_updates.len() > n_nets / 4 {
+        if bw.refold_all || bw.slack_net_log.len() > n_nets / 4 {
             bw.refold_all = false;
             bw.slack_net_log.clear();
             let keys: Vec<f64> = (0..n_nets)
@@ -3354,28 +2932,20 @@ impl<'c> TimingGraph<'c> {
                 .collect();
             bw.worst.rebuild(&keys);
             index_updates += n_nets;
-        } else {
-            // The parallel drain's worker-folded batch first, then the
-            // seed-log stragglers (forward-flush arrival moves, PI
-            // sinks). A net may appear in both — same slot, same final
-            // key, so the repeat hits the leaf's bit-unchanged early
-            // return.
-            index_updates += bw.worst.update_batch(&leaf_updates);
-            if !bw.slack_net_log.is_empty() {
-                let mut log = std::mem::take(&mut bw.slack_net_log);
-                for net in log.drain(..) {
-                    let slot = self.slot(net);
-                    bw.worst.update(
-                        slot,
-                        WorstSlackIndex::key_over(
-                            &bw.required[slot * nc..(slot + 1) * nc],
-                            &fwd.arrival[slot * nc..(slot + 1) * nc],
-                        ),
-                    );
-                    index_updates += 1;
-                }
-                bw.slack_net_log = log;
+        } else if !bw.slack_net_log.is_empty() {
+            let mut log = std::mem::take(&mut bw.slack_net_log);
+            for net in log.drain(..) {
+                let slot = self.slot(net);
+                bw.worst.update(
+                    slot,
+                    WorstSlackIndex::key_over(
+                        &bw.required[slot * nc..(slot + 1) * nc],
+                        &fwd.arrival[slot * nc..(slot + 1) * nc],
+                    ),
+                );
+                index_updates += 1;
             }
+            bw.slack_net_log = log;
         }
 
         self.stat(|s| {
@@ -3430,83 +3000,53 @@ impl<'c> TimingGraph<'c> {
         }
 
         if !comp_sweep && bw.comp_count > 0 {
-            if self.use_parallel(n_gates_total) {
-                comp_sweep =
-                    match self.drain_completion_parallel(&fwd, bw, budget, &mut comp_reevals) {
-                        Ok(bailed) => bailed,
-                        // Caught worker panic: the full sweep below
-                        // overwrites every completion slot in
-                        // dependency order, erasing the partial drain.
-                        Err(RecoveredPanic) => {
-                            self.stat(|s| {
-                                s.panic_recoveries += 1;
-                                s.sequential_fallbacks += 1;
-                            });
-                            true
-                        }
-                    };
-            } else {
-                // Hoisted kernel context, as in the required drain.
-                let BackwardState {
-                    tc_ps,
-                    required,
-                    completion,
-                    comp_bits,
-                    comp_count,
-                    comp_max_rank,
-                    ..
-                } = &mut *bw;
-                let ctx = self.eval_ctx();
-                let mut view = BwdView::new(
-                    required,
-                    completion,
-                    &fwd.arrival,
-                    &fwd.slope,
-                    &fwd.load,
-                    &fwd.gate_delay_worst,
-                    *tc_ps,
-                );
-                let mut word = *comp_max_rank as usize / 64;
-                loop {
-                    let bits = comp_bits[word];
-                    if bits == 0 {
-                        if word == 0 {
-                            break;
-                        }
-                        word -= 1;
-                        continue;
-                    }
-                    let bit = 63 - bits.leading_zeros();
-                    comp_bits[word] &= !(1u64 << bit);
-                    *comp_count -= 1;
-                    let pos = word * 64 + bit as usize;
-                    comp_reevals += 1;
-                    if view.eval_completion_gate(&ctx, pos) {
-                        self.mark_completion_fanin_drivers_raw(
-                            comp_bits,
-                            comp_count,
-                            comp_max_rank,
-                            pos,
-                        );
-                    }
-                    if *comp_count == 0 {
+            // Hoisted kernel context, as in the required drain.
+            let BackwardState {
+                tc_ps,
+                required,
+                completion,
+                comp_bits,
+                comp_count,
+                comp_max_rank,
+                ..
+            } = &mut *bw;
+            let ctx = self.eval_ctx();
+            let mut view = bwd_view(&fwd, *tc_ps, required, completion);
+            let mut word = *comp_max_rank as usize / 64;
+            loop {
+                let bits = comp_bits[word];
+                if bits == 0 {
+                    if word == 0 {
                         break;
                     }
-                    if comp_reevals >= budget {
-                        comp_sweep = true;
-                        break;
-                    }
+                    word -= 1;
+                    continue;
+                }
+                let bit = 63 - bits.leading_zeros();
+                comp_bits[word] &= !(1u64 << bit);
+                *comp_count -= 1;
+                let pos = word * 64 + bit as usize;
+                comp_reevals += 1;
+                if view.eval_completion_gate(&ctx, pos) {
+                    self.mark_completion_fanin_drivers_raw(
+                        comp_bits,
+                        comp_count,
+                        comp_max_rank,
+                        pos,
+                    );
+                }
+                if *comp_count == 0 {
+                    break;
+                }
+                if comp_reevals >= budget {
+                    comp_sweep = true;
+                    break;
                 }
             }
             bw.comp_max_rank = 0;
         }
         if comp_sweep {
-            if self.sweep_completion_full(&fwd, bw) {
-                self.stat(|s| {
-                    s.panic_recoveries += 1;
-                    s.sequential_fallbacks += 1;
-                });
-            }
+            self.sweep_completion_full(&fwd, bw);
             bw.comp_bits.iter_mut().for_each(|w| *w = 0);
             bw.comp_count = 0;
             bw.comp_max_rank = 0;
@@ -3587,310 +3127,22 @@ impl<'c> TimingGraph<'c> {
         }
     }
 
-    /// Level-synchronized parallel form of the required drain: gather
-    /// one level's dirty driver positions (descending level order),
-    /// evaluate them across the pool, mark changed nets' fanins into
-    /// strictly lower levels, barrier, repeat — the backward mirror of
-    /// [`TimingGraph::drain_forward`]'s parallel path, bit-identical to
-    /// the sequential cursor because same-level nets are independent
-    /// (their fanout gates live in strictly higher, already-settled
-    /// levels) and the evaluated set is schedule-invariant. Changed
-    /// nets' refreshed worst-slack keys (computed inside the kernel, on
-    /// the workers) accumulate into `leaf_updates` for the caller's
-    /// batched index fold. Returns whether the drain bailed to the full
-    /// sweep — the caller then discards `leaf_updates` under
-    /// `refold_all`.
-    ///
-    /// # Errors
-    ///
-    /// [`RecoveredPanic`] when the pool panicked mid-drain (already
-    /// drained); the caller must fall back to the full sweep, which
-    /// rebuilds everything the partial drain touched.
-    fn drain_required_parallel(
-        &self,
-        fwd: &ForwardState,
-        bw: &mut BackwardState,
-        budget: usize,
-        reevals: &mut usize,
-        cuts: &mut usize,
-        leaf_updates: &mut Vec<(usize, f64)>,
-    ) -> Result<bool, RecoveredPanic> {
-        let BackwardState {
-            tc_ps,
-            required,
-            completion,
-            req_bits,
-            req_count,
-            req_max_rank,
-            pi_bits,
-            pi_dirty,
-            ..
-        } = bw;
-        let ctx = self.eval_ctx();
-        let mut view = BwdView::new(
-            required,
-            completion,
-            &fwd.arrival,
-            &fwd.slope,
-            &fwd.load,
-            &fwd.gate_delay_worst,
-            *tc_ps,
-        );
-        let mut bailed = false;
-        let mut positions: Vec<u32> = Vec::new();
-        let audited = self.audit_begin(true);
-        let run = run_parallel_bwd(&ctx, &mut view, self.threads(), |d| {
-            let mut level = self.level_of(*req_max_rank) as isize;
-            while *req_count > 0 && level >= 0 {
-                // Injected-panic point: workers parked, deadlock-free.
-                crate::faultinject::on_dispatch();
-                let lvl = level as usize;
-                let (lo, hi) = (
-                    self.level_start[level as usize],
-                    self.level_start[level as usize + 1],
-                );
-                level -= 1;
-                positions.clear();
-                gather_range(req_bits, lo, hi, &mut positions);
-                if positions.is_empty() {
-                    continue;
-                }
-                *req_count -= positions.len();
-                *reevals += positions.len();
-                if positions.len() < PAR_LEVEL_MIN {
-                    for &p in &positions {
-                        let pos = p as usize;
-                        let (changed, key) = d.eval_required_one(pos);
-                        if changed {
-                            leaf_updates.push((self.n_src + pos, key));
-                            self.mark_required_fanins_raw(
-                                req_bits, req_count, pi_bits, pi_dirty, pos,
-                            );
-                        } else {
-                            *cuts += 1;
-                        }
-                    }
-                } else {
-                    let dispatched = positions.len();
-                    let changed = d.eval_required_list(&mut positions);
-                    *cuts += dispatched - changed.len();
-                    for &(pos, key) in changed {
-                        leaf_updates.push((self.n_src + pos as usize, key));
-                        self.mark_required_fanins_raw(
-                            req_bits,
-                            req_count,
-                            pi_bits,
-                            pi_dirty,
-                            pos as usize,
-                        );
-                    }
-                }
-                // Workers parked again: verify this level's batch.
-                crate::audit::check_level(lvl);
-                if *reevals >= budget && *req_count > 0 {
-                    // The cone saturated mid-drain: bail to the sweep.
-                    bailed = true;
-                    break;
-                }
-            }
-        });
-        self.audit_end(audited);
-        if run.is_err() {
-            return Err(RecoveredPanic);
-        }
-        Ok(bailed)
-    }
-
-    /// Parallel completion drain — the completion mirror of
-    /// [`TimingGraph::drain_required_parallel`] (no leaf updates: the
-    /// worst-slack index is a required/arrival structure).
-    ///
-    /// # Errors
-    ///
-    /// [`RecoveredPanic`] as [`TimingGraph::drain_required_parallel`].
-    fn drain_completion_parallel(
-        &self,
-        fwd: &ForwardState,
-        bw: &mut BackwardState,
-        budget: usize,
-        reevals: &mut usize,
-    ) -> Result<bool, RecoveredPanic> {
-        let BackwardState {
-            tc_ps,
-            required,
-            completion,
-            comp_bits,
-            comp_count,
-            comp_max_rank,
-            ..
-        } = bw;
-        let ctx = self.eval_ctx();
-        let mut view = BwdView::new(
-            required,
-            completion,
-            &fwd.arrival,
-            &fwd.slope,
-            &fwd.load,
-            &fwd.gate_delay_worst,
-            *tc_ps,
-        );
-        let mut bailed = false;
-        let mut positions: Vec<u32> = Vec::new();
-        let audited = self.audit_begin(true);
-        let run = run_parallel_bwd(&ctx, &mut view, self.threads(), |d| {
-            let mut level = self.level_of(*comp_max_rank) as isize;
-            while *comp_count > 0 && level >= 0 {
-                // Injected-panic point: workers parked, deadlock-free.
-                crate::faultinject::on_dispatch();
-                let lvl = level as usize;
-                let (lo, hi) = (
-                    self.level_start[level as usize],
-                    self.level_start[level as usize + 1],
-                );
-                level -= 1;
-                positions.clear();
-                gather_range(comp_bits, lo, hi, &mut positions);
-                if positions.is_empty() {
-                    continue;
-                }
-                *comp_count -= positions.len();
-                *reevals += positions.len();
-                if positions.len() < PAR_LEVEL_MIN {
-                    for &p in &positions {
-                        let pos = p as usize;
-                        if d.eval_completion_one(pos) {
-                            self.mark_completion_fanin_drivers_raw(
-                                comp_bits,
-                                comp_count,
-                                comp_max_rank,
-                                pos,
-                            );
-                        }
-                    }
-                } else {
-                    for &(pos, _) in d.eval_completion_list(&mut positions) {
-                        self.mark_completion_fanin_drivers_raw(
-                            comp_bits,
-                            comp_count,
-                            comp_max_rank,
-                            pos as usize,
-                        );
-                    }
-                }
-                // Workers parked again: verify this level's batch.
-                crate::audit::check_level(lvl);
-                if *reevals >= budget && *comp_count > 0 {
-                    bailed = true;
-                    break;
-                }
-            }
-        });
-        self.audit_end(audited);
-        if run.is_err() {
-            return Err(RecoveredPanic);
-        }
-        Ok(bailed)
-    }
-
     /// Gate-centric full backward pass into `bw.required`: reinitialize
     /// every net (`tc` at primary outputs, `+inf` elsewhere) and push
     /// min candidates down the descending topo order, hoisting each
     /// gate's arc terms once — exactly [`crate::required_times`]'s walk
     /// run over the cached constants. Produces the same candidate
-    /// multiset per net as the per-net [`TimingGraph::eval_required`],
-    /// so the same min and the same bits; used by the flush when every
-    /// rank is marked, where the per-pin re-hoisting of the drain would
-    /// cost more than this per-gate pass.
-    ///
-    /// Returns whether a caught worker panic forced the sequential
-    /// retry (the caller accounts the recovery): the retry
-    /// reinitializes the slab first, so the partially written parallel
-    /// pass is erased and the result is bit-identical regardless.
-    fn sweep_required_full(&self, fwd: &ForwardState, bw: &mut BackwardState) -> bool {
-        let n_gates = self.topo.len();
-        let mut recovered = false;
+    /// multiset per net as the per-net drain kernel, so the same min and
+    /// the same bits; used by the flush when every rank is marked, where
+    /// the per-pin re-hoisting of the drain would cost more than this
+    /// per-gate pass.
+    fn sweep_required_full(&self, fwd: &ForwardState, bw: &mut BackwardState) {
         self.reinit_required_slab(bw);
-        {
-            let BackwardState {
-                tc_ps,
-                required,
-                completion,
-                ..
-            } = bw;
-            let ctx = self.eval_ctx();
-            let mut view = BwdView::new(
-                required,
-                completion,
-                &fwd.arrival,
-                &fwd.slope,
-                &fwd.load,
-                &fwd.gate_delay_worst,
-                *tc_ps,
-            );
-            if self.use_parallel(n_gates) {
-                // Descending level barriers: every candidate *into* a level
-                // comes from a gate in a strictly higher level (the gate's
-                // out-net fans out upward only), so each level's own
-                // required slots are settled before its workers read them;
-                // workers emit candidates into per-worker buffers and the
-                // coordinator min-folds at the barrier — order-independent,
-                // so bit-identical to the sequential scatter.
-                let n_levels = self.level_start.len() - 1;
-                let audited = self.audit_begin(true);
-                let run = run_parallel_bwd(&ctx, &mut view, self.threads(), |d| {
-                    for level in (0..n_levels).rev() {
-                        // Injected-panic point: workers parked,
-                        // deadlock-free.
-                        crate::faultinject::on_dispatch();
-                        let (lo, hi) = (self.level_start[level], self.level_start[level + 1]);
-                        if (hi - lo) < PAR_LEVEL_MIN as u32 {
-                            for pos in (lo as usize..hi as usize).rev() {
-                                d.sweep_gate_one(pos);
-                            }
-                        } else {
-                            d.sweep_gate_range(lo, hi);
-                        }
-                        // Workers parked and the coordinator's barrier
-                        // fold is done: verify this level's batch (own
-                        // settled-slot reads plus coordinator-only fold
-                        // writes into lower levels).
-                        crate::audit::check_level(level);
-                    }
-                });
-                self.audit_end(audited);
-                recovered = run.is_err();
-            } else {
-                for pos in (0..n_gates).rev() {
-                    view.sweep_gate_fold(&ctx, pos);
-                }
-            }
+        let ctx = self.eval_ctx();
+        let mut view = bwd_view(fwd, bw.tc_ps, &mut bw.required, &mut bw.completion);
+        for pos in (0..self.topo.len()).rev() {
+            view.sweep_gate(&ctx, pos);
         }
-        if recovered {
-            // Sequential retry over a fresh slab — infallible, and the
-            // min-fold recomputes every slot from the (untouched)
-            // forward state.
-            self.reinit_required_slab(bw);
-            let BackwardState {
-                tc_ps,
-                required,
-                completion,
-                ..
-            } = bw;
-            let ctx = self.eval_ctx();
-            let mut view = BwdView::new(
-                required,
-                completion,
-                &fwd.arrival,
-                &fwd.slope,
-                &fwd.load,
-                &fwd.gate_delay_worst,
-                *tc_ps,
-            );
-            for pos in (0..n_gates).rev() {
-                view.sweep_gate_fold(&ctx, pos);
-            }
-        }
-        recovered
     }
 
     /// Reinitialize every net's required slots (`tc` at primary
@@ -3912,60 +3164,13 @@ impl<'c> TimingGraph<'c> {
 
     /// Full completion pass into `bw.completion` — one descending
     /// evaluation per gate (dependency order makes re-marking
-    /// unnecessary); parallel above the threshold with the same
-    /// descending level barriers as [`TimingGraph::sweep_required_full`].
-    ///
-    /// Returns whether a caught worker panic forced the sequential
-    /// retry (as [`TimingGraph::sweep_required_full`]; the retry
-    /// overwrites every slot in dependency order, so no reinit is
-    /// needed).
-    fn sweep_completion_full(&self, fwd: &ForwardState, bw: &mut BackwardState) -> bool {
-        let BackwardState {
-            tc_ps,
-            required,
-            completion,
-            ..
-        } = bw;
+    /// unnecessary).
+    fn sweep_completion_full(&self, fwd: &ForwardState, bw: &mut BackwardState) {
         let ctx = self.eval_ctx();
-        let mut view = BwdView::new(
-            required,
-            completion,
-            &fwd.arrival,
-            &fwd.slope,
-            &fwd.load,
-            &fwd.gate_delay_worst,
-            *tc_ps,
-        );
-        let n_gates = self.topo.len();
-        let mut recovered = false;
-        if self.use_parallel(n_gates) {
-            let n_levels = self.level_start.len() - 1;
-            let audited = self.audit_begin(true);
-            let run = run_parallel_bwd(&ctx, &mut view, self.threads(), |d| {
-                for level in (0..n_levels).rev() {
-                    // Injected-panic point: workers parked, deadlock-free.
-                    crate::faultinject::on_dispatch();
-                    let (lo, hi) = (self.level_start[level], self.level_start[level + 1]);
-                    if (hi - lo) < PAR_LEVEL_MIN as u32 {
-                        for pos in (lo as usize..hi as usize).rev() {
-                            d.eval_completion_one(pos);
-                        }
-                    } else {
-                        d.sweep_completion_range(lo, hi);
-                    }
-                    // Workers parked again: verify this level's batch.
-                    crate::audit::check_level(level);
-                }
-            });
-            self.audit_end(audited);
-            recovered = run.is_err();
+        let mut view = bwd_view(fwd, bw.tc_ps, &mut bw.required, &mut bw.completion);
+        for pos in (0..self.topo.len()).rev() {
+            view.eval_completion_gate(&ctx, pos);
         }
-        if !self.use_parallel(n_gates) || recovered {
-            for pos in (0..n_gates).rev() {
-                view.eval_completion_gate(&ctx, pos);
-            }
-        }
-        recovered
     }
 
     /// `(lowest dirty level, highest, levels hit)` of a rank-keyed
@@ -4033,6 +3238,24 @@ impl<'c> TimingGraph<'c> {
         } else {
             0
         }
+    }
+}
+
+/// The backward kernels' view of one flush: the backward slabs to
+/// write, over the settled forward state.
+fn bwd_view<'v>(
+    fwd: &'v ForwardState,
+    tc_ps: f64,
+    required: &'v mut [[f64; 2]],
+    completion: &'v mut [f64],
+) -> BwdView<'v> {
+    BwdView {
+        required,
+        completion,
+        slope: &fwd.slope,
+        load: &fwd.load,
+        gate_delay_worst: &fwd.gate_delay_worst,
+        tc_ps,
     }
 }
 

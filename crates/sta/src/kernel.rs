@@ -1,0 +1,423 @@
+//! The per-gate timing kernels of [`crate::incremental`], both
+//! directions.
+//!
+//! Each kernel re-runs one step of a full pass over the rank-major
+//! slabs (see [`crate::incremental`]) with the model constants cached
+//! per (gate, corner): the forward gate evaluation of
+//! [`crate::analysis::analyze_with`], the per-net required-time fold of
+//! [`crate::required_times`], the completion bound of
+//! [`crate::kpaths::completion_bounds`], and the gate-centric required
+//! scatter the backward full sweep uses. Dirty-cone drains and full
+//! sweeps call the same kernels, so they cannot diverge: bit-identical
+//! state is a structural property (the differential suites assert it
+//! anyway).
+
+use pops_delay::model::{gate_delay_with_output_edge_vt, Edge};
+use pops_delay::{Library, VtTiming};
+use pops_netlist::{CellKind, GateId, NetId, VtClass};
+
+use crate::analysis::{compatible_input_edges, eidx, EDGES};
+use crate::incremental::{ArcTerms, GateParams};
+
+/// Arrival or slope of the gate's output net changed (bitwise) — the
+/// forward cone expands through its fanouts.
+pub(crate) const F_SLOPE: u8 = 1 << 0;
+/// The gate's worst delay changed — its completion bound re-derives.
+pub(crate) const F_DELAY: u8 = 1 << 1;
+/// The output net's arrival changed — its slack leaf re-folds.
+pub(crate) const F_ARRIVAL: u8 = 1 << 2;
+/// The output net moved at all (slope or arrival): fanouts re-mark.
+pub(crate) const F_OUT_CHANGED: u8 = F_SLOPE | F_ARRIVAL;
+
+/// Predecessor record per edge: `(fanin net, input edge)` of the worst
+/// arrival.
+pub(crate) type PredPair = [Option<(NetId, Edge)>; 2];
+
+/// Read-only view of every circuit-derived array the kernels need,
+/// assembled by the graph per flush.
+pub(crate) struct EvalCtx<'a> {
+    /// Gates in level-major topo order (`pos` indexes this).
+    pub topo: &'a [GateId],
+    /// Cell kind per gate (id-indexed).
+    pub cell: &'a [CellKind],
+    /// Flattened model constants per (gate, corner), corner-innermost:
+    /// gate `gi` at corner `c` is `gate_params[gi * n_corners + c]`.
+    pub gate_params: &'a [GateParams],
+    /// Number of process corners (the stride of every per-corner slab).
+    pub n_corners: usize,
+    /// Vt variant per gate (id-indexed; for the debug model cross-check
+    /// — the electrical effect is baked into `gate_params`).
+    pub vt_class: &'a [VtClass],
+    /// Flattened fanin nets (ids, for predecessor records).
+    pub fanin: &'a [NetId],
+    /// Slot of each flattened fanin net (parallel to `fanin`).
+    pub fanin_slots: &'a [u32],
+    /// Fanin offsets per gate id.
+    pub fanin_off: &'a [u32],
+    /// Input capacitance per gate (id-indexed).
+    pub cins: &'a [f64],
+    /// Slots `0..n_src` hold driverless nets; gate `pos` writes slot
+    /// `n_src + pos`.
+    pub n_src: usize,
+    /// Output net per gate id (the completion kernel keys its fanout
+    /// walk on it).
+    pub out_net: &'a [NetId],
+    /// Flattened fanout gates per net id (`fanout_off` delimits).
+    pub fanout: &'a [GateId],
+    /// Fanout offsets per net id.
+    pub fanout_off: &'a [u32],
+    /// Topo position per gate id (fanout gates resolve to their slots
+    /// as `n_src + rank`).
+    pub rank: &'a [u32],
+    /// Primary-output flag per net id.
+    pub is_po: &'a [bool],
+    /// One characterized library per corner, corner-indexed — for the
+    /// debug cross-check against the reference delay model.
+    pub libs: &'a [Library],
+}
+
+/// The mutable forward slabs for one flush.
+pub(crate) struct FwdView<'a> {
+    pub arrival: &'a mut [[f64; 2]],
+    pub slope: &'a mut [[f64; 2]],
+    pub pred: &'a mut [PredPair],
+    pub load: &'a [f64],
+    pub gate_delay_worst: &'a mut [f64],
+}
+
+impl FwdView<'_> {
+    /// Re-run the full pass's step for the gate at `pos` across every
+    /// corner, write its output slots and return the change flags
+    /// OR-ed over corners. Corners are fully independent lanes —
+    /// identical arc order, comparisons and floating-point operations
+    /// per corner to a single-corner engine (the `debug_assert`
+    /// cross-checks the model).
+    pub(crate) fn eval_gate(&mut self, ctx: &EvalCtx<'_>, pos: usize) -> u8 {
+        let gid = ctx.topo[pos];
+        let gi = gid.index();
+        let cell = ctx.cell[gi];
+        let cin = ctx.cins[gi];
+        let out_slot = ctx.n_src + pos;
+        let load = self.load[out_slot];
+        let nc = ctx.n_corners;
+        let fanin_range = ctx.fanin_off[gi] as usize..ctx.fanin_off[gi + 1] as usize;
+
+        let mut flags = 0u8;
+        for c in 0..nc {
+            let params = &ctx.gate_params[gi * nc + c];
+            // The arc terms that do not depend on the fanin are hoisted
+            // out of the loop (shared with the backward kernels).
+            let ArcTerms {
+                tau_out_by_edge,
+                miller,
+            } = params.arc_terms(cin, load);
+
+            let mut new_arrival = [f64::NEG_INFINITY; 2];
+            let mut new_slope = [0.0f64; 2];
+            let mut new_pred: PredPair = [None, None];
+            let mut worst_gate_delay = 0.0f64;
+
+            for out_edge in EDGES {
+                let tau_out = tau_out_by_edge[eidx(out_edge)];
+                let mut best: Option<(f64, NetId, Edge)> = None;
+                for idx in fanin_range.clone() {
+                    let in_net = ctx.fanin[idx];
+                    let in_slot = ctx.fanin_slots[idx] as usize;
+                    let in_arrival = self.arrival[in_slot * nc + c];
+                    let in_slope = self.slope[in_slot * nc + c];
+                    for &in_edge in compatible_input_edges(cell, out_edge) {
+                        let t_in = in_arrival[eidx(in_edge)];
+                        if t_in == f64::NEG_INFINITY {
+                            continue;
+                        }
+                        let s_in = in_slope[eidx(in_edge)];
+                        let i = eidx(in_edge);
+                        let delay_ps = 0.5 * params.vt[i] * s_in + 0.5 * miller[i] * tau_out;
+                        debug_assert!(
+                            delay_ps.to_bits()
+                                == gate_delay_with_output_edge_vt(
+                                    &ctx.libs[c],
+                                    cell,
+                                    VtTiming::of(ctx.vt_class[gi]),
+                                    cin,
+                                    load,
+                                    s_in,
+                                    in_edge,
+                                    out_edge,
+                                )
+                                .delay_ps
+                                .to_bits(),
+                            "cached-constant arc delay must match the model"
+                        );
+                        worst_gate_delay = worst_gate_delay.max(delay_ps);
+                        let t_out = t_in + delay_ps;
+                        if best.map(|(t, ..)| t_out > t).unwrap_or(true) {
+                            best = Some((t_out, in_net, in_edge));
+                        }
+                    }
+                }
+                if let Some((t, n, e)) = best {
+                    let i = eidx(out_edge);
+                    new_arrival[i] = t;
+                    new_slope[i] = tau_out;
+                    new_pred[i] = Some((n, e));
+                }
+            }
+
+            let out = out_slot * nc + c;
+            let old_arrival = self.arrival[out];
+            let old_slope = self.slope[out];
+            if self.gate_delay_worst[pos * nc + c].to_bits() != worst_gate_delay.to_bits() {
+                flags |= F_DELAY;
+            }
+            if new_slope[0].to_bits() != old_slope[0].to_bits()
+                || new_slope[1].to_bits() != old_slope[1].to_bits()
+            {
+                flags |= F_SLOPE;
+            }
+            if new_arrival[0].to_bits() != old_arrival[0].to_bits()
+                || new_arrival[1].to_bits() != old_arrival[1].to_bits()
+            {
+                flags |= F_ARRIVAL;
+            }
+            self.gate_delay_worst[pos * nc + c] = worst_gate_delay;
+            self.arrival[out] = new_arrival;
+            self.slope[out] = new_slope;
+            self.pred[out] = new_pred;
+        }
+        flags
+    }
+}
+
+/// The mutable backward slabs for one flush, plus the read-only forward
+/// state they derive from (settled first — the two-phase flush
+/// contract).
+pub(crate) struct BwdView<'a> {
+    pub required: &'a mut [[f64; 2]],
+    pub completion: &'a mut [f64],
+    pub slope: &'a [[f64; 2]],
+    pub load: &'a [f64],
+    pub gate_delay_worst: &'a [f64],
+    pub tc_ps: f64,
+}
+
+impl BwdView<'_> {
+    /// Recompute the required times of the net `net` (slab slot `slot`)
+    /// from its fanout arcs, write its slot and return whether it
+    /// changed (bitwise).
+    ///
+    /// Candidates are exactly the full backward pass's for this net —
+    /// same arc delays (via the cached constants, asserted against the
+    /// model), accumulated by the same `<` min — so the result is
+    /// bit-identical to a fresh [`crate::required_times`]: a min over
+    /// one multiset is order-independent.
+    pub(crate) fn eval_required_net(&mut self, ctx: &EvalCtx<'_>, net: usize, slot: usize) -> bool {
+        let nc = ctx.n_corners;
+        let (lo, hi) = (
+            ctx.fanout_off[net] as usize,
+            ctx.fanout_off[net + 1] as usize,
+        );
+        let mut changed = false;
+        for c in 0..nc {
+            let mut req = if ctx.is_po[net] {
+                [self.tc_ps; 2]
+            } else {
+                [f64::INFINITY; 2]
+            };
+            let slope = self.slope[slot * nc + c];
+            for &h in &ctx.fanout[lo..hi] {
+                let g = h.index();
+                let cell = ctx.cell[g];
+                // A gate's output slot is `n_src + rank` — no net-id
+                // round-trip.
+                let h_out_slot = ctx.n_src + ctx.rank[g] as usize;
+                let cin = ctx.cins[g];
+                let load = self.load[h_out_slot];
+                let params = &ctx.gate_params[g * nc + c];
+                // Same hoisted arc terms as the forward kernel
+                // (bit-identical to `gate_delay_with_output_edge_vt`).
+                let ArcTerms {
+                    tau_out_by_edge,
+                    miller,
+                } = params.arc_terms(cin, load);
+                for out_edge in EDGES {
+                    let req_out = self.required[h_out_slot * nc + c][eidx(out_edge)];
+                    if req_out == f64::INFINITY {
+                        continue;
+                    }
+                    let tau_out = tau_out_by_edge[eidx(out_edge)];
+                    for &in_edge in compatible_input_edges(cell, out_edge) {
+                        let i = eidx(in_edge);
+                        let delay_ps = 0.5 * params.vt[i] * slope[i] + 0.5 * miller[i] * tau_out;
+                        debug_assert_eq!(
+                            delay_ps.to_bits(),
+                            gate_delay_with_output_edge_vt(
+                                &ctx.libs[c],
+                                cell,
+                                VtTiming::of(ctx.vt_class[g]),
+                                cin,
+                                load,
+                                slope[i],
+                                in_edge,
+                                out_edge,
+                            )
+                            .delay_ps
+                            .to_bits(),
+                            "cached-constant backward arc delay must match the model"
+                        );
+                        let candidate = req_out - delay_ps;
+                        if candidate < req[i] {
+                            req[i] = candidate;
+                        }
+                    }
+                }
+            }
+            let cur = &mut self.required[slot * nc + c];
+            changed |= req[0].to_bits() != cur[0].to_bits() || req[1].to_bits() != cur[1].to_bits();
+            *cur = req;
+        }
+        changed
+    }
+
+    /// Recompute the completion bound of the gate at topo position
+    /// `pos`; returns whether it changed (bitwise). Same fold, in the
+    /// same successor order, as [`crate::kpaths::completion_bounds`].
+    pub(crate) fn eval_completion_gate(&mut self, ctx: &EvalCtx<'_>, pos: usize) -> bool {
+        let gid = ctx.topo[pos];
+        let out = ctx.out_net[gid.index()].index();
+        let nc = ctx.n_corners;
+        let (lo, hi) = (
+            ctx.fanout_off[out] as usize,
+            ctx.fanout_off[out + 1] as usize,
+        );
+        let mut changed = false;
+        for c in 0..nc {
+            let mut best = if ctx.is_po[out] {
+                0.0
+            } else {
+                f64::NEG_INFINITY
+            };
+            for &succ in &ctx.fanout[lo..hi] {
+                let comp = self.completion[ctx.rank[succ.index()] as usize * nc + c];
+                if comp.is_finite() {
+                    best = best.max(comp);
+                }
+            }
+            let new = if best.is_finite() {
+                self.gate_delay_worst[pos * nc + c] + best
+            } else {
+                f64::NEG_INFINITY
+            };
+            let cur = &mut self.completion[pos * nc + c];
+            changed |= new.to_bits() != cur.to_bits();
+            *cur = new;
+        }
+        changed
+    }
+
+    /// One gate of the gate-centric required sweep: read the gate's own
+    /// (settled) required slot, hoist its arc terms once, and min-fold
+    /// one candidate per fanin arc straight into the fanin slots —
+    /// exactly [`crate::required_times`]'s per-gate walk over the cached
+    /// constants. Run in descending topo order, every candidate into a
+    /// slot lands before that slot's own gate reads it.
+    pub(crate) fn sweep_gate(&mut self, ctx: &EvalCtx<'_>, pos: usize) {
+        let gid = ctx.topo[pos];
+        let gi = gid.index();
+        let out_slot = ctx.n_src + pos;
+        let cell = ctx.cell[gi];
+        let cin = ctx.cins[gi];
+        let load = self.load[out_slot];
+        let nc = ctx.n_corners;
+        let fanin_range = ctx.fanin_off[gi] as usize..ctx.fanin_off[gi + 1] as usize;
+        for c in 0..nc {
+            let params = &ctx.gate_params[gi * nc + c];
+            let ArcTerms {
+                tau_out_by_edge,
+                miller,
+            } = params.arc_terms(cin, load);
+            for out_edge in EDGES {
+                let req_out = self.required[out_slot * nc + c][eidx(out_edge)];
+                if req_out == f64::INFINITY {
+                    continue;
+                }
+                let tau_out = tau_out_by_edge[eidx(out_edge)];
+                for idx in fanin_range.clone() {
+                    let in_slot = ctx.fanin_slots[idx] as usize;
+                    for &in_edge in compatible_input_edges(cell, out_edge) {
+                        let i = eidx(in_edge);
+                        let slope = self.slope[in_slot * nc + c][i];
+                        let delay_ps = 0.5 * params.vt[i] * slope + 0.5 * miller[i] * tau_out;
+                        debug_assert_eq!(
+                            delay_ps.to_bits(),
+                            gate_delay_with_output_edge_vt(
+                                &ctx.libs[c],
+                                cell,
+                                VtTiming::of(ctx.vt_class[gi]),
+                                cin,
+                                load,
+                                slope,
+                                in_edge,
+                                out_edge,
+                            )
+                            .delay_ps
+                            .to_bits(),
+                            "cached-constant sweep arc delay must match the model"
+                        );
+                        let candidate = req_out - delay_ps;
+                        let cur = &mut self.required[in_slot * nc + c][i];
+                        if candidate < *cur {
+                            *cur = candidate;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Whether any bit of `bits` in `[lo, hi)` is set — the adaptive sweep
+/// cut-over's per-level dirty probe (no clearing, no collection).
+pub(crate) fn range_any(bits: &[u64], lo: u32, hi: u32) -> bool {
+    if lo >= hi {
+        return false;
+    }
+    let (lo, hi) = (lo as usize, hi as usize);
+    let mut word = lo / 64;
+    let last = (hi - 1) / 64;
+    while word <= last {
+        let mut mask = u64::MAX;
+        if word == lo / 64 {
+            mask &= u64::MAX << (lo % 64);
+        }
+        if word == last && hi % 64 != 0 {
+            mask &= u64::MAX >> (64 - hi % 64);
+        }
+        if bits[word] & mask != 0 {
+            return true;
+        }
+        word += 1;
+    }
+    false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn range_any_respects_bounds() {
+        let mut bits = vec![0u64; 3];
+        for i in [0usize, 70, 150] {
+            bits[i / 64] |= 1 << (i % 64);
+        }
+        assert!(range_any(&bits, 0, 1));
+        assert!(!range_any(&bits, 1, 70));
+        assert!(range_any(&bits, 70, 71));
+        assert!(range_any(&bits, 5, 192));
+        assert!(!range_any(&bits, 71, 150));
+        assert!(range_any(&bits, 71, 151));
+        assert!(!range_any(&bits, 151, 192));
+        assert!(!range_any(&bits, 10, 10));
+    }
+}

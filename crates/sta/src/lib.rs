@@ -9,8 +9,9 @@
 //! * [`analysis`] — dual-edge (rise/fall) block-based STA with slope
 //!   propagation under the eqs. (1)–(3) model,
 //! * [`incremental`] — the same timing state maintained incrementally:
-//!   gate resizes re-propagate only their dirty fanout cone (the sizing
-//!   loop's hot path),
+//!   gate resizes re-propagate only their dirty fanout cone, in one
+//!   sequential rank-ordered flush per direction (the sizing loop's hot
+//!   path),
 //! * [`kpaths`] — the K most critical paths (ref. [11]),
 //! * [`extract`] — turning a netlist path into a bounded `TimedPath`
 //!   including the off-path loading every on-path gate sees.
@@ -34,30 +35,21 @@
 //! # }
 //! ```
 
-// `deny`, not `forbid`: the level-synchronized parallel flush
-// ([`incremental`]'s worker pool) shares the forward slabs across
-// scoped threads through one audited module — `parallel.rs` carries a
-// local `#![allow(unsafe_code)]` with the safety argument in its
-// module docs. Everything else in the crate stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod audit;
 pub mod error;
 pub mod extract;
-pub mod faultinject;
 pub mod incremental;
+mod kernel;
 pub mod kpaths;
-mod parallel;
 pub mod sizing;
 pub mod slack;
 
 pub use analysis::{analyze, NetlistPath, TimingReport, TimingView};
-pub use audit::OverlapPlan;
-pub use error::{RaceKind, StaError};
+pub use error::StaError;
 pub use extract::{extract_timed_path, ExtractOptions};
-pub use faultinject::FaultPlan;
 pub use incremental::TimingGraph;
 pub use kpaths::{completion_bounds, k_most_critical_paths, path_weight_ps};
 pub use sizing::Sizing;

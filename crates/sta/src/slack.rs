@@ -183,20 +183,6 @@ impl WorstSlackIndex {
         }
     }
 
-    /// Apply one batch of `(leaf slot, key)` updates — the parallel
-    /// backward drain's per-worker folded leaf refreshes, merged at the
-    /// barrier and applied here by the coordinator in one pass. Returns
-    /// the number applied (for the flush's stats). Entry order is
-    /// irrelevant: slots repeat only with identical final keys (a net's
-    /// required and arrival are settled before its key is computed), so
-    /// repeats hit the leaf's bit-unchanged early return.
-    pub(crate) fn update_batch(&mut self, updates: &[(usize, f64)]) -> usize {
-        for &(slot, key) in updates {
-            self.update(slot, key);
-        }
-        updates.len()
-    }
-
     /// The design-worst finite slack; `None` when no net carries one —
     /// a root still at the `+inf` neutral element means every leaf is
     /// unconstrained (zero primary outputs, an infinite constraint, a

@@ -147,16 +147,6 @@ pub struct FlowResult {
     /// Total subthreshold leakage of the returned implementation (nW):
     /// every gate's [`leakage_nw`] under its final width and Vt class.
     pub leakage_nw: f64,
-    /// Worker panics absorbed by the timing engines during the run
-    /// (primary graph plus the multi-corner Vt-assignment graph). Zero
-    /// unless fault injection is armed or a delay-model bug fired; each
-    /// one was contained by a sequential re-sweep, so a non-zero count
-    /// with a passing result means the recovery path did its job.
-    pub panic_recoveries: usize,
-    /// Sequential full-sweep fallbacks the timing engines ran to
-    /// rebuild state after an absorbed panic or detected slab
-    /// corruption (primary graph plus the Vt-assignment graph).
-    pub sequential_fallbacks: usize,
 }
 
 /// Optimize a circuit's K most critical paths under `tc_ps`.
@@ -178,9 +168,12 @@ pub struct FlowResult {
 ///
 /// # Errors
 ///
-/// [`FlowError::Netlist`] for structural problems. An infeasible path is
-/// *not* an error: the flow reports the best delay reached; callers
-/// check `final_delay_ps` against `tc_ps`.
+/// [`FlowError::Optimize`] wrapping [`OptimizeError::InvalidConstraint`]
+/// when `tc_ps` is NaN, zero or negative (`+inf` is accepted: nothing is
+/// critical, and the flow returns the input timing). [`FlowError::Netlist`]
+/// for structural problems. An infeasible path is *not* an error: the
+/// flow reports the best delay reached; callers check `final_delay_ps`
+/// against `tc_ps`.
 ///
 /// # Example
 ///
@@ -206,7 +199,9 @@ pub fn optimize_circuit(
     tc_ps: f64,
     options: &FlowOptions,
 ) -> Result<FlowResult, FlowError> {
-    assert!(tc_ps > 0.0, "constraint must be positive");
+    if tc_ps.is_nan() || tc_ps <= 0.0 {
+        return Err(OptimizeError::InvalidConstraint { tc_ps }.into());
+    }
     // The timing picture is built once and kept consistent through
     // incremental dirty-cone updates that are *lazy in both
     // directions*: a whole round's batched resizes and structural edits
@@ -391,8 +386,6 @@ pub fn optimize_circuit(
     // same incremental dirty-cone machinery as sizing.
     let mut vt_classes = vec![VtClass::Svt; best_circuit.gate_count()];
     let mut hvt_gates = 0usize;
-    let mut panic_recoveries = 0usize;
-    let mut sequential_fallbacks = 0usize;
     if options.vt_assignment {
         let corners = CornerSet::slow_typical_fast(lib.process().clone());
         let mut vt_graph = TimingGraph::with_corners(
@@ -416,18 +409,11 @@ pub fn optimize_circuit(
                 }
             }
         }
-        let vt_stats = vt_graph.stats();
-        panic_recoveries += vt_stats.panic_recoveries;
-        sequential_fallbacks += vt_stats.sequential_fallbacks;
     }
     let leakage: f64 = best_circuit
         .gate_ids()
         .map(|g| leakage_nw(lib.process(), vt_classes[g.index()], best_sizing.cin_ff(g)))
         .sum();
-
-    let stats = graph.stats();
-    panic_recoveries += stats.panic_recoveries;
-    sequential_fallbacks += stats.sequential_fallbacks;
 
     Ok(FlowResult {
         final_delay_ps: best_delay,
@@ -444,8 +430,6 @@ pub fn optimize_circuit(
         vt_classes,
         hvt_gates,
         leakage_nw: leakage,
-        panic_recoveries,
-        sequential_fallbacks,
     })
 }
 
@@ -777,6 +761,23 @@ mod tests {
         let r = optimize_circuit(&adder, &lib, f64::INFINITY, &FlowOptions::default()).unwrap();
         assert_eq!(r.paths_optimized, 0);
         assert!((r.final_delay_ps - t0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn invalid_constraints_are_typed_errors() {
+        let lib = Library::cmos025();
+        let adder = ripple_carry_adder(4);
+        for tc in [f64::NAN, 0.0, -1.0] {
+            let err = optimize_circuit(&adder, &lib, tc, &FlowOptions::default()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    FlowError::Optimize(OptimizeError::InvalidConstraint { tc_ps })
+                        if tc_ps.to_bits() == tc.to_bits()
+                ),
+                "tc {tc}: got {err}"
+            );
+        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! flush must be **bit-identical**, corner by corner, to N separate
 //! single-corner graphs each built on that corner's library — under any
 //! interleaving of resize / surgery / option / constraint / Vt-class
-//! bursts, at 1, 2 and 4 threads (the pool twins force the parallel
-//! path down to zero-gate thresholds). The fused pass must also do
+//! bursts. The fused pass must also do
 //! strictly less gate-evaluation work than the N independent passes
 //! combined: each union-cone gate is evaluated once *covering every
 //! corner*, not once per corner.
@@ -148,15 +147,9 @@ fn random_buffer_plan(
     )
 }
 
-/// Drive the fused graph and its per-corner twins — all at `threads`
-/// workers — through `steps` random mutation bursts.
-fn random_corner_twin_sequence(
-    circuit: Circuit,
-    seed: u64,
-    steps: usize,
-    check_every: usize,
-    threads: usize,
-) {
+/// Drive the fused graph and its per-corner twins through `steps`
+/// random mutation bursts.
+fn random_corner_twin_sequence(circuit: Circuit, seed: u64, steps: usize, check_every: usize) {
     let lib = Library::cmos025();
     let set = corners();
     let corner_libs: Vec<Library> = set.iter().map(|p| Library::new(p.clone())).collect();
@@ -167,12 +160,6 @@ fn random_corner_twin_sequence(
         .iter()
         .map(|l| TimingGraph::with_options(&circuit, l, &sizing, &options).unwrap())
         .collect();
-    for g in std::iter::once(&mut fused).chain(&mut twins) {
-        g.set_threads(threads);
-        if threads > 1 {
-            g.set_parallel_threshold(0);
-        }
-    }
 
     let t0 = fused.critical_delay_ps();
     fused.set_constraint(0.9 * t0);
@@ -254,58 +241,43 @@ fn random_corner_twin_sequence(
 #[test]
 fn fpd_corners_match_single_corner() {
     let c = suite::circuit("fpd").unwrap();
-    random_corner_twin_sequence(c.clone(), 0xC04E_F00D, 24, 4, 1);
-    random_corner_twin_sequence(c, 0xC04E_F004, 16, 4, 4);
+    random_corner_twin_sequence(c, 0xC04E_F00D, 24, 4);
 }
 
 #[test]
 fn c432_corners_match_single_corner() {
     let c = suite::circuit("c432").unwrap();
-    random_corner_twin_sequence(c.clone(), 0xC04E_0432, 24, 4, 1);
-    random_corner_twin_sequence(c, 0xC04E_0434, 16, 4, 4);
+    random_corner_twin_sequence(c, 0xC04E_0432, 24, 4);
 }
 
 #[test]
 fn c880_corners_match_single_corner() {
     let c = suite::circuit("c880").unwrap();
-    random_corner_twin_sequence(c.clone(), 0xC04E_0880, 16, 4, 1);
-    random_corner_twin_sequence(c, 0xC04E_0884, 12, 4, 4);
+    random_corner_twin_sequence(c, 0xC04E_0880, 16, 4);
 }
 
 #[test]
 fn c1908_corners_match_single_corner() {
     let c = suite::circuit("c1908").unwrap();
-    random_corner_twin_sequence(c.clone(), 0xC04E_1908, 16, 4, 1);
-    random_corner_twin_sequence(c, 0xC04E_1904, 12, 4, 4);
+    random_corner_twin_sequence(c, 0xC04E_1908, 16, 4);
 }
 
 #[test]
 fn c6288_corners_match_single_corner() {
     let c = suite::circuit("c6288").unwrap();
-    random_corner_twin_sequence(c.clone(), 0xC04E_6288, 6, 3, 1);
-    random_corner_twin_sequence(c, 0xC04E_6284, 6, 3, 4);
+    random_corner_twin_sequence(c, 0xC04E_6288, 6, 3);
 }
 
 #[test]
 fn c7552_corners_match_single_corner() {
     let c = suite::circuit("c7552").unwrap();
-    random_corner_twin_sequence(c.clone(), 0xC04E_7552, 6, 3, 1);
-    random_corner_twin_sequence(c, 0xC04E_7554, 6, 3, 4);
-}
-
-#[test]
-fn c880_corners_match_single_corner_two_threads() {
-    let c = suite::circuit("c880").unwrap();
-    random_corner_twin_sequence(c, 0xC04E_0882, 12, 4, 2);
+    random_corner_twin_sequence(c, 0xC04E_7552, 6, 3);
 }
 
 #[test]
 fn synth10k_corners_match_single_corner() {
-    // Wide random-logic levels drive the chunked pool dispatches over
-    // the widened (stride-3) slabs.
     let c = suite::scaling_circuit("synth10k").unwrap();
-    random_corner_twin_sequence(c.clone(), 0xC04E_E010, 4, 2, 1);
-    random_corner_twin_sequence(c, 0xC04E_E014, 3, 3, 4);
+    random_corner_twin_sequence(c, 0xC04E_E010, 4, 2);
 }
 
 #[test]

@@ -1,64 +1,22 @@
-//! Fault-injection twins: the engine under deterministic self-inflicted
-//! faults must converge to the **same bits** as a clean twin.
+//! The timing engine's validated mutation boundary: malformed input is
+//! rejected with a typed [`StaError`] before any state changes. The
+//! faults are malformed inputs handed straight to the `try_*` entry
+//! points; nothing is injected inside the engine.
 //!
-//! The harness (`pops::sta::faultinject`) arms a seed-driven
-//! [`FaultPlan`] that panics the parallel-flush coordinator at chosen
-//! level dispatches, poisons chosen parallel gate evaluations with NaN
-//! loads, and corrupts chosen resize batches. The contracts proven here:
-//!
-//! * an absorbed worker panic or detected slab poisoning is recovered by
-//!   a sequential full re-sweep — every query still bit-matches a clean
-//!   sequential twin driven through the identical mutation burst
-//!   schedule, on all six suite circuits and the synth10k fabric at 2
-//!   and 4 threads;
-//! * [`TimingGraph::verify_state`] (the deep-consistency audit) passes
-//!   after recovery, and `panic_recoveries` / `sequential_fallbacks`
-//!   prove the recovery path actually ran (the clean twin stays at 0);
 //! * a corrupted mutation batch is rejected **atomically** at the
 //!   `try_*` boundary: typed error out, graph bit-untouched;
 //! * the validated boundaries reject out-of-range ids, non-finite
 //!   drives/constraints and malformed edit plans with typed
-//!   [`StaError`]s, never by corrupting state.
-//!
-//! Fault injection is process-global, so every test here serializes on
-//! one lock and disarms via an RAII guard (panic-safe).
-
-use std::sync::{Mutex, MutexGuard};
+//!   [`StaError`]s, never by corrupting state;
+//! * [`TimingGraph::verify_state`] (the deep-consistency audit) passes
+//!   on fresh, mutated, edited and multi-corner graphs.
 
 use pops::netlist::rng::SplitMix64;
 use pops::netlist::surgery::{EditOp, EditPlan};
 use pops::netlist::{builders, suite, NetlistError, VtClass};
 use pops::prelude::*;
-use pops::sta::analysis::{AnalyzeOptions, EdgeDir};
-use pops::sta::faultinject::{self, FaultPlan};
+use pops::sta::analysis::EdgeDir;
 use pops::sta::{StaError, TimingGraph};
-
-/// All fault state is process-global: tests in this binary serialize on
-/// this lock so one test's armed plan never bleeds into another's graphs.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn fault_lock() -> MutexGuard<'static, ()> {
-    // A previous test panicking with the lock held poisons it; the
-    // protected state (disarmed-ness) is restored by ArmGuard's Drop,
-    // so the poison itself carries no information.
-    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Disarms fault injection when dropped, even on panic.
-struct ArmGuard;
-
-impl ArmGuard {
-    fn arm(plan: &FaultPlan) -> Self {
-        plan.arm();
-        ArmGuard
-    }
-}
-
-impl Drop for ArmGuard {
-    fn drop(&mut self) {
-        faultinject::disarm();
-    }
-}
 
 /// Every queryable value of `a` and `b` is bit-identical.
 fn assert_graphs_bit_equal(a: &TimingGraph, b: &TimingGraph, label: &str) {
@@ -116,8 +74,7 @@ fn assert_graphs_bit_equal(a: &TimingGraph, b: &TimingGraph, label: &str) {
     );
 }
 
-/// A buffer-insertion plan on a random fanout-heavy driven net (applied
-/// identically to every twin, so they evolve in lockstep).
+/// A buffer-insertion plan on a random fanout-heavy driven net.
 fn random_buffer_plan(
     graph: &TimingGraph,
     lib: &Library,
@@ -149,208 +106,13 @@ fn random_buffer_plan(
     )
 }
 
-/// The core twin driver: a clean sequential graph (built before arming,
-/// threads 1, so it never sees a fault) and forced-parallel twins at 2
-/// and 4 threads **built and mutated under an armed panic+poison plan**,
-/// all driven through identical mutation bursts with flush-forcing
-/// queries after every burst. Mid-sequence checks run armed (recovery
-/// must survive being re-faulted); the final check runs disarmed and
-/// also audits every twin with `verify_state`.
-fn faulted_twin_sequence(circuit: Circuit, seed: u64, steps: usize) {
-    let _lock = fault_lock();
-    let lib = Library::cmos025();
-    let sizing = Sizing::minimum(&circuit, &lib);
-    let mut clean = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-    clean.set_threads(1);
-    let t0 = clean.critical_delay_ps();
-    clean.set_constraint(0.9 * t0);
-
-    let panics_before = faultinject::panics_fired();
-    let plan = FaultPlan::from_seed(seed);
-    let guard = ArmGuard::arm(&plan);
-
-    // Built while armed: the initial full sweep's recovery path is part
-    // of the contract.
-    let mut twins: Vec<TimingGraph> = [2usize, 4]
-        .iter()
-        .map(|&t| {
-            let mut g = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            g.set_threads(t);
-            g.set_parallel_threshold(0);
-            g.set_constraint(0.9 * t0);
-            g
-        })
-        .collect();
-
-    let mut rng = SplitMix64::new(seed);
-    let cref = lib.min_drive_ff();
-    for step in 0..steps {
-        let gates: Vec<GateId> = clean.circuit().gate_ids().collect();
-        match rng.below(6) {
-            0 => {
-                let batch: Vec<(GateId, f64)> = (0..2 + rng.below(8))
-                    .map(|_| (*rng.pick(&gates), cref * (1.0 + 25.0 * rng.next_f64())))
-                    .collect();
-                clean.resize_gates(batch.clone());
-                for g in &mut twins {
-                    g.resize_gates(batch.clone());
-                }
-            }
-            1 => {
-                if let Some(plan) = random_buffer_plan(&clean, &lib, &mut rng) {
-                    clean.apply_edits(&plan).expect("valid edit");
-                    for g in &mut twins {
-                        g.apply_edits(&plan).expect("valid edit");
-                    }
-                }
-            }
-            2 => {
-                let tc = t0 * (0.7 + 0.6 * rng.next_f64());
-                clean.set_constraint(tc);
-                for g in &mut twins {
-                    g.set_constraint(tc);
-                }
-            }
-            _ => {
-                let g = *rng.pick(&gates);
-                let cin = cref * (1.0 + 25.0 * rng.next_f64());
-                clean.resize_gate(g, cin);
-                for t in &mut twins {
-                    t.resize_gate(g, cin);
-                }
-            }
-        }
-        // Force forward + both backward flushes on every twin, under
-        // fire, and pin the answers to the clean twin's bits.
-        let delay = clean.critical_delay_ps().to_bits();
-        let worst = clean.worst_slack_overall_ps().map(f64::to_bits);
-        let probe = *rng.pick(&gates);
-        let completion = clean.completion_ps(probe).to_bits();
-        for (i, g) in twins.iter().enumerate() {
-            assert_eq!(
-                g.critical_delay_ps().to_bits(),
-                delay,
-                "step {step}, twin {i}: critical delay diverged under faults"
-            );
-            assert_eq!(
-                g.worst_slack_overall_ps().map(f64::to_bits),
-                worst,
-                "step {step}, twin {i}: design-worst slack diverged under faults"
-            );
-            assert_eq!(
-                g.completion_ps(probe).to_bits(),
-                completion,
-                "step {step}, twin {i}: completion of {probe} diverged under faults"
-            );
-        }
-    }
-
-    // A final option change forces the full-rescan parallel forward
-    // sweep on every twin — the widest poison cross-section (every
-    // gate's corner lanes evaluated under the armed plan).
-    let options = AnalyzeOptions {
-        po_load_ff: 42.0,
-        input_transition_ps: 77.0,
-    };
-    clean.set_options(&options);
-    let delay = clean.critical_delay_ps().to_bits();
-    let worst = clean.worst_slack_overall_ps().map(f64::to_bits);
-    for (i, g) in twins.iter_mut().enumerate() {
-        g.set_options(&options);
-        assert_eq!(
-            g.critical_delay_ps().to_bits(),
-            delay,
-            "twin {i}: critical delay diverged through the faulted full rescan"
-        );
-        assert_eq!(
-            g.worst_slack_overall_ps().map(f64::to_bits),
-            worst,
-            "twin {i}: design-worst slack diverged through the faulted full rescan"
-        );
-    }
-
-    // The harness must actually have hurt the twins...
-    assert!(
-        faultinject::panics_fired() > panics_before,
-        "the plan never fired a panic — the schedule is broken"
-    );
-    let recoveries: usize = twins.iter().map(|g| g.stats().panic_recoveries).sum();
-    let fallbacks: usize = twins.iter().map(|g| g.stats().sequential_fallbacks).sum();
-    assert!(recoveries > 0, "no twin recorded a panic recovery");
-    assert!(
-        fallbacks >= recoveries,
-        "every recovery runs a fallback sweep"
-    );
-    // ...and the clean twin must never have been touched.
-    assert_eq!(clean.stats().panic_recoveries, 0);
-    assert_eq!(clean.stats().sequential_fallbacks, 0);
-
-    // Final audit runs disarmed: settled state, full bit sweep, deep
-    // consistency check on every graph.
-    drop(guard);
-    for (i, g) in twins.iter().enumerate() {
-        assert_graphs_bit_equal(&clean, g, &format!("final, twin {i}"));
-        g.verify_state()
-            .unwrap_or_else(|e| panic!("twin {i} failed the audit after recovery: {e}"));
-    }
-    clean
-        .verify_state()
-        .unwrap_or_else(|e| panic!("clean twin failed the audit: {e}"));
-}
-
-#[test]
-fn fpd_recovers_bit_exact_under_faults() {
-    faulted_twin_sequence(suite::circuit("fpd").unwrap(), 0xFA17_F00D, 12);
-}
-
-#[test]
-fn c432_recovers_bit_exact_under_faults() {
-    faulted_twin_sequence(suite::circuit("c432").unwrap(), 0xFA17_0432, 12);
-}
-
-#[test]
-fn c880_recovers_bit_exact_under_faults() {
-    faulted_twin_sequence(suite::circuit("c880").unwrap(), 0xFA17_0880, 10);
-}
-
-#[test]
-fn c1908_recovers_bit_exact_under_faults() {
-    faulted_twin_sequence(suite::circuit("c1908").unwrap(), 0xFA17_1908, 10);
-}
-
-#[test]
-fn c6288_recovers_bit_exact_under_faults() {
-    faulted_twin_sequence(suite::circuit("c6288").unwrap(), 0xFA17_6288, 6);
-}
-
-#[test]
-fn c7552_recovers_bit_exact_under_faults() {
-    faulted_twin_sequence(suite::circuit("c7552").unwrap(), 0xFA17_7552, 6);
-}
-
-#[test]
-fn synth10k_recovers_bit_exact_under_faults() {
-    // Wide levels: the chunked pool dispatches, full-sweep cut-overs and
-    // (with ~10k evals per sweep against a 400–2100-eval poison period)
-    // guaranteed NaN poison hits, not just coordinator panics.
-    let poisons_before = faultinject::poisons_fired();
-    faulted_twin_sequence(suite::scaling_circuit("synth10k").unwrap(), 0xFA17_E010, 4);
-    assert!(
-        faultinject::poisons_fired() > poisons_before,
-        "a synth10k sweep must trip the eval poison at least once"
-    );
-}
-
 #[test]
 fn corrupted_batch_is_rejected_atomically() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let circuit = suite::circuit("c432").unwrap();
     let sizing = Sizing::minimum(&circuit, &lib);
     let mut graph = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
     let mut reference = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    graph.set_threads(1);
-    reference.set_threads(1);
     let t0 = graph.critical_delay_ps();
     graph.set_constraint(0.9 * t0);
     reference.set_constraint(0.9 * t0);
@@ -362,16 +124,11 @@ fn corrupted_batch_is_rejected_atomically() {
         .map(|&g| (g, 3.0 * lib.min_drive_ff()))
         .collect();
 
-    // Corrupt every batch; no panics, no poison.
-    let plan = FaultPlan {
-        seed: 7,
-        corrupt_every_batches: Some(1),
-        ..FaultPlan::default()
-    };
-    let fired_before = faultinject::corruptions_fired();
-    let guard = ArmGuard::arm(&plan);
+    // A NaN drive behind two valid entries: nothing may be applied.
+    let mut corrupted = batch.clone();
+    corrupted[2].1 = f64::NAN;
     let err = graph
-        .try_resize_gates(batch.clone())
+        .try_resize_gates(corrupted)
         .expect_err("a corrupted batch must be rejected");
     assert!(
         matches!(err, StaError::InvalidDrive { .. }),
@@ -381,14 +138,12 @@ fn corrupted_batch_is_rejected_atomically() {
         err.to_string().contains("NaN"),
         "error must name the value: {err}"
     );
-    assert!(faultinject::corruptions_fired() > fired_before);
-    drop(guard);
 
     // Atomicity: the graph is bit-untouched by the rejected batch...
     assert_graphs_bit_equal(&graph, &reference, "after rejected batch");
     graph.verify_state().expect("audit after rejected batch");
 
-    // ...and the identical batch applies cleanly once disarmed.
+    // ...and the clean batch applies.
     graph
         .try_resize_gates(batch.clone())
         .expect("clean batch applies");
@@ -398,7 +153,6 @@ fn corrupted_batch_is_rejected_atomically() {
 
 #[test]
 fn constraint_boundary_rejects_nan_and_negative() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let circuit = builders::inverter_chain(4);
     let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).unwrap();
@@ -424,7 +178,6 @@ fn constraint_boundary_rejects_nan_and_negative() {
 
 #[test]
 fn id_boundaries_reject_foreign_gates() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let small = builders::inverter_chain(3);
     let mut graph = TimingGraph::new(&small, &lib, &Sizing::minimum(&small, &lib)).unwrap();
@@ -468,7 +221,6 @@ fn id_boundaries_reject_foreign_gates() {
 
 #[test]
 fn edit_plan_boundary_rejects_malformed_plans() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let small = builders::inverter_chain(3);
     let mut graph = TimingGraph::new(&small, &lib, &Sizing::minimum(&small, &lib)).unwrap();
@@ -506,7 +258,6 @@ fn edit_plan_boundary_rejects_malformed_plans() {
 
 #[test]
 fn sizing_extend_dense_boundary() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let chain2 = builders::inverter_chain(2);
     let chain4 = builders::inverter_chain(4);
@@ -544,7 +295,6 @@ fn sizing_extend_dense_boundary() {
 
 #[test]
 fn verify_state_passes_on_live_graphs() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let circuit = suite::circuit("c880").unwrap();
     let sizing = Sizing::minimum(&circuit, &lib);

@@ -1,18 +1,16 @@
-//! Parallel ≡ sequential: the level-synchronized worker-pool flush
-//! must be **bit-identical** to the single-cursor sequential drain on
-//! every queryable value, under any interleaving of mutations — both
-//! paths run the same per-gate kernel over the same rank-major slabs,
-//! so equality is structural, and this suite proves it differentially
-//! anyway: twin graphs (threads 1 / 2 / 4, parallel forced down to
-//! zero-gate thresholds) receive identical resize/surgery/option/
-//! constraint bursts and must never diverge by a single bit, with a
-//! from-scratch eager pass anchoring the whole set.
+//! Flush scheduling: the lazy drains, the drain-to-sweep cut-overs and
+//! the flushless settles must land on the bits of a from-scratch pass.
 //!
-//! Also covered here: validity and determinism of the synthetic
-//! scaling fabrics the large-circuit rows build on, the loads-only
-//! `net_load_ff` settle (answers without flushing, never corrupts the
-//! pre-edit load baseline), and the sweep-budget extremes (forced
-//! drain vs forced sweep) converging to the same bits.
+//! Covered here: random mutation bursts on the synth10k fabric (wide
+//! levels, spread cones, frequent full-sweep cut-overs) checked against
+//! fresh `analyze_with` / `required_times` / `completion_bounds` passes
+//! and the deep-consistency audit; the adaptive and budgeted cut-overs
+//! changing scheduling but never bits; the loads-only `net_load_ff` and
+//! flushless `gate_delay_worst_ps` settles; and validity and
+//! determinism of the synthetic scaling fabrics.
+//!
+//! The file name dates from when the flush also had a multi-threaded
+//! path; every check here runs the one sequential flush.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
 
@@ -21,6 +19,7 @@ use pops::netlist::surgery::{EditOp, EditPlan};
 use pops::netlist::{builders, suite};
 use pops::prelude::*;
 use pops::sta::analysis::{analyze_with, AnalyzeOptions, EdgeDir};
+use pops::sta::kpaths::completion_bounds;
 use pops::sta::TimingGraph;
 
 /// Every queryable value of `a` and `b` is bit-identical (the graphs
@@ -80,8 +79,7 @@ fn assert_graphs_bit_equal(a: &TimingGraph, b: &TimingGraph, label: &str) {
     );
 }
 
-/// The eager anchor: the first twin also matches a from-scratch pass
-/// (transitively pinning every twin to the eager semantics).
+/// The critical delay matches a from-scratch pass.
 fn assert_matches_eager(graph: &TimingGraph, lib: &Library, label: &str) {
     let fresh =
         analyze_with(graph.circuit(), lib, graph.sizing(), graph.options()).expect("acyclic");
@@ -93,7 +91,7 @@ fn assert_matches_eager(graph: &TimingGraph, lib: &Library, label: &str) {
 }
 
 /// A buffer-insertion plan on a random fanout-heavy driven net of the
-/// current circuit (identical across twins — they evolve in lockstep).
+/// current circuit.
 fn random_buffer_plan(
     graph: &TimingGraph,
     lib: &Library,
@@ -125,34 +123,90 @@ fn random_buffer_plan(
     )
 }
 
-/// Drive `threads`-way twins through `steps` random mutation bursts;
-/// the parallel twins force the pool even on tiny circuits
-/// (`set_parallel_threshold(0)`).
-fn random_parallel_twin_sequence(circuit: Circuit, seed: u64, steps: usize, check_every: usize) {
+/// Every queryable value of `graph` matches fresh full passes —
+/// forward, required times under its constraint and k-paths completion
+/// bounds — and its internal state passes the deep-consistency audit.
+fn assert_matches_fresh(graph: &TimingGraph, lib: &Library, label: &str) {
+    let circuit = graph.circuit();
+    let fresh = analyze_with(circuit, lib, graph.sizing(), graph.options()).expect("acyclic");
+    let tc = graph.constraint_ps().expect("constraint set");
+    let slacks = required_times(circuit, lib, graph.sizing(), &fresh, tc).expect("acyclic");
+    assert_eq!(
+        graph.critical_delay_ps().to_bits(),
+        fresh.critical_delay_ps().to_bits(),
+        "{label}: critical delay diverged"
+    );
+    for net in circuit.net_ids() {
+        for dir in [EdgeDir::Rising, EdgeDir::Falling] {
+            assert_eq!(
+                graph.arrival_ps(net, dir).to_bits(),
+                fresh.arrival_ps(net, dir).to_bits(),
+                "{label}: arrival of {net} {dir:?}"
+            );
+            assert_eq!(
+                graph.slope_ps(net, dir).to_bits(),
+                fresh.slope_ps(net, dir).to_bits(),
+                "{label}: slope of {net} {dir:?}"
+            );
+            assert_eq!(
+                graph.required_ps(net, dir).to_bits(),
+                slacks.required_ps(net, dir).to_bits(),
+                "{label}: required of {net} {dir:?}"
+            );
+            assert_eq!(
+                graph.slack_ps(net, dir).to_bits(),
+                slacks.slack_ps(net, dir).to_bits(),
+                "{label}: slack of {net} {dir:?}"
+            );
+        }
+        assert_eq!(
+            graph.net_load_ff(net).to_bits(),
+            fresh.net_load_ff(net).to_bits(),
+            "{label}: load of {net}"
+        );
+    }
+    let bounds = completion_bounds(circuit, &fresh);
+    for g in circuit.gate_ids() {
+        assert_eq!(
+            graph.gate_delay_worst_ps(g).to_bits(),
+            fresh.gate_delay_worst_ps(g).to_bits(),
+            "{label}: worst delay of {g}"
+        );
+        assert_eq!(
+            graph.completion_ps(g).to_bits(),
+            bounds[g.index()].to_bits(),
+            "{label}: completion bound of {g}"
+        );
+    }
+    assert_eq!(
+        graph.worst_slack_overall_ps().map(f64::to_bits),
+        slacks.worst_slack_overall_ps().map(f64::to_bits),
+        "{label}: design-worst slack diverged"
+    );
+    assert_eq!(
+        graph.critical_path().gates,
+        fresh.critical_path().gates,
+        "{label}: critical path diverged"
+    );
+    graph
+        .verify_state()
+        .unwrap_or_else(|e| panic!("{label}: deep-consistency audit failed: {e}"));
+}
+
+/// Drive one graph through `steps` random mutation bursts — resizes,
+/// surgery, option and constraint changes — checking it against fresh
+/// passes every `check_every` steps and at the end.
+fn random_forward_sequence(circuit: Circuit, seed: u64, steps: usize, check_every: usize) {
     let lib = Library::cmos025();
     let sizing = Sizing::minimum(&circuit, &lib);
-    let mut seq = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-    seq.set_threads(1);
-    let mut twins: Vec<TimingGraph> = [2usize, 4]
-        .iter()
-        .map(|&t| {
-            let mut g = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            g.set_threads(t);
-            g.set_parallel_threshold(0);
-            g
-        })
-        .collect();
-
-    let t0 = seq.critical_delay_ps();
-    seq.set_constraint(0.9 * t0);
-    for g in &mut twins {
-        g.set_constraint(0.9 * t0);
-    }
+    let mut graph = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
+    let t0 = graph.critical_delay_ps();
+    graph.set_constraint(0.9 * t0);
 
     let mut rng = SplitMix64::new(seed);
     let cref = lib.min_drive_ff();
     for step in 0..steps {
-        let gates: Vec<GateId> = seq.circuit().gate_ids().collect();
+        let gates: Vec<GateId> = graph.circuit().gate_ids().collect();
         match rng.below(8) {
             0 => {
                 let batch: Vec<(GateId, f64)> = (0..2 + rng.below(8))
@@ -161,99 +215,53 @@ fn random_parallel_twin_sequence(circuit: Circuit, seed: u64, steps: usize, chec
                         (g, cref * (1.0 + 25.0 * rng.next_f64()))
                     })
                     .collect();
-                seq.resize_gates(batch.clone());
-                for g in &mut twins {
-                    g.resize_gates(batch.clone());
-                }
+                graph.resize_gates(batch);
             }
             1 => {
                 // Structural surgery: re-levels, re-ranks and re-slots
-                // under pending seeds in every twin.
-                if let Some(plan) = random_buffer_plan(&seq, &lib, &mut rng) {
-                    seq.apply_edits(&plan).expect("valid edit");
-                    for g in &mut twins {
-                        g.apply_edits(&plan).expect("valid edit");
-                    }
+                // under pending seeds.
+                if let Some(plan) = random_buffer_plan(&graph, &lib, &mut rng) {
+                    graph.apply_edits(&plan).expect("valid edit");
                 }
             }
             2 => {
                 // Option change: the full-rescan path (and usually the
-                // budgeted full-sweep cut-over, i.e. the parallel
-                // `eval_range` dispatch).
-                let options = AnalyzeOptions {
+                // budgeted full-sweep cut-over).
+                graph.set_options(&AnalyzeOptions {
                     po_load_ff: 5.0 + 40.0 * rng.next_f64(),
                     input_transition_ps: 20.0 + 100.0 * rng.next_f64(),
-                };
-                seq.set_options(&options);
-                for g in &mut twins {
-                    g.set_options(&options);
-                }
+                });
             }
-            3 => {
-                let tc = t0 * (0.7 + 0.6 * rng.next_f64());
-                seq.set_constraint(tc);
-                for g in &mut twins {
-                    g.set_constraint(tc);
-                }
-            }
+            3 => graph.set_constraint(t0 * (0.7 + 0.6 * rng.next_f64())),
             _ => {
                 let g = *rng.pick(&gates);
-                let cin = cref * (1.0 + 25.0 * rng.next_f64());
-                seq.resize_gate(g, cin);
-                for t in &mut twins {
-                    t.resize_gate(g, cin);
-                }
+                graph.resize_gate(g, cref * (1.0 + 25.0 * rng.next_f64()));
             }
         }
         if step % check_every == check_every - 1 {
-            for (i, g) in twins.iter().enumerate() {
-                assert_graphs_bit_equal(&seq, g, &format!("step {step}, twin {i}"));
-            }
-            assert_matches_eager(&seq, &lib, &format!("step {step}"));
+            assert_matches_fresh(&graph, &lib, &format!("step {step}"));
         }
     }
-    for (i, g) in twins.iter().enumerate() {
-        assert_graphs_bit_equal(&seq, g, &format!("final, twin {i}"));
-        g.verify_state()
-            .unwrap_or_else(|e| panic!("twin {i} failed the deep-consistency audit: {e}"));
-    }
-    assert_matches_eager(&seq, &lib, "final");
-    seq.verify_state()
-        .unwrap_or_else(|e| panic!("sequential twin failed the deep-consistency audit: {e}"));
+    assert_matches_fresh(&graph, &lib, "final");
 }
 
-/// Backward-focused twins: every burst is *immediately* followed by
-/// backward queries on every twin, so `flush_required` and
-/// `flush_completion` fire once per burst — in whatever dirty-state
-/// mix the burst schedule leaves behind — instead of only at the
-/// periodic full-graph checks. Constraint bursts saturate the backward
-/// dirty sets, so the next query runs the gate-centric full-sweep
-/// path (the parallel descending-barrier dispatch on the pool twins).
-fn random_backward_twin_sequence(circuit: Circuit, seed: u64, steps: usize, check_every: usize) {
+/// Backward-focused bursts: every burst is *immediately* followed by
+/// backward queries, so `flush_required` and `flush_completion` fire
+/// once per burst — in whatever dirty-state mix the burst schedule
+/// leaves behind — instead of only at the periodic checks. Constraint
+/// bursts saturate the backward dirty sets, so the next query runs the
+/// gate-centric full-sweep path.
+fn random_backward_sequence(circuit: Circuit, seed: u64, steps: usize, check_every: usize) {
     let lib = Library::cmos025();
     let sizing = Sizing::minimum(&circuit, &lib);
-    let mut seq = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-    seq.set_threads(1);
-    let mut twins: Vec<TimingGraph> = [2usize, 4]
-        .iter()
-        .map(|&t| {
-            let mut g = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            g.set_threads(t);
-            g.set_parallel_threshold(0);
-            g
-        })
-        .collect();
-
-    let t0 = seq.critical_delay_ps();
-    seq.set_constraint(0.92 * t0);
-    for g in &mut twins {
-        g.set_constraint(0.92 * t0);
-    }
+    let mut graph = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
+    let t0 = graph.critical_delay_ps();
+    graph.set_constraint(0.92 * t0);
 
     let mut rng = SplitMix64::new(seed);
     let cref = lib.min_drive_ff();
     for step in 0..steps {
-        let gates: Vec<GateId> = seq.circuit().gate_ids().collect();
+        let gates: Vec<GateId> = graph.circuit().gate_ids().collect();
         match rng.below(6) {
             0 => {
                 let batch: Vec<(GateId, f64)> = (0..2 + rng.below(8))
@@ -262,224 +270,76 @@ fn random_backward_twin_sequence(circuit: Circuit, seed: u64, steps: usize, chec
                         (g, cref * (1.0 + 25.0 * rng.next_f64()))
                     })
                     .collect();
-                seq.resize_gates(batch.clone());
-                for g in &mut twins {
-                    g.resize_gates(batch.clone());
-                }
+                graph.resize_gates(batch);
             }
             1 => {
-                if let Some(plan) = random_buffer_plan(&seq, &lib, &mut rng) {
-                    seq.apply_edits(&plan).expect("valid edit");
-                    for g in &mut twins {
-                        g.apply_edits(&plan).expect("valid edit");
-                    }
+                if let Some(plan) = random_buffer_plan(&graph, &lib, &mut rng) {
+                    graph.apply_edits(&plan).expect("valid edit");
                 }
             }
-            2 => {
-                // Wholesale backward invalidation: the queries below
-                // run the full-sweep flush path.
-                let tc = t0 * (0.7 + 0.6 * rng.next_f64());
-                seq.set_constraint(tc);
-                for g in &mut twins {
-                    g.set_constraint(tc);
-                }
-            }
+            // Wholesale backward invalidation: the queries below run
+            // the full-sweep flush path.
+            2 => graph.set_constraint(t0 * (0.7 + 0.6 * rng.next_f64())),
             _ => {
                 let g = *rng.pick(&gates);
-                let cin = cref * (1.0 + 25.0 * rng.next_f64());
-                seq.resize_gate(g, cin);
-                for t in &mut twins {
-                    t.resize_gate(g, cin);
-                }
+                graph.resize_gate(g, cref * (1.0 + 25.0 * rng.next_f64()));
             }
         }
-        // Flush both backward directions on every twin, every burst.
-        let worst = seq.worst_slack_overall_ps().map(f64::to_bits);
-        let probe_net = *rng.pick(&seq.circuit().net_ids().collect::<Vec<_>>());
-        let probe_gate = *rng.pick(&gates);
-        let slack = [
-            seq.slack_ps(probe_net, EdgeDir::Rising).to_bits(),
-            seq.slack_ps(probe_net, EdgeDir::Falling).to_bits(),
-        ];
-        let completion = seq.completion_ps(probe_gate).to_bits();
-        for (i, g) in twins.iter().enumerate() {
-            assert_eq!(
-                g.worst_slack_overall_ps().map(f64::to_bits),
-                worst,
-                "step {step}, twin {i}: design-worst slack diverged"
-            );
-            assert_eq!(
-                [
-                    g.slack_ps(probe_net, EdgeDir::Rising).to_bits(),
-                    g.slack_ps(probe_net, EdgeDir::Falling).to_bits(),
-                ],
-                slack,
-                "step {step}, twin {i}: slack of {probe_net} diverged"
-            );
-            assert_eq!(
-                g.completion_ps(probe_gate).to_bits(),
-                completion,
-                "step {step}, twin {i}: completion of {probe_gate} diverged"
-            );
-        }
+        // Flush both backward directions every burst.
+        let _ = graph.worst_slack_overall_ps();
+        let probe_net = *rng.pick(&graph.circuit().net_ids().collect::<Vec<_>>());
+        let _ = graph.slack_ps(probe_net, EdgeDir::Rising);
+        let _ = graph.completion_ps(*rng.pick(&gates));
         if step % check_every == check_every - 1 {
-            for (i, g) in twins.iter().enumerate() {
-                assert_graphs_bit_equal(&seq, g, &format!("step {step}, twin {i}"));
-            }
-            assert_matches_eager(&seq, &lib, &format!("step {step}"));
+            assert_matches_fresh(&graph, &lib, &format!("step {step}"));
         }
     }
-    for (i, g) in twins.iter().enumerate() {
-        assert_graphs_bit_equal(&seq, g, &format!("final, twin {i}"));
-        g.verify_state()
-            .unwrap_or_else(|e| panic!("twin {i} failed the deep-consistency audit: {e}"));
-    }
-    assert_matches_eager(&seq, &lib, "final");
-    seq.verify_state()
-        .unwrap_or_else(|e| panic!("sequential twin failed the deep-consistency audit: {e}"));
+    assert_matches_fresh(&graph, &lib, "final");
 }
 
 #[test]
-fn fpd_parallel_matches_sequential() {
-    let c = suite::circuit("fpd").unwrap();
-    random_parallel_twin_sequence(c, 0x9A51_F00D, 32, 4);
-}
-
-#[test]
-fn c432_parallel_matches_sequential() {
-    let c = suite::circuit("c432").unwrap();
-    random_parallel_twin_sequence(c, 0x9A51_0432, 32, 4);
-}
-
-#[test]
-fn c880_parallel_matches_sequential() {
-    let c = suite::circuit("c880").unwrap();
-    random_parallel_twin_sequence(c, 0x9A51_0880, 24, 4);
-}
-
-#[test]
-fn c1908_parallel_matches_sequential() {
-    let c = suite::circuit("c1908").unwrap();
-    random_parallel_twin_sequence(c, 0x9A51_1908, 24, 4);
-}
-
-#[test]
-fn c6288_parallel_matches_sequential() {
-    let c = suite::circuit("c6288").unwrap();
-    random_parallel_twin_sequence(c, 0x9A51_6288, 9, 3);
-}
-
-#[test]
-fn c7552_parallel_matches_sequential() {
-    let c = suite::circuit("c7552").unwrap();
-    random_parallel_twin_sequence(c, 0x9A51_7552, 9, 3);
-}
-
-#[test]
-fn synth10k_parallel_matches_sequential() {
-    // Wide random-logic levels (hundreds of gates) drive the chunked
-    // pool dispatches (`eval_list`/`eval_range`), which the narrow
-    // suite circuits mostly bypass through the inline-straggler path.
+fn synth10k_forward_bursts_match_eager() {
+    // Wide random-logic levels and spread cones: drains, budgeted and
+    // adaptive full-sweep cut-overs all fire within a few bursts.
     let c = suite::scaling_circuit("synth10k").unwrap();
-    random_parallel_twin_sequence(c, 0x9A51_E010, 6, 3);
+    random_forward_sequence(c, 0x9A51_E010, 6, 3);
 }
 
 #[test]
-fn fpd_backward_parallel_matches_sequential() {
-    let c = suite::circuit("fpd").unwrap();
-    random_backward_twin_sequence(c, 0xBAC4_F00D, 24, 4);
-}
-
-#[test]
-fn c432_backward_parallel_matches_sequential() {
-    let c = suite::circuit("c432").unwrap();
-    random_backward_twin_sequence(c, 0xBAC4_0432, 24, 4);
-}
-
-#[test]
-fn c880_backward_parallel_matches_sequential() {
-    let c = suite::circuit("c880").unwrap();
-    random_backward_twin_sequence(c, 0xBAC4_0880, 16, 4);
-}
-
-#[test]
-fn c1908_backward_parallel_matches_sequential() {
-    let c = suite::circuit("c1908").unwrap();
-    random_backward_twin_sequence(c, 0xBAC4_1908, 16, 4);
-}
-
-#[test]
-fn c6288_backward_parallel_matches_sequential() {
-    let c = suite::circuit("c6288").unwrap();
-    random_backward_twin_sequence(c, 0xBAC4_6288, 8, 4);
-}
-
-#[test]
-fn c7552_backward_parallel_matches_sequential() {
-    let c = suite::circuit("c7552").unwrap();
-    random_backward_twin_sequence(c, 0xBAC4_7552, 8, 4);
-}
-
-#[test]
-fn synth10k_backward_parallel_matches_sequential() {
-    // Wide levels drive the chunked backward dispatches
-    // (`eval_required_list` / `sweep_gate_range`), which the narrow
-    // suite circuits mostly bypass through the inline-straggler path.
+fn synth10k_backward_bursts_match_eager() {
     let c = suite::scaling_circuit("synth10k").unwrap();
-    random_backward_twin_sequence(c, 0xBAC4_E010, 5, 3);
+    random_backward_sequence(c, 0xBAC4_E010, 5, 3);
 }
 
 #[test]
 #[ignore = "expensive: 100k-gate fabric; run with --ignored (CI release job does)"]
-fn synth100k_backward_parallel_matches_sequential() {
+fn synth100k_backward_bursts_match_eager() {
     let c = suite::scaling_circuit("synth100k").unwrap();
-    random_backward_twin_sequence(c, 0xBAC4_E100, 3, 2);
+    random_backward_sequence(c, 0xBAC4_E100, 3, 2);
 }
 
 #[test]
 fn backward_full_sweep_fires_and_is_bit_identical() {
     // A constraint change saturates the backward dirty sets, so the
     // next slack query must take the gate-centric full-sweep path —
-    // proven by the reevaluation count covering every net — and the
-    // forced-pool twins must land on the same bits through their
-    // parallel descending-barrier sweep.
+    // proven by the reevaluation count covering every net — and land on
+    // the bits of a fresh backward pass.
     let lib = Library::cmos025();
     let circuit = suite::circuit("c880").unwrap();
     let sizing = Sizing::minimum(&circuit, &lib);
-    let mut seq = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    seq.set_threads(1);
-    let mut twins: Vec<TimingGraph> = [2usize, 4]
-        .iter()
-        .map(|&t| {
-            let mut g = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-            g.set_threads(t);
-            g.set_parallel_threshold(0);
-            g
-        })
-        .collect();
-    let t0 = seq.critical_delay_ps();
+    let mut graph = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
+    let t0 = graph.critical_delay_ps();
     let n_nets = circuit.net_count();
     for tc in [0.9 * t0, 0.8 * t0, 1.1 * t0] {
-        seq.set_constraint(tc);
-        for g in &mut twins {
-            g.set_constraint(tc);
-        }
-        let before = seq.stats().required_reevaluated;
-        let worst = seq.worst_slack_overall_ps().map(f64::to_bits);
+        graph.set_constraint(tc);
+        let before = graph.stats().required_reevaluated;
+        let _ = graph.worst_slack_overall_ps();
         assert!(
-            seq.stats().required_reevaluated - before >= n_nets,
+            graph.stats().required_reevaluated - before >= n_nets,
             "a post-constraint flush must run the full sweep"
         );
-        for (i, g) in twins.iter().enumerate() {
-            assert_eq!(
-                g.worst_slack_overall_ps().map(f64::to_bits),
-                worst,
-                "tc {tc}: twin {i} diverged through the parallel full sweep"
-            );
-            assert_graphs_bit_equal(&seq, g, &format!("tc {tc}, twin {i}"));
-        }
+        assert_matches_fresh(&graph, &lib, &format!("tc {tc}"));
     }
-    assert_matches_eager(&seq, &lib, "post-sweep");
 }
 
 #[test]
@@ -604,12 +464,12 @@ fn gate_delay_queries_settle_without_flushing() {
 
 #[test]
 #[ignore = "expensive: 100k-gate fabric; run with --ignored (CI release job does)"]
-fn synth100k_parallel_matches_sequential() {
+fn synth100k_forward_bursts_match_eager() {
     // The headline class: a ≥100k-gate fabric under mixed bursts. The
     // full per-net bit sweep per check is what makes this expensive,
     // not the flushes.
     let c = suite::scaling_circuit("synth100k").unwrap();
-    random_parallel_twin_sequence(c, 0x9A51_E100, 4, 2);
+    random_forward_sequence(c, 0x9A51_E100, 4, 2);
 }
 
 #[test]
