@@ -1,10 +1,11 @@
 //! Million-gate scaling characterization on the synthetic fabrics
-//! (`synth10k` / `synth100k` / `synth1m`): four row families, one
+//! (`synth10k` / `synth100k` / `synth1m`): three row families, one
 //! committed artifact (`BENCH_sta_scaling.json`).
 //!
-//! * `full_sweep` — forced-sweep throughput (budgets `(0,1)`): one gate
-//!   resize per round, the delay read pays a whole rank-major forward
-//!   sweep.
+//! * `full_sweep` — forward full-sweep throughput: each round resizes
+//!   every gate, so the seed count alone passes the flush's ¾-gate
+//!   budget and the delay read pays the seed materialization (every
+//!   fanin load re-summed) plus one rank-major forward sweep.
 //! * `backward_sweep` — same shape for the backward direction: each
 //!   round toggles the timing constraint (wholesale backward
 //!   invalidation) so the worst-slack read pays exactly one gate-centric
@@ -14,19 +15,8 @@
 //!   speedup is a ratio of two strategies on the same machine in the
 //!   same process, so these rows ARE gated (the `synth10k` rows are
 //!   mandatory — CI reproduces them; larger classes are `optional`).
-//! * `calibration` — drain-vs-sweep cost at seeded dirty fractions
-//!   0.25/0.5/0.75/0.9: pure-drain budgets `(1,1)` against forced-sweep
-//!   budgets `(0,1)` on twin graphs under identical mutations.
-//!   `drain_over_sweep` < 1 means the cone drain still wins at that
-//!   dirty fraction.
-//! * `budget_config` — the configured ¾-rank forward / ⅓-rank backward
-//!   cut-over fractions next to `measured_crossover_fraction`, the
-//!   interpolated dirty fraction where the calibration ratio crosses
-//!   1.0 — the budget defaults justified by measurement, per size
-//!   class, not by reasoning.
-//!
-//! Every timed comparison cross-checks the two sides bit-for-bit each
-//! round; a divergence aborts the bench.
+//!   Each round cross-checks the two sides bit-for-bit; a divergence
+//!   aborts the bench.
 //!
 //! Environment knob (CI runs the small class only):
 //! `STA_SCALING_CLASSES` — comma list of class names (default
@@ -91,65 +81,15 @@ pops_bench::json_fields!(LazyRow {
     optional
 });
 
-struct CalibRow {
-    kind: &'static str,
-    circuit: String,
-    gates: usize,
-    rounds: usize,
-    dirty_fraction: f64,
-    drain_median_ns: f64,
-    sweep_median_ns: f64,
-    drain_over_sweep: f64,
-    optional: bool,
-}
-pops_bench::json_fields!(CalibRow {
-    kind,
-    circuit,
-    gates,
-    rounds,
-    dirty_fraction,
-    drain_median_ns,
-    sweep_median_ns,
-    drain_over_sweep,
-    optional
-});
-
-struct ConfigRow {
-    kind: &'static str,
-    circuit: String,
-    gates: usize,
-    fwd_budget: (u32, u32),
-    bwd_budget: (u32, u32),
-    forward_sweep_fraction: f64,
-    backward_sweep_fraction: f64,
-    measured_crossover_fraction: f64,
-    optional: bool,
-}
-pops_bench::json_fields!(ConfigRow {
-    kind,
-    circuit,
-    gates,
-    fwd_budget,
-    bwd_budget,
-    forward_sweep_fraction,
-    backward_sweep_fraction,
-    measured_crossover_fraction,
-    optional
-});
-
 enum Row {
     Sweep(SweepRow),
     Lazy(LazyRow),
-    Calib(CalibRow),
-    Config(ConfigRow),
 }
 impl ToJson for Row {
     fn write_json(&self, out: &mut String) {
         match self {
             Row::Sweep(r) => r.write_json(out),
             Row::Lazy(r) => r.write_json(out),
-            Row::Calib(r) => r.write_json(out),
-            Row::Config(r) => r.write_json(out),
         }
     }
 }
@@ -173,27 +113,6 @@ fn spaced_gates(gates: &[GateId], count: usize) -> Vec<GateId> {
     (0..count)
         .map(|i| gates[(i as f64 * step) as usize])
         .collect()
-}
-
-/// Dirty fraction where the drain/sweep cost ratio crosses 1.0,
-/// linearly interpolated between the two bracketing calibration points.
-/// If the drain never wins the crossover is the first fraction; if it
-/// never loses, the last (the real crossover sits at or beyond the
-/// measured range — the artifact records the bound actually observed).
-fn crossover_fraction(points: &[(f64, f64)]) -> f64 {
-    match points.first() {
-        None => 0.0,
-        Some(&(f0, r0)) if r0 >= 1.0 => f0,
-        Some(_) => {
-            for w in points.windows(2) {
-                let ((f0, r0), (f1, r1)) = (w[0], w[1]);
-                if r0 < 1.0 && r1 >= 1.0 {
-                    return f0 + (f1 - f0) * (1.0 - r0) / (r1 - r0);
-                }
-            }
-            points.last().unwrap().0
-        }
-    }
 }
 
 /// One sweep-throughput row from its per-round timings (optional: the
@@ -234,15 +153,15 @@ fn main() {
         // ---- forward full-sweep throughput ----
         {
             let mut graph = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            graph.set_sweep_budgets((0, 1), (0, 1)); // every flush is a full sweep
-            let probe = gates[gates.len() / 2];
-            let base = graph.sizing().cin_ff(probe);
+            let base: Vec<f64> = gates.iter().map(|&g| graph.sizing().cin_ff(g)).collect();
             let rounds = ((1usize << 21) / n).clamp(4, 64) & !1;
             let mut ns = Vec::with_capacity(rounds);
             for r in 0..rounds {
-                let cin = if r % 2 == 0 { base * 1.2 } else { base };
+                let scale = if r % 2 == 0 { 1.2 } else { 1.0 };
+                // Every gate resized: the seed count alone sends the
+                // flush to the full sweep.
+                graph.resize_gates(gates.iter().zip(&base).map(|(&g, &b)| (g, b * scale)));
                 let t0 = Instant::now();
-                graph.resize_gate(probe, cin);
                 std::hint::black_box(graph.critical_delay_ps());
                 ns.push(t0.elapsed().as_nanos() as f64);
             }
@@ -252,8 +171,6 @@ fn main() {
         // ---- backward full-sweep throughput ----
         {
             let mut graph = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            // Every flush is a full sweep.
-            graph.set_sweep_budgets((0, 1), (0, 1));
             // Settle the forward side once up front; each timed round
             // then toggles the constraint — a wholesale backward
             // invalidation — so the worst-slack read pays exactly one
@@ -345,90 +262,6 @@ fn main() {
                 row.speedup_mean,
             );
             rows.push(Row::Lazy(row));
-        }
-
-        // ---- drain-vs-sweep calibration across dirty fractions ----
-        let mut calib_points: Vec<(f64, f64)> = Vec::new();
-        {
-            let mut drain = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            let mut sweep = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            drain.set_sweep_budgets((1, 1), (1, 1)); // the cut-over can never fire
-            sweep.set_sweep_budgets((0, 1), (0, 1)); // every flush is a full sweep
-            let rounds = ((1usize << 20) / n).clamp(4, 8) & !1;
-
-            for fraction in [0.25f64, 0.5, 0.75, 0.9] {
-                let dirty = spaced_gates(&gates, (fraction * n as f64) as usize);
-                let base: Vec<f64> = dirty.iter().map(|&g| drain.sizing().cin_ff(g)).collect();
-                let mut drain_ns = Vec::with_capacity(rounds);
-                let mut sweep_ns = Vec::with_capacity(rounds);
-
-                for r in 0..rounds {
-                    let scale = if r % 2 == 0 { 1.2 } else { 1.0 };
-                    let changes: Vec<(GateId, f64)> = dirty
-                        .iter()
-                        .zip(&base)
-                        .map(|(&g, &b)| (g, b * scale))
-                        .collect();
-
-                    let t0 = Instant::now();
-                    drain.resize_gates(changes.iter().copied());
-                    let d_drain = std::hint::black_box(drain.critical_delay_ps());
-                    drain_ns.push(t0.elapsed().as_nanos() as f64);
-
-                    let t0 = Instant::now();
-                    sweep.resize_gates(changes.iter().copied());
-                    let d_sweep = std::hint::black_box(sweep.critical_delay_ps());
-                    sweep_ns.push(t0.elapsed().as_nanos() as f64);
-
-                    assert_eq!(
-                        d_drain.to_bits(),
-                        d_sweep.to_bits(),
-                        "{class} f={fraction}: drain diverged from forced sweep"
-                    );
-                }
-
-                let (d_med, s_med) = (median(drain_ns), median(sweep_ns.clone()));
-                let ratio = d_med / s_med;
-                calib_points.push((fraction, ratio));
-                println!(
-                    "  calibration f={fraction:<4}  drain {:>10}  sweep {:>10}  ratio {ratio:.2}",
-                    format_ns(d_med),
-                    format_ns(s_med),
-                );
-                rows.push(Row::Calib(CalibRow {
-                    kind: "calibration",
-                    circuit: class.clone(),
-                    gates: n,
-                    rounds,
-                    dirty_fraction: fraction,
-                    drain_median_ns: d_med,
-                    sweep_median_ns: s_med,
-                    drain_over_sweep: ratio,
-                    optional: true,
-                }));
-            }
-        }
-
-        // ---- configured budgets next to the measured crossover ----
-        {
-            let graph = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            let (fwd, bwd) = graph.sweep_budgets();
-            let crossover = crossover_fraction(&calib_points);
-            println!(
-                "  budget_config  fwd {}/{}  bwd {}/{}  measured crossover {crossover:.2}",
-                fwd.0, fwd.1, bwd.0, bwd.1,
-            );
-            rows.push(Row::Config(ConfigRow {
-                kind: "budget_config",
-                circuit: class.clone(),
-                gates: n,
-                fwd_budget: fwd,
-                bwd_budget: bwd,
-                forward_sweep_fraction: f64::from(fwd.0) / f64::from(fwd.1),
-                backward_sweep_fraction: f64::from(bwd.0) / f64::from(bwd.1),
-                measured_crossover_fraction: crossover,
-                optional: true,
-            }));
         }
     }
 

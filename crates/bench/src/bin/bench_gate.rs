@@ -8,13 +8,11 @@
 //!
 //! Every `BENCH_*.json` in `<baseline_dir>` that also exists in
 //! `<current_dir>` is parsed as an array of row objects; rows are keyed
-//! by their `kind` and `circuit` members plus the optional `k`,
-//! `threads` and `dirty_fraction` members (a batch size, a worker count
-//! and a calibration point). For each pair of rows, every `speedup_*`
-//! member in the baseline must be
-//! matched by a current value no lower than `baseline · (1 − tolerance)`
-//! (default tolerance 0.20 — bench runners are noisy; the gate catches
-//! real regressions, not jitter). A baseline row or member missing from
+//! by their `kind` and `circuit` members plus the optional `k` member
+//! (a batch size). For each pair of rows, every `speedup_*` member in
+//! the baseline must be matched by a current value no lower than
+//! `baseline · (1 − tolerance)` (default tolerance 0.20 — bench
+//! runners are noisy; the gate catches real regressions, not jitter). A baseline row or member missing from
 //! the current artifact fails too: silently dropping a measurement is
 //! how regressions hide. The one escape hatch is a baseline row
 //! carrying `"optional": true` — those rows may be absent from the
@@ -48,12 +46,6 @@ fn row_key(row: &Value) -> String {
     }
     if let Some(k) = row.get("k").and_then(Value::as_f64) {
         key.push_str(&format!(" K={k}"));
-    }
-    if let Some(t) = row.get("threads").and_then(Value::as_f64) {
-        key.push_str(&format!(" T={t}"));
-    }
-    if let Some(f) = row.get("dirty_fraction").and_then(Value::as_f64) {
-        key.push_str(&format!(" f={f}"));
     }
     key
 }
@@ -245,25 +237,16 @@ mod tests {
     }
 
     #[test]
-    fn row_keys_distinguish_k_threads_and_fraction() {
+    fn row_keys_distinguish_batch_sizes() {
         let r = rows(
             r#"[
                 {"circuit":"synth10k"},
                 {"circuit":"synth10k","k":8},
-                {"circuit":"synth10k","threads":4},
-                {"circuit":"synth10k","dirty_fraction":0.75}
+                {"circuit":"synth10k","k":64}
             ]"#,
         );
         let keys: Vec<String> = r.iter().map(row_key).collect();
-        assert_eq!(
-            keys,
-            [
-                "synth10k",
-                "synth10k K=8",
-                "synth10k T=4",
-                "synth10k f=0.75"
-            ]
-        );
+        assert_eq!(keys, ["synth10k", "synth10k K=8", "synth10k K=64"]);
     }
 
     #[test]
@@ -306,27 +289,28 @@ mod tests {
     }
 
     #[test]
-    fn thread_rows_do_not_collide() {
-        // Two thread rows of the same circuit: each must match its own
-        // counterpart, not the first row that shares the circuit name.
+    fn k_rows_do_not_collide() {
+        // Two batch-size rows of the same circuit: each must match its
+        // own counterpart, not the first row that shares the circuit
+        // name.
         let base = rows(
             r#"[
-                {"circuit":"synth10k","threads":1,"speedup_median":1.0},
-                {"circuit":"synth10k","threads":4,"speedup_median":3.0}
+                {"circuit":"synth10k","k":8,"speedup_median":1.0},
+                {"circuit":"synth10k","k":64,"speedup_median":3.0}
             ]"#,
         );
         let cur = rows(
             r#"[
-                {"circuit":"synth10k","threads":4,"speedup_median":3.1},
-                {"circuit":"synth10k","threads":1,"speedup_median":1.0}
+                {"circuit":"synth10k","k":64,"speedup_median":3.1},
+                {"circuit":"synth10k","k":8,"speedup_median":1.0}
             ]"#,
         );
         assert_eq!(gate_rows("t", &base, &cur, 0.2), 0);
-        // Regress only the 4-thread row: exactly one failure.
+        // Regress only the K=64 row: exactly one failure.
         let cur = rows(
             r#"[
-                {"circuit":"synth10k","threads":4,"speedup_median":1.5},
-                {"circuit":"synth10k","threads":1,"speedup_median":1.0}
+                {"circuit":"synth10k","k":64,"speedup_median":1.5},
+                {"circuit":"synth10k","k":8,"speedup_median":1.0}
             ]"#,
         );
         assert_eq!(gate_rows("t", &base, &cur, 0.2), 1);

@@ -74,7 +74,7 @@
 //!
 //! N resizes followed by one slack read pay **one** merged backward
 //! propagation instead of N eager ones; the seeds deduplicate in the
-//! rank bitsets, and the bitwise convergence cut still confines the
+//! dirty sets, and the bitwise convergence cut still confines the
 //! flush to the union cone.
 //!
 //! The **forward** state is lazy under the same generation counter.
@@ -82,10 +82,9 @@
 //! structural edit touched or created, pending load/slope rescans — and
 //! the first *forward* query (`critical_delay_ps`, `arrival_ps`,
 //! `slope_ps`, `net_load_ff`, `gate_delay_worst_ps`, `critical_path`,
-//! `path_to`, and every [`TimingView`] read) materializes them into the
-//! rank bitset and drains one merged forward cone, with the same
-//! budgeted cut-over to a straight full topo sweep when the cone
-//! saturates. Backward queries are **two-phase**: they flush forward
+//! `path_to`, and every [`TimingView`] read) marks them into the dirty
+//! set and drains one merged forward cone — or sweeps, see *Drain or
+//! sweep* below. Backward queries are **two-phase**: they flush forward
 //! first (required times and completion bounds re-derive from final
 //! slopes, loads and worst delays), then drain the backward seeds the
 //! forward flush just deposited. The eager/lazy distinction is
@@ -108,24 +107,31 @@
 //!
 //! # Rank-major slabs
 //!
-//! At 100k–1M gates the budgeted full sweeps are memory-bound, so the
+//! At 100k–1M gates the full sweeps are memory-bound, so the
 //! floating-point state lives in **rank-major struct-of-arrays slabs**
 //! instead of id-keyed records. The cached topo order is *level-major*:
 //! gates are counting-sorted by logic level (stable by topo order
 //! within a level), `rank[g]` is the gate's position in that order and
 //! `level_start[l] .. level_start[l+1]` delimits level `l` — the level
-//! profile the adaptive drain-to-sweep cut-over reads off a dirty set.
-//! A level-major order is still a topological order, so every ascending
-//! / descending bitset cursor works unchanged. Net state is indexed by
+//! profile the drain-or-sweep rule reads off a dirty set. A level-major
+//! order is still a topological order, so ascending and descending
+//! drains work unchanged. Net state is indexed by
 //! **slot**: the driverless nets (primary inputs and any undriven nets)
 //! occupy slots `0..n_src` in net-id order, and the net driven by the
 //! gate at position `p` occupies slot `n_src + p` — a full sweep
 //! therefore *streams* the arrival/slope/pred/load/required slabs in
 //! memory order instead of pointer-chasing the netlist.
 //!
-//! Every flush is sequential: one bitset cursor per direction drives
-//! the per-gate kernels of `crate::kernel`, the same kernels the full
-//! sweeps run.
+//! # Drain or sweep
+//!
+//! Every flush — forward, required times, completion bounds — marks its
+//! seed logs into a dirty set over topo positions and drains it with
+//! the one drain loop of `crate::dirty`: positions pop in dependency
+//! order (ascending forward, descending backward), each runs its
+//! per-gate kernel from `crate::kernel`, and a changed output marks the
+//! kernel's neighbours. One rule, `TimingGraph::drain_limit`, decides
+//! per flush when a straight full sweep over the same kernels is
+//! cheaper; drain and sweep land on the same bits.
 
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
@@ -138,9 +144,10 @@ use pops_netlist::{CellKind, Circuit, GateId, NetId, NetlistError, VtClass};
 use crate::analysis::{
     compatible_input_edges, eidx, AnalyzeOptions, EdgeDir, NetlistPath, TimingView, EDGES,
 };
+use crate::dirty::{Direction, DirtySet, Drained};
 use crate::error::StaError;
 use crate::kernel::{
-    range_any, BwdView, EvalCtx, FwdView, PredPair, F_ARRIVAL, F_DELAY, F_OUT_CHANGED, F_SLOPE,
+    BwdView, EvalCtx, FwdView, PredPair, F_ARRIVAL, F_DELAY, F_OUT_CHANGED, F_SLOPE,
 };
 use crate::sizing::Sizing;
 use crate::slack::{min2, SlackReport, SlackView, WorstSlackIndex};
@@ -314,6 +321,8 @@ pub struct TimingGraph<'c> {
     slot_of: Vec<u32>,
     /// Number of driverless nets (= the first gate-driven slot).
     n_src: usize,
+    /// The driverless nets in slot order (`sources[s]` occupies slot `s`).
+    sources: Vec<NetId>,
     /// Driver gate of each net (`None` for primary inputs).
     net_driver: Vec<Option<GateId>>,
 
@@ -361,13 +370,6 @@ pub struct TimingGraph<'c> {
     /// last flushed at; the pairs implement the lazy clean →
     /// dirty(gen) → flushed cycle in both directions.
     gen: u64,
-    /// Forward sweep cut-over budget as a rational fraction
-    /// `(num, den)` of the gate count: the flush abandons the drain for
-    /// a full sweep once `dirty_count >= n·num/den + 1`.
-    fwd_budget: (u32, u32),
-    /// Backward (required/completion) sweep cut-over budget, same
-    /// encoding.
-    bwd_budget: (u32, u32),
     /// Maintained forward state (arrivals, slopes, loads, worst gate
     /// delays) plus its lazy seed logs. Interior-mutable so `&self`
     /// queries can perform the lazy flush — mutators go through
@@ -389,8 +391,8 @@ struct ForwardState {
     /// slot `s` at corner `c` is entry `s * n_corners + c` (see
     /// [`TimingGraph::slot_of`]); `-inf` where unreachable. Slabs
     /// instead of per-net records: a full sweep writes slots in memory
-    /// order (gate `p` owns slot `n_src + p`), so the budgeted cut-over
-    /// streams memory-bandwidth-bound. The corner lanes ride in the
+    /// order (gate `p` owns slot `n_src + p`), so the sweep streams
+    /// memory-bandwidth-bound. The corner lanes ride in the
     /// same stride-`n_corners` layout, propagated together in one pass.
     arrival: Vec<[f64; 2]>,
     /// Transition time per edge (ps), slot- and corner-indexed.
@@ -408,17 +410,11 @@ struct ForwardState {
     /// Worst primary output `(net, edge)` per corner (corner-indexed).
     critical_net: Vec<Option<(NetId, Edge)>>,
 
-    /// Dirty set as a bitset over topo *ranks* (bit `r` of word `r/64`).
-    /// Populated only *inside* a flush (mutators append to the id-keyed
-    /// seed logs instead, so graph surgery can re-rank freely without
-    /// orphaning pending marks) and walked with a forward cursor +
-    /// `trailing_zeros` — marks always target strictly higher ranks, so
-    /// no priority queue is needed to process gates in rank order.
-    dirty_bits: Vec<u64>,
-    /// Dirty gates not yet re-evaluated.
-    dirty_count: usize,
-    /// Lowest rank marked since the last drain.
-    min_dirty_rank: u32,
+    /// Gates to re-evaluate, by topo position. Populated only *inside*
+    /// a flush (mutators append to the id-keyed seed logs instead, so
+    /// graph surgery can re-rank freely without orphaning pending
+    /// marks) and drained in ascending order.
+    dirty: DirtySet,
 
     /// Generation ([`TimingGraph::gen`]) the forward state last flushed
     /// at; a mismatch means seeds are pending and the next forward
@@ -428,9 +424,8 @@ struct ForwardState {
 
     /// Seed logs: the mutation-side half of the forward lazy contract.
     /// Mutators only *append* ids here — no rank lookups, no bitset
-    /// read-modify-writes — and the flush materializes them into the
-    /// rank-keyed dirty set (or discards them when it saturates to the
-    /// full sweep). Entries may repeat; ids are stable across
+    /// read-modify-writes — and the flush marks them into the
+    /// position-keyed dirty set. Entries may repeat; ids are stable across
     /// append-only surgery, so no translation is needed when ranks are
     /// reassigned.
     ///
@@ -453,6 +448,20 @@ struct ForwardState {
     reslope_pis: bool,
 }
 
+impl ForwardState {
+    /// The per-gate kernels' view of the slabs, beside the dirty set.
+    fn split(&mut self) -> (FwdView<'_>, &mut DirtySet) {
+        let view = FwdView {
+            arrival: &mut self.arrival,
+            slope: &mut self.slope,
+            pred: &mut self.pred,
+            load: &self.load,
+            gate_delay_worst: &mut self.gate_delay_worst,
+        };
+        (view, &mut self.dirty)
+    }
+}
+
 /// The circuit-derived arrays of a [`TimingGraph`]: topology, adjacency
 /// and flattened model constants — everything except the floating-point
 /// timing state. Rebuilt wholesale by [`TimingGraph::apply_edits`]
@@ -465,6 +474,7 @@ struct Structure {
     level_start: Vec<u32>,
     slot_of: Vec<u32>,
     n_src: usize,
+    sources: Vec<NetId>,
     net_driver: Vec<Option<GateId>>,
     cell: Vec<CellKind>,
     out_net: Vec<NetId>,
@@ -482,7 +492,7 @@ fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
     // Level-major topo order: counting-sort the base topo order by
     // logic level (stable within a level). Every fanin of a gate sits
     // at a strictly lower level, so this is still a topological order —
-    // the ascending/descending cursor drains work unchanged — and each
+    // ascending and descending drains work unchanged — and each
     // level is a contiguous run of mutually independent gates.
     let base_topo = circuit.topo_order()?;
     let levels = circuit.logic_levels()?;
@@ -522,13 +532,14 @@ fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
     // Slab slots: driverless nets first (net-id order), then one slot
     // per gate at `n_src + rank[driver]` — a bijection onto
     // `0..n_nets`, since every gate drives exactly one net.
+    let sources: Vec<NetId> = circuit
+        .net_ids()
+        .filter(|n| net_driver[n.index()].is_none())
+        .collect();
+    let n_src = sources.len();
     let mut slot_of = vec![0u32; n_nets];
-    let mut n_src = 0usize;
-    for (i, d) in net_driver.iter().enumerate() {
-        if d.is_none() {
-            slot_of[i] = n_src as u32;
-            n_src += 1;
-        }
+    for (s, n) in sources.iter().enumerate() {
+        slot_of[n.index()] = s as u32;
     }
     for (i, d) in net_driver.iter().enumerate() {
         if let Some(g) = d {
@@ -567,6 +578,7 @@ fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
         level_start,
         slot_of,
         n_src,
+        sources,
         net_driver,
         cell,
         out_net,
@@ -684,24 +696,16 @@ struct BackwardState {
     /// bound; `-inf` off every PI→PO path).
     completion: Vec<f64>,
 
-    /// Required-dirty set over the topo ranks of net *drivers* (each
-    /// gate drives exactly one net, so driven nets map 1:1 onto ranks).
-    /// Walked with a descending cursor + `leading_zeros`: backward
-    /// marks always target strictly lower ranks.
-    req_bits: Vec<u64>,
-    req_count: usize,
-    /// Highest rank marked since the last backward propagation.
-    req_max_rank: u32,
-    /// Required-dirty primary-input nets: sinks of the backward walk
-    /// (no driver to propagate through), evaluated after the rank loop
-    /// drains. The bitset dedupes, the vec preserves O(dirty) drain.
-    pi_bits: Vec<u64>,
-    pi_dirty: Vec<NetId>,
-
-    /// Completion-dirty set over topo ranks, same walk as `req_bits`.
-    comp_bits: Vec<u64>,
-    comp_count: usize,
-    comp_max_rank: u32,
+    /// Driven nets whose required times must re-derive, by the topo
+    /// position of their driver (net slot `n_src + p`), drained in
+    /// descending order.
+    req: DirtySet,
+    /// Driverless nets whose required times must re-derive, by slot:
+    /// sinks of the backward walk, drained after `req`.
+    req_src: DirtySet,
+    /// Gates whose completion bounds must re-derive, by topo position,
+    /// drained in descending order.
+    comp: DirtySet,
 
     /// Generation ([`TimingGraph::gen`]) the required-time state (and
     /// the worst-slack index) last flushed at; a mismatch means seeds
@@ -716,9 +720,9 @@ struct BackwardState {
     /// Seed logs: the mutation-side half of the lazy contract. Hot
     /// paths (resize batches, forward cone evaluation) only *append*
     /// ids here — no rank lookups, no bitset read-modify-writes — and
-    /// the flush materializes them into the rank-keyed dirty sets (or
-    /// discards them wholesale when it saturates to a full sweep).
-    /// Entries may repeat; ids are stable across append-only surgery,
+    /// the flush marks them into the position-keyed dirty sets (a
+    /// wholesale invalidation discards them: its full sets subsume
+    /// them). Entries may repeat; ids are stable across append-only surgery,
     /// so no translation is needed when ranks are reassigned.
     ///
     /// Gates whose drive changed: their fanin nets' required times and
@@ -823,6 +827,7 @@ impl<'c> TimingGraph<'c> {
             level_start: s.level_start,
             slot_of: s.slot_of,
             n_src: s.n_src,
+            sources: s.sources,
             net_driver: s.net_driver,
             gate_params,
             corner_libs,
@@ -838,8 +843,6 @@ impl<'c> TimingGraph<'c> {
             pis: s.pis,
             pos: s.pos,
             gen: 0,
-            fwd_budget: (3, 4),
-            bwd_budget: (1, 3),
             fwd: RefCell::new(ForwardState {
                 arrival: vec![[f64::NEG_INFINITY; 2]; n_nets * nc],
                 slope: vec![[0.0; 2]; n_nets * nc],
@@ -847,9 +850,7 @@ impl<'c> TimingGraph<'c> {
                 load: vec![0.0; n_nets],
                 gate_delay_worst: vec![0.0f64; n_gates * nc],
                 critical_net: vec![None; nc],
-                dirty_bits: vec![0u64; n_gates.div_ceil(64)],
-                dirty_count: 0,
-                min_dirty_rank: u32::MAX,
+                dirty: DirtySet::new(n_gates),
                 flushed_gen: 0,
                 resized_log: Vec::new(),
                 gate_log: Vec::new(),
@@ -923,8 +924,8 @@ impl<'c> TimingGraph<'c> {
     /// * **level monotonicity** — `level_start` partitions the topo
     ///   positions and every gate's fanin drivers sit in strictly lower
     ///   levels;
-    /// * **dirty-bitset vs generation agreement** — bitset popcounts
-    ///   bit-match the maintained counts, and state flushed to the
+    /// * **dirty-set vs generation agreement** — every dirty set's
+    ///   popcount matches its maintained count, and state flushed to the
     ///   current mutation generation holds no pending marks, seed-log
     ///   entries or rescan flags;
     /// * **worst-slack tree agreement** — every leaf bit-matches an
@@ -1036,12 +1037,8 @@ impl<'c> TimingGraph<'c> {
         // Dirty bookkeeping vs generation agreement. The flushes above
         // settled everything to the current generation, so every mark,
         // seed log and rescan flag must now be clear.
-        let pop: usize = fwd.dirty_bits.iter().map(|w| w.count_ones() as usize).sum();
-        if pop != fwd.dirty_count {
-            return corrupt(format!(
-                "forward dirty popcount {pop} != dirty_count {}",
-                fwd.dirty_count
-            ));
+        if let Err(e) = fwd.dirty.check_count() {
+            return corrupt(format!("forward dirty set: {e}"));
         }
         if fwd.flushed_gen != self.gen {
             return corrupt(format!(
@@ -1049,7 +1046,7 @@ impl<'c> TimingGraph<'c> {
                 fwd.flushed_gen, self.gen
             ));
         }
-        if fwd.dirty_count != 0
+        if !fwd.dirty.is_empty()
             || !fwd.resized_log.is_empty()
             || !fwd.gate_log.is_empty()
             || fwd.scan_loads
@@ -1059,7 +1056,7 @@ impl<'c> TimingGraph<'c> {
             return corrupt(format!(
                 "flushed forward state still dirty: {} marks, {} resize seeds, {} gate seeds, \
                  flags {}/{}/{}",
-                fwd.dirty_count,
+                fwd.dirty.count(),
                 fwd.resized_log.len(),
                 fwd.gate_log.len(),
                 fwd.scan_loads,
@@ -1110,17 +1107,14 @@ impl<'c> TimingGraph<'c> {
 
         let guard = self.backward.borrow();
         if let Some(bw) = guard.as_ref() {
-            let req_pop: usize = bw.req_bits.iter().map(|w| w.count_ones() as usize).sum();
-            let comp_pop: usize = bw.comp_bits.iter().map(|w| w.count_ones() as usize).sum();
-            let pi_pop: usize = bw.pi_bits.iter().map(|w| w.count_ones() as usize).sum();
-            if req_pop != bw.req_count || comp_pop != bw.comp_count || pi_pop != bw.pi_dirty.len() {
-                return corrupt(format!(
-                    "backward dirty popcounts {req_pop}/{comp_pop}/{pi_pop} disagree with \
-                     counts {}/{}/{}",
-                    bw.req_count,
-                    bw.comp_count,
-                    bw.pi_dirty.len()
-                ));
+            for (name, set) in [
+                ("required", &bw.req),
+                ("required source", &bw.req_src),
+                ("completion", &bw.comp),
+            ] {
+                if let Err(e) = set.check_count() {
+                    return corrupt(format!("{name} dirty set: {e}"));
+                }
             }
             if bw.req_flushed_gen != self.gen || bw.comp_flushed_gen != self.gen {
                 return corrupt(format!(
@@ -1129,9 +1123,9 @@ impl<'c> TimingGraph<'c> {
                     bw.req_flushed_gen, bw.comp_flushed_gen, self.gen
                 ));
             }
-            if bw.req_count != 0
-                || bw.comp_count != 0
-                || !bw.pi_dirty.is_empty()
+            if !bw.req.is_empty()
+                || !bw.comp.is_empty()
+                || !bw.req_src.is_empty()
                 || !bw.resized_log.is_empty()
                 || !bw.req_net_log.is_empty()
                 || !bw.comp_gate_log.is_empty()
@@ -1141,9 +1135,9 @@ impl<'c> TimingGraph<'c> {
                 return corrupt(format!(
                     "flushed backward state still dirty: {}/{} marks, {} PI sinks, \
                      {}+{}+{}+{} seeds, refold_all {}",
-                    bw.req_count,
-                    bw.comp_count,
-                    bw.pi_dirty.len(),
+                    bw.req.count(),
+                    bw.comp.count(),
+                    bw.req_src.count(),
                     bw.resized_log.len(),
                     bw.req_net_log.len(),
                     bw.comp_gate_log.len(),
@@ -1178,12 +1172,7 @@ impl<'c> TimingGraph<'c> {
             // the slabs, internal nodes (root included) against their
             // children.
             let keys: Vec<f64> = (0..n_nets)
-                .map(|slot| {
-                    WorstSlackIndex::key_over(
-                        &bw.required[slot * nc..(slot + 1) * nc],
-                        &fwd.arrival[slot * nc..(slot + 1) * nc],
-                    )
-                })
+                .map(|slot| slack_key(&bw.required, &fwd.arrival, nc, slot))
                 .collect();
             if let Err(detail) = bw.worst.audit_against(&keys) {
                 return corrupt(detail);
@@ -1200,10 +1189,9 @@ impl<'c> TimingGraph<'c> {
         self.stats.set(s);
     }
 
-    // ---- execution knobs ----
+    // ---- worker-pool shims ----
     //
-    // Performance-only: drain and sweep converge to the same bits, so
-    // none of these changes what any query returns or bumps the
+    // Inert: none of these changes what any query returns or bumps the
     // mutation generation.
 
     /// Always 1: every flush is sequential. Kept only for callers
@@ -1223,46 +1211,30 @@ impl<'c> TimingGraph<'c> {
         usize::MAX
     }
 
-    /// The sweep cut-over budgets as `(forward, backward)` rational
-    /// fractions `(num, den)` of the gate count: a flush abandons the
-    /// dirty-cone drain for a straight full sweep once the dirty count
-    /// reaches `n·num/den + 1`. Defaults `(3, 4)` forward, `(1, 3)`
-    /// backward.
-    pub fn sweep_budgets(&self) -> ((u32, u32), (u32, u32)) {
-        (self.fwd_budget, self.bwd_budget)
-    }
-
-    /// Override the sweep cut-over budgets (see
-    /// [`TimingGraph::sweep_budgets`]). `(0, 1)` forces the sweep on
-    /// any dirty flush; `(1, 1)` disables the count-based cut-over
-    /// (pure drain) — the calibration rows of the `sta_scaling` bench
-    /// measure both extremes to locate the real crossover. Integer
-    /// rationals, not floats: the defaults must reproduce the historic
-    /// `3n/4 + 1` and `n/3 + 1` budgets exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a denominator is zero.
-    pub fn set_sweep_budgets(&mut self, forward: (u32, u32), backward: (u32, u32)) {
-        assert!(
-            forward.1 > 0 && backward.1 > 0,
-            "budget denominators must be nonzero"
-        );
-        self.fwd_budget = forward;
-        self.bwd_budget = backward;
-    }
-
-    /// `n·num/den + 1` in integer arithmetic (no float rounding: the
-    /// default budgets must match the historic integer expressions bit
-    /// for bit).
-    fn budget(n: usize, (num, den): (u32, u32)) -> usize {
-        n * num as usize / den as usize + 1
-    }
-
     /// Slab slot of a net's timing state.
     #[inline]
     fn slot(&self, net: NetId) -> usize {
         self.slot_of[net.index()] as usize
+    }
+
+    /// The net whose timing state occupies `slot`.
+    fn net_at(&self, slot: usize) -> NetId {
+        match slot.checked_sub(self.n_src) {
+            Some(pos) => self.out_net[self.topo[pos].index()],
+            None => self.sources[slot],
+        }
+    }
+
+    /// Topo position of a gate.
+    #[inline]
+    fn pos(&self, gate: GateId) -> usize {
+        self.rank[gate.index()] as usize
+    }
+
+    /// Slots of a gate's fanin nets, in pin order.
+    fn fanin_slots_of(&self, gate: GateId) -> &[u32] {
+        let gi = gate.index();
+        &self.fanin_slots[self.fanin_off[gi] as usize..self.fanin_off[gi + 1] as usize]
     }
 
     /// Number of process corners the graph maintains (the stride of
@@ -1559,18 +1531,7 @@ impl<'c> TimingGraph<'c> {
     fn resync_after_surgery(&mut self, applied: &[AppliedEdit]) -> Result<(), NetlistError> {
         let s = build_structure(self.circuit.as_ref())?;
         let n_gates = s.topo.len();
-        let n_nets = s.net_driver.len();
         let nc = self.corner_libs.len();
-
-        // Pending lazy seeds live in the id-keyed logs, which survive
-        // append-only surgery untouched. The rank-keyed backward
-        // bitsets are populated outside a flush only by a wholesale
-        // invalidation (constraint/option change with no query since):
-        // remember that and re-invalidate under the new ranks below.
-        let (req_invalidated, comp_invalidated) = match self.backward.get_mut().as_ref() {
-            Some(bw) => (bw.req_count > 0, bw.comp_count > 0),
-            None => (false, false),
-        };
 
         // Surgery re-levels and re-ranks arbitrarily, and the slabs are
         // keyed by slot/position — keep the old keys to permute the
@@ -1580,6 +1541,7 @@ impl<'c> TimingGraph<'c> {
         self.topo = s.topo;
         self.level_start = s.level_start;
         self.n_src = s.n_src;
+        self.sources = s.sources;
         self.net_driver = s.net_driver;
         self.cell = s.cell;
         // Created gates enter in the default Vt variant; surviving
@@ -1603,13 +1565,11 @@ impl<'c> TimingGraph<'c> {
         // Per-gate / per-net timing state: existing entries keep their
         // values (they are still bit-correct wherever the edits did not
         // reach) — permuted into the new slot/rank layout — and new ids
-        // get neutral initial state. The forward dirty bitset is
-        // populated only inside a flush and every flush drains it
-        // before returning, so re-ranking cannot orphan a pending mark;
-        // the id-keyed seed logs survive as they are.
+        // get neutral initial state. Pending lazy seeds live in the
+        // id-keyed logs, which survive append-only surgery untouched.
         {
             let fwd = self.fwd.get_mut();
-            debug_assert_eq!(fwd.dirty_count, 0, "surgery over a drained queue");
+            debug_assert!(fwd.dirty.is_empty(), "surgery over a drained queue");
             fwd.arrival = remap_slots(
                 &fwd.arrival,
                 &old_slot_of,
@@ -1622,8 +1582,7 @@ impl<'c> TimingGraph<'c> {
             fwd.load = remap_slots(&fwd.load, &old_slot_of, &self.slot_of, 0.0, 1);
             fwd.gate_delay_worst =
                 remap_ranks(&fwd.gate_delay_worst, &old_rank, &self.rank, 0.0, nc);
-            fwd.dirty_bits = vec![0u64; n_gates.div_ceil(64)];
-            fwd.min_dirty_rank = u32::MAX;
+            fwd.dirty = DirtySet::new(n_gates);
             // Load deltas are detected lazily: the cached loads are
             // still the pre-edit values, so the flush recompares every
             // net under the edited structure and seeds the drivers of
@@ -1646,7 +1605,6 @@ impl<'c> TimingGraph<'c> {
             .map_err(|e| NetlistError::InvalidId(e.to_string()))?;
         assert_eq!(self.sizing.len(), n_gates, "one size per gate");
         {
-            let pis = &self.pis;
             let (new_slot_of, new_rank) = (&self.slot_of, &self.rank);
             if let Some(bw) = self.backward.get_mut().as_mut() {
                 bw.required = remap_slots(
@@ -1658,23 +1616,19 @@ impl<'c> TimingGraph<'c> {
                 );
                 bw.completion =
                     remap_ranks(&bw.completion, &old_rank, new_rank, f64::NEG_INFINITY, nc);
-                // Rank-keyed bitsets restart empty at the new gate
-                // count; a pending invalidation re-marks everything
-                // under the new ranks. The id-keyed seed logs survive
-                // as they are.
-                bw.req_bits = vec![0u64; n_gates.div_ceil(64)];
-                bw.req_count = 0;
-                bw.req_max_rank = 0;
-                bw.comp_bits = vec![0u64; n_gates.div_ceil(64)];
-                bw.comp_count = 0;
-                bw.comp_max_rank = 0;
-                bw.pi_bits = vec![0u64; n_nets.div_ceil(64)];
-                bw.pi_dirty.clear();
-                if req_invalidated {
-                    Self::mark_all_required(bw, n_gates, pis);
-                }
-                if comp_invalidated {
-                    Self::mark_all_completion(bw, n_gates);
+                // Marks cannot follow a re-ranking, but outside a flush
+                // a dirty set is only ever empty or — after a wholesale
+                // invalidation — full: re-invalidate under the new ranks.
+                for (set, size) in [
+                    (&mut bw.req, n_gates),
+                    (&mut bw.req_src, self.n_src),
+                    (&mut bw.comp, n_gates),
+                ] {
+                    let invalidated = !set.is_empty();
+                    *set = DirtySet::new(size);
+                    if invalidated {
+                        set.fill();
+                    }
                 }
                 // The edit moved loads/drivers arbitrarily: refold the
                 // worst-slack index wholesale at the next flush (its
@@ -1692,7 +1646,9 @@ impl<'c> TimingGraph<'c> {
         // only to never under-seed.
         for edit in applied {
             for &net in edit.touched_nets.iter().chain(&edit.new_nets) {
-                self.log_required_net(net);
+                if let Some(bw) = self.backward.get_mut() {
+                    bw.req_net_log.push(net);
+                }
                 if let Some(driver) = self.net_driver[net.index()] {
                     self.seed_edited_gate(driver);
                 }
@@ -1810,17 +1766,17 @@ impl<'c> TimingGraph<'c> {
                 return fwd.load[self.slot(net)];
             }
         }
-        let load = self.fresh_net_load(net);
+        let load = self.fresh_net_load(net.index());
         self.stat(|s| s.load_only_settles += 1);
         load
     }
 
     /// Exact load of one net under the current sizing and options,
-    /// computed without touching the cached slab — same pin order and
-    /// summation as [`TimingGraph::recompute_net_load`], so it
-    /// reproduces the flushed value bit for bit.
-    fn fresh_net_load(&self, net: NetId) -> f64 {
-        let i = net.index();
+    /// computed without touching the cached slab: the full pass's
+    /// summation order (the flattened fanout array preserves the
+    /// circuit's load-pin order), so it reproduces the flushed value bit
+    /// for bit.
+    fn fresh_net_load(&self, i: usize) -> f64 {
         let (lo, hi) = (self.fanout_off[i] as usize, self.fanout_off[i + 1] as usize);
         let mut load = 0.0;
         for &g in &self.fanout[lo..hi] {
@@ -1886,7 +1842,7 @@ impl<'c> TimingGraph<'c> {
         let nc = self.corner_libs.len();
         let cell = self.cell[gi];
         let cin = self.sizing.cin_ff(gate);
-        let load = self.fresh_net_load(self.out_net[gi]);
+        let load = self.fresh_net_load(self.out_net[gi].index());
         let params = &self.gate_params[gi * nc];
         let ArcTerms {
             tau_out_by_edge,
@@ -1907,7 +1863,7 @@ impl<'c> TimingGraph<'c> {
                     None => fwd.slope[self.fanin_slots[idx] as usize * nc],
                     Some(d) => {
                         self.gate_params[d.index() * nc]
-                            .arc_terms(self.sizing.cin_ff(d), self.fresh_net_load(in_net))
+                            .arc_terms(self.sizing.cin_ff(d), self.fresh_net_load(in_net.index()))
                             .tau_out_by_edge
                     }
                 }
@@ -2044,14 +2000,9 @@ impl<'c> TimingGraph<'c> {
             tc_ps,
             required: vec![[f64::INFINITY; 2]; n_nets * nc],
             completion: vec![f64::NEG_INFINITY; n_gates * nc],
-            req_bits: vec![0u64; n_gates.div_ceil(64)],
-            req_count: 0,
-            req_max_rank: 0,
-            pi_bits: vec![0u64; n_nets.div_ceil(64)],
-            pi_dirty: Vec::new(),
-            comp_bits: vec![0u64; n_gates.div_ceil(64)],
-            comp_count: 0,
-            comp_max_rank: 0,
+            req: DirtySet::new(n_gates),
+            req_src: DirtySet::new(self.n_src),
+            comp: DirtySet::new(n_gates),
             // One behind: the first backward query performs the flush
             // that doubles as the initial full backward pass.
             req_flushed_gen: self.gen.wrapping_sub(1),
@@ -2240,46 +2191,31 @@ impl<'c> TimingGraph<'c> {
 
     // ---- forward internals ----
 
-    /// Exact per-net load under the current sizing; identical summation
-    /// order to the full pass for bit-equality (the flattened fanout
-    /// array preserves the circuit's load-pin order). Takes the raw net
-    /// index so whole-array sweeps need no id round-trip.
+    /// Store a net's exact load (see [`TimingGraph::fresh_net_load`]).
+    /// Takes the raw net index so whole-array sweeps need no id
+    /// round-trip.
     fn recompute_net_load(&self, fwd: &mut ForwardState, net: usize) {
-        let mut load = 0.0;
-        let (lo, hi) = (
-            self.fanout_off[net] as usize,
-            self.fanout_off[net + 1] as usize,
-        );
-        for &g in &self.fanout[lo..hi] {
-            load += self.sizing.cin_ff(g);
-        }
-        if self.is_po[net] {
-            load += self.options.po_load_ff;
-        }
-        fwd.load[self.slot_of[net] as usize] = load;
-    }
-
-    /// Rank-keyed forward mark, used only while a flush materializes
-    /// the seed logs and while its drain expands cones.
-    fn mark_dirty(&self, fwd: &mut ForwardState, gate: GateId) {
-        let rank = self.rank[gate.index()];
-        let (word, bit) = (rank as usize / 64, rank % 64);
-        if fwd.dirty_bits[word] & (1u64 << bit) == 0 {
-            fwd.dirty_bits[word] |= 1u64 << bit;
-            fwd.dirty_count += 1;
-            if rank < fwd.min_dirty_rank {
-                fwd.min_dirty_rank = rank;
-            }
-        }
+        fwd.load[self.slot_of[net] as usize] = self.fresh_net_load(net);
     }
 
     /// The forward side of the lazy flush: a no-op when the forward
-    /// state already reflects the current mutation generation;
-    /// otherwise one merged propagation covers every mutation since the
-    /// last forward query. A generation bump with no forward seeds
-    /// (e.g. a constraint change) is settled without flushing.
+    /// state already reflects the current mutation generation, or when
+    /// a generation bump left no forward seeds (e.g. a constraint
+    /// change). Otherwise one merged propagation covers every mutation
+    /// since the last forward query: the seed logs are marked into the
+    /// dirty set, which drains in ascending position order, stopping
+    /// where a gate's re-evaluated output is bit-identical to its cached
+    /// state. When [`TimingGraph::drain_limit`] says the cone covers most
+    /// of the gates, a straight full topo sweep (no set bookkeeping, no
+    /// fanout marking) finishes cheaper — and is bit-identical, because
+    /// a topo-order pass gives every gate final fanin values and
+    /// unchanged gates reproduce their cached bits exactly. Backward
+    /// cones are *not* drained here — the seeds the walk deposits into
+    /// the backward state (slope, delay and arrival changes) stay
+    /// pending until the next backward query's lazy flush.
     fn flush_forward(&self) {
-        let mut fwd = self.fwd.borrow_mut();
+        let mut guard = self.fwd.borrow_mut();
+        let fwd = &mut *guard;
         if fwd.flushed_gen == self.gen {
             return;
         }
@@ -2292,23 +2228,8 @@ impl<'c> TimingGraph<'c> {
         {
             return;
         }
-        let mut guard = self.backward.borrow_mut();
-        self.run_forward_flush(&mut fwd, guard.as_mut());
-    }
-
-    /// Materialize the forward seed logs into the rank bitset, then
-    /// drain it in ascending rank order; propagation stops where a
-    /// gate's re-evaluated output is bit-identical to its cached state.
-    /// Mirrors the backward flush's budgeted cut-over: once the cone
-    /// covers most of the ranks, a straight full topo sweep (no bitset
-    /// bookkeeping, no fanout marking) finishes cheaper than the drain
-    /// — and is bit-identical, because a topo-order pass gives every
-    /// gate final fanin values and unchanged gates reproduce their
-    /// cached bits exactly. Backward cones are *not*
-    /// drained here — the seeds the walk deposits into `bw` (slope,
-    /// delay and arrival changes) stay pending until the next backward
-    /// query's lazy flush.
-    fn run_forward_flush(&self, fwd: &mut ForwardState, mut bw: Option<&mut BackwardState>) {
+        let mut bw_guard = self.backward.borrow_mut();
+        let mut bw = bw_guard.as_mut();
         let n_gates = self.topo.len();
         let n_nets = self.net_driver.len();
 
@@ -2332,7 +2253,7 @@ impl<'c> TimingGraph<'c> {
                     continue;
                 }
                 if let Some(driver) = self.net_driver[net] {
-                    self.mark_dirty(fwd, driver);
+                    fwd.dirty.mark(self.pos(driver));
                     if let Some(bw) = bw.as_deref_mut() {
                         bw.resized_log.push(driver);
                         bw.comp_gate_log.push(driver);
@@ -2342,19 +2263,17 @@ impl<'c> TimingGraph<'c> {
         }
         if fwd.reload_pos {
             fwd.reload_pos = false;
-            for i in 0..self.pos.len() {
-                let net = self.pos[i];
+            for &net in &self.pos {
                 self.recompute_net_load(fwd, net.index());
                 if let Some(driver) = self.net_driver[net.index()] {
-                    self.mark_dirty(fwd, driver);
+                    fwd.dirty.mark(self.pos(driver));
                 }
             }
         }
         if fwd.reslope_pis {
             fwd.reslope_pis = false;
             let nc = self.corner_libs.len();
-            for i in 0..self.pis.len() {
-                let pi = self.pis[i];
+            for &pi in &self.pis {
                 let slot = self.slot(pi);
                 for c in 0..nc {
                     for e in EDGES {
@@ -2363,7 +2282,7 @@ impl<'c> TimingGraph<'c> {
                 }
                 let (lo, hi) = (self.fanout_off[pi.index()], self.fanout_off[pi.index() + 1]);
                 for j in lo..hi {
-                    self.mark_dirty(fwd, self.fanout[j as usize]);
+                    fwd.dirty.mark(self.pos(self.fanout[j as usize]));
                 }
             }
         }
@@ -2379,51 +2298,36 @@ impl<'c> TimingGraph<'c> {
                 let in_net = self.fanin[i];
                 self.recompute_net_load(fwd, in_net.index());
                 if let Some(driver) = self.net_driver[in_net.index()] {
-                    self.mark_dirty(fwd, driver);
+                    fwd.dirty.mark(self.pos(driver));
                 }
             }
-            self.mark_dirty(fwd, gate);
+            fwd.dirty.mark(self.pos(gate));
         }
         fwd.resized_log = resized;
-        let mut gate_log = std::mem::take(&mut fwd.gate_log);
-        for gate in gate_log.drain(..) {
-            self.mark_dirty(fwd, gate);
+        for gate in fwd.gate_log.drain(..) {
+            fwd.dirty.mark(self.pos(gate));
         }
-        fwd.gate_log = gate_log;
 
-        // Budgeted drain (see the doc comment). The forward budget sits
-        // at ¾ of the ranks — far looser than the backward flush's ⅓ —
-        // because `eval_gate` already hoists its arc terms once per
-        // *gate*: the sweep saves only the bitset bookkeeping and
-        // fanout marking, so it wins only when nearly every rank is
-        // dirty (option rescans, post-surgery load scans, wide batch
-        // unions), never on merged probe cones. For the same reason the
-        // cut-over is decided *only* here, at materialization time —
-        // every gate drains at most once, so finishing a started drain
-        // is always ≤ n evaluations plus marking, while bailing
-        // mid-drain would re-pay the drained prefix on top of the full
-        // sweep. (The backward drain pays its hoisting once per *pin*,
-        // which is why its sweep breaks even a third of the way in and
-        // is still worth bailing to mid-drain.)
-        let budget = Self::budget(n_gates, self.fwd_budget);
-        let mut sweep = fwd.dirty_count >= budget;
-        if !sweep && fwd.dirty_count > 0 {
-            // Adaptive cut-over: sweep when the seed set's level-span
-            // closure estimate alone blows the budget (spread seeds on
-            // the synthetic fabrics; see `forward_closure_estimate`).
-            sweep = self.forward_closure_estimate(fwd) >= budget;
-        }
-        let (reevals, cuts, any_changed) = if sweep {
-            let any_changed = self.full_forward_sweep(fwd, bw);
-            fwd.dirty_bits.iter_mut().for_each(|w| *w = 0);
-            fwd.dirty_count = 0;
-            (n_gates, 0, any_changed)
-        } else if fwd.dirty_count > 0 {
-            self.drain_forward(fwd, bw)
-        } else {
-            (0, 0, false)
+        let (reevals, cuts, any_changed) = match self.drain_limit(&fwd.dirty, Direction::Forward) {
+            None => (n_gates, 0, self.full_forward_sweep(fwd, bw)),
+            Some(limit) => {
+                let ctx = self.eval_ctx();
+                let (mut view, dirty) = fwd.split();
+                let done = dirty.drain(
+                    Direction::Forward,
+                    limit,
+                    |pos| self.forward_step(&mut view, &ctx, &mut bw, pos),
+                    |pos, dirty| {
+                        let out = self.out_net[self.topo[pos].index()].index();
+                        let (lo, hi) = (self.fanout_off[out], self.fanout_off[out + 1]);
+                        for &g in &self.fanout[lo as usize..hi as usize] {
+                            dirty.mark(self.pos(g));
+                        }
+                    },
+                );
+                (done.evals, done.cuts, done.evals > done.cuts)
+            }
         };
-        fwd.min_dirty_rank = u32::MAX;
         self.stat(|s| {
             s.forward_flushes += 1;
             s.gates_reevaluated += reevals;
@@ -2457,135 +2361,49 @@ impl<'c> TimingGraph<'c> {
         }
     }
 
-    /// Deposit the lazy backward seeds the kernel's change flags call
-    /// for — plain log appends, exactly the old eager engine's: arcs
-    /// *from* the output net move with its slope; the gate's completion
-    /// bound with its worst delay; the net's worst-slack leaf with its
-    /// arrival.
-    fn push_bw_seeds(&self, bw: &mut BackwardState, pos: usize, flags: u8) {
-        let gid = self.topo[pos];
-        if flags & F_SLOPE != 0 {
-            bw.req_net_log.push(self.out_net[gid.index()]);
-        }
-        if flags & F_DELAY != 0 {
-            bw.comp_gate_log.push(gid);
-        }
-        if flags & F_ARRIVAL != 0 {
-            bw.slack_net_log.push(self.out_net[gid.index()]);
-        }
-    }
-
-    /// Mark the fanout ranks of the gate at `pos` into a raw dirty
-    /// bitset (the drain's cone expansion; `min_dirty_rank` needs no
-    /// update — fanouts rank strictly above the cursor, and the drain
-    /// resets the minimum when it finishes).
-    fn mark_fanouts_raw(&self, bits: &mut [u64], count: &mut usize, pos: usize) {
-        let out = self.out_net[self.topo[pos].index()].index();
-        let (lo, hi) = (
-            self.fanout_off[out] as usize,
-            self.fanout_off[out + 1] as usize,
-        );
-        for &g in &self.fanout[lo..hi] {
-            let r = self.rank[g.index()] as usize;
-            let (word, bit) = (r / 64, r % 64);
-            if bits[word] & (1u64 << bit) == 0 {
-                bits[word] |= 1u64 << bit;
-                *count += 1;
-            }
-        }
-    }
-
-    /// Drain the forward dirty bitset in ascending rank order; returns
-    /// `(reevals, cuts, any_changed)`.
-    fn drain_forward(
+    /// Re-evaluate the gate at `pos`, deposit the lazy backward seeds
+    /// its change flags call for — plain log appends: arcs *from* the
+    /// output net move with its slope, the gate's completion bound with
+    /// its worst delay, the net's worst-slack leaf with its arrival —
+    /// and report whether its output moved.
+    fn forward_step(
         &self,
-        fwd: &mut ForwardState,
-        mut bw: Option<&mut BackwardState>,
-    ) -> (usize, usize, bool) {
-        let ForwardState {
-            arrival,
-            slope,
-            pred,
-            load,
-            gate_delay_worst,
-            dirty_bits,
-            dirty_count,
-            min_dirty_rank,
-            ..
-        } = fwd;
-        let ctx = self.eval_ctx();
-        let mut view = FwdView {
-            arrival,
-            slope,
-            pred,
-            load,
-            gate_delay_worst,
-        };
-        let mut reevals = 0usize;
-        let mut changed = 0usize;
-        let mut word = *min_dirty_rank as usize / 64;
-        while *dirty_count > 0 {
-            // Re-read each round: processing a gate may mark ranks
-            // within the current word (always above the bit just
-            // cleared).
-            let bits = dirty_bits[word];
-            if bits == 0 {
-                word += 1;
-                continue;
+        view: &mut FwdView<'_>,
+        ctx: &EvalCtx<'_>,
+        bw: &mut Option<&mut BackwardState>,
+        pos: usize,
+    ) -> bool {
+        let flags = view.eval_gate(ctx, pos);
+        if let Some(bw) = bw.as_deref_mut() {
+            let gid = self.topo[pos];
+            if flags & F_SLOPE != 0 {
+                bw.req_net_log.push(self.out_net[gid.index()]);
             }
-            let bit = bits.trailing_zeros();
-            dirty_bits[word] &= !(1u64 << bit);
-            *dirty_count -= 1;
-            let pos = word * 64 + bit as usize;
-            reevals += 1;
-            let f = view.eval_gate(&ctx, pos);
-            if f & F_OUT_CHANGED != 0 {
-                changed += 1;
-                self.mark_fanouts_raw(dirty_bits, dirty_count, pos);
+            if flags & F_DELAY != 0 {
+                bw.comp_gate_log.push(gid);
             }
-            if f != 0 {
-                if let Some(bw) = bw.as_deref_mut() {
-                    self.push_bw_seeds(bw, pos, f);
-                }
+            if flags & F_ARRIVAL != 0 {
+                bw.slack_net_log.push(self.out_net[gid.index()]);
             }
         }
-        (reevals, reevals - changed, changed > 0)
+        flags & F_OUT_CHANGED != 0
     }
 
     /// Evaluate every gate once in topological order — exactly the full
-    /// pass of `analyze_with` — streaming the slabs in memory order.
-    /// Returns whether any output moved. The caller clears the dirty
-    /// bitset: a full sweep subsumes every pending mark.
+    /// pass of `analyze_with` — streaming the slabs in memory order, and
+    /// clear the dirty set it subsumes. Returns whether any output
+    /// moved.
     fn full_forward_sweep(
         &self,
         fwd: &mut ForwardState,
         mut bw: Option<&mut BackwardState>,
     ) -> bool {
-        let ForwardState {
-            arrival,
-            slope,
-            pred,
-            load,
-            gate_delay_worst,
-            ..
-        } = fwd;
         let ctx = self.eval_ctx();
-        let mut view = FwdView {
-            arrival,
-            slope,
-            pred,
-            load,
-            gate_delay_worst,
-        };
+        let (mut view, dirty) = fwd.split();
+        dirty.clear();
         let mut any_changed = false;
         for pos in 0..self.topo.len() {
-            let f = view.eval_gate(&ctx, pos);
-            any_changed |= f & F_OUT_CHANGED != 0;
-            if f != 0 {
-                if let Some(bw) = bw.as_deref_mut() {
-                    self.push_bw_seeds(bw, pos, f);
-                }
-            }
+            any_changed |= self.forward_step(&mut view, &ctx, &mut bw, pos);
         }
         any_changed
     }
@@ -2610,118 +2428,41 @@ impl<'c> TimingGraph<'c> {
 
     // ---- backward internals ----
 
-    /// Log a net whose required times must re-derive at the next flush
-    /// (no-op without backward state).
-    fn log_required_net(&mut self, net: NetId) {
-        if let Some(bw) = self.backward.get_mut().as_mut() {
-            bw.req_net_log.push(net);
+    /// Mark the net at `slot` required-dirty: a driven net under its
+    /// driver's topo position, a driverless one in the source set.
+    fn mark_required(&self, req: &mut DirtySet, req_src: &mut DirtySet, slot: usize) {
+        match slot.checked_sub(self.n_src) {
+            Some(pos) => req.mark(pos),
+            None => req_src.mark(slot),
         }
     }
 
-    /// Rank-keyed required-mark, used by the flush when it materializes
-    /// the seed logs and while its drain expands cones. Driven nets key
-    /// on their driver's rank; primary-input nets go to the sink list.
-    fn mark_required_in(
-        bw: &mut BackwardState,
-        rank: &[u32],
-        net_driver: &[Option<GateId>],
-        net: NetId,
-    ) {
-        match net_driver[net.index()] {
-            Some(driver) => {
-                let r = rank[driver.index()];
-                let (word, bit) = (r as usize / 64, r % 64);
-                if bw.req_bits[word] & (1u64 << bit) == 0 {
-                    bw.req_bits[word] |= 1u64 << bit;
-                    bw.req_count += 1;
-                    if r > bw.req_max_rank {
-                        bw.req_max_rank = r;
-                    }
-                }
-            }
-            None => {
-                let i = net.index();
-                let (word, bit) = (i / 64, i % 64);
-                if bw.pi_bits[word] & (1u64 << bit) == 0 {
-                    bw.pi_bits[word] |= 1u64 << bit;
-                    bw.pi_dirty.push(net);
-                }
-            }
-        }
-    }
-
-    /// Rank-keyed completion-mark (flush-internal, as
-    /// [`TimingGraph::mark_required_in`]).
-    fn mark_completion_in(bw: &mut BackwardState, rank: &[u32], gate: GateId) {
-        let r = rank[gate.index()];
-        let (word, bit) = (r as usize / 64, r % 64);
-        if bw.comp_bits[word] & (1u64 << bit) == 0 {
-            bw.comp_bits[word] |= 1u64 << bit;
-            bw.comp_count += 1;
-            if r > bw.comp_max_rank {
-                bw.comp_max_rank = r;
-            }
-        }
-    }
-
-    /// Invalidate the whole backward state *lazily*: mark every driven
-    /// net, primary input and gate dirty and schedule a wholesale
-    /// worst-slack refold, without draining — the next backward query
-    /// pays one full backward pass. Used where incremental seeding is
-    /// unsound: constraint changes (required times are subtract-chains
-    /// from `tc`, not offsets) and option changes (every primary-output
-    /// arc and/or source arc moves).
+    /// Invalidate the whole backward state *lazily*: mark every net and
+    /// gate dirty and schedule a wholesale worst-slack refold, without
+    /// draining — the next backward query pays one full backward pass
+    /// (every position is marked, so [`TimingGraph::drain_limit`] picks
+    /// the sweep). Pending backward seed logs are subsumed and
+    /// discarded. Used where incremental seeding is unsound: constraint
+    /// changes (required times are subtract-chains from `tc`, not
+    /// offsets) and option changes (every primary-output arc and/or
+    /// source arc moves).
     fn invalidate_backward(&mut self) {
-        let n_gates = self.topo.len();
-        let pis = &self.pis;
         let Some(bw) = self.backward.get_mut().as_mut() else {
             return;
         };
-        Self::mark_all_required(bw, n_gates, pis);
-        Self::mark_all_completion(bw, n_gates);
-    }
-
-    /// Mark every driven net and primary input required-dirty and
-    /// schedule the wholesale index refold; pending required seed logs
-    /// are subsumed and discarded. The flush recognizes the saturated
-    /// count and runs the gate-centric full sweep directly.
-    fn mark_all_required(bw: &mut BackwardState, n_gates: usize, pis: &[NetId]) {
-        for r in 0..n_gates {
-            bw.req_bits[r / 64] |= 1u64 << (r % 64);
-        }
-        bw.req_count = n_gates;
-        if n_gates > 0 {
-            bw.req_max_rank = (n_gates - 1) as u32;
-        }
-        for &pi in pis {
-            let i = pi.index();
-            if bw.pi_bits[i / 64] & (1u64 << (i % 64)) == 0 {
-                bw.pi_bits[i / 64] |= 1u64 << (i % 64);
-                bw.pi_dirty.push(pi);
-            }
-        }
+        bw.req.fill();
+        bw.req_src.fill();
+        bw.comp.fill();
         bw.resized_log.clear();
         bw.req_net_log.clear();
+        bw.comp_gate_log.clear();
         bw.slack_net_log.clear();
         bw.refold_all = true;
     }
 
-    /// Mark every gate completion-dirty; pending completion seed logs
-    /// are subsumed and discarded.
-    fn mark_all_completion(bw: &mut BackwardState, n_gates: usize) {
-        for r in 0..n_gates {
-            bw.comp_bits[r / 64] |= 1u64 << (r % 64);
-        }
-        bw.comp_count = n_gates;
-        if n_gates > 0 {
-            bw.comp_max_rank = (n_gates - 1) as u32;
-        }
-        bw.comp_gate_log.clear();
-    }
-
     /// The required-time side of the lazy flush: drain the accumulated
-    /// required seeds in *descending* rank order, then fold the moved
-    /// slacks into the worst-slack index. A no-op when that state
+    /// required seeds in *descending* position order, then fold the
+    /// moved slacks into the worst-slack index. A no-op when that state
     /// already reflects the current mutation generation; otherwise one
     /// merged reverse propagation covers every mutation since the last
     /// slack/required query. **Two-phase**: the forward state flushes
@@ -2729,8 +2470,9 @@ impl<'c> TimingGraph<'c> {
     /// the forward drain is what deposits this flush's arrival/slope
     /// seeds. Propagation stops where a recomputed required time is
     /// bit-identical to its cached value; marks always target strictly
-    /// lower ranks (a driver's fanins rank below it), so one descending
-    /// cursor visits every dirty entry in dependency order.
+    /// lower positions (a driver's fanins rank below it), and the
+    /// driverless nets — sinks with no driver to propagate through —
+    /// drain last.
     fn flush_required(&self) {
         self.flush_forward();
         let fwd = self.fwd.borrow();
@@ -2743,168 +2485,80 @@ impl<'c> TimingGraph<'c> {
         }
         bw.req_flushed_gen = self.gen;
 
-        let mut req_reevals = 0usize;
-        let mut req_cuts = 0usize;
-        let mut index_updates = 0usize;
-
-        // Cut-over budget. The per-net drain pays each fanout gate's
-        // hoisted arc terms once per *pin* plus the change-marking; the
-        // gate-centric full sweep pays them once per *gate* with no
-        // marking at all — so once the drain has walked about a third
-        // of the ranks (seeds keep expanding toward the primary
-        // inputs), finishing with the full sweep is cheaper than
-        // letting the bookkeeping run. Seed counts far past the budget
-        // skip the drain attempt entirely.
-        let n_gates_total = self.topo.len();
-        let budget = Self::budget(n_gates_total, self.bwd_budget);
-
-        // Materialize the seed logs into the rank-keyed dirty set —
-        // unless the counts already guarantee the sweep, in which case
-        // the marks would be discarded unread (the skip bound scales
-        // with the configured budget: 1.5× covers the log's duplicate
-        // slack). A resized gate expands to its fanin nets (arcs
-        // through it moved with its C_IN) and its fanin drivers' fanin
-        // nets (their output loads moved).
-        let log_bound = bw.req_net_log.len() + 6 * bw.resized_log.len();
-        let mut req_sweep = bw.req_count >= budget || log_bound > budget.saturating_mul(3) / 2;
-        if req_sweep {
-            bw.req_net_log.clear();
-            bw.resized_log.clear();
-        } else if !bw.req_net_log.is_empty() || !bw.resized_log.is_empty() {
-            let mut req_log = std::mem::take(&mut bw.req_net_log);
-            for net in req_log.drain(..) {
-                Self::mark_required_in(bw, &self.rank, &self.net_driver, net);
-            }
-            bw.req_net_log = req_log;
-            let mut resized = std::mem::take(&mut bw.resized_log);
-            for gate in resized.drain(..) {
-                let (lo, hi) = (
-                    self.fanin_off[gate.index()] as usize,
-                    self.fanin_off[gate.index() + 1] as usize,
-                );
-                for &in_net in &self.fanin[lo..hi] {
-                    Self::mark_required_in(bw, &self.rank, &self.net_driver, in_net);
-                    if let Some(driver) = self.net_driver[in_net.index()] {
-                        let (dlo, dhi) = (
-                            self.fanin_off[driver.index()] as usize,
-                            self.fanin_off[driver.index() + 1] as usize,
-                        );
-                        for &d_net in &self.fanin[dlo..dhi] {
-                            Self::mark_required_in(bw, &self.rank, &self.net_driver, d_net);
-                        }
+        let BackwardState {
+            tc_ps,
+            required,
+            completion,
+            req,
+            req_src,
+            resized_log,
+            req_net_log,
+            slack_net_log,
+            ..
+        } = &mut *bw;
+        // Materialize the seed logs. A resized gate expands to its fanin
+        // nets (arcs through it moved with its C_IN) and its fanin
+        // drivers' fanin nets (their output loads moved).
+        for net in req_net_log.drain(..) {
+            self.mark_required(req, req_src, self.slot(net));
+        }
+        for gate in resized_log.drain(..) {
+            for &s in self.fanin_slots_of(gate) {
+                self.mark_required(req, req_src, s as usize);
+                if let Some(pos) = (s as usize).checked_sub(self.n_src) {
+                    for &d in self.fanin_slots_of(self.topo[pos]) {
+                        self.mark_required(req, req_src, d as usize);
                     }
                 }
             }
-            bw.resized_log = resized;
-            req_sweep = bw.req_count >= budget;
         }
 
-        // Adaptive cut-over: the static budget only sees the seed
-        // *count*, which wildly underestimates the drain on spread seed
-        // sets whose fanin closure is nearly the whole circuit (the
-        // synthetic fabrics' 0.25-fraction calibration regime).
-        // Estimate the closure from the seed set's level span and go
-        // straight to the sweep when it alone would blow the budget.
-        if !req_sweep && bw.req_count > 0 {
-            req_sweep = self.backward_closure_estimate(&bw.req_bits, bw.req_count) >= budget;
-        }
-
-        // Required times over driven nets, highest driver rank first.
-        if !req_sweep && bw.req_count > 0 {
-            // Hoist the kernel context and view once: rebuilding the
-            // slice bundle per net dominates the small probe cones this
-            // path exists for.
-            let BackwardState {
-                tc_ps,
-                required,
-                completion,
-                req_bits,
-                req_count,
-                req_max_rank,
-                pi_bits,
-                pi_dirty,
-                slack_net_log,
-                ..
-            } = &mut *bw;
+        let drained = self.drain_limit(req, Direction::Backward).map(|limit| {
             let ctx = self.eval_ctx();
             let mut view = bwd_view(&fwd, *tc_ps, required, completion);
-            let mut word = *req_max_rank as usize / 64;
-            loop {
-                // Re-read each round: processing a net may mark ranks
-                // within the current word (always below the bit just
-                // cleared).
-                let bits = req_bits[word];
-                if bits == 0 {
-                    if word == 0 {
-                        break;
-                    }
-                    word -= 1;
-                    continue;
-                }
-                let bit = 63 - bits.leading_zeros();
-                req_bits[word] &= !(1u64 << bit);
-                *req_count -= 1;
-                let pos = word * 64 + bit as usize;
-                let net = self.out_net[self.topo[pos].index()];
-                req_reevals += 1;
-                if view.eval_required_net(&ctx, net.index(), self.slot(net)) {
+            let mut eval = |slot: usize| {
+                let net = self.net_at(slot);
+                let changed = view.eval_required_net(&ctx, net.index(), slot);
+                if changed {
                     slack_net_log.push(net);
-                    self.mark_required_fanins_raw(req_bits, req_count, pi_bits, pi_dirty, pos);
-                } else {
-                    req_cuts += 1;
                 }
-                if *req_count == 0 {
-                    break;
-                }
-                if req_reevals >= budget {
-                    // The cone saturated mid-drain: bail to the sweep.
-                    req_sweep = true;
-                    break;
-                }
+                changed
+            };
+            let mut done = req.drain(
+                Direction::Backward,
+                limit,
+                |pos| eval(self.n_src + pos),
+                |pos, req| {
+                    for &s in self.fanin_slots_of(self.topo[pos]) {
+                        self.mark_required(req, req_src, s as usize);
+                    }
+                },
+            );
+            if !done.bailed {
+                let sinks = req_src.drain(Direction::Backward, usize::MAX, eval, |_, _| {});
+                done.evals += sinks.evals;
+                done.cuts += sinks.cuts;
             }
-            bw.req_max_rank = 0;
-        }
-
-        if req_sweep {
+            done
+        });
+        let Drained {
+            evals: mut req_reevals,
+            cuts: req_cuts,
+            ..
+        } = drained.unwrap_or_default();
+        let mut index_updates = 0usize;
+        if drained.is_none_or(|d| d.bailed) {
             // Gate-centric full backward pass: same candidate multiset
             // per net as the drain would deliver (a min over one
             // multiset is order-independent — bit-identical), at
-            // once-per-gate hoisting cost. Subsumes the PI sinks and
-            // every pending mark.
+            // once-per-gate hoisting cost. Subsumes every pending mark.
             self.sweep_required_full(&fwd, bw);
-            bw.req_bits.iter_mut().for_each(|w| *w = 0);
-            bw.req_count = 0;
-            bw.req_max_rank = 0;
-            bw.pi_bits.iter_mut().for_each(|w| *w = 0);
-            bw.pi_dirty.clear();
+            bw.req.clear();
+            bw.req_src.clear();
             // The sweep bypasses per-net change detection, so the moved
             // slacks are unknown: refold the index wholesale below.
             bw.refold_all = true;
             req_reevals += self.slot_of.len();
-        } else if !bw.pi_dirty.is_empty() {
-            // Primary-input nets: backward sinks, nothing propagates
-            // further.
-            let BackwardState {
-                tc_ps,
-                required,
-                completion,
-                pi_bits,
-                pi_dirty,
-                slack_net_log,
-                ..
-            } = &mut *bw;
-            let ctx = self.eval_ctx();
-            let mut view = bwd_view(&fwd, *tc_ps, required, completion);
-            for net in pi_dirty.drain(..) {
-                let i = net.index();
-                pi_bits[i / 64] &= !(1u64 << (i % 64));
-                req_reevals += 1;
-                if view.eval_required_net(&ctx, i, self.slot(net)) {
-                    slack_net_log.push(net);
-                } else {
-                    req_cuts += 1;
-                }
-            }
         }
 
         // Fold the moved slacks into the tournament tree, now that the
@@ -2923,29 +2577,17 @@ impl<'c> TimingGraph<'c> {
             bw.refold_all = false;
             bw.slack_net_log.clear();
             let keys: Vec<f64> = (0..n_nets)
-                .map(|slot| {
-                    WorstSlackIndex::key_over(
-                        &bw.required[slot * nc..(slot + 1) * nc],
-                        &fwd.arrival[slot * nc..(slot + 1) * nc],
-                    )
-                })
+                .map(|slot| slack_key(&bw.required, &fwd.arrival, nc, slot))
                 .collect();
             bw.worst.rebuild(&keys);
             index_updates += n_nets;
-        } else if !bw.slack_net_log.is_empty() {
-            let mut log = std::mem::take(&mut bw.slack_net_log);
-            for net in log.drain(..) {
+        } else {
+            for net in bw.slack_net_log.drain(..) {
                 let slot = self.slot(net);
-                bw.worst.update(
-                    slot,
-                    WorstSlackIndex::key_over(
-                        &bw.required[slot * nc..(slot + 1) * nc],
-                        &fwd.arrival[slot * nc..(slot + 1) * nc],
-                    ),
-                );
+                bw.worst
+                    .update(slot, slack_key(&bw.required, &fwd.arrival, nc, slot));
                 index_updates += 1;
             }
-            bw.slack_net_log = log;
         }
 
         self.stat(|s| {
@@ -2957,13 +2599,14 @@ impl<'c> TimingGraph<'c> {
     }
 
     /// The completion-bound side of the lazy flush (k-paths queries):
-    /// drain the accumulated completion seeds in descending rank order,
-    /// with the same budgeted cut-over to a straight descending sweep
-    /// (dependency order makes re-marking unnecessary there).
-    /// Completion bounds depend only on forward state (which this
-    /// flush settles first — the two-phase contract), so this flush is
-    /// independent of [`TimingGraph::flush_required`] — a slack-only
-    /// workload never pays it.
+    /// drain the accumulated completion seeds in descending position
+    /// order, each changed gate marking its fanin drivers, with the same
+    /// cut-over to a straight descending sweep (dependency order makes
+    /// re-marking unnecessary there). Completion bounds depend only on
+    /// forward state (which this flush settles first — the two-phase
+    /// contract), so this flush is independent of
+    /// [`TimingGraph::flush_required`] — a slack-only workload never
+    /// pays it.
     fn flush_completion(&self) {
         self.flush_forward();
         let fwd = self.fwd.borrow();
@@ -2976,155 +2619,44 @@ impl<'c> TimingGraph<'c> {
         }
         bw.comp_flushed_gen = self.gen;
 
-        let mut comp_reevals = 0usize;
-        let n_gates_total = self.topo.len();
-        let budget = Self::budget(n_gates_total, self.bwd_budget);
-
-        // Materialize the completion seed log (see `flush_required`).
-        let mut comp_sweep =
-            bw.comp_count >= budget || bw.comp_gate_log.len() > budget.saturating_mul(3) / 2;
-        if comp_sweep {
-            bw.comp_gate_log.clear();
-        } else if !bw.comp_gate_log.is_empty() {
-            let mut log = std::mem::take(&mut bw.comp_gate_log);
-            for gate in log.drain(..) {
-                Self::mark_completion_in(bw, &self.rank, gate);
-            }
-            bw.comp_gate_log = log;
-            comp_sweep = bw.comp_count >= budget;
+        let BackwardState {
+            tc_ps,
+            required,
+            completion,
+            comp,
+            comp_gate_log,
+            ..
+        } = &mut *bw;
+        for gate in comp_gate_log.drain(..) {
+            comp.mark(self.pos(gate));
         }
-
-        // Adaptive cut-over (see `flush_required`).
-        if !comp_sweep && bw.comp_count > 0 {
-            comp_sweep = self.backward_closure_estimate(&bw.comp_bits, bw.comp_count) >= budget;
-        }
-
-        if !comp_sweep && bw.comp_count > 0 {
-            // Hoisted kernel context, as in the required drain.
-            let BackwardState {
-                tc_ps,
-                required,
-                completion,
-                comp_bits,
-                comp_count,
-                comp_max_rank,
-                ..
-            } = &mut *bw;
+        let drained = self.drain_limit(comp, Direction::Backward).map(|limit| {
             let ctx = self.eval_ctx();
             let mut view = bwd_view(&fwd, *tc_ps, required, completion);
-            let mut word = *comp_max_rank as usize / 64;
-            loop {
-                let bits = comp_bits[word];
-                if bits == 0 {
-                    if word == 0 {
-                        break;
+            comp.drain(
+                Direction::Backward,
+                limit,
+                |pos| view.eval_completion_gate(&ctx, pos),
+                |pos, comp| {
+                    for &s in self.fanin_slots_of(self.topo[pos]) {
+                        if let Some(driver) = (s as usize).checked_sub(self.n_src) {
+                            comp.mark(driver);
+                        }
                     }
-                    word -= 1;
-                    continue;
-                }
-                let bit = 63 - bits.leading_zeros();
-                comp_bits[word] &= !(1u64 << bit);
-                *comp_count -= 1;
-                let pos = word * 64 + bit as usize;
-                comp_reevals += 1;
-                if view.eval_completion_gate(&ctx, pos) {
-                    self.mark_completion_fanin_drivers_raw(
-                        comp_bits,
-                        comp_count,
-                        comp_max_rank,
-                        pos,
-                    );
-                }
-                if *comp_count == 0 {
-                    break;
-                }
-                if comp_reevals >= budget {
-                    comp_sweep = true;
-                    break;
-                }
-            }
-            bw.comp_max_rank = 0;
-        }
-        if comp_sweep {
+                },
+            )
+        });
+        let mut comp_reevals = drained.map_or(0, |d| d.evals);
+        if drained.is_none_or(|d| d.bailed) {
             self.sweep_completion_full(&fwd, bw);
-            bw.comp_bits.iter_mut().for_each(|w| *w = 0);
-            bw.comp_count = 0;
-            bw.comp_max_rank = 0;
-            comp_reevals += n_gates_total;
+            bw.comp.clear();
+            comp_reevals += self.topo.len();
         }
 
         self.stat(|s| {
             s.backward_flushes += 1;
             s.completion_reevaluated += comp_reevals;
         });
-    }
-
-    /// Raw-parts form of [`TimingGraph::mark_required_in`] for the
-    /// drains that hold a [`BwdView`] over the rest of the backward
-    /// state: mark the fanin nets of the gate at topo position `pos`.
-    /// Marks target strictly lower levels than `pos`, so `req_max_rank`
-    /// needs no maintenance mid-drain.
-    fn mark_required_fanins_raw(
-        &self,
-        req_bits: &mut [u64],
-        req_count: &mut usize,
-        pi_bits: &mut [u64],
-        pi_dirty: &mut Vec<NetId>,
-        pos: usize,
-    ) {
-        let gate = self.topo[pos];
-        let (lo, hi) = (
-            self.fanin_off[gate.index()] as usize,
-            self.fanin_off[gate.index() + 1] as usize,
-        );
-        for &in_net in &self.fanin[lo..hi] {
-            match self.net_driver[in_net.index()] {
-                Some(driver) => {
-                    let r = self.rank[driver.index()] as usize;
-                    if req_bits[r / 64] & (1u64 << (r % 64)) == 0 {
-                        req_bits[r / 64] |= 1u64 << (r % 64);
-                        *req_count += 1;
-                    }
-                }
-                None => {
-                    let i = in_net.index();
-                    if pi_bits[i / 64] & (1u64 << (i % 64)) == 0 {
-                        pi_bits[i / 64] |= 1u64 << (i % 64);
-                        pi_dirty.push(in_net);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Mark the fanin *drivers* of the gate at topo position `pos`
-    /// completion-dirty (raw parts, as
-    /// [`TimingGraph::mark_required_fanins_raw`]).
-    fn mark_completion_fanin_drivers_raw(
-        &self,
-        comp_bits: &mut [u64],
-        comp_count: &mut usize,
-        comp_max_rank: &mut u32,
-        pos: usize,
-    ) {
-        let gate = self.topo[pos];
-        let (lo, hi) = (
-            self.fanin_off[gate.index()] as usize,
-            self.fanin_off[gate.index() + 1] as usize,
-        );
-        for &in_net in &self.fanin[lo..hi] {
-            if let Some(driver) = self.net_driver[in_net.index()] {
-                let r = self.rank[driver.index()];
-                let (word, bit) = (r as usize / 64, r % 64);
-                if comp_bits[word] & (1u64 << bit) == 0 {
-                    comp_bits[word] |= 1u64 << bit;
-                    *comp_count += 1;
-                    if r > *comp_max_rank {
-                        *comp_max_rank = r;
-                    }
-                }
-            }
-        }
     }
 
     /// Gate-centric full backward pass into `bw.required`: reinitialize
@@ -3137,28 +2669,20 @@ impl<'c> TimingGraph<'c> {
     /// the per-pin re-hoisting of the drain would cost more than this
     /// per-gate pass.
     fn sweep_required_full(&self, fwd: &ForwardState, bw: &mut BackwardState) {
-        self.reinit_required_slab(bw);
-        let ctx = self.eval_ctx();
-        let mut view = bwd_view(fwd, bw.tc_ps, &mut bw.required, &mut bw.completion);
-        for pos in (0..self.topo.len()).rev() {
-            view.sweep_gate(&ctx, pos);
-        }
-    }
-
-    /// Reinitialize every net's required slots (`tc` at primary
-    /// outputs, `+inf` elsewhere) — the full required sweep's base
-    /// case.
-    fn reinit_required_slab(&self, bw: &mut BackwardState) {
-        let tc = bw.tc_ps;
         let nc = self.corner_libs.len();
         for net in 0..self.slot_of.len() {
             let base = self.slot_of[net] as usize * nc;
             let init = if self.is_po[net] {
-                [tc; 2]
+                [bw.tc_ps; 2]
             } else {
                 [f64::INFINITY; 2]
             };
             bw.required[base..base + nc].fill(init);
+        }
+        let ctx = self.eval_ctx();
+        let mut view = bwd_view(fwd, bw.tc_ps, &mut bw.required, &mut bw.completion);
+        for pos in (0..self.topo.len()).rev() {
+            view.sweep_gate(&ctx, pos);
         }
     }
 
@@ -3173,72 +2697,58 @@ impl<'c> TimingGraph<'c> {
         }
     }
 
-    /// `(lowest dirty level, highest, levels hit)` of a rank-keyed
-    /// dirty bitset — the adaptive cut-over's seed profile. One
-    /// [`range_any`] probe per level: O(levels + words), no clearing.
-    fn dirty_level_profile(&self, bits: &[u64]) -> Option<(usize, usize, usize)> {
-        let n_levels = self.level_start.len() - 1;
-        let mut lo = None;
-        let mut hi = 0usize;
-        let mut hit = 0usize;
-        for level in 0..n_levels {
-            if range_any(bits, self.level_start[level], self.level_start[level + 1]) {
-                if lo.is_none() {
-                    lo = Some(level);
+    /// The drain-or-sweep rule, decided once per flush after the seed
+    /// logs are marked into `set`: sweep now (`None`) when the marked
+    /// count or the closure estimate reaches the budget — `n·3/4 + 1`
+    /// gates forward, `n/3 + 1` backward — else drain, bailing to the
+    /// sweep after the returned number of evaluations.
+    ///
+    /// A forward drain evaluates a gate just as the sweep does (arc
+    /// terms hoisted once per gate), so the sweep only saves the set
+    /// bookkeeping and wins when nearly every gate is dirty; for the
+    /// same reason the forward drain never bails — bailing would re-pay
+    /// the drained prefix inside the sweep. A backward drain re-hoists a
+    /// fanout gate's arc terms once per *pin*, so it breaks even about a
+    /// third of the way in and bails at its budget.
+    ///
+    /// The count underestimates a spread seed set whose cones close over
+    /// nearly the whole circuit (the fabrics' drain loses from 0.25
+    /// spread seeds on), so when ≥ 32 seeds hit at least half the levels
+    /// of their span — up from the lowest dirty level forward, down from
+    /// the highest backward — at ≥ ¼ density, the whole span is the
+    /// estimate. On merged probe unions the convergence cut keeps true
+    /// closures far below the span, and the count stays in charge.
+    fn drain_limit(&self, set: &DirtySet, dir: Direction) -> Option<usize> {
+        let n = self.topo.len();
+        let (budget, limit) = match dir {
+            Direction::Forward => (n * 3 / 4 + 1, usize::MAX),
+            Direction::Backward => (n / 3 + 1, n / 3 + 1),
+        };
+        let count = set.count();
+        if count >= budget {
+            return None;
+        }
+        if count >= 32 {
+            if let Some((lo, hi, hit)) = set.level_profile(&self.level_start) {
+                let n_levels = self.level_start.len() - 1;
+                let (levels, span) = match dir {
+                    Direction::Forward => (n_levels - lo, n - self.level_start[lo] as usize),
+                    Direction::Backward => (hi + 1, self.level_start[hi + 1] as usize),
+                };
+                if hit * 2 >= levels && count * 4 >= span && span >= budget {
+                    return None;
                 }
-                hi = level;
-                hit += 1;
             }
         }
-        lo.map(|lo| (lo, hi, hit))
+        Some(limit)
     }
+}
 
-    /// Estimated forward-drain size from the seed set's level span. The
-    /// static budget only sees the seed *count*; a spread seed set on a
-    /// shallow high-fanout fabric closes over nearly every downstream
-    /// rank while counting far below it. When the seeds hit at least
-    /// half the levels from their lowest up (the closure keeps
-    /// expanding level over level) *and* are dense enough that the
-    /// cones must overlap (≥ ¼ of the span — the calibration fabrics'
-    /// losing regime, and comfortably above a merged probe union on the
-    /// suite circuits, whose bitwise convergence cut keeps true
-    /// closures far below the span), the whole remaining rank span is
-    /// the expected drain — return it for the caller's `>= budget`
-    /// comparison. Anything sparser or shallower returns 0 and leaves
-    /// the static budget in charge.
-    fn forward_closure_estimate(&self, fwd: &ForwardState) -> usize {
-        if fwd.dirty_count < 32 {
-            return 0;
-        }
-        let Some((lo, _hi, hit)) = self.dirty_level_profile(&fwd.dirty_bits) else {
-            return 0;
-        };
-        let n_levels = self.level_start.len() - 1;
-        let span = self.topo.len() - self.level_start[lo] as usize;
-        if hit * 2 >= n_levels - lo && fwd.dirty_count * 4 >= span {
-            span
-        } else {
-            0
-        }
-    }
-
-    /// Backward mirror of [`TimingGraph::forward_closure_estimate`]:
-    /// the closure expands *downward*, so the span runs from rank 0 to
-    /// the end of the highest dirty level.
-    fn backward_closure_estimate(&self, bits: &[u64], count: usize) -> usize {
-        if count < 32 {
-            return 0;
-        }
-        let Some((_lo, hi, hit)) = self.dirty_level_profile(bits) else {
-            return 0;
-        };
-        let span = self.level_start[hi + 1] as usize;
-        if hit * 2 > hi && count * 4 >= span {
-            span
-        } else {
-            0
-        }
-    }
+/// The worst-slack index key of the net at `slot`: its worst finite
+/// slack over every corner lane of the slot-major slabs.
+fn slack_key(required: &[[f64; 2]], arrival: &[[f64; 2]], nc: usize, slot: usize) -> f64 {
+    let lanes = slot * nc..(slot + 1) * nc;
+    WorstSlackIndex::key_over(&required[lanes.clone()], &arrival[lanes])
 }
 
 /// The backward kernels' view of one flush: the backward slabs to
@@ -3425,7 +2935,7 @@ mod tests {
         let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
         // A deep gate (late topological rank): its fanout cone is a
         // genuine fraction of the circuit, so the flush drains it
-        // instead of cutting over to the budgeted full sweep (which a
+        // instead of cutting over to the full sweep (which a
         // near-input gate on c880 — cone ≈ a third of the netlist —
         // would correctly trigger).
         let topo = c.topo_order().unwrap();

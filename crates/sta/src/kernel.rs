@@ -7,10 +7,10 @@
 //! [`crate::analysis::analyze_with`], the per-net required-time fold of
 //! [`crate::required_times`], the completion bound of
 //! [`crate::kpaths::completion_bounds`], and the gate-centric required
-//! scatter the backward full sweep uses. Dirty-cone drains and full
-//! sweeps call the same kernels, so they cannot diverge: bit-identical
-//! state is a structural property (the differential suites assert it
-//! anyway).
+//! scatter the backward full sweep uses. Dirty-cone drains (the one
+//! drain loop of `crate::dirty`) and full sweeps call the same kernels,
+//! so they cannot diverge: bit-identical state is a structural property
+//! (the differential suites assert it anyway).
 
 use pops_delay::model::{gate_delay_with_output_edge_vt, Edge};
 use pops_delay::{Library, VtTiming};
@@ -373,51 +373,5 @@ impl BwdView<'_> {
                 }
             }
         }
-    }
-}
-
-/// Whether any bit of `bits` in `[lo, hi)` is set — the adaptive sweep
-/// cut-over's per-level dirty probe (no clearing, no collection).
-pub(crate) fn range_any(bits: &[u64], lo: u32, hi: u32) -> bool {
-    if lo >= hi {
-        return false;
-    }
-    let (lo, hi) = (lo as usize, hi as usize);
-    let mut word = lo / 64;
-    let last = (hi - 1) / 64;
-    while word <= last {
-        let mut mask = u64::MAX;
-        if word == lo / 64 {
-            mask &= u64::MAX << (lo % 64);
-        }
-        if word == last && hi % 64 != 0 {
-            mask &= u64::MAX >> (64 - hi % 64);
-        }
-        if bits[word] & mask != 0 {
-            return true;
-        }
-        word += 1;
-    }
-    false
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn range_any_respects_bounds() {
-        let mut bits = vec![0u64; 3];
-        for i in [0usize, 70, 150] {
-            bits[i / 64] |= 1 << (i % 64);
-        }
-        assert!(range_any(&bits, 0, 1));
-        assert!(!range_any(&bits, 1, 70));
-        assert!(range_any(&bits, 70, 71));
-        assert!(range_any(&bits, 5, 192));
-        assert!(!range_any(&bits, 71, 150));
-        assert!(range_any(&bits, 71, 151));
-        assert!(!range_any(&bits, 151, 192));
-        assert!(!range_any(&bits, 10, 10));
     }
 }

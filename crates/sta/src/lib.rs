@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+mod dirty;
 pub mod error;
 pub mod extract;
 pub mod incremental;

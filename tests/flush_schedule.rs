@@ -4,13 +4,12 @@
 //! Covered here: random mutation bursts on the synth10k fabric (wide
 //! levels, spread cones, frequent full-sweep cut-overs) checked against
 //! fresh `analyze_with` / `required_times` / `completion_bounds` passes
-//! and the deep-consistency audit; the adaptive and budgeted cut-overs
-//! changing scheduling but never bits; the loads-only `net_load_ff` and
+//! and the deep-consistency audit; the cut-over rule's three ways to the
+//! sweep — a saturated count, the closure estimate on spread seeds and
+//! the backward drain's bail at its budget — each firing where it
+//! should without changing bits; the loads-only `net_load_ff` and
 //! flushless `gate_delay_worst_ps` settles; and validity and
 //! determinism of the synthetic scaling fabrics.
-//!
-//! The file name dates from when the flush also had a multi-threaded
-//! path; every check here runs the one sequential flush.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
 
@@ -21,63 +20,6 @@ use pops::prelude::*;
 use pops::sta::analysis::{analyze_with, AnalyzeOptions, EdgeDir};
 use pops::sta::kpaths::completion_bounds;
 use pops::sta::TimingGraph;
-
-/// Every queryable value of `a` and `b` is bit-identical (the graphs
-/// must be timing the same circuit).
-fn assert_graphs_bit_equal(a: &TimingGraph, b: &TimingGraph, label: &str) {
-    let circuit = a.circuit();
-    assert_eq!(
-        a.critical_delay_ps().to_bits(),
-        b.critical_delay_ps().to_bits(),
-        "{label}: critical delay diverged"
-    );
-    for net in circuit.net_ids() {
-        for dir in [EdgeDir::Rising, EdgeDir::Falling] {
-            assert_eq!(
-                a.arrival_ps(net, dir).to_bits(),
-                b.arrival_ps(net, dir).to_bits(),
-                "{label}: arrival of {net} {dir:?}"
-            );
-            assert_eq!(
-                a.slope_ps(net, dir).to_bits(),
-                b.slope_ps(net, dir).to_bits(),
-                "{label}: slope of {net} {dir:?}"
-            );
-            assert_eq!(
-                a.slack_ps(net, dir).to_bits(),
-                b.slack_ps(net, dir).to_bits(),
-                "{label}: slack of {net} {dir:?}"
-            );
-        }
-        assert_eq!(
-            a.net_load_ff(net).to_bits(),
-            b.net_load_ff(net).to_bits(),
-            "{label}: load of {net}"
-        );
-    }
-    for g in circuit.gate_ids() {
-        assert_eq!(
-            a.gate_delay_worst_ps(g).to_bits(),
-            b.gate_delay_worst_ps(g).to_bits(),
-            "{label}: worst delay of {g}"
-        );
-        assert_eq!(
-            a.completion_ps(g).to_bits(),
-            b.completion_ps(g).to_bits(),
-            "{label}: completion bound of {g}"
-        );
-    }
-    assert_eq!(
-        a.worst_slack_overall_ps().map(f64::to_bits),
-        b.worst_slack_overall_ps().map(f64::to_bits),
-        "{label}: design-worst slack diverged"
-    );
-    assert_eq!(
-        a.critical_path().gates,
-        b.critical_path().gates,
-        "{label}: critical path diverged"
-    );
-}
 
 /// The critical delay matches a from-scratch pass.
 fn assert_matches_eager(graph: &TimingGraph, lib: &Library, label: &str) {
@@ -345,23 +287,17 @@ fn backward_full_sweep_fires_and_is_bit_identical() {
 #[test]
 fn adaptive_cutover_fires_on_spread_seeds_and_keeps_bits() {
     // An eighth of the fabric's gates resized, spread evenly: the seed
-    // *count* sits far below the static ¾-rank forward budget, but the
-    // fanout closure is essentially the whole circuit — the level-span
+    // *count* sits far below the ¾-gate forward budget, but the fanout
+    // closure is essentially the whole circuit — the level-span
     // estimator must cut over to the full sweep (every gate evaluated,
-    // zero convergence cuts), and a pure-drain `(1,1)` twin proves the
-    // cut-over changes scheduling only, never bits.
+    // zero convergence cuts) and still land on the eager pass's bits.
     let lib = Library::cmos025();
     let circuit = suite::scaling_circuit("synth10k").unwrap();
     let sizing = Sizing::minimum(&circuit, &lib);
     let mut graph = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    let mut drain = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    drain.set_sweep_budgets((1, 1), (1, 1));
     let t0 = graph.critical_delay_ps();
-    let _ = drain.critical_delay_ps();
     graph.set_constraint(0.9 * t0);
-    drain.set_constraint(0.9 * t0);
     let _ = graph.worst_slack_overall_ps();
-    let _ = drain.worst_slack_overall_ps();
 
     let gates: Vec<GateId> = circuit.gate_ids().collect();
     let n_gates = gates.len();
@@ -373,11 +309,10 @@ fn adaptive_cutover_fires_on_spread_seeds_and_keeps_bits() {
         .map(|(i, &g)| (g, cref * (1.5 + 0.01 * (i % 7) as f64)))
         .collect();
     assert!(batch.len() * 4 >= n_gates / 2, "spread batch too sparse");
-    graph.resize_gates(batch.clone());
-    drain.resize_gates(batch);
+    graph.resize_gates(batch);
 
     let before = graph.stats();
-    let d = graph.critical_delay_ps();
+    let _ = graph.critical_delay_ps();
     let after = graph.stats();
     assert_eq!(
         after.gates_reevaluated - before.gates_reevaluated,
@@ -387,16 +322,6 @@ fn adaptive_cutover_fires_on_spread_seeds_and_keeps_bits() {
     assert_eq!(
         after.converged_early, before.converged_early,
         "a full sweep takes no convergence cuts"
-    );
-    assert_eq!(
-        d.to_bits(),
-        drain.critical_delay_ps().to_bits(),
-        "cut-over must not change the bits"
-    );
-    assert_eq!(
-        graph.worst_slack_overall_ps().map(f64::to_bits),
-        drain.worst_slack_overall_ps().map(f64::to_bits),
-        "backward state must agree after the adaptive forward sweep"
     );
     assert_matches_eager(&graph, &lib, "adaptive cut-over");
 
@@ -410,6 +335,34 @@ fn adaptive_cutover_fires_on_spread_seeds_and_keeps_bits() {
         after.gates_reevaluated - before.gates_reevaluated < n_gates,
         "a probe cone must not trigger the adaptive sweep"
     );
+}
+
+#[test]
+fn backward_drain_bails_to_the_sweep_at_its_budget() {
+    // Resizing the last gate of the critical path moves the required
+    // times of most of its fanin cone, far beyond the seeds: the drain
+    // spends its budget of `n/3 + 1` evaluations with marks still
+    // pending, bails, and the full sweep re-evaluates every net. A drain
+    // run to completion evaluates each net at most once, so only the
+    // bail can cost budget + nets.
+    let lib = Library::cmos025();
+    let circuit = suite::circuit("c432").unwrap();
+    let sizing = Sizing::minimum(&circuit, &lib);
+    let mut graph = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
+    graph.set_constraint(0.9 * graph.critical_delay_ps());
+    let _ = graph.worst_slack_overall_ps();
+    let last = *graph.critical_path().gates.last().unwrap();
+    graph.resize_gate(last, 4.0 * graph.sizing().cin_ff(last));
+
+    let before = graph.stats().required_reevaluated;
+    let _ = graph.worst_slack_overall_ps();
+    let budget = circuit.gate_count() / 3 + 1;
+    assert_eq!(
+        graph.stats().required_reevaluated - before,
+        budget + circuit.net_count(),
+        "the required drain must bail to the sweep at its budget"
+    );
+    assert_matches_fresh(&graph, &lib, "after the bail");
 }
 
 #[test]
@@ -565,42 +518,4 @@ fn net_load_queries_settle_without_flushing() {
     );
     assert_eq!(graph.stats().load_only_settles, after.load_only_settles);
     assert_matches_eager(&graph, &lib, "after loads-only settle");
-}
-
-#[test]
-fn sweep_budget_extremes_are_bit_identical() {
-    // (1,1) disables the count cut-over (pure drain); (0,1) forces the
-    // full sweep on any dirty flush. Both extremes — and the default —
-    // must land on identical bits after identical mutations: drain and
-    // sweep are alternative schedules of the same converged state.
-    let lib = Library::cmos025();
-    let circuit = suite::circuit("c880").unwrap();
-    let sizing = Sizing::minimum(&circuit, &lib);
-    let mut dflt = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    let mut drain = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    drain.set_sweep_budgets((1, 1), (1, 1));
-    let mut sweep = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    sweep.set_sweep_budgets((0, 1), (0, 1));
-    let t0 = dflt.critical_delay_ps();
-    for g in [&mut dflt, &mut drain, &mut sweep] {
-        g.set_constraint(0.85 * t0);
-    }
-
-    let mut rng = SplitMix64::new(0xB0D6_E7E5);
-    let gates: Vec<GateId> = circuit.gate_ids().collect();
-    let cref = lib.min_drive_ff();
-    for round in 0..10 {
-        let batch: Vec<(GateId, f64)> = (0..3 + rng.below(6))
-            .map(|_| (*rng.pick(&gates), cref * (1.0 + 20.0 * rng.next_f64())))
-            .collect();
-        for g in [&mut dflt, &mut drain, &mut sweep] {
-            g.resize_gates(batch.clone());
-        }
-        assert_graphs_bit_equal(&dflt, &drain, &format!("round {round}: default vs drain"));
-        assert_graphs_bit_equal(&dflt, &sweep, &format!("round {round}: default vs sweep"));
-    }
-    assert_matches_eager(&dflt, &lib, "budget extremes");
-    // The knob reports what it was set to.
-    assert_eq!(drain.sweep_budgets(), ((1, 1), (1, 1)));
-    assert_eq!(sweep.sweep_budgets(), ((0, 1), (0, 1)));
 }
