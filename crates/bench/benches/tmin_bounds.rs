@@ -2,7 +2,7 @@
 //! path length grows.
 
 use pops_bench::microbench::Runner;
-use pops_core::bounds::{tmin, tmin_with, TminOptions};
+use pops_core::bounds::tmin;
 use pops_delay::{Library, PathStage, TimedPath};
 use pops_netlist::CellKind;
 
@@ -21,16 +21,6 @@ fn main() {
     for n in [8usize, 16, 32, 64, 128] {
         let path = path_of(n, &lib);
         runner.bench(&format!("tmin/{n}"), || tmin(&lib, &path));
-        runner.bench(&format!("tmin_no_polish/{n}"), || {
-            tmin_with(
-                &lib,
-                &path,
-                &TminOptions {
-                    polish: false,
-                    ..Default::default()
-                },
-            )
-        });
     }
     runner.finish();
 }

@@ -7,10 +7,17 @@
 //!   `C_IN(i) = √( (A_i/A_{i−1}) · C_IN(i−1) · C_L(i) )`,
 //!   solved by the paper's iterative backward/forward sweeps from an
 //!   initial solution seeded at `C_REF` (Fig. 1 shows the trajectory).
+//!
+//! `Tmin` is that fixed point and nothing else. The sweeps carry the
+//! Miller-factor corrections, so the fixed point is a stationary point of
+//! the full delay model; long paths stop at the sweep budget short of it.
+//! Within the default budget, an exact per-coordinate line search started
+//! from the result lowers the delay of the suite's critical paths by less
+//! than 5e-5 relative (`tests/suite_regression.rs` holds this band).
 
 use pops_delay::{Library, TimedPath};
 
-use crate::gradient::operating_point;
+use crate::gradient::sweep_links;
 
 /// One recorded sweep of the `Tmin` iteration (the data behind Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +59,8 @@ impl DelayBounds {
     }
 }
 
-/// Options for the `Tmin` fixed-point iteration.
+/// Options for the `Tmin` iteration: `Tmin` is the eq. (4) link-equation
+/// fixed point within this sweep budget (module docs state its band).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TminOptions {
     /// Initial interior sizing (fF); the paper seeds with `C_REF`.
@@ -61,10 +69,6 @@ pub struct TminOptions {
     pub max_sweeps: usize,
     /// Relative convergence tolerance on sizes.
     pub tolerance: f64,
-    /// Run exact per-coordinate golden-section polish after the link
-    /// equations converge (guarantees a true local — hence, by convexity,
-    /// global — minimum of the full model).
-    pub polish: bool,
 }
 
 impl Default for TminOptions {
@@ -73,7 +77,6 @@ impl Default for TminOptions {
             start_cin_ff: None,
             max_sweeps: 200,
             tolerance: 1e-10,
-            polish: true,
         }
     }
 }
@@ -98,7 +101,6 @@ pub fn tmin(lib: &Library, path: &TimedPath) -> TminResult {
 /// paper's observation that "the final value Tmin is conserved whatever
 /// is the initial solution, ie the C_REF value" is covered by tests.
 pub fn tmin_with(lib: &Library, path: &TimedPath, options: &TminOptions) -> TminResult {
-    let n = path.len();
     let cref = lib.min_drive_ff();
     let mut sizes = path.min_sizes(lib);
     if let Some(start) = options.start_cin_ff {
@@ -109,36 +111,22 @@ pub fn tmin_with(lib: &Library, path: &TimedPath, options: &TminOptions) -> Tmin
     }
 
     let mut trace = Vec::new();
-    let mut iterations = 0;
-    record(lib, path, &sizes, cref, &mut trace);
-
-    for sweep in 0..options.max_sweeps {
-        iterations = sweep + 1;
-        let op = operating_point(lib, path, &sizes);
-        let mut max_rel_change: f64 = 0.0;
-        // Forward sweep over interior stages. C_L(i) uses the *current*
-        // neighbour sizes, exactly as the paper's backward-initialized
-        // iteration does. The Miller corrections (frozen at the current
-        // point) make the fixed point a true stationary point of the
-        // full model.
-        for i in 1..n {
-            let cl = path.stage_load_ff(i, &sizes);
-            let upstream = op.a[i - 1] / sizes[i - 1] + op.up_corr[i - 1] + op.own_corr[i];
-            let target = (op.a[i] * cl / upstream.max(1e-12)).sqrt();
-            let new = target.max(cref);
-            max_rel_change = max_rel_change.max((new - sizes[i]).abs() / sizes[i]);
-            sizes[i] = new;
-        }
-        record(lib, path, &sizes, cref, &mut trace);
-        if max_rel_change < options.tolerance {
-            break;
-        }
-    }
-
-    if options.polish && n > 1 {
-        polish(lib, path, &mut sizes, cref);
-        record(lib, path, &sizes, cref, &mut trace);
-    }
+    let mut record = |sizes: &[f64]| {
+        trace.push(TminIteration {
+            total_cin_over_cref: sizes.iter().sum::<f64>() / cref,
+            delay_ps: path.delay(lib, sizes).total_ps,
+        })
+    };
+    record(&sizes);
+    let iterations = sweep_links(
+        lib,
+        path,
+        0.0,
+        &mut sizes,
+        options.max_sweeps,
+        options.tolerance,
+        &mut record,
+    );
 
     let delay_ps = path.delay(lib, &sizes).total_ps;
     TminResult {
@@ -156,42 +144,6 @@ pub fn delay_bounds(lib: &Library, path: &TimedPath) -> DelayBounds {
         tmin_ps: t.delay_ps,
         tmax_ps: tmax(lib, path),
         tmin_sizes: t.sizes,
-    }
-}
-
-fn record(
-    lib: &Library,
-    path: &TimedPath,
-    sizes: &[f64],
-    cref: f64,
-    trace: &mut Vec<TminIteration>,
-) {
-    trace.push(TminIteration {
-        total_cin_over_cref: sizes.iter().sum::<f64>() / cref,
-        delay_ps: path.delay(lib, sizes).total_ps,
-    });
-}
-
-/// Cyclic per-coordinate golden-section descent on the exact model.
-///
-/// The path delay is convex in each coordinate on a bounded path, so this
-/// converges to the exact minimizer; a handful of cycles suffices after
-/// the link equations have done the heavy lifting.
-fn polish(lib: &Library, path: &TimedPath, sizes: &mut [f64], cref: f64) {
-    const CYCLES: usize = 6;
-    for _ in 0..CYCLES {
-        for i in 1..sizes.len() {
-            let best = golden_min(
-                |c| {
-                    let mut probe = sizes.to_vec();
-                    probe[i] = c;
-                    path.delay(lib, &probe).total_ps
-                },
-                cref,
-                (sizes[i] * 16.0).max(cref * 64.0),
-            );
-            sizes[i] = best;
-        }
     }
 }
 

@@ -19,9 +19,9 @@
 //! ```
 //!
 //! is exact up to the derivative of the Miller factor (a few percent);
-//! the solvers re-freeze coefficients every sweep so their fixed points
-//! satisfy the *exact* first-order conditions to within that residual,
-//! and [`crate::bounds`] optionally polishes with exact line searches.
+//! the solvers re-freeze coefficients every sweep, and add the Miller
+//! corrections, so their fixed points satisfy the *exact* first-order
+//! conditions to within that residual.
 
 use pops_delay::model::Edge;
 use pops_delay::{Library, TimedPath};
@@ -102,6 +102,45 @@ pub fn operating_point(lib: &Library, path: &TimedPath, sizes: &[f64]) -> Operat
         up_corr,
         own_corr,
     }
+}
+
+/// Sweep the link equations `∂T/∂C_IN(i) = a` in place from `sizes` —
+/// eq. (4) at `a = 0`, eq. (6) below — until no size moves by `tolerance`
+/// relative or `max_sweeps` ran; returns the sweeps run. Each sweep
+/// freezes the coefficients at the current sizing, applies
+/// `C_IN(i) ← √( A_i·C_L(i) / (A_{i−1}/C_IN(i−1) − a) )` forward over the
+/// interior stages (clamped at the minimum drive) and calls `after_sweep`.
+pub(crate) fn sweep_links(
+    lib: &Library,
+    path: &TimedPath,
+    a: f64,
+    sizes: &mut [f64],
+    max_sweeps: usize,
+    tolerance: f64,
+    mut after_sweep: impl FnMut(&[f64]),
+) -> usize {
+    let cref = lib.min_drive_ff();
+    let mut sweeps = 0;
+    while sweeps < max_sweeps {
+        sweeps += 1;
+        let op = operating_point(lib, path, sizes);
+        let mut max_rel_change: f64 = 0.0;
+        for i in 1..path.len() {
+            // C_L(i) reads the current downstream size, as the paper's
+            // iteration does; upstream ≥ 0 ≥ a keeps the root positive.
+            let cl = path.stage_load_ff(i, sizes);
+            let upstream = op.a[i - 1] / sizes[i - 1] + op.up_corr[i - 1] + op.own_corr[i];
+            let target = (op.a[i] * cl / (upstream - a).max(1e-12)).sqrt();
+            let new = target.max(cref);
+            max_rel_change = max_rel_change.max((new - sizes[i]).abs() / sizes[i]);
+            sizes[i] = new;
+        }
+        after_sweep(sizes);
+        if max_rel_change < tolerance {
+            break;
+        }
+    }
+    sweeps
 }
 
 /// Analytic path gradient `∂T/∂C_IN(i)` at `sizes` — exact at the

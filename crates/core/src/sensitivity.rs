@@ -3,14 +3,16 @@
 //! Instead of giving every stage the same delay (Sutherland) the paper
 //! imposes the same *sensitivity* on every sizing variable:
 //! `∂T/∂C_IN(i) = a ≤ 0`. Each value of `a` picks one point on the
-//! area/delay Pareto front (`a = 0` is `Tmin`; `a → −∞` collapses to
-//! minimum drives, i.e. `Tmax`), so a delay constraint is met at minimum
-//! area by bisecting on the scalar `a`.
+//! area/delay Pareto front (`a = 0` is `Tmin`, the very sizing
+//! [`crate::bounds::tmin`] returns; `a → −∞` collapses to minimum drives,
+//! i.e. `Tmax`), so a delay constraint is met at minimum area by
+//! bisecting on the scalar `a`.
 
 use pops_delay::{Library, TimedPath};
 
+use crate::bounds::tmin;
 use crate::error::OptimizeError;
-use crate::gradient::operating_point;
+use crate::gradient::sweep_links;
 
 /// Options for the constant-sensitivity solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,6 +51,19 @@ pub struct SensitivityPoint {
     pub total_cin_ff: f64,
 }
 
+impl SensitivityPoint {
+    fn into_solution(self, tc_ps: f64, bisections: usize) -> ConstraintSolution {
+        ConstraintSolution {
+            a: self.a,
+            slack_ps: tc_ps - self.delay_ps,
+            sizes: self.sizes,
+            delay_ps: self.delay_ps,
+            total_cin_ff: self.total_cin_ff,
+            bisections,
+        }
+    }
+}
+
 /// Solution of a constraint distribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConstraintSolution {
@@ -85,27 +100,16 @@ pub fn solve_for_sensitivity(
     options: &SensitivityOptions,
 ) -> SensitivityPoint {
     assert!(a <= 0.0, "the sensitivity coefficient must be non-positive");
-    let n = path.len();
-    let cref = lib.min_drive_ff();
     let mut sizes = path.min_sizes(lib);
-
-    for _ in 0..options.max_sweeps {
-        let op = operating_point(lib, path, &sizes);
-        let mut max_rel_change: f64 = 0.0;
-        for i in 1..n {
-            let cl = path.stage_load_ff(i, &sizes);
-            // Solve ∂T/∂C_IN(i) = a with the Miller corrections frozen at
-            // the current point; upstream ≥ 0 ≥ a keeps this positive.
-            let upstream = op.a[i - 1] / sizes[i - 1] + op.up_corr[i - 1] + op.own_corr[i];
-            let target = (op.a[i] * cl / (upstream - a).max(1e-12)).sqrt();
-            let new = target.max(cref);
-            max_rel_change = max_rel_change.max((new - sizes[i]).abs() / sizes[i]);
-            sizes[i] = new;
-        }
-        if max_rel_change < options.tolerance {
-            break;
-        }
-    }
+    sweep_links(
+        lib,
+        path,
+        a,
+        &mut sizes,
+        options.max_sweeps,
+        options.tolerance,
+        |_| {},
+    );
 
     let delay_ps = path.delay(lib, &sizes).total_ps;
     let total_cin_ff = sizes.iter().sum();
@@ -139,8 +143,9 @@ pub fn design_space_sweep(
 ///
 /// # Errors
 ///
-/// [`OptimizeError::Infeasible`] if `tc_ps < Tmin` (structure
-/// modification required — see [`crate::buffer`] and
+/// [`OptimizeError::InvalidConstraint`] when `tc_ps` is NaN, zero or
+/// negative; [`OptimizeError::Infeasible`] if `tc_ps < Tmin`
+/// (structure modification required — see [`crate::buffer`] and
 /// [`crate::restructure`]).
 pub fn distribute_constraint(
     lib: &Library,
@@ -161,24 +166,36 @@ pub fn distribute_constraint_with(
     tc_ps: f64,
     options: &SensitivityOptions,
 ) -> Result<ConstraintSolution, OptimizeError> {
-    // a = 0 gives the minimum delay point.
-    let at_zero = solve_for_sensitivity(lib, path, 0.0, options);
-    if tc_ps < at_zero.delay_ps {
-        return Err(OptimizeError::Infeasible {
-            tc_ps,
-            tmin_ps: at_zero.delay_ps,
-        });
+    if tc_ps.is_nan() || tc_ps <= 0.0 {
+        return Err(OptimizeError::InvalidConstraint { tc_ps });
     }
+    let t = tmin(lib, path);
+    distribute_from_tmin(lib, path, tc_ps, t.delay_ps, t.sizes, options)
+}
+
+/// [`distribute_constraint_with`] from the path's solved `Tmin` (delay and
+/// sizing), the bisection's `a = 0` end; infeasible exactly when
+/// `tc_ps < tmin_ps`. The caller has checked that `tc_ps` is valid.
+pub(crate) fn distribute_from_tmin(
+    lib: &Library,
+    path: &TimedPath,
+    tc_ps: f64,
+    tmin_ps: f64,
+    tmin_sizes: Vec<f64>,
+    options: &SensitivityOptions,
+) -> Result<ConstraintSolution, OptimizeError> {
+    if tc_ps < tmin_ps {
+        return Err(OptimizeError::Infeasible { tc_ps, tmin_ps });
+    }
+    let at_zero = SensitivityPoint {
+        a: 0.0,
+        total_cin_ff: tmin_sizes.iter().sum(),
+        sizes: tmin_sizes,
+        delay_ps: tmin_ps,
+    };
     if at_zero.delay_ps >= tc_ps * (1.0 - options.delay_tolerance) {
         // The constraint equals Tmin: return the minimum-delay sizing.
-        return Ok(ConstraintSolution {
-            a: 0.0,
-            sizes: at_zero.sizes,
-            delay_ps: at_zero.delay_ps,
-            slack_ps: tc_ps - at_zero.delay_ps,
-            total_cin_ff: at_zero.total_cin_ff,
-            bisections: 0,
-        });
+        return Ok(at_zero.into_solution(tc_ps, 0));
     }
 
     // Find a lower bracket: delay(a_lo) >= tc.
@@ -193,22 +210,16 @@ pub fn distribute_constraint_with(
             // All gates are pinned at minimum drive: delay can no longer
             // increase. The constraint is weaker than Tmax; the min-drive
             // sizing (= lo_point) satisfies it at the global minimum area.
-            return Ok(ConstraintSolution {
-                a: a_lo,
-                sizes: lo_point.sizes,
-                delay_ps: lo_point.delay_ps,
-                slack_ps: tc_ps - lo_point.delay_ps,
-                total_cin_ff: lo_point.total_cin_ff,
-                bisections: expansion,
-            });
+            return Ok(lo_point.into_solution(tc_ps, expansion));
         }
     }
 
     // Bisection: delay(a) is decreasing in a (a ↑ 0 ⇒ bigger gates,
-    // faster path).
+    // faster path). Only points meeting tc become `best`, starting from
+    // the Tmin sizing at a = 0, in case no midpoint's solve meets tc.
     let mut hi = 0.0; // delay(hi) = Tmin <= tc
     let mut lo = a_lo; // delay(lo) >= tc
-    let mut best = lo_point.clone();
+    let mut best = at_zero;
     let mut steps = 0;
     for _ in 0..options.max_bisections {
         steps += 1;
@@ -229,14 +240,7 @@ pub fn distribute_constraint_with(
         }
     }
 
-    Ok(ConstraintSolution {
-        a: best.a,
-        sizes: best.sizes,
-        delay_ps: best.delay_ps,
-        slack_ps: tc_ps - best.delay_ps,
-        total_cin_ff: best.total_cin_ff,
-        bisections: steps,
-    })
+    Ok(best.into_solution(tc_ps, steps))
 }
 
 #[cfg(test)]
@@ -380,6 +384,19 @@ mod tests {
                 assert!(tc_ps < tmin_ps);
             }
             other => panic!("unexpected error {other}"),
+        }
+    }
+
+    #[test]
+    fn invalid_constraints_are_typed_errors() {
+        let lib = lib();
+        let path = TimedPath::new(vec![PathStage::new(CellKind::Inv); 3], 2.7, 30.0);
+        for tc in [f64::NAN, 0.0, -1.0] {
+            let err = distribute_constraint(&lib, &path, tc).unwrap_err();
+            assert!(
+                matches!(err, OptimizeError::InvalidConstraint { tc_ps } if tc_ps.to_bits() == tc.to_bits()),
+                "tc {tc}: got {err}"
+            );
         }
     }
 

@@ -6,7 +6,7 @@
 //! legitimate model change that moves them should update this file
 //! consciously (they are this repo's "golden" results).
 
-use pops::core::bounds::delay_bounds;
+use pops::core::bounds::{delay_bounds, golden_min, tmin};
 use pops::prelude::*;
 
 fn extract(name: &str, lib: &Library) -> TimedPath {
@@ -43,6 +43,47 @@ fn tmin_values_stay_pinned() {
             "{name}: Tmin {} vs golden {golden} (drift {:.1}%)",
             b.tmin_ps,
             rel * 100.0
+        );
+    }
+}
+
+/// Reference for the Tmin band: exact per-coordinate descent on the
+/// full delay model, six cycles of golden-section line searches over
+/// every interior size on `[C_REF, max(16·c, 64·C_REF)]`.
+fn line_search_descent(lib: &Library, path: &TimedPath, sizes: &mut [f64]) {
+    let cref = lib.min_drive_ff();
+    for _ in 0..6 {
+        for i in 1..sizes.len() {
+            let best = golden_min(
+                |c| {
+                    let mut probe = sizes.to_vec();
+                    probe[i] = c;
+                    path.delay(lib, &probe).total_ps
+                },
+                cref,
+                (sizes[i] * 16.0).max(cref * 64.0),
+            );
+            sizes[i] = best;
+        }
+    }
+}
+
+#[test]
+fn tmin_is_within_its_band_of_the_line_search_minimum() {
+    // Tmin is the link-equation fixed point within its sweep budget; line
+    // searches started from it must not find a delay 5e-5 (relative) or
+    // more below it on the longest suite paths.
+    let lib = Library::cmos025();
+    for name in ["c6288", "adder16", "c5315"] {
+        let path = extract(name, &lib);
+        let t = tmin(&lib, &path);
+        let mut sizes = t.sizes.clone();
+        line_search_descent(&lib, &path, &mut sizes);
+        let lowered = (t.delay_ps - path.delay(&lib, &sizes).total_ps) / t.delay_ps;
+        assert!(
+            lowered < 5e-5,
+            "{name}: line search lowers Tmin {} ps by {lowered:.2e} relative",
+            t.delay_ps
         );
     }
 }
