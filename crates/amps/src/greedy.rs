@@ -1,4 +1,4 @@
-//! TILOS-style greedy iterative sizing (refs. [1]–[2] of the paper).
+//! TILOS-style greedy iterative sizing (refs. \[1\]–\[2\] of the paper).
 //!
 //! The classical industrial loop: evaluate the timing, bump the size of
 //! the gate giving the best delay improvement per unit of added area,

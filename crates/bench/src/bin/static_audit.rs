@@ -18,6 +18,10 @@
 //! 6. **Float `==` confinement** — bitwise float equality is a
 //!    deliberate tool of the bit-stability modules; everywhere else it
 //!    is a bug magnet and must be allowlisted.
+//! 7. **No stale licenses** — an allowlist entry that licenses no
+//!    finding is itself a violation (`stale-allow`): the code it
+//!    excused is gone, and a leftover entry would silently license a
+//!    future line that happens to match it.
 //!
 //! Exit status 0 = clean, 1 = violations (printed one per line as
 //! `rule path:line: source`), 2 = usage/IO error. CI runs this next to
@@ -27,6 +31,9 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// The allowlist, relative to the repository root.
+const ALLOWLIST: &str = "crates/bench/static_audit_allow.txt";
 
 /// One policy violation: which rule, where, and the offending line.
 struct Violation {
@@ -55,14 +62,16 @@ struct Allow {
     rule: String,
     path_suffix: String,
     needle: String,
+    /// 1-based line of the entry in the allowlist, and its text.
+    line: usize,
+    text: String,
+    /// Whether the entry licensed at least one finding.
+    used: bool,
 }
 
-fn load_allowlist(path: &Path) -> Vec<Allow> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
+fn parse_allowlist(text: &str) -> Vec<Allow> {
     let mut out = Vec::new();
-    for line in text.lines() {
+    for (idx, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -75,16 +84,36 @@ fn load_allowlist(path: &Path) -> Vec<Allow> {
             rule: rule.to_string(),
             path_suffix: suffix.to_string(),
             needle: parts.next().unwrap_or("*").trim().to_string(),
+            line: idx + 1,
+            text: line.to_string(),
+            used: false,
         });
     }
     out
 }
 
-fn allowed(allows: &[Allow], rule: &str, path: &str, line_text: &str) -> bool {
-    allows.iter().any(|a| {
-        a.rule == rule
+/// Does an entry license this finding? Marks every entry that does.
+fn allowed(allows: &mut [Allow], rule: &str, path: &str, line_text: &str) -> bool {
+    let mut any = false;
+    for a in allows.iter_mut() {
+        if a.rule == rule
             && path.ends_with(&a.path_suffix)
             && (a.needle == "*" || line_text.contains(&a.needle))
+        {
+            a.used = true;
+            any = true;
+        }
+    }
+    any
+}
+
+/// Rule 7: the entries that licensed nothing.
+fn stale_entries(allows: &[Allow]) -> impl Iterator<Item = Violation> + '_ {
+    allows.iter().filter(|a| !a.used).map(|a| Violation {
+        rule: "stale-allow",
+        path: ALLOWLIST.to_string(),
+        line: a.line,
+        text: a.text.clone(),
     })
 }
 
@@ -366,8 +395,63 @@ fn is_lib_code(rel: &str) -> bool {
     under_src && !rel.contains("/bin/")
 }
 
+fn is_crate_root(rel: &str) -> bool {
+    rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))
+}
+
+/// Apply the per-file rules to one source file (`rel` is its
+/// repo-relative path), marking the allowlist entries that license a
+/// finding.
+fn scan_file(rel: &str, src: &str, allows: &mut [Allow], violations: &mut Vec<Violation>) {
+    let mask = code_mask(src);
+    let in_test = test_region_lines(&mask);
+    let lib = is_lib_code(rel);
+    if is_crate_root(rel) && !mask.lines().any(|l| l.contains("#![forbid(unsafe_code)]")) {
+        violations.push(Violation {
+            rule: "forbid-header",
+            path: rel.to_string(),
+            line: 1,
+            text: "crate root lacks #![forbid(unsafe_code)]".into(),
+        });
+    }
+
+    let src_lines: Vec<&str> = src.lines().collect();
+    for (idx, line) in mask.lines().enumerate() {
+        let shown = src_lines.get(idx).copied().unwrap_or(line).to_string();
+        let violation = |rule| Violation {
+            rule,
+            path: rel.to_string(),
+            line: idx + 1,
+            text: shown.clone(),
+        };
+        // 1. No `unsafe` (everywhere, tests included).
+        if has_word(line, "unsafe") {
+            violations.push(violation("unsafe"));
+        }
+        if !lib || in_test[idx] {
+            continue;
+        }
+        // 3. No `.unwrap()` in library code.
+        if line.contains(".unwrap()") {
+            violations.push(violation("unwrap-in-lib"));
+        }
+        // 4. `.expect(` needs an allowlist license.
+        if line.contains(".expect(") && !allowed(allows, "expect-in-lib", rel, &shown) {
+            violations.push(violation("expect-in-lib"));
+        }
+        // 5. No relaxed atomics.
+        if line.contains("Ordering::Relaxed") {
+            violations.push(violation("relaxed-ordering"));
+        }
+        // 6. Float equality only in the bit-stability modules.
+        if has_float_eq(line) && !allowed(allows, "float-eq", rel, &shown) {
+            violations.push(violation("float-eq"));
+        }
+    }
+}
+
 fn scan_repo(root: &Path) -> Result<Vec<Violation>, String> {
-    let allows = load_allowlist(&root.join("crates/bench/static_audit_allow.txt"));
+    let mut allows = parse_allowlist(&fs::read_to_string(root.join(ALLOWLIST)).unwrap_or_default());
     let mut files = Vec::new();
     for top in ["crates", "src", "tests", "benches", "examples"] {
         walk(&root.join(top), &mut files);
@@ -378,7 +462,7 @@ fn scan_repo(root: &Path) -> Result<Vec<Violation>, String> {
     }
 
     let mut violations = Vec::new();
-    let mut lib_roots_seen = Vec::new();
+    let mut lib_roots_seen = 0usize;
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -386,84 +470,18 @@ fn scan_repo(root: &Path) -> Result<Vec<Violation>, String> {
             .to_string_lossy()
             .replace('\\', "/");
         let src = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let mask = code_mask(&src);
-        let in_test = test_region_lines(&mask);
-        let lib = is_lib_code(&rel);
-        let is_crate_root =
-            rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"));
-        if is_crate_root {
-            lib_roots_seen.push(rel.clone());
-            if !mask.lines().any(|l| l.contains("#![forbid(unsafe_code)]")) {
-                violations.push(Violation {
-                    rule: "forbid-header",
-                    path: rel.clone(),
-                    line: 1,
-                    text: "crate root lacks #![forbid(unsafe_code)]".into(),
-                });
-            }
+        if is_crate_root(&rel) {
+            lib_roots_seen += 1;
         }
-
-        let src_lines: Vec<&str> = src.lines().collect();
-        for (idx, line) in mask.lines().enumerate() {
-            let shown = src_lines.get(idx).copied().unwrap_or(line).to_string();
-            let lineno = idx + 1;
-            // 1. No `unsafe` (everywhere, tests included).
-            if has_word(line, "unsafe") {
-                violations.push(Violation {
-                    rule: "unsafe",
-                    path: rel.clone(),
-                    line: lineno,
-                    text: shown.clone(),
-                });
-            }
-            if !lib || in_test[idx] {
-                continue;
-            }
-            // 3. No `.unwrap()` in library code.
-            if line.contains(".unwrap()") {
-                violations.push(Violation {
-                    rule: "unwrap-in-lib",
-                    path: rel.clone(),
-                    line: lineno,
-                    text: shown.clone(),
-                });
-            }
-            // 4. `.expect(` needs an allowlist license.
-            if line.contains(".expect(") && !allowed(&allows, "expect-in-lib", &rel, &shown) {
-                violations.push(Violation {
-                    rule: "expect-in-lib",
-                    path: rel.clone(),
-                    line: lineno,
-                    text: shown.clone(),
-                });
-            }
-            // 5. No relaxed atomics.
-            if line.contains("Ordering::Relaxed") {
-                violations.push(Violation {
-                    rule: "relaxed-ordering",
-                    path: rel.clone(),
-                    line: lineno,
-                    text: shown.clone(),
-                });
-            }
-            // 6. Float equality only in the bit-stability modules.
-            if has_float_eq(line) && !allowed(&allows, "float-eq", &rel, &shown) {
-                violations.push(Violation {
-                    rule: "float-eq",
-                    path: rel.clone(),
-                    line: lineno,
-                    text: shown,
-                });
-            }
-        }
+        scan_file(&rel, &src, &mut allows, &mut violations);
     }
-    if lib_roots_seen.len() < 2 {
+    if lib_roots_seen < 2 {
         return Err(format!(
-            "only {} crate roots found — wrong directory? (root: {})",
-            lib_roots_seen.len(),
+            "only {lib_roots_seen} crate roots found — wrong directory? (root: {})",
             root.display()
         ));
     }
+    violations.extend(stale_entries(&allows));
     Ok(violations)
 }
 
@@ -546,6 +564,26 @@ fn f() {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() {}\n}\nfn c() {}\n";
         let t = test_region_lines(src);
         assert_eq!(t, [false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn allowlist_entries_that_license_nothing_are_stale() {
+        let mut allows = parse_allowlist(
+            "# header\n\
+             expect-in-lib crates/a/src/x.rs expect(\"live proof\")\n\
+             expect-in-lib crates/a/src/gone.rs expect(\"dead proof\")\n",
+        );
+        let mut v = Vec::new();
+        let src = "fn f() {\n    g().expect(\"live proof\");\n}\n";
+        scan_file("crates/a/src/x.rs", src, &mut allows, &mut v);
+        assert!(v.is_empty(), "the live entry licenses the expect");
+        let stale: Vec<String> = stale_entries(&allows).map(|x| x.to_string()).collect();
+        assert_eq!(
+            stale,
+            [format!(
+                "stale-allow {ALLOWLIST}:3: expect-in-lib crates/a/src/gone.rs expect(\"dead proof\")"
+            )]
+        );
     }
 
     #[test]

@@ -10,10 +10,22 @@
 //!
 //! `Tmin` is that fixed point and nothing else. The sweeps carry the
 //! Miller-factor corrections, so the fixed point is a stationary point of
-//! the full delay model; long paths stop at the sweep budget short of it.
-//! Within the default budget, an exact per-coordinate line search started
-//! from the result lowers the delay of the suite's critical paths by less
-//! than 5e-5 relative (`tests/suite_regression.rs` holds this band).
+//! the full delay model. The sweeps converge linearly, and long paths stop
+//! at the 200-sweep default budget short of it. Against `tmin_with` at
+//! 50,000 sweeps and tolerance 1e-15 on the suite's critical paths, the
+//! default `Tmin` sits above the converged fixed point by
+//!
+//! * 4.5e-4 relative on c6288 (7135.58 vs 7132.35 ps; the converged run
+//!   took 10,362 sweeps),
+//! * 3.9e-4 on adder16,
+//! * 4.2e-5 on c5315,
+//! * at most 3e-6 on c7552 and c1908.
+//!
+//! `tests/suite_regression.rs` holds a weaker band: six cycles of
+//! golden-section coordinate search started from the result must lower
+//! the delay by less than 5e-5 relative. That search also stops short of
+//! the minimum, so the band bounds what it finds, not the distance to the
+//! fixed point.
 
 use pops_delay::{Library, TimedPath};
 
@@ -50,13 +62,6 @@ pub struct DelayBounds {
     pub tmax_ps: f64,
     /// Sizing achieving `tmin_ps`.
     pub tmin_sizes: Vec<f64>,
-}
-
-impl DelayBounds {
-    /// Is a constraint achievable by sizing alone (structure conserved)?
-    pub fn is_feasible(&self, tc_ps: f64) -> bool {
-        tc_ps >= self.tmin_ps
-    }
 }
 
 /// Options for the `Tmin` iteration: `Tmin` is the eq. (4) link-equation
@@ -335,14 +340,6 @@ mod tests {
         let light = delay_bounds(&lib, &chain(5, 50.0));
         let heavy = delay_bounds(&lib, &chain(5, 500.0));
         assert!(heavy.tmin_ps > light.tmin_ps);
-    }
-
-    #[test]
-    fn feasibility_uses_tmin() {
-        let lib = lib();
-        let b = delay_bounds(&lib, &chain(4, 100.0));
-        assert!(b.is_feasible(b.tmin_ps * 1.01));
-        assert!(!b.is_feasible(b.tmin_ps * 0.99));
     }
 
     #[test]

@@ -165,28 +165,6 @@ pub fn analytic_gradient(lib: &Library, path: &TimedPath, sizes: &[f64]) -> Vec<
     g
 }
 
-/// Analytic slack gradient `∂slack/∂C_IN(i) = −∂T/∂C_IN(i)` at `sizes`
-/// (ps/fF). A *positive* entry is a stage whose upsizing buys slack —
-/// the quantity slack-driven candidate ranking maximizes, replacing
-/// "largest arrival" heuristics with "best slack return per fF".
-pub fn slack_gradient(lib: &Library, path: &TimedPath, sizes: &[f64]) -> Vec<f64> {
-    analytic_gradient(lib, path, sizes)
-        .into_iter()
-        .map(|g| -g)
-        .collect()
-}
-
-/// Interior stage indices ordered best-upsize-candidate first: by
-/// descending slack gain per added fF ([`slack_gradient`]), ties broken
-/// by index. Stage 0 (the latch-pinned source) is excluded — it is not
-/// a sizing variable.
-pub fn rank_stages_by_slack_gain(lib: &Library, path: &TimedPath, sizes: &[f64]) -> Vec<usize> {
-    let grad = slack_gradient(lib, path, sizes);
-    let mut order: Vec<usize> = (1..path.len()).collect();
-    order.sort_by(|&a, &b| grad[b].total_cmp(&grad[a]).then(a.cmp(&b)));
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,37 +253,6 @@ mod tests {
         let g_big = analytic_gradient(&lib, &p, &sizes)[1];
         assert!(g_small < 0.0);
         assert!(g_big > 0.0);
-    }
-
-    #[test]
-    fn slack_gradient_is_the_negated_delay_gradient() {
-        let lib = lib();
-        let p = mixed_path();
-        let sizes = p.min_sizes(&lib);
-        let delay_grad = analytic_gradient(&lib, &p, &sizes);
-        let slack_grad = slack_gradient(&lib, &p, &sizes);
-        for i in 0..p.len() {
-            assert_eq!(slack_grad[i].to_bits(), (-delay_grad[i]).to_bits());
-        }
-    }
-
-    #[test]
-    fn stage_ranking_puts_the_biggest_slack_gain_first() {
-        let lib = lib();
-        let p = mixed_path();
-        let sizes = p.min_sizes(&lib);
-        let grad = slack_gradient(&lib, &p, &sizes);
-        let order = rank_stages_by_slack_gain(&lib, &p, &sizes);
-        assert_eq!(order.len(), p.len() - 1);
-        assert!(!order.contains(&0), "the pinned source is not a variable");
-        for w in order.windows(2) {
-            assert!(
-                grad[w[0]] >= grad[w[1]],
-                "ranking must be non-increasing in slack gain"
-            );
-        }
-        // At all-minimum sizing some upsizing must buy slack.
-        assert!(grad[order[0]] > 0.0);
     }
 
     #[test]

@@ -89,19 +89,6 @@ pub fn demorgan_restructure(lib: &Library, path: &TimedPath) -> Option<Restructu
     })
 }
 
-/// Restructure and report the new minimum delay (the Table 4 pipeline:
-/// restructure, then globally size).
-///
-/// Returns `None` when the path has no NOR stage.
-pub fn restructured_tmin(
-    lib: &Library,
-    path: &TimedPath,
-) -> Option<(RestructuredPath, TminResult)> {
-    let r = demorgan_restructure(lib, path)?;
-    let t = tmin(lib, &r.path);
-    Some((r, t))
-}
-
 /// Selective critical-node restructuring — the flow the paper actually
 /// evaluates in Table 4.
 ///
@@ -357,7 +344,7 @@ mod tests {
         let lib = lib();
         let path = nor_heavy_path();
         let original = delay_bounds(&lib, &path);
-        let (_, rt) = restructured_tmin(&lib, &path).unwrap();
+        let rt = tmin(&lib, &demorgan_restructure(&lib, &path).unwrap().path);
         assert!(
             rt.delay_ps < original.tmin_ps,
             "restructured tmin {} !< original {}",

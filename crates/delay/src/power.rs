@@ -1,16 +1,14 @@
-//! Switching power estimation.
+//! Leakage power.
 //!
 //! The paper uses total transistor width `ΣW` as its area *and* power
-//! metric ("minimum area/power cost"): in static CMOS the dynamic power
-//! is `P = α·f·C_sw·V_DD²`, and the switched capacitance `C_sw` is
-//! proportional to the implemented widths. This module makes that
-//! relationship explicit so results can be reported in physical units
-//! rather than only in µm of width.
+//! metric ("minimum area/power cost"): the switched capacitance of static
+//! CMOS is proportional to the implemented widths. Subthreshold leakage
+//! is proportional to width too, scaled by the gate's Vt variant; the
+//! flow's high-Vt pass reports it through [`leakage_nw`].
 
 use pops_netlist::cell::VtClass;
 
-use crate::library::{Library, VtTiming};
-use crate::path::TimedPath;
+use crate::library::VtTiming;
 use crate::process::Process;
 
 /// Baseline subthreshold leakage per µm of SVT transistor width (nW/µm),
@@ -44,196 +42,13 @@ pub fn leakage_nw(process: &Process, vt_class: VtClass, cin_ff: f64) -> f64 {
     process.width_um(cin_ff) * BASE_LEAKAGE_NW_PER_UM * VtTiming::of(vt_class).leakage_factor
 }
 
-/// Power estimate for a sized path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerEstimate {
-    /// Total switched capacitance (fF): gate input caps, their parasitic
-    /// output caps, and the fixed off-path/terminal loads.
-    pub switched_cap_ff: f64,
-    /// Energy per full switching cycle of the path (fJ): `C_sw · V_DD²`.
-    pub energy_per_cycle_fj: f64,
-    /// Dynamic power (µW) at the given clock and activity.
-    pub dynamic_power_uw: f64,
-}
-
-/// Options for power estimation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerOptions {
-    /// Clock frequency (MHz).
-    pub clock_mhz: f64,
-    /// Switching activity factor `α` (fraction of cycles the path
-    /// toggles; 1.0 = toggles every cycle).
-    pub activity: f64,
-}
-
-impl Default for PowerOptions {
-    fn default() -> Self {
-        PowerOptions {
-            clock_mhz: 250.0, // a typical 0.25 µm-era clock
-            activity: 0.5,
-        }
-    }
-}
-
-/// Estimate the switching power of `path` under `sizes`.
-///
-/// `C_sw` counts every capacitance a path transition charges or
-/// discharges: each stage's input capacitance and its drain parasitic,
-/// each stage's off-path load, and the terminal load.
-///
-/// Unit bookkeeping: `fF · V² = fJ`; `fJ · MHz = nW·1e3 = µW·1e-3` —
-/// so `P[µW] = E[fJ] · f[MHz] · α · 1e-3`.
-///
-/// # Panics
-///
-/// Panics if `sizes.len() != path.len()`.
-///
-/// # Example
-///
-/// ```
-/// use pops_delay::power::{switching_power, PowerOptions};
-/// use pops_delay::{Library, PathStage, TimedPath};
-/// use pops_netlist::CellKind;
-///
-/// let lib = Library::cmos025();
-/// let path = TimedPath::new(
-///     vec![PathStage::new(CellKind::Inv); 3],
-///     lib.min_drive_ff(),
-///     20.0,
-/// );
-/// let sizes = path.min_sizes(&lib);
-/// let p = switching_power(&lib, &path, &sizes, &PowerOptions::default());
-/// assert!(p.dynamic_power_uw > 0.0);
-/// ```
-pub fn switching_power(
-    lib: &Library,
-    path: &TimedPath,
-    sizes: &[f64],
-    options: &PowerOptions,
-) -> PowerEstimate {
-    assert_eq!(sizes.len(), path.len(), "one size per stage");
-    let vdd = lib.process().vdd;
-    let mut c_sw = path.terminal_load_ff();
-    for (i, stage) in path.stages().iter().enumerate() {
-        let cell = lib.cell(stage.cell);
-        c_sw += sizes[i]; // the gate's own input pins
-        c_sw += cell.cpar_ff(sizes[i]); // its drain parasitics
-        c_sw += stage.off_path_load_ff; // the off-path pins it toggles
-    }
-    let energy_fj = c_sw * vdd * vdd;
-    let power_uw = energy_fj * options.clock_mhz * options.activity * 1e-3;
-    PowerEstimate {
-        switched_cap_ff: c_sw,
-        energy_per_cycle_fj: energy_fj,
-        dynamic_power_uw: power_uw,
-    }
-}
-
-/// The paper's proportionality: power scales with the `ΣW` width metric
-/// at fixed structure. Returns `P(sizing_b) / P(sizing_a)`.
-pub fn power_ratio(
-    lib: &Library,
-    path: &TimedPath,
-    sizes_a: &[f64],
-    sizes_b: &[f64],
-    options: &PowerOptions,
-) -> f64 {
-    let a = switching_power(lib, path, sizes_a, options);
-    let b = switching_power(lib, path, sizes_b, options);
-    b.dynamic_power_uw / a.dynamic_power_uw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::PathStage;
-    use pops_netlist::CellKind;
-
-    fn setup() -> (Library, TimedPath) {
-        let lib = Library::cmos025();
-        let path = TimedPath::new(
-            vec![
-                PathStage::new(CellKind::Inv),
-                PathStage::with_load(CellKind::Nand2, 10.0),
-                PathStage::new(CellKind::Inv),
-            ],
-            lib.min_drive_ff(),
-            30.0,
-        );
-        (lib, path)
-    }
-
-    #[test]
-    fn bigger_gates_burn_more_power() {
-        let (lib, path) = setup();
-        let small = path.min_sizes(&lib);
-        let mut big = small.clone();
-        big[1] *= 4.0;
-        big[2] *= 4.0;
-        let opts = PowerOptions::default();
-        let p_small = switching_power(&lib, &path, &small, &opts);
-        let p_big = switching_power(&lib, &path, &big, &opts);
-        assert!(p_big.dynamic_power_uw > p_small.dynamic_power_uw);
-        assert!(power_ratio(&lib, &path, &small, &big, &opts) > 1.0);
-    }
-
-    #[test]
-    fn power_is_linear_in_frequency_and_activity() {
-        let (lib, path) = setup();
-        let sizes = path.min_sizes(&lib);
-        let base = switching_power(
-            &lib,
-            &path,
-            &sizes,
-            &PowerOptions {
-                clock_mhz: 100.0,
-                activity: 0.5,
-            },
-        );
-        let double_f = switching_power(
-            &lib,
-            &path,
-            &sizes,
-            &PowerOptions {
-                clock_mhz: 200.0,
-                activity: 0.5,
-            },
-        );
-        let double_a = switching_power(
-            &lib,
-            &path,
-            &sizes,
-            &PowerOptions {
-                clock_mhz: 100.0,
-                activity: 1.0,
-            },
-        );
-        assert!((double_f.dynamic_power_uw - 2.0 * base.dynamic_power_uw).abs() < 1e-12);
-        assert!((double_a.dynamic_power_uw - 2.0 * base.dynamic_power_uw).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energy_is_cv_squared() {
-        let (lib, path) = setup();
-        let sizes = path.min_sizes(&lib);
-        let p = switching_power(&lib, &path, &sizes, &PowerOptions::default());
-        let vdd = lib.process().vdd;
-        assert!((p.energy_per_cycle_fj - p.switched_cap_ff * vdd * vdd).abs() < 1e-9);
-    }
-
-    #[test]
-    fn switched_cap_includes_all_loads() {
-        let (lib, path) = setup();
-        let sizes = path.min_sizes(&lib);
-        let p = switching_power(&lib, &path, &sizes, &PowerOptions::default());
-        // Lower bound: sum of sizes + terminal + off-path.
-        let floor: f64 = sizes.iter().sum::<f64>() + path.terminal_load_ff() + 10.0;
-        assert!(p.switched_cap_ff > floor);
-    }
 
     #[test]
     fn leakage_orders_by_vt_and_scales_with_width() {
-        let p = crate::process::Process::cmos025();
+        let p = Process::cmos025();
         let lvt = leakage_nw(&p, VtClass::Lvt, 2.7);
         let svt = leakage_nw(&p, VtClass::Svt, 2.7);
         let hvt = leakage_nw(&p, VtClass::Hvt, 2.7);
@@ -243,18 +58,5 @@ mod tests {
         assert!((double - 2.0 * svt).abs() < 1e-12);
         // Magnitude: a min-size SVT gate leaks well under a µW.
         assert!(svt > 0.0 && svt < 1000.0);
-    }
-
-    #[test]
-    fn magnitudes_are_physical() {
-        // A handful of fF at 2.5 V and 250 MHz: microwatts, not watts.
-        let (lib, path) = setup();
-        let sizes = path.min_sizes(&lib);
-        let p = switching_power(&lib, &path, &sizes, &PowerOptions::default());
-        assert!(
-            (0.01..1000.0).contains(&p.dynamic_power_uw),
-            "{} uW",
-            p.dynamic_power_uw
-        );
     }
 }

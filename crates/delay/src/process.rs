@@ -144,16 +144,6 @@ impl CornerSet {
         }
     }
 
-    /// Build from an explicit corner list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corners` is empty — the engine always needs a primary.
-    pub fn from_corners(corners: Vec<Process>) -> Self {
-        assert!(!corners.is_empty(), "a CornerSet needs at least one corner");
-        CornerSet { corners }
-    }
-
     /// Number of corners.
     pub fn len(&self) -> usize {
         self.corners.len()
@@ -236,11 +226,5 @@ mod tests {
         let set = CornerSet::single(Process::cmos025());
         assert_eq!(set.len(), 1);
         assert_eq!(set.primary(), &Process::cmos025());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one corner")]
-    fn empty_corner_set_panics() {
-        CornerSet::from_corners(Vec::new());
     }
 }

@@ -1,9 +1,9 @@
 //! Structural netlist builders.
 //!
-//! These produce the concrete circuits the paper experiments on directly:
-//! inverter chains and mixed-gate arrays (Fig. 1/3/6 use 11- and 13-gate
-//! paths), plus a genuine gate-level ripple-carry adder used as the
-//! `Adder16` workload.
+//! Inverter chains, a genuine gate-level ripple-carry adder used as the
+//! `Adder16` workload, and the parameterized generators (carry-select
+//! adders, array multipliers, seeded random-logic clouds) that
+//! [`synthetic_fabric`] composes into the scaling fabrics.
 
 use crate::cell::CellKind;
 use crate::circuit::{Circuit, NetDriver, NetId};
@@ -13,7 +13,7 @@ use crate::rng::SplitMix64;
 /// Build a chain of `n` inverters: `in -> inv -> inv -> ... -> out`.
 ///
 /// The canonical tapered-buffer optimization testbed (Mead & Rem, ref.
-/// [15] of the paper).
+/// \[15\] of the paper).
 ///
 /// # Panics
 ///
@@ -37,71 +37,6 @@ pub fn inverter_chain(n: usize) -> Circuit {
     }
     c.mark_output(prev);
     c
-}
-
-/// Build a single path ("gate array" in the paper's wording) whose stages
-/// use the given cells in order. Side inputs of multi-input cells are tied
-/// to dedicated primary inputs so that the circuit is well formed and the
-/// main path is the unique longest path.
-///
-/// The paper's Fig. 3 uses an 11-gate array and Fig. 6 a 13-gate array.
-///
-/// # Errors
-///
-/// Propagates construction errors (they indicate a bug in the cell list,
-/// e.g. an arity-0 cell).
-///
-/// # Example
-///
-/// ```
-/// use pops_netlist::{builders::gate_array, CellKind};
-///
-/// # fn main() -> Result<(), pops_netlist::NetlistError> {
-/// let cells = [CellKind::Inv, CellKind::Nand2, CellKind::Nor2];
-/// let c = gate_array("demo", &cells)?;
-/// assert_eq!(c.gate_count(), 3);
-/// assert_eq!(c.depth().unwrap(), 3);
-/// # Ok(())
-/// # }
-/// ```
-pub fn gate_array(name: &str, cells: &[CellKind]) -> Result<Circuit, NetlistError> {
-    let mut c = Circuit::new(name);
-    let mut prev = c.add_input("in");
-    for (i, &kind) in cells.iter().enumerate() {
-        let mut inputs = vec![prev];
-        for pin in 1..kind.num_inputs() {
-            inputs.push(c.add_input(format!("side_{i}_{pin}")));
-        }
-        prev = c.add_gate(kind, &inputs, format!("s{i}"))?;
-    }
-    c.mark_output(prev);
-    Ok(c)
-}
-
-/// The paper's 11-gate path used for the Fig. 3 constant-sensitivity
-/// illustration: a representative mix of inverters, NANDs and NORs.
-pub fn eleven_gate_path() -> Circuit {
-    use CellKind::*;
-    gate_array(
-        "array11",
-        &[
-            Inv, Nand2, Inv, Nor2, Nand3, Inv, Nor3, Nand2, Inv, Nor2, Inv,
-        ],
-    )
-    .expect("static cell list is valid")
-}
-
-/// The paper's 13-gate array used for the Fig. 6 constraint-domain
-/// exploration.
-pub fn thirteen_gate_array() -> Circuit {
-    use CellKind::*;
-    gate_array(
-        "array13",
-        &[
-            Inv, Nand2, Nor2, Inv, Nand3, Inv, Nor3, Nand2, Inv, Nor2, Nand2, Inv, Inv,
-        ],
-    )
-    .expect("static cell list is valid")
 }
 
 /// One full adder in NAND-only form. Returns `(sum, carry_out)`.
@@ -157,36 +92,6 @@ pub fn ripple_carry_adder(bits: usize) -> Circuit {
         carry = cout;
     }
     c.mark_output(carry);
-    c
-}
-
-/// A balanced tree of XOR2 gates over `leaves` inputs (parity function),
-/// characteristic of the ECAT-style c499/c1355 structure.
-///
-/// # Panics
-///
-/// Panics if `leaves < 2`.
-pub fn xor_tree(leaves: usize) -> Circuit {
-    assert!(leaves >= 2, "xor tree needs at least two leaves");
-    let mut c = Circuit::new(format!("xor_tree_{leaves}"));
-    let mut frontier: Vec<NetId> = (0..leaves).map(|i| c.add_input(format!("x{i}"))).collect();
-    let mut level = 0usize;
-    while frontier.len() > 1 {
-        let mut next = Vec::with_capacity(frontier.len().div_ceil(2));
-        for (j, pair) in frontier.chunks(2).enumerate() {
-            if pair.len() == 2 {
-                let y = c
-                    .add_gate(CellKind::Xor2, &[pair[0], pair[1]], format!("t{level}_{j}"))
-                    .expect("arity correct");
-                next.push(y);
-            } else {
-                next.push(pair[0]);
-            }
-        }
-        frontier = next;
-        level += 1;
-    }
-    c.mark_output(frontier[0]);
     c
 }
 
@@ -554,16 +459,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gate_array_depth_equals_length() {
-        let c = eleven_gate_path();
-        assert_eq!(c.gate_count(), 11);
-        assert_eq!(c.depth().unwrap(), 11);
-        let c = thirteen_gate_array();
-        assert_eq!(c.gate_count(), 13);
-        assert_eq!(c.depth().unwrap(), 13);
-    }
-
     fn add_via_circuit(c: &Circuit, bits: usize, a: u64, b: u64, cin: bool) -> u64 {
         let mut vals: HashMap<String, bool> = HashMap::new();
         for i in 0..bits {
@@ -627,37 +522,9 @@ mod tests {
     }
 
     #[test]
-    fn xor_tree_computes_parity() {
-        let leaves = 8;
-        let c = xor_tree(leaves);
-        for bits in 0..(1u32 << leaves) {
-            let mut vals: HashMap<String, bool> = HashMap::new();
-            for i in 0..leaves {
-                vals.insert(format!("x{i}"), bits >> i & 1 == 1);
-            }
-            let borrowed: HashMap<&str, bool> =
-                vals.iter().map(|(k, &v)| (k.as_str(), v)).collect();
-            let out = c.evaluate(&borrowed).unwrap();
-            let parity = bits.count_ones() % 2 == 1;
-            assert_eq!(out.values().next().copied().unwrap(), parity);
-        }
-    }
-
-    #[test]
-    fn xor_tree_depth_is_logarithmic() {
-        let c = xor_tree(16);
-        assert_eq!(c.depth().unwrap(), 4);
-        let c = xor_tree(9);
-        assert_eq!(c.depth().unwrap(), 4);
-    }
-
-    #[test]
     fn builders_validate() {
         ripple_carry_adder(8).validate().unwrap();
         inverter_chain(7).validate().unwrap();
-        xor_tree(5).validate().unwrap();
-        eleven_gate_path().validate().unwrap();
-        thirteen_gate_array().validate().unwrap();
         carry_select_adder(9, 4).validate().unwrap();
         array_multiplier(5).validate().unwrap();
         random_logic_cloud(16, 300, 7).validate().unwrap();

@@ -8,7 +8,7 @@
 //! * an arena-based combinational [`circuit::Circuit`] graph,
 //! * ISCAS'85 [`bench_format`] (`.bench`) parsing and writing,
 //! * structural [`builders`] (ripple-carry adders, inverter chains, the
-//!   paper's 11/13-gate arrays),
+//!   synthetic scaling fabrics),
 //! * a seeded, deterministic ISCAS'85-like benchmark [`suite`] whose
 //!   critical-path profiles match the circuits evaluated in the paper.
 //!
@@ -41,7 +41,6 @@ pub mod cell;
 pub mod circuit;
 pub mod error;
 pub mod rng;
-pub mod stats;
 pub mod suite;
 pub mod surgery;
 

@@ -276,11 +276,6 @@ pub fn scaling_circuit(name: &str) -> Option<Circuit> {
     scaling_class(name).map(|c| crate::builders::synthetic_fabric(c.name, c.target_gates, c.seed))
 }
 
-/// Names of all scaling classes, smallest first.
-pub fn scaling_names() -> Vec<&'static str> {
-    SCALING_CLASSES.iter().map(|c| c.name).collect()
-}
-
 fn pick_kind(rng: &mut SplitMix64, mix: &[(CellKind, u32)]) -> CellKind {
     let weights: Vec<u32> = mix.iter().map(|&(_, w)| w).collect();
     mix[rng.weighted(&weights)].0
@@ -439,6 +434,7 @@ mod tests {
                 "{}",
                 p.name
             );
+            assert_eq!(c.primary_inputs().len(), p.n_inputs, "{}", p.name);
         }
     }
 
@@ -500,12 +496,31 @@ mod tests {
     }
 
     #[test]
+    fn c6288_is_nor_dominated() {
+        // The multiplier profile is NOR-rich (like the real c6288); the
+        // ECAT-style c1355 is not.
+        let nor_share = |name: &str| {
+            let c = circuit(name).unwrap();
+            let nors: usize = c
+                .cell_histogram()
+                .into_iter()
+                .filter(|(k, _)| matches!(k, CellKind::Nor2 | CellKind::Nor3 | CellKind::Nor4))
+                .map(|(_, n)| n)
+                .sum();
+            nors as f64 / c.gate_count() as f64
+        };
+        let f = nor_share("c6288");
+        assert!(f > 0.4, "c6288 NOR fraction {f}");
+        let f = nor_share("c1355");
+        assert!(f < 0.3, "c1355 NOR fraction {f}");
+    }
+
+    #[test]
     fn scaling_classes_build_exactly_and_validate() {
         let c = scaling_circuit("synth10k").unwrap();
         assert_eq!(c.gate_count(), 10_000);
         c.validate().unwrap();
         assert!(scaling_circuit("synth2g").is_none());
-        assert_eq!(scaling_names(), ["synth10k", "synth100k", "synth1m"]);
         assert_eq!(scaling_class("synth1m").unwrap().target_gates, 1_000_000);
     }
 

@@ -162,7 +162,7 @@ const MAX_STEPS: usize = 400_000;
 ///
 /// The initial output state is the DC solution for the initial input
 /// value. Integration continues past the end of the input until the
-/// output settles within 0.1 % of a rail (or [`MAX_STEPS`] elapse).
+/// output settles within 0.1 % of a rail (or `MAX_STEPS` elapse).
 ///
 /// # Example
 ///

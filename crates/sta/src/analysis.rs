@@ -260,7 +260,8 @@ impl TimingReport {
 /// # Errors
 ///
 /// Propagates netlist structural errors (cycles, undriven nets) from
-/// [`Circuit::topo_order`].
+/// [`Circuit::topo_order`]; [`NetlistError::InvalidId`] when `sizing`
+/// does not have exactly one entry per gate of `circuit`.
 pub fn analyze(
     circuit: &Circuit,
     lib: &Library,
@@ -280,6 +281,7 @@ pub fn analyze_with(
     sizing: &Sizing,
     options: &AnalyzeOptions,
 ) -> Result<TimingReport, NetlistError> {
+    sizing.check_covers(circuit)?;
     let order = circuit.topo_order()?;
     let n_nets = circuit.net_count();
 

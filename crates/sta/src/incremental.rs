@@ -100,7 +100,7 @@
 //! O(nets) even when nothing moved, which is exactly what broke even on
 //! the small-circuit probes. The backward flush already knows every net
 //! whose required time or arrival moved, so the graph maintains a
-//! [`WorstSlackIndex`]: per-net worst finite slacks at the leaves of a
+//! `WorstSlackIndex`: per-net worst finite slacks at the leaves of a
 //! tournament tree of partial minima. Each moved slack is an O(log
 //! nets) leaf update folded in at flush time; the design-worst slack
 //! query is then O(1) at the root, bit-identical to the full fold.
@@ -751,7 +751,8 @@ impl<'c> TimingGraph<'c> {
     /// # Errors
     ///
     /// Propagates netlist structural errors (cycles, undriven nets) from
-    /// [`Circuit::topo_order`].
+    /// [`Circuit::topo_order`]; [`NetlistError::InvalidId`] when `sizing`
+    /// does not have exactly one entry per gate of `circuit`.
     pub fn new(
         circuit: &'c Circuit,
         lib: &'c Library,
@@ -810,6 +811,7 @@ impl<'c> TimingGraph<'c> {
         sizing: &Sizing,
         options: &AnalyzeOptions,
     ) -> Result<Self, NetlistError> {
+        sizing.check_covers(circuit)?;
         let s = build_structure(circuit)?;
         let n_nets = circuit.net_count();
         let n_gates = circuit.gate_count();
@@ -1242,16 +1244,6 @@ impl<'c> TimingGraph<'c> {
     #[inline]
     pub fn n_corners(&self) -> usize {
         self.corner_libs.len()
-    }
-
-    /// The characterized library of one corner (corner 0 is the primary
-    /// corner every plain query reads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corner >= n_corners()`.
-    pub fn corner_lib(&self, corner: usize) -> &Library {
-        &self.corner_libs[corner]
     }
 
     /// The Vt variant a gate is currently implemented in.
@@ -2018,12 +2010,6 @@ impl<'c> TimingGraph<'c> {
         Ok(())
     }
 
-    /// Stop maintaining the backward state (forward-only mutations get
-    /// cheaper again).
-    pub fn clear_constraint(&mut self) {
-        *self.backward.get_mut() = None;
-    }
-
     /// The constraint the backward state is maintained under, if any.
     pub fn constraint_ps(&self) -> Option<f64> {
         self.backward.borrow().as_ref().map(|bw| bw.tc_ps)
@@ -2097,17 +2083,6 @@ impl<'c> TimingGraph<'c> {
     pub fn worst_slack_ps(&self, net: NetId) -> f64 {
         self.slack_ps(net, EdgeDir::Rising)
             .min(self.slack_ps(net, EdgeDir::Falling))
-    }
-
-    /// Worst (most negative) slack over both edges of a net, on one
-    /// corner.
-    ///
-    /// # Panics
-    ///
-    /// As [`TimingGraph::required_ps`]; also if `corner >= n_corners()`.
-    pub fn worst_slack_ps_corner(&self, net: NetId, corner: usize) -> f64 {
-        self.slack_ps_corner(net, EdgeDir::Rising, corner)
-            .min(self.slack_ps_corner(net, EdgeDir::Falling, corner))
     }
 
     /// Worst finite slack over the whole design **and all corners**;
@@ -3169,6 +3144,8 @@ mod tests {
         let c = inverter_chain(3);
         let s = Sizing::minimum(&c, &lib);
         let graph = TimingGraph::new(&c, &lib, &s).unwrap();
+        assert_eq!(graph.constraint_ps(), None);
+        assert!(graph.cached_completion_ps().is_none());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             graph.worst_slack_overall_ps()
         }));
@@ -3183,6 +3160,8 @@ mod tests {
         let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
         let tc = 1.2 * graph.critical_delay_ps();
         graph.set_constraint(tc);
+        assert_eq!(graph.constraint_ps(), Some(tc));
+        assert!(graph.cached_completion_ps().is_some());
         let sizing = graph.sizing().clone();
         assert!(TimingView::cached_required_times(&graph, tc, &sizing).is_some());
         assert!(TimingView::cached_required_times(&graph, tc + 1.0, &sizing).is_none());
@@ -3204,19 +3183,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn clear_constraint_disables_the_caches() {
-        let lib = Library::cmos025();
-        let c = inverter_chain(4);
-        let s = Sizing::minimum(&c, &lib);
-        let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
-        graph.set_constraint(100.0);
-        assert!(graph.cached_completion_ps().is_some());
-        graph.clear_constraint();
-        assert!(graph.cached_completion_ps().is_none());
-        assert_eq!(graph.constraint_ps(), None);
     }
 
     fn assert_surgery_matches_fresh(graph: &TimingGraph) {

@@ -1,4 +1,4 @@
-//! K most critical paths (ref. [11] of the paper: Yen, Du, Ghanta, DAC'89).
+//! K most critical paths (ref. \[11\] of the paper: Yen, Du, Ghanta, DAC'89).
 //!
 //! POPS deliberately optimizes a *limited set of paths* instead of the
 //! whole circuit. This module enumerates the K longest gate paths of the

@@ -1,7 +1,7 @@
 //! Static timing analysis over gate-level netlists.
 //!
 //! POPS (the paper's tool) "allows to consider a user specified limited
-//! number of paths" (§2.1, refs. [11]–[12]): circuits are analyzed once,
+//! number of paths" (§2.1, refs. \[11\]–\[12\]): circuits are analyzed once,
 //! the most critical paths are extracted, and optimization then operates
 //! on those paths as bounded [`pops_delay::TimedPath`] objects. This crate
 //! provides that front end:
@@ -12,7 +12,7 @@
 //!   gate resizes re-propagate only their dirty fanout cone, in one
 //!   sequential rank-ordered flush per direction (the sizing loop's hot
 //!   path),
-//! * [`kpaths`] — the K most critical paths (ref. [11]),
+//! * [`kpaths`] — the K most critical paths (ref. \[11\]),
 //! * [`extract`] — turning a netlist path into a bounded `TimedPath`
 //!   including the off-path loading every on-path gate sees.
 //!

@@ -1,7 +1,7 @@
 //! Per-gate sizing state of a netlist.
 
 use pops_delay::Library;
-use pops_netlist::{Circuit, GateId};
+use pops_netlist::{Circuit, GateId, NetlistError};
 
 use crate::error::StaError;
 
@@ -40,9 +40,9 @@ impl Sizing {
     ///
     /// # Panics
     ///
-    /// Panics if `cin_ff <= 0`.
+    /// Panics if `cin_ff` is not finite and positive.
     pub fn uniform(circuit: &Circuit, cin_ff: f64) -> Self {
-        assert!(cin_ff > 0.0, "input capacitance must be positive");
+        assert_valid_cin(cin_ff);
         Sizing {
             cins: vec![cin_ff; circuit.gate_count()],
         }
@@ -61,9 +61,10 @@ impl Sizing {
     ///
     /// # Panics
     ///
-    /// Panics if the gate id is out of range or `cin_ff <= 0`.
+    /// Panics if the gate id is out of range or `cin_ff` is not finite
+    /// and positive.
     pub fn set(&mut self, gate: GateId, cin_ff: f64) {
-        assert!(cin_ff > 0.0, "input capacitance must be positive");
+        assert_valid_cin(cin_ff);
         self.cins[gate.index()] = cin_ff;
     }
 
@@ -75,7 +76,7 @@ impl Sizing {
     ///
     /// As [`Sizing::set`].
     pub fn replace(&mut self, gate: GateId, cin_ff: f64) -> f64 {
-        assert!(cin_ff > 0.0, "input capacitance must be positive");
+        assert_valid_cin(cin_ff);
         std::mem::replace(&mut self.cins[gate.index()], cin_ff)
     }
 
@@ -85,9 +86,9 @@ impl Sizing {
     ///
     /// # Panics
     ///
-    /// Panics if `cin_ff <= 0`.
+    /// Panics if `cin_ff` is not finite and positive.
     pub fn push(&mut self, cin_ff: f64) {
-        assert!(cin_ff > 0.0, "input capacitance must be positive");
+        assert_valid_cin(cin_ff);
         self.cins.push(cin_ff);
     }
 
@@ -96,23 +97,10 @@ impl Sizing {
     /// arena, but an edit log may list one op's creations in any order;
     /// keying by id normalizes the order (entries are sorted and applied
     /// ascending), so each size lands at its own gate no matter how the
-    /// log is traversed — where a positional `push` loop would silently
-    /// mis-size gates — and a log whose id *set* is gapped, duplicated
-    /// or not an extension of `len()` is a loud panic.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`Sizing::try_extend_dense`] error's `Display`
-    /// text if the ids (sorted) do not extend `len()` contiguously, or
-    /// if any `cin_ff` is not finite and positive.
-    pub fn extend_dense(&mut self, new: impl IntoIterator<Item = (GateId, f64)>) {
-        self.try_extend_dense(new).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible form of [`Sizing::extend_dense`]: the whole batch is
-    /// validated before any entry is applied, so a rejected log leaves
-    /// the sizing untouched instead of aborting a long flow run
-    /// mid-surgery.
+    /// log is traversed, where a positional `push` loop would silently
+    /// mis-size gates. The whole batch is validated before any entry is
+    /// applied, so a rejected log leaves the sizing untouched instead of
+    /// aborting a long flow run mid-surgery.
     ///
     /// # Errors
     ///
@@ -153,6 +141,20 @@ impl Sizing {
         &self.cins
     }
 
+    /// Check that this sizing has exactly one entry per gate of
+    /// `circuit`, as every timing entry point requires.
+    pub(crate) fn check_covers(&self, circuit: &Circuit) -> Result<(), NetlistError> {
+        if self.cins.len() == circuit.gate_count() {
+            Ok(())
+        } else {
+            Err(NetlistError::InvalidId(format!(
+                "sizing has {} entries for a circuit of {} gates",
+                self.cins.len(),
+                circuit.gate_count()
+            )))
+        }
+    }
+
     /// Number of gates covered.
     pub fn len(&self) -> usize {
         self.cins.len()
@@ -167,6 +169,13 @@ impl Sizing {
     pub fn total_cin_ff(&self) -> f64 {
         self.cins.iter().sum()
     }
+}
+
+fn assert_valid_cin(cin_ff: f64) {
+    assert!(
+        cin_ff.is_finite() && cin_ff > 0.0,
+        "input capacitance must be finite and positive, got {cin_ff}"
+    );
 }
 
 #[cfg(test)]
@@ -213,5 +222,29 @@ mod tests {
         let lib = Library::cmos025();
         let mut s = Sizing::minimum(&c, &lib);
         s.set(c.gate_ids().next().unwrap(), 0.0);
+    }
+
+    #[test]
+    fn infinite_sizes_are_rejected_by_every_setter() {
+        // `try_resize_gates` rejects +inf as `InvalidDrive`; the plain
+        // setters must not accept what the fallible boundary refuses.
+        let c = inverter_chain(2);
+        let lib = Library::cmos025();
+        let g = c.gate_ids().next().unwrap();
+        let inf = f64::INFINITY;
+        let attempts: [&dyn Fn(); 4] = [
+            &|| {
+                let _ = Sizing::uniform(&c, inf);
+            },
+            &|| Sizing::minimum(&c, &lib).set(g, inf),
+            &|| {
+                let _ = Sizing::minimum(&c, &lib).replace(g, inf);
+            },
+            &|| Sizing::minimum(&c, &lib).push(inf),
+        ];
+        for (i, attempt) in attempts.iter().enumerate() {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt));
+            assert!(result.is_err(), "setter {i} accepted +inf");
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Circuit-level optimization flow: the paper's "user specified limited
-//! number of paths" loop (§2.1, refs. [11]–[12]).
+//! number of paths" loop (§2.1, refs. \[11\]–\[12\]).
 //!
 //! POPS does not size whole circuits monolithically; it analyzes once,
 //! extracts the K most critical paths, optimizes each as a bounded path

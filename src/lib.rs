@@ -59,7 +59,6 @@ pub use pops_spice as spice;
 pub use pops_sta as sta;
 
 pub mod flow;
-pub mod gradient;
 
 /// Everything needed for typical protocol runs, in one import.
 pub mod prelude {

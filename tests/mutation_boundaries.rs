@@ -8,6 +8,8 @@
 //! * the validated boundaries reject out-of-range ids, non-finite
 //!   drives/constraints and malformed edit plans with typed
 //!   [`StaError`]s, never by corrupting state;
+//! * the timing entry points reject a sizing whose length is not the
+//!   circuit's gate count with a typed [`NetlistError`];
 //! * [`TimingGraph::verify_state`] (the deep-consistency audit) passes
 //!   on fresh, mutated, edited and multi-corner graphs.
 
@@ -217,6 +219,44 @@ fn id_boundaries_reject_foreign_gates() {
         "rejected mutations must not move timing"
     );
     graph.verify_state().expect("audit after rejections");
+}
+
+#[test]
+fn timing_entry_points_reject_a_sizing_of_another_circuit() {
+    // A longer sizing would be timed and counted in `total_cin_ff`, a
+    // shorter one would index out of bounds: both are the caller's
+    // mistake and come back as a typed error naming both counts.
+    let lib = Library::cmos025();
+    let adder4 = builders::ripple_carry_adder(4);
+    let options = pops::sta::analysis::AnalyzeOptions::default();
+    let corners = CornerSet::slow_typical_fast(lib.process().clone());
+    for other in [builders::ripple_carry_adder(8), builders::inverter_chain(3)] {
+        let sizing = Sizing::minimum(&other, &lib);
+        let results = [
+            ("new", TimingGraph::new(&adder4, &lib, &sizing).err()),
+            (
+                "with_options",
+                TimingGraph::with_options(&adder4, &lib, &sizing, &options).err(),
+            ),
+            (
+                "with_corners",
+                TimingGraph::with_corners(&adder4, &lib, &sizing, &options, &corners).err(),
+            ),
+            ("analyze", analyze(&adder4, &lib, &sizing).err()),
+        ];
+        for (entry, err) in results {
+            let Some(NetlistError::InvalidId(what)) = err else {
+                panic!(
+                    "{entry}: {} entries for 36 gates gave {err:?}",
+                    sizing.len()
+                );
+            };
+            assert!(
+                what.contains(&format!("{} entries", sizing.len())) && what.contains("36 gates"),
+                "{entry}: {what}"
+            );
+        }
+    }
 }
 
 #[test]

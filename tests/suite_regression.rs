@@ -47,9 +47,12 @@ fn tmin_values_stay_pinned() {
     }
 }
 
-/// Reference for the Tmin band: exact per-coordinate descent on the
-/// full delay model, six cycles of golden-section line searches over
-/// every interior size on `[C_REF, max(16·c, 64·C_REF)]`.
+/// Reference for the Tmin band: six cycles of golden-section coordinate
+/// search on the full delay model, one line search per interior size on
+/// `[C_REF, max(16·c, 64·C_REF)]`. Like the sweeps, it stops short of
+/// the minimum on long paths, so the band bounds what this search finds,
+/// not the distance to the converged fixed point (the `bounds` module
+/// docs give that distance).
 fn line_search_descent(lib: &Library, path: &TimedPath, sizes: &mut [f64]) {
     let cref = lib.min_drive_ff();
     for _ in 0..6 {
