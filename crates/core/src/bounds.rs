@@ -3,33 +3,29 @@
 //! * `Tmax` — the "pseudo-upper bound (at minimum area)": every gate at
 //!   the minimum available drive.
 //! * `Tmin` — the inferior bound, obtained by cancelling `∂T/∂C_IN(i)`
-//!   for every interior gate: the eq. (4) link equations
-//!   `C_IN(i) = √( (A_i/A_{i−1}) · C_IN(i−1) · C_L(i) )`,
-//!   solved by the paper's iterative backward/forward sweeps from an
-//!   initial solution seeded at `C_REF` (Fig. 1 shows the trajectory).
+//!   for every interior gate: the fixed point of the eq. (4) link
+//!   equations `C_IN(i) = √( (A_i/A_{i−1}) · C_IN(i−1) · C_L(i) )`,
+//!   started from an initial solution seeded at `C_REF`.
 //!
-//! `Tmin` is that fixed point and nothing else. The sweeps carry the
-//! Miller-factor corrections, so the fixed point is a stationary point of
-//! the full delay model. The sweeps converge linearly, and long paths stop
-//! at the 200-sweep default budget short of it. Against `tmin_with` at
-//! 50,000 sweeps and tolerance 1e-15 on the suite's critical paths, the
-//! default `Tmin` sits above the converged fixed point by
+//! Two solvers reach that fixed point. Both carry the Miller-factor
+//! derivatives, so it is a stationary point of the full delay model.
 //!
-//! * 4.5e-4 relative on c6288 (7135.58 vs 7132.35 ps; the converged run
-//!   took 10,362 sweeps),
-//! * 3.9e-4 on adder16,
-//! * 4.2e-5 on c5315,
-//! * at most 3e-6 on c7552 and c1908.
-//!
-//! `tests/suite_regression.rs` holds a weaker band: six cycles of
-//! golden-section coordinate search started from the result must lower
-//! the delay by less than 5e-5 relative. That search also stops short of
-//! the minimum, so the band bounds what it finds, not the distance to the
-//! fixed point.
+//! * [`tmin`] solves it exactly: Newton on `∂T/∂C_IN = 0` with the
+//!   exact tridiagonal Hessian of the link decomposition
+//!   ([`crate::gradient`]), one Thomas solve per iteration. On the suite's
+//!   critical paths it takes 15–27 iterations and lands within 4e-16
+//!   relative of `tmin_with` run to 100,000 sweeps at tolerance 1e-15.
+//!   This is the `Tmin` of [`delay_bounds`], the protocol, buffer
+//!   insertion and restructuring.
+//! * [`tmin_with`] runs the paper's iterative sweeps and records their
+//!   trajectory, the data of Fig. 1. The sweeps converge linearly: on
+//!   c6288's critical path they need about 10,000 sweeps to reach the
+//!   fixed point, so the 200-sweep default stops short of it on long
+//!   paths.
 
 use pops_delay::{Library, TimedPath};
 
-use crate::gradient::sweep_links;
+use crate::gradient::{newton_links, sweep_links};
 
 /// One recorded sweep of the `Tmin` iteration (the data behind Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,9 +43,11 @@ pub struct TminResult {
     pub sizes: Vec<f64>,
     /// The minimum path delay (ps).
     pub delay_ps: f64,
-    /// Per-sweep trajectory (for Fig. 1).
+    /// Per-sweep trajectory of [`tmin_with`], the start point first
+    /// (Fig. 1); empty from [`tmin`], whose callers never read one.
     pub trace: Vec<TminIteration>,
-    /// Sweeps used.
+    /// Work done: link-equation sweeps from [`tmin_with`], Newton
+    /// iterations from [`tmin`] (at least 1 either way).
     pub iterations: usize,
 }
 
@@ -64,8 +62,8 @@ pub struct DelayBounds {
     pub tmin_sizes: Vec<f64>,
 }
 
-/// Options for the `Tmin` iteration: `Tmin` is the eq. (4) link-equation
-/// fixed point within this sweep budget (module docs state its band).
+/// Options for [`tmin_with`], the paper's `Tmin` sweeps: it stops at the
+/// eq. (4) fixed point or at this sweep budget, whichever comes first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TminOptions {
     /// Initial interior sizing (fF); the paper seeds with `C_REF`.
@@ -92,12 +90,26 @@ pub fn tmax(lib: &Library, path: &TimedPath) -> f64 {
     path.delay(lib, &sizes).total_ps
 }
 
-/// `Tmin` with default options.
+/// `Tmin`: the eq. (4) link-equation fixed point, solved exactly.
+///
+/// Newton on `∂T/∂C_IN = 0` from the `C_REF` start, one tridiagonal
+/// solve per iteration (module docs). `trace` stays empty and
+/// `iterations` counts Newton iterations; [`tmin_with`] runs the paper's
+/// sweeps and records Fig. 1's trajectory.
 pub fn tmin(lib: &Library, path: &TimedPath) -> TminResult {
-    tmin_with(lib, path, &TminOptions::default())
+    let mut sizes = path.min_sizes(lib);
+    let iterations = newton_links(lib, path, &mut sizes);
+    let delay_ps = path.delay(lib, &sizes).total_ps;
+    TminResult {
+        sizes,
+        delay_ps,
+        trace: Vec::new(),
+        iterations,
+    }
 }
 
-/// `Tmin` via the paper's iterative link-equation sweeps (eq. 4).
+/// `Tmin` via the paper's iterative link-equation sweeps (eq. 4), the
+/// Fig. 1 trajectory.
 ///
 /// Every sweep recomputes the `A_i` coefficients at the current operating
 /// point, applies
@@ -105,6 +117,8 @@ pub fn tmin(lib: &Library, path: &TimedPath) -> TminResult {
 /// interior stages, and records the (`ΣC_IN/C_REF`, delay) pair. The
 /// paper's observation that "the final value Tmin is conserved whatever
 /// is the initial solution, ie the C_REF value" is covered by tests.
+/// Within the default budget the result can sit above the exact [`tmin`]
+/// on long paths (module docs).
 pub fn tmin_with(lib: &Library, path: &TimedPath, options: &TminOptions) -> TminResult {
     let cref = lib.min_drive_ff();
     let mut sizes = path.min_sizes(lib);
@@ -194,9 +208,12 @@ pub fn golden_min(f: impl Fn(f64) -> f64, lo: f64, hi: f64) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use pops_delay::PathStage;
+    use crate::gradient::{analytic_gradient, NEWTON_MAX_ITERATIONS};
+    use pops_delay::{Edge, PathStage};
+    use pops_netlist::cell::ALL_CELLS;
+    use pops_netlist::rng::SplitMix64;
     use pops_netlist::CellKind;
 
     fn lib() -> Library {
@@ -317,13 +334,81 @@ mod tests {
     fn trace_is_recorded_and_delay_monotonically_improves_late() {
         let lib = lib();
         let path = chain(7, 400.0);
-        let r = tmin(&lib, &path);
+        let r = tmin_with(&lib, &path, &TminOptions::default());
         assert!(r.trace.len() >= 3);
         // Final recorded delay equals the reported Tmin.
         let last = r.trace.last().unwrap();
         assert!((last.delay_ps - r.delay_ps).abs() < 1e-9);
         // The trace ends strictly better than it starts (Fig. 1's descent).
         assert!(r.trace[0].delay_ps > r.delay_ps);
+    }
+
+    /// Random bounded path: 1 to `max_stages` stages of any cell, off-path
+    /// loads of 0–400 fF on about half of them, a source drive of
+    /// 1–4·`C_REF`, a terminal load of 0.5–800 fF, either input edge.
+    pub(crate) fn random_path(rng: &mut SplitMix64, max_stages: usize) -> TimedPath {
+        let n = 1 + rng.below(max_stages);
+        let stages = (0..n)
+            .map(|_| {
+                let load = if rng.chance(0.5) {
+                    rng.uniform(0.0, 400.0)
+                } else {
+                    0.0
+                };
+                PathStage::with_load(*rng.pick(&ALL_CELLS), load)
+            })
+            .collect();
+        let source = rng.uniform(1.0, 4.0) * lib().min_drive_ff();
+        let edge = if rng.chance(0.5) {
+            Edge::Rising
+        } else {
+            Edge::Falling
+        };
+        TimedPath::new(stages, source, rng.uniform(0.5, 800.0))
+            .with_input_conditions(edge, rng.uniform(0.0, 150.0))
+    }
+
+    #[test]
+    fn newton_tmin_is_the_exact_fixed_point_on_random_paths() {
+        let lib = lib();
+        let cref = lib.min_drive_ff();
+        let mut rng = SplitMix64::new(0x7A11_0017);
+        for case in 0..400 {
+            let path = random_path(&mut rng, 130);
+            let r = tmin(&lib, &path);
+            assert!(
+                r.iterations < NEWTON_MAX_ITERATIONS,
+                "path {case}: {} iterations",
+                r.iterations
+            );
+            let swept = tmin_with(&lib, &path, &TminOptions::default());
+            assert!(
+                r.delay_ps <= swept.delay_ps * (1.0 + 1e-12),
+                "path {case}: Tmin {} above the 200-sweep {}",
+                r.delay_ps,
+                swept.delay_ps
+            );
+            // First-order conditions against the gradient's scale at the
+            // minimum sizes: zero on free stages, non-negative on the bound.
+            let scale = analytic_gradient(&lib, &path, &path.min_sizes(&lib))
+                .iter()
+                .skip(1)
+                .fold(0.0f64, |m, g| m.max(g.abs()));
+            let grad = analytic_gradient(&lib, &path, &r.sizes);
+            for (i, (&g, &c)) in grad.iter().zip(&r.sizes).enumerate().skip(1) {
+                if c > cref {
+                    assert!(
+                        g.abs() <= 1e-9 * scale,
+                        "path {case} stage {i}: gradient {g} (scale {scale})"
+                    );
+                } else {
+                    assert!(
+                        g >= -1e-9 * scale,
+                        "path {case} stage {i} at C_REF: gradient {g} (scale {scale})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn constraints_just_above_tmin_are_met() {
         // On this 32-stage path the sensitivity solver's own 40-sweep
-        // a = 0 solve stops ~3.5 ps above the 200-sweep Tmin; a constraint
+        // a = 0 solve stops several ps above the exact Tmin; a constraint
         // between the two is feasible and must be met, not reported as
         // "below the achievable minimum" with tc ≥ Tmin.
         use CellKind::*;
@@ -379,6 +379,34 @@ mod tests {
             let out = optimize(&lib, &path, tc, &opts)
                 .unwrap_or_else(|e| panic!("tc {tc} ≥ Tmin {tmin_ps}: {e}"));
             assert!(out.delay_ps <= tc, "delay {} > tc {tc}", out.delay_ps);
+        }
+    }
+
+    #[test]
+    fn optimize_returns_a_result_on_random_accepted_paths() {
+        // Any path `TimedPath::new` accepts gets an outcome or a typed
+        // error at, below and well above its Tmin, never a panic. Short
+        // paths keep the uncached `flimit` characterizations affordable.
+        let lib = lib();
+        let mut rng = pops_netlist::rng::SplitMix64::new(0x0B7_1F17);
+        for case in 0..50 {
+            let path = crate::bounds::tests::random_path(&mut rng, 8);
+            let tmin_ps = delay_bounds(&lib, &path).tmin_ps;
+            for factor in [0.5, 1.0, 3.0] {
+                let tc = factor * tmin_ps;
+                match optimize(&lib, &path, tc, &ProtocolOptions::default()) {
+                    Ok(out) => assert!(
+                        out.delay_ps <= tc * 1.0001,
+                        "path {case} at {factor}·Tmin: delay {} > tc {tc}",
+                        out.delay_ps
+                    ),
+                    Err(OptimizeError::Infeasible { tc_ps, tmin_ps }) => assert!(
+                        tc_ps < tmin_ps,
+                        "path {case} at {factor}·Tmin: infeasible with tc {tc_ps} ≥ {tmin_ps}"
+                    ),
+                    Err(e) => panic!("path {case} at {factor}·Tmin: {e}"),
+                }
+            }
         }
     }
 

@@ -3,10 +3,14 @@
 //! Instead of giving every stage the same delay (Sutherland) the paper
 //! imposes the same *sensitivity* on every sizing variable:
 //! `∂T/∂C_IN(i) = a ≤ 0`. Each value of `a` picks one point on the
-//! area/delay Pareto front (`a = 0` is `Tmin`, the very sizing
-//! [`crate::bounds::tmin`] returns; `a → −∞` collapses to minimum drives,
-//! i.e. `Tmax`), so a delay constraint is met at minimum area by
-//! bisecting on the scalar `a`.
+//! area/delay Pareto front (`a = 0` is `Tmin`; `a → −∞` collapses to
+//! minimum drives, i.e. `Tmax`), so a delay constraint is met at minimum
+//! area by bisecting on the scalar `a`.
+//!
+//! The solves here run the paper's link-equation sweeps within a budget
+//! of 40. Near `a = 0` that budget stops short of the fixed point on long
+//! paths, so the bisection takes its `a = 0` end from the exact
+//! [`crate::bounds::tmin`] rather than from a solve at `a = 0`.
 
 use pops_delay::{Library, TimedPath};
 

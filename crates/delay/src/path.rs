@@ -105,12 +105,20 @@ impl TimedPath {
     ///
     /// # Panics
     ///
-    /// Panics if `stages` is empty or the fixed quantities are
-    /// non-positive.
+    /// Panics if `stages` is empty, if the source drive or the terminal
+    /// load is not finite and positive, or if an off-path load is not
+    /// finite and non-negative.
     pub fn new(stages: Vec<PathStage>, source_drive_ff: f64, terminal_load_ff: f64) -> Self {
         assert!(!stages.is_empty(), "a path needs at least one stage");
-        assert!(source_drive_ff > 0.0, "source drive must be positive");
-        assert!(terminal_load_ff > 0.0, "terminal load must be positive");
+        assert!(
+            source_drive_ff.is_finite() && source_drive_ff > 0.0,
+            "source drive must be finite and positive, got {source_drive_ff}"
+        );
+        assert!(
+            terminal_load_ff.is_finite() && terminal_load_ff > 0.0,
+            "terminal load must be finite and positive, got {terminal_load_ff}"
+        );
+        stages.iter().for_each(assert_valid_stage);
         TimedPath {
             stages,
             source_drive_ff,
@@ -121,8 +129,15 @@ impl TimedPath {
     }
 
     /// Set the input edge and transition time at the path input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `transition_ps` is not finite and non-negative.
     pub fn with_input_conditions(mut self, edge: Edge, transition_ps: f64) -> Self {
-        assert!(transition_ps >= 0.0);
+        assert!(
+            transition_ps.is_finite() && transition_ps >= 0.0,
+            "input transition must be finite and non-negative, got {transition_ps}"
+        );
         self.input_edge = edge;
         self.input_transition_ps = transition_ps;
         self
@@ -289,10 +304,12 @@ impl TimedPath {
     /// # Panics
     ///
     /// Panics if `at == 0` (the latch-bounded input gate cannot be
-    /// displaced) or `at > len()`.
+    /// displaced), if `at > len()`, or if the stage's off-path load is not
+    /// finite and non-negative.
     pub fn with_stage_inserted(&self, at: usize, stage: PathStage) -> TimedPath {
         assert!(at >= 1, "cannot insert before the latch-bounded input gate");
         assert!(at <= self.stages.len());
+        assert_valid_stage(&stage);
         let mut stages = self.stages.clone();
         stages.insert(at, stage);
         TimedPath {
@@ -309,9 +326,11 @@ impl TimedPath {
     ///
     /// # Panics
     ///
-    /// Panics if `at >= len()`.
+    /// Panics if `at >= len()` or if the stage's off-path load is not
+    /// finite and non-negative.
     pub fn with_stage_replaced(&self, at: usize, stage: PathStage) -> TimedPath {
         assert!(at < self.stages.len());
+        assert_valid_stage(&stage);
         let mut stages = self.stages.clone();
         stages[at] = stage;
         TimedPath {
@@ -322,6 +341,16 @@ impl TimedPath {
             input_edge: self.input_edge,
         }
     }
+}
+
+/// A path stage's off-path load must be finite and non-negative: the
+/// delay model and the solvers assume it.
+fn assert_valid_stage(stage: &PathStage) {
+    let load = stage.off_path_load_ff;
+    assert!(
+        load.is_finite() && load >= 0.0,
+        "off-path load must be finite and non-negative, got {load}"
+    );
 }
 
 #[cfg(test)]
@@ -435,6 +464,93 @@ mod tests {
     fn cannot_insert_before_input_gate() {
         let p = inv_chain(3, 60.0);
         let _ = p.with_stage_inserted(0, PathStage::new(CellKind::Inv));
+    }
+
+    fn with_off_load(load: f64) -> TimedPath {
+        TimedPath::new(
+            vec![
+                PathStage::new(CellKind::Inv),
+                PathStage::with_load(CellKind::Nand2, load),
+                PathStage::new(CellKind::Inv),
+            ],
+            2.7,
+            60.0,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "off-path load must be finite and non-negative")]
+    fn nan_off_path_load_is_rejected() {
+        let _ = with_off_load(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "off-path load must be finite and non-negative")]
+    fn negative_off_path_load_is_rejected() {
+        let _ = with_off_load(-30.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "off-path load must be finite and non-negative")]
+    fn infinite_off_path_load_is_rejected() {
+        let _ = with_off_load(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "terminal load must be finite and positive")]
+    fn infinite_terminal_load_is_rejected() {
+        let _ = TimedPath::new(vec![PathStage::new(CellKind::Inv); 3], 2.7, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "terminal load must be finite and positive")]
+    fn nan_terminal_load_is_rejected() {
+        let _ = TimedPath::new(vec![PathStage::new(CellKind::Inv); 3], 2.7, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "source drive must be finite and positive")]
+    fn infinite_source_drive_is_rejected() {
+        let _ = TimedPath::new(vec![PathStage::new(CellKind::Inv); 3], f64::INFINITY, 60.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "source drive must be finite and positive")]
+    fn nan_source_drive_is_rejected() {
+        let _ = TimedPath::new(vec![PathStage::new(CellKind::Inv); 3], f64::NAN, 60.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "off-path load must be finite and non-negative")]
+    fn inserted_stage_with_a_negative_load_is_rejected() {
+        let _ =
+            inv_chain(3, 60.0).with_stage_inserted(1, PathStage::with_load(CellKind::Inv, -1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "off-path load must be finite and non-negative")]
+    fn replacing_stage_with_a_nan_load_is_rejected() {
+        let _ = inv_chain(3, 60.0)
+            .with_stage_replaced(2, PathStage::with_load(CellKind::Inv, f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "input transition must be finite and non-negative")]
+    fn nan_input_transition_is_rejected() {
+        let _ = inv_chain(3, 60.0).with_input_conditions(Edge::Falling, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "input transition must be finite and non-negative")]
+    fn infinite_input_transition_is_rejected() {
+        let _ = inv_chain(3, 60.0).with_input_conditions(Edge::Rising, f64::INFINITY);
+    }
+
+    #[test]
+    fn zero_off_path_load_and_transition_are_accepted() {
+        let p = with_off_load(0.0).with_input_conditions(Edge::Falling, 0.0);
+        assert_eq!(p.stages()[1].off_path_load_ff, 0.0);
+        assert_eq!(p.input_transition_ps(), 0.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ const CIRCUITS: [&str; 6] = ["fpd", "c432", "c880", "c1908", "c6288", "c7552"];
 /// Final delay / tc and total C_IN (fF) at tc = 0.6·T0, per circuit.
 const TIGHT_QUALITY: [(f64, f64); 6] = [
     (1.2446370135684512, 1152.248045438138),
-    (1.1093172447534323, 1357.3032693634984),
+    (1.109316990440988, 1357.3091965289534),
     (1.029488151160465, 1214.0353798858584),
     (1.0358858745194794, 2501.607203355028),
     (1.0801494182919193, 6772.799942000717),

@@ -6,7 +6,7 @@
 //! legitimate model change that moves them should update this file
 //! consciously (they are this repo's "golden" results).
 
-use pops::core::bounds::{delay_bounds, golden_min, tmin};
+use pops::core::bounds::{delay_bounds, golden_min, tmin, tmin_with, TminOptions};
 use pops::prelude::*;
 
 fn extract(name: &str, lib: &Library) -> TimedPath {
@@ -47,12 +47,9 @@ fn tmin_values_stay_pinned() {
     }
 }
 
-/// Reference for the Tmin band: six cycles of golden-section coordinate
-/// search on the full delay model, one line search per interior size on
-/// `[C_REF, max(16·c, 64·C_REF)]`. Like the sweeps, it stops short of
-/// the minimum on long paths, so the band bounds what this search finds,
-/// not the distance to the converged fixed point (the `bounds` module
-/// docs give that distance).
+/// An independent descent from Tmin: six cycles of golden-section
+/// coordinate search on the full delay model, one line search per
+/// interior size on `[C_REF, max(16·c, 64·C_REF)]`.
 fn line_search_descent(lib: &Library, path: &TimedPath, sizes: &mut [f64]) {
     let cref = lib.min_drive_ff();
     for _ in 0..6 {
@@ -73,9 +70,9 @@ fn line_search_descent(lib: &Library, path: &TimedPath, sizes: &mut [f64]) {
 
 #[test]
 fn tmin_is_within_its_band_of_the_line_search_minimum() {
-    // Tmin is the link-equation fixed point within its sweep budget; line
-    // searches started from it must not find a delay 5e-5 (relative) or
-    // more below it on the longest suite paths.
+    // Tmin is the exact link-equation fixed point; line searches started
+    // from it must not find a delay 1e-12 (relative) or more below it on
+    // the longest suite paths.
     let lib = Library::cmos025();
     for name in ["c6288", "adder16", "c5315"] {
         let path = extract(name, &lib);
@@ -84,9 +81,34 @@ fn tmin_is_within_its_band_of_the_line_search_minimum() {
         line_search_descent(&lib, &path, &mut sizes);
         let lowered = (t.delay_ps - path.delay(&lib, &sizes).total_ps) / t.delay_ps;
         assert!(
-            lowered < 5e-5,
+            lowered < 1e-12,
             "{name}: line search lowers Tmin {} ps by {lowered:.2e} relative",
             t.delay_ps
+        );
+    }
+}
+
+#[test]
+fn tmin_is_the_converged_sweep_fixed_point() {
+    // The paper's sweeps run to convergence (about 10,000 sweeps on
+    // c6288) reach the same fixed point as the Newton Tmin.
+    let lib = Library::cmos025();
+    let converged = TminOptions {
+        start_cin_ff: None,
+        max_sweeps: 100_000,
+        tolerance: 1e-15,
+    };
+    for name in ["c1908", "c5315", "c6288", "c7552", "adder16"] {
+        let path = extract(name, &lib);
+        let t = tmin(&lib, &path);
+        let swept = tmin_with(&lib, &path, &converged);
+        let rel = (t.delay_ps - swept.delay_ps).abs() / swept.delay_ps;
+        assert!(
+            rel < 1e-12,
+            "{name}: Tmin {} vs {} after {} sweeps ({rel:.2e} relative)",
+            t.delay_ps,
+            swept.delay_ps,
+            swept.iterations
         );
     }
 }
