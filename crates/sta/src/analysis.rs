@@ -10,7 +10,6 @@ use pops_delay::Library;
 use pops_netlist::{CellKind, Circuit, GateId, NetDriver, NetId, NetlistError};
 
 use crate::sizing::Sizing;
-use crate::slack::SlackReport;
 
 /// Options for an STA run.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,10 +98,12 @@ pub(crate) fn compatible_input_edges(cell: CellKind, out: Edge) -> &'static [Edg
 /// one-shot [`TimingReport`] and the incremental
 /// [`crate::incremental::TimingGraph`].
 ///
-/// Consumers that only *read* timing (K-paths ranking, slack computation,
-/// the circuit-level flow) are generic over this trait, so they work
-/// unchanged whether the numbers came from a full `analyze` pass or from
-/// dirty-cone re-propagation.
+/// The read-only consumers — [`crate::k_most_critical_paths`],
+/// [`crate::completion_bounds`], [`crate::path_weight_ps`] and
+/// [`crate::required_times`] — are generic over this trait, so they
+/// work unchanged whether the numbers came from a full `analyze` pass
+/// or from dirty-cone re-propagation. On a graph every read is a
+/// flushing query: pending mutations settle before it answers.
 pub trait TimingView {
     /// Worst arrival time over all primary outputs (ps).
     fn critical_delay_ps(&self) -> f64;
@@ -115,33 +116,6 @@ pub trait TimingView {
     fn net_load_ff(&self, net: NetId) -> f64;
     /// Worst-case delay of a gate (ps) under the analyzed slopes.
     fn gate_delay_worst_ps(&self, gate: GateId) -> f64;
-
-    /// K-most-critical-paths completion bounds maintained by this
-    /// backend, if any: `completion[gate.index()]` is the frozen-weight
-    /// longest completion from the gate to any primary output (ps;
-    /// `-inf` off every PI→PO path). `None` makes
-    /// [`crate::k_most_critical_paths`] derive the bounds from scratch;
-    /// a [`crate::TimingGraph`] with a constraint set flushes its lazy
-    /// backward state and returns a copy of its incrementally
-    /// maintained (bit-identical) array instead. Owned rather than
-    /// borrowed so an interior-mutable backend can bring the bounds up
-    /// to date inside this `&self` call; the O(gates) copy is noise
-    /// next to the heap search it feeds.
-    fn cached_completion_ps(&self) -> Option<Vec<f64>> {
-        None
-    }
-
-    /// A materialized backward state under exactly `tc_ps` *and*
-    /// `sizing`, if this backend maintains one (see
-    /// [`set_constraint`](crate::incremental::TimingGraph::set_constraint)).
-    /// Lets [`crate::required_times`] skip the full backward pass; the
-    /// returned report is bit-identical to what that pass computes. A
-    /// sizing that differs from the backend's own must return `None` so
-    /// a probe sizing is never silently answered from the cache.
-    fn cached_required_times(&self, tc_ps: f64, sizing: &Sizing) -> Option<SlackReport> {
-        let _ = (tc_ps, sizing);
-        None
-    }
 }
 
 impl TimingView for TimingReport {
@@ -181,7 +155,6 @@ pub struct TimingReport {
     /// Driver gate of each net (`None` for primary inputs).
     net_driver: Vec<Option<GateId>>,
     critical_net: Option<(NetId, Edge)>,
-    outputs: Vec<NetId>,
 }
 
 impl TimingReport {
@@ -233,7 +206,7 @@ impl TimingReport {
     }
 
     /// Traceback the worst path ending at `net` with `edge`.
-    pub fn path_to(&self, net: NetId, edge: Edge) -> NetlistPath {
+    fn path_to(&self, net: NetId, edge: Edge) -> NetlistPath {
         let mut gates = Vec::new();
         let mut cur = Some((net, edge));
         while let Some((n, e)) = cur {
@@ -247,11 +220,6 @@ impl TimingReport {
             gates,
             end_edge: edge.into(),
         }
-    }
-
-    /// Primary output nets seen by the analysis.
-    pub fn outputs(&self) -> &[NetId] {
-        &self.outputs
     }
 }
 
@@ -374,7 +342,6 @@ pub fn analyze_with(
         gate_delay_worst,
         net_driver,
         critical_net: critical.map(|(n, e, _)| (n, e)),
-        outputs: circuit.primary_outputs().to_vec(),
     })
 }
 

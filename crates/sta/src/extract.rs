@@ -108,10 +108,6 @@ pub fn extract_timed_path(
         let mut off_path = 0.0;
         if i + 1 < n {
             let next = path.gates[i + 1];
-            debug_assert!(
-                net.loads().iter().any(|&(g, _)| g == next),
-                "path gates {gid} -> {next} are not connected"
-            );
             // Every load pin except ONE pin of the next path gate is
             // off-path load (the next gate may legitimately tap the net on
             // several pins; only one of them is the on-path input).
@@ -123,6 +119,10 @@ pub fn extract_timed_path(
                 }
                 off_path += sizing.cin_ff(g);
             }
+            assert!(
+                skipped_on_path_pin,
+                "path gates {gid} -> {next} are not connected"
+            );
             if net.is_output() {
                 off_path += options.po_load_ff;
             }
@@ -236,6 +236,22 @@ mod tests {
         for (i, &g) in e.gates.iter().enumerate() {
             assert_eq!(sizing.cin_ff(g), 3.0 + i as f64);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "are not connected")]
+    fn disconnected_path_is_rejected() {
+        // Two gates of a chain in reverse order: the second does not
+        // load the first's output net, so no stage exists between them.
+        let c = inverter_chain(2);
+        let lib = Library::cmos025();
+        let sizing = Sizing::minimum(&c, &lib);
+        let gates: Vec<GateId> = c.gate_ids().collect();
+        let path = NetlistPath {
+            gates: vec![gates[1], gates[0]],
+            end_edge: crate::analysis::EdgeDir::Rising,
+        };
+        let _ = extract_timed_path(&c, &lib, &sizing, &path, &ExtractOptions::default());
     }
 
     #[test]

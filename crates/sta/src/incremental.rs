@@ -29,30 +29,33 @@
 //! asserts this against `analyze()` after every step of random resize
 //! sequences.
 //!
-//! # Backward state: required times, slack and k-paths bounds
+//! # Backward state: required times and slack
 //!
 //! Slack — not just arrival — is what a constraint-driven sizing loop
 //! consults on every probe. After [`TimingGraph::set_constraint`] the
-//! graph additionally maintains the *backward* quantities under that
-//! constraint: per-net required times (the
-//! [`required_times`](crate::required_times) state) and per-gate
-//! frozen-weight completion bounds (the
-//! [`k_most_critical_paths`](crate::k_most_critical_paths) search
-//! bounds). Both are kept consistent by the same dirty-cone machinery
-//! running in *reverse* rank order — a resize dirties the fanin cone
-//! (arc delays through the gate and through the drivers of its fanin
-//! nets changed) while the forward propagation reports every net whose
-//! slope moved and every gate whose worst delay moved, seeding the
-//! backward cones on the fanout side. The same bitwise convergence rule
-//! applies: a net whose recomputed required times (or a gate whose
-//! recomputed completion bound) is bit-identical to the cached value
-//! cuts its backward cone. [`TimingGraph::set_options`] and constraint
-//! changes invalidate the backward state wholesale — required times are
-//! subtract-chains from `tc`, not `tc`-offsets — so their next flush is
-//! one full backward pass. `tests/backward_equivalence.rs` and
+//! graph additionally maintains the per-net required times under that
+//! constraint (the [`required_times`](crate::required_times) state),
+//! kept consistent by the same dirty-cone machinery running in
+//! *reverse* rank order — a resize dirties the fanin cone (arc delays
+//! through the gate and through the drivers of its fanin nets changed)
+//! while the forward propagation reports every net whose slope moved,
+//! seeding the backward cones on the fanout side. The same bitwise
+//! convergence rule applies: a net whose recomputed required times are
+//! bit-identical to the cached value cuts its backward cone.
+//! [`TimingGraph::set_options`] and constraint changes invalidate the
+//! backward state wholesale — required times are subtract-chains from
+//! `tc`, not `tc`-offsets — so their next flush is one full backward
+//! pass. `tests/backward_equivalence.rs` and
 //! `tests/lazy_equivalence.rs` assert bit-identity against a fresh
 //! [`crate::required_times`] after every step of random mutation
 //! sequences.
+//!
+//! The k-paths completion bounds are *not* maintained: the flow reads
+//! them once per round, after resizes spread over the whole circuit, so
+//! a maintained copy would re-derive every gate on every read anyway.
+//! [`k_most_critical_paths`](crate::k_most_critical_paths) derives them
+//! per call with [`completion_bounds`](crate::completion_bounds) over
+//! this graph's worst gate delays.
 //!
 //! # Lazy, query-driven flushing
 //!
@@ -62,8 +65,8 @@
 //! state is therefore **never** brought up to date by a mutation.
 //! Mutations only accumulate their seeds into the backward dirty sets
 //! under a **generation counter**, and the first backward query —
-//! slack, required time, design-worst slack, k-paths bounds — flushes
-//! the merged cone once:
+//! slack, required time, design-worst slack — flushes the merged cone
+//! once:
 //!
 //! ```text
 //!           mutation (seeds ∪= cone, gen += 1)
@@ -80,15 +83,15 @@
 //! The **forward** state is lazy under the same generation counter.
 //! Mutations append id-keyed forward seed logs — resized gates, gates a
 //! structural edit touched or created, pending load/slope rescans — and
-//! the first *forward* query (`critical_delay_ps`, `arrival_ps`,
-//! `slope_ps`, `net_load_ff`, `gate_delay_worst_ps`, `critical_path`,
-//! `path_to`, and every [`TimingView`] read) marks them into the dirty
-//! set and drains one merged forward cone — or sweeps, see *Drain or
-//! sweep* below. Backward queries are **two-phase**: they flush forward
-//! first (required times and completion bounds re-derive from final
-//! slopes, loads and worst delays), then drain the backward seeds the
-//! forward flush just deposited. The eager/lazy distinction is
-//! invisible to every consumer — `tests/lazy_equivalence.rs` and
+//! every *forward* query, without exception (`critical_delay_ps`,
+//! `arrival_ps`, `slope_ps`, `net_load_ff`, `gate_delay_worst_ps`,
+//! `critical_path`, and every [`TimingView`] read), marks them into the
+//! dirty set and drains one merged forward cone — or sweeps, see *Drain
+//! or sweep* below. Backward queries are **two-phase**: they flush
+//! forward first (required times re-derive from final slopes and
+//! loads), then drain the backward seeds the forward flush just
+//! deposited. The eager/lazy distinction is invisible to every
+//! consumer — `tests/lazy_equivalence.rs` and
 //! `tests/forward_lazy_equivalence.rs` prove any interleaving of
 //! mutations and queries bit-identical to the eager semantics, and
 //! [`UpdateStats::forward_flushes`] / [`UpdateStats::backward_flushes`]
@@ -124,8 +127,8 @@
 //!
 //! # Drain or sweep
 //!
-//! Every flush — forward, required times, completion bounds — marks its
-//! seed logs into a dirty set over topo positions and drains it with
+//! Every flush — forward and required times — marks its seed logs
+//! into a dirty set over topo positions and drains it with
 //! the one drain loop of `crate::dirty`: positions pop in dependency
 //! order (ascending forward, descending backward), each runs its
 //! per-gate kernel from `crate::kernel`, and a changed output marks the
@@ -136,21 +139,17 @@
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 
-use pops_delay::model::{gate_delay_with_output_edge_vt, Edge};
+use pops_delay::model::Edge;
 use pops_delay::{CornerSet, Library, VtTiming};
 use pops_netlist::surgery::{AppliedEdit, EditPlan};
 use pops_netlist::{CellKind, Circuit, GateId, NetId, NetlistError, VtClass};
 
-use crate::analysis::{
-    compatible_input_edges, eidx, AnalyzeOptions, EdgeDir, NetlistPath, TimingView, EDGES,
-};
+use crate::analysis::{eidx, AnalyzeOptions, EdgeDir, NetlistPath, TimingView, EDGES};
 use crate::dirty::{Direction, DirtySet, Drained};
 use crate::error::StaError;
-use crate::kernel::{
-    BwdView, EvalCtx, FwdView, PredPair, F_ARRIVAL, F_DELAY, F_OUT_CHANGED, F_SLOPE,
-};
+use crate::kernel::{BwdView, EvalCtx, FwdView, PredPair, F_ARRIVAL, F_OUT_CHANGED, F_SLOPE};
 use crate::sizing::Sizing;
-use crate::slack::{min2, SlackReport, SlackView, WorstSlackIndex};
+use crate::slack::{min2, WorstSlackIndex};
 
 /// Cumulative work counters, for benchmarks and cone-size assertions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -168,7 +167,9 @@ pub struct UpdateStats {
     /// Required-time re-evaluations that were bit-unchanged, cutting
     /// the backward cone.
     pub required_converged_early: usize,
-    /// K-paths completion-bound re-evaluations.
+    /// Always 0: the graph no longer maintains k-paths completion
+    /// bounds ([`crate::k_most_critical_paths`] derives them per call).
+    /// Kept only for callers that still read the field.
     pub completion_reevaluated: usize,
     /// Structural edits applied through [`TimingGraph::apply_edits`].
     pub structural_edits: usize,
@@ -185,16 +186,6 @@ pub struct UpdateStats {
     /// Worst-slack tournament-tree leaf refreshes folded in by flushes
     /// (each O(log nets); a wholesale refold counts one per net).
     pub slack_index_updates: usize,
-    /// [`TimingGraph::net_load_ff`] queries answered by the loads-only
-    /// settle while forward seeds were pending — no arc evaluation, no
-    /// flush (loads derive from fanout pins, sizing and options, all of
-    /// which mutators keep current eagerly).
-    pub load_only_settles: usize,
-    /// [`TimingGraph::gate_delay_worst_ps`] queries answered by the
-    /// O(fanins) flushless settle while only resize seeds were pending
-    /// — the whole merged forward union stays unflushed (the K=1 probe
-    /// fast path).
-    pub gate_delay_settles: usize,
 }
 
 /// Per-(gate, corner) model constants, flattened out of the corner
@@ -205,9 +196,10 @@ pub struct UpdateStats {
 /// arc evaluations, so the graph caches the resolved constants per gate
 /// and corner. Every cached value is produced by the *same*
 /// floating-point expression the model uses, so arc delays stay
-/// bit-identical to [`gate_delay_with_output_edge_vt`] — and, for SVT
-/// gates on the typical corner, to the plain single-corner model (the
-/// `× 1.0` Vt factors are bit-neutral).
+/// bit-identical to
+/// [`gate_delay_with_output_edge_vt`](pops_delay::model::gate_delay_with_output_edge_vt)
+/// — and, for SVT gates on the typical corner, to the plain
+/// single-corner model (the `× 1.0` Vt factors are bit-neutral).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GateParams {
     /// `C_par = cpar_factor · C_IN`.
@@ -600,7 +592,7 @@ fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
 /// pair under one corner's library. This is the single home of the
 /// constant-folding arithmetic: `tau_s` caches `(τ·S) · drive_factor`
 /// in the exact association order of
-/// [`gate_delay_with_output_edge_vt`]'s
+/// [`gate_delay_with_output_edge_vt`](pops_delay::model::gate_delay_with_output_edge_vt)'s
 /// `process.tau_ps * s * drive_factor * C_L / C_IN`, and `vt` caches
 /// `v_T · vt_scale` — so for an SVT gate (both factors `1.0`,
 /// bit-neutral) the constants reproduce the plain single-corner model
@@ -683,8 +675,7 @@ fn remap_ranks<T: Copy>(
 }
 
 /// Incrementally maintained backward timing state (see the module
-/// docs): per-net required times under a fixed constraint plus the
-/// per-gate frozen-weight k-paths completion bounds, both kept
+/// docs): per-net required times under a fixed constraint, kept
 /// consistent by reverse-rank dirty-cone propagation.
 #[derive(Debug, Clone)]
 struct BackwardState {
@@ -692,9 +683,6 @@ struct BackwardState {
     tc_ps: f64,
     /// `required[net][edge]` (ps); `+inf` where unconstrained.
     required: Vec<[f64; 2]>,
-    /// Frozen-weight completion bound per gate (the k-paths search
-    /// bound; `-inf` off every PI→PO path).
-    completion: Vec<f64>,
 
     /// Driven nets whose required times must re-derive, by the topo
     /// position of their driver (net slot `n_src + p`), drained in
@@ -703,19 +691,11 @@ struct BackwardState {
     /// Driverless nets whose required times must re-derive, by slot:
     /// sinks of the backward walk, drained after `req`.
     req_src: DirtySet,
-    /// Gates whose completion bounds must re-derive, by topo position,
-    /// drained in descending order.
-    comp: DirtySet,
 
     /// Generation ([`TimingGraph::gen`]) the required-time state (and
     /// the worst-slack index) last flushed at; a mismatch means seeds
     /// are pending and the next slack/required query drains them.
     req_flushed_gen: u64,
-    /// Generation the k-paths completion bounds last flushed at. Kept
-    /// separately — completion bounds depend only on forward state
-    /// (frozen gate delays), so a slack query never pays for them and
-    /// a k-paths query never pays for required times.
-    comp_flushed_gen: u64,
 
     /// Seed logs: the mutation-side half of the lazy contract. Hot
     /// paths (resize batches, forward cone evaluation) only *append*
@@ -730,8 +710,6 @@ struct BackwardState {
     resized_log: Vec<GateId>,
     /// Nets whose slope moved: their required times re-derive.
     req_net_log: Vec<NetId>,
-    /// Gates whose worst delay moved: their completion bounds re-derive.
-    comp_gate_log: Vec<GateId>,
     /// Nets whose arrival moved: their worst-slack leaves re-fold.
     slack_net_log: Vec<NetId>,
 
@@ -935,8 +913,8 @@ impl<'c> TimingGraph<'c> {
     ///   internal node (the root included) the min of its children;
     /// * **per-corner finiteness policy** — loads finite and
     ///   non-negative, slopes and worst gate delays finite, arrivals
-    ///   `-inf` or finite, required times `+inf` or finite, completion
-    ///   bounds `-inf` or finite; NaN nowhere.
+    ///   `-inf` or finite, required times `+inf` or finite; NaN
+    ///   nowhere.
     ///
     /// # Errors
     ///
@@ -945,7 +923,6 @@ impl<'c> TimingGraph<'c> {
     pub fn verify_state(&self) -> Result<(), StaError> {
         self.flush_forward();
         self.flush_required();
-        self.flush_completion();
         let corrupt = |detail: String| Err(StaError::StateCorrupt { detail });
 
         let n_nets = self.slot_of.len();
@@ -1109,40 +1086,32 @@ impl<'c> TimingGraph<'c> {
 
         let guard = self.backward.borrow();
         if let Some(bw) = guard.as_ref() {
-            for (name, set) in [
-                ("required", &bw.req),
-                ("required source", &bw.req_src),
-                ("completion", &bw.comp),
-            ] {
+            for (name, set) in [("required", &bw.req), ("required source", &bw.req_src)] {
                 if let Err(e) = set.check_count() {
                     return corrupt(format!("{name} dirty set: {e}"));
                 }
             }
-            if bw.req_flushed_gen != self.gen || bw.comp_flushed_gen != self.gen {
+            if bw.req_flushed_gen != self.gen {
                 return corrupt(format!(
-                    "backward state at generations {}/{} behind mutation generation {} after \
-                     a flush",
-                    bw.req_flushed_gen, bw.comp_flushed_gen, self.gen
+                    "backward state at generation {} behind mutation generation {} after a \
+                     flush",
+                    bw.req_flushed_gen, self.gen
                 ));
             }
             if !bw.req.is_empty()
-                || !bw.comp.is_empty()
                 || !bw.req_src.is_empty()
                 || !bw.resized_log.is_empty()
                 || !bw.req_net_log.is_empty()
-                || !bw.comp_gate_log.is_empty()
                 || !bw.slack_net_log.is_empty()
                 || bw.refold_all
             {
                 return corrupt(format!(
-                    "flushed backward state still dirty: {}/{} marks, {} PI sinks, \
-                     {}+{}+{}+{} seeds, refold_all {}",
+                    "flushed backward state still dirty: {} marks, {} PI sinks, {}+{}+{} seeds, \
+                     refold_all {}",
                     bw.req.count(),
-                    bw.comp.count(),
                     bw.req_src.count(),
                     bw.resized_log.len(),
                     bw.req_net_log.len(),
-                    bw.comp_gate_log.len(),
                     bw.slack_net_log.len(),
                     bw.refold_all
                 ));
@@ -1158,15 +1127,6 @@ impl<'c> TimingGraph<'c> {
                             i % nc
                         ));
                     }
-                }
-            }
-            for (i, &v) in bw.completion.iter().enumerate() {
-                if v.is_nan() || v == f64::INFINITY {
-                    return corrupt(format!(
-                        "completion at position {}/corner {} is {v} (-inf or finite required)",
-                        i / nc,
-                        i % nc
-                    ));
                 }
             }
 
@@ -1396,10 +1356,8 @@ impl<'c> TimingGraph<'c> {
         if let Some(bw) = self.backward.get_mut().as_mut() {
             // Backward: arcs *through* the gate moved, so its fanin
             // required times re-derive (the resized-log expansion
-            // covers exactly that cone) and its completion bound moves
-            // with its worst delay.
+            // covers exactly that cone).
             bw.resized_log.push(gate);
-            bw.comp_gate_log.push(gate);
         }
         self.gen = self.gen.wrapping_add(1);
         self.stat(|s| s.updates += 1);
@@ -1456,11 +1414,10 @@ impl<'c> TimingGraph<'c> {
     ///    confines the floating-point work to the affected cones.
     ///
     /// After the call every queryable value — arrivals, slopes, loads,
-    /// required times, slacks, k-paths completion bounds — is
-    /// **bit-identical** to a from-scratch [`TimingGraph`] built on the
-    /// edited circuit under the same sizing, options and constraint
-    /// (`tests/surgery_equivalence.rs` asserts this after every edit of
-    /// random surgery/resize mixes).
+    /// required times, slacks — is **bit-identical** to a from-scratch
+    /// [`TimingGraph`] built on the edited circuit under the same
+    /// sizing, options and constraint (`tests/surgery_equivalence.rs`
+    /// asserts this after every edit of random surgery/resize mixes).
     ///
     /// Returns the per-op [`AppliedEdit`] log (created gate/net ids).
     ///
@@ -1596,38 +1553,29 @@ impl<'c> TimingGraph<'c> {
             }))
             .map_err(|e| NetlistError::InvalidId(e.to_string()))?;
         assert_eq!(self.sizing.len(), n_gates, "one size per gate");
-        {
-            let (new_slot_of, new_rank) = (&self.slot_of, &self.rank);
-            if let Some(bw) = self.backward.get_mut().as_mut() {
-                bw.required = remap_slots(
-                    &bw.required,
-                    &old_slot_of,
-                    new_slot_of,
-                    [f64::INFINITY; 2],
-                    nc,
-                );
-                bw.completion =
-                    remap_ranks(&bw.completion, &old_rank, new_rank, f64::NEG_INFINITY, nc);
-                // Marks cannot follow a re-ranking, but outside a flush
-                // a dirty set is only ever empty or — after a wholesale
-                // invalidation — full: re-invalidate under the new ranks.
-                for (set, size) in [
-                    (&mut bw.req, n_gates),
-                    (&mut bw.req_src, self.n_src),
-                    (&mut bw.comp, n_gates),
-                ] {
-                    let invalidated = !set.is_empty();
-                    *set = DirtySet::new(size);
-                    if invalidated {
-                        set.fill();
-                    }
+        if let Some(bw) = self.backward.get_mut().as_mut() {
+            bw.required = remap_slots(
+                &bw.required,
+                &old_slot_of,
+                &self.slot_of,
+                [f64::INFINITY; 2],
+                nc,
+            );
+            // Marks cannot follow a re-ranking, but outside a flush a
+            // dirty set is only ever empty or — after a wholesale
+            // invalidation — full: re-invalidate under the new ranks.
+            for (set, size) in [(&mut bw.req, n_gates), (&mut bw.req_src, self.n_src)] {
+                let invalidated = !set.is_empty();
+                *set = DirtySet::new(size);
+                if invalidated {
+                    set.fill();
                 }
-                // The edit moved loads/drivers arbitrarily: refold the
-                // worst-slack index wholesale at the next flush (its
-                // leaf space just grew, and the O(nets) refold is noise
-                // next to this rebuild's own O(V+E)).
-                bw.refold_all = true;
             }
+            // The edit moved loads/drivers arbitrarily: refold the
+            // worst-slack index wholesale at the next flush (its leaf
+            // space just grew, and the O(nets) refold is noise next to
+            // this rebuild's own O(V+E)).
+            bw.refold_all = true;
         }
 
         // Seed the connectivity deltas from the edit log: nets whose
@@ -1668,13 +1616,11 @@ impl<'c> TimingGraph<'c> {
 
     /// Log one gate whose cell, wiring, drive or environment a
     /// structural edit may have changed: re-evaluate it forward at the
-    /// next flush, and re-derive its completion bound and its fanin
-    /// required times at the next backward flush (the resized-log
-    /// expansion covers the fanins).
+    /// next flush, and re-derive its fanin required times at the next
+    /// backward flush (the resized-log expansion covers the fanins).
     fn seed_edited_gate(&mut self, g: GateId) {
         self.fwd.get_mut().gate_log.push(g);
         if let Some(bw) = self.backward.get_mut().as_mut() {
-            bw.comp_gate_log.push(g);
             bw.resized_log.push(g);
         }
     }
@@ -1742,25 +1688,9 @@ impl<'c> TimingGraph<'c> {
 
     /// Capacitive load on a net (fF) under the current sizing, including
     /// the primary-output latch load where applicable.
-    ///
-    /// Loads derive from fanout pins, sizing and options — all of which
-    /// the mutators keep eagerly current — so this query never pays the
-    /// arc flush: with the forward state settled it reads the slab, and
-    /// with seeds pending it sums the load fresh (same pin order and
-    /// summation as the flush) *without* storing it — the cached value
-    /// must stay the pre-mutation baseline the flush-time load scans
-    /// compare against. [`UpdateStats::load_only_settles`] counts the
-    /// latter path.
     pub fn net_load_ff(&self, net: NetId) -> f64 {
-        {
-            let fwd = self.fwd.borrow();
-            if fwd.flushed_gen == self.gen {
-                return fwd.load[self.slot(net)];
-            }
-        }
-        let load = self.fresh_net_load(net.index());
-        self.stat(|s| s.load_only_settles += 1);
-        load
+        self.flush_forward();
+        self.fwd.borrow().load[self.slot(net)]
     }
 
     /// Exact load of one net under the current sizing and options,
@@ -1780,40 +1710,13 @@ impl<'c> TimingGraph<'c> {
         load
     }
 
-    /// Worst-case delay of a gate (ps) under the current slopes.
-    ///
-    /// When only *resize* seeds are pending, the answer settles without
-    /// flushing the merged forward union: a gate's worst delay depends
-    /// only on its own drive, its fresh output load, and its fanin
-    /// slopes — and each driven fanin's slope is its driver's `τ_out`
-    /// under the driver's *current* drive and load (one `arc_terms`
-    /// evaluation, no recursion), while per-edge reachability (`-inf`
-    /// arrivals) is structural and resize-invariant. The settle runs
-    /// the kernel's exact arc order and expressions over those fresh
-    /// inputs, so it is bit-identical to the post-flush slab read; it
-    /// writes nothing (the cached slabs stay the pre-mutation baseline
-    /// the flush's load scans compare against). A K=1 probe loop goes
-    /// from paying the whole union's drain per probe to O(fanins);
-    /// [`UpdateStats::gate_delay_settles`] counts this path.
+    /// Worst-case delay of a gate (ps) under the current slopes, on the
+    /// primary corner.
     pub fn gate_delay_worst_ps(&self, gate: GateId) -> f64 {
-        let nc = self.corner_libs.len();
-        {
-            let fwd = self.fwd.borrow();
-            if fwd.flushed_gen == self.gen {
-                return fwd.gate_delay_worst[self.rank[gate.index()] as usize * nc];
-            }
-            if !fwd.scan_loads && !fwd.reload_pos && !fwd.reslope_pis && fwd.gate_log.is_empty() {
-                let d = self.settle_gate_delay(&fwd, gate);
-                self.stat(|s| s.gate_delay_settles += 1);
-                return d;
-            }
-        }
-        self.flush_forward();
-        self.fwd.borrow().gate_delay_worst[self.rank[gate.index()] as usize * nc]
+        self.gate_delay_worst_ps_corner(gate, 0)
     }
 
-    /// [`TimingGraph::gate_delay_worst_ps`] on one corner (always
-    /// flushes — the flushless settle is a primary-corner fast path).
+    /// [`TimingGraph::gate_delay_worst_ps`] on one corner.
     ///
     /// # Panics
     ///
@@ -1825,82 +1728,13 @@ impl<'c> TimingGraph<'c> {
         self.fwd.borrow().gate_delay_worst[self.rank[gate.index()] as usize * nc + corner]
     }
 
-    /// The flushless worst-delay settle (see
-    /// [`TimingGraph::gate_delay_worst_ps`] for why it is sound only
-    /// under pure-resize seeds). Fold order and expressions replicate
-    /// [`crate::kernel::FwdView::eval_gate`] exactly.
-    fn settle_gate_delay(&self, fwd: &ForwardState, gate: GateId) -> f64 {
-        let gi = gate.index();
-        let nc = self.corner_libs.len();
-        let cell = self.cell[gi];
-        let cin = self.sizing.cin_ff(gate);
-        let load = self.fresh_net_load(self.out_net[gi].index());
-        let params = &self.gate_params[gi * nc];
-        let ArcTerms {
-            tau_out_by_edge,
-            miller,
-        } = params.arc_terms(cin, load);
-        let fanin_range = self.fanin_off[gi] as usize..self.fanin_off[gi + 1] as usize;
-        // Fresh per-fanin slopes: a primary input's cached slope is
-        // current (no reslope pending on this path); a driven net's
-        // slope re-derives as its driver's τ_out — which the pending
-        // flush will write wherever the edge is reachable, and which
-        // the fold below reads only where the edge is reachable. All on
-        // the primary corner (`* nc` selects its lane).
-        let fresh_slope: Vec<[f64; 2]> = fanin_range
-            .clone()
-            .map(|idx| {
-                let in_net = self.fanin[idx];
-                match self.net_driver[in_net.index()] {
-                    None => fwd.slope[self.fanin_slots[idx] as usize * nc],
-                    Some(d) => {
-                        self.gate_params[d.index() * nc]
-                            .arc_terms(self.sizing.cin_ff(d), self.fresh_net_load(in_net.index()))
-                            .tau_out_by_edge
-                    }
-                }
-            })
-            .collect();
-        let mut worst = 0.0f64;
-        for out_edge in EDGES {
-            let tau_out = tau_out_by_edge[eidx(out_edge)];
-            for (k, idx) in fanin_range.clone().enumerate() {
-                let in_arrival = fwd.arrival[self.fanin_slots[idx] as usize * nc];
-                for &in_edge in compatible_input_edges(cell, out_edge) {
-                    let i = eidx(in_edge);
-                    if in_arrival[i] == f64::NEG_INFINITY {
-                        continue;
-                    }
-                    let delay_ps =
-                        0.5 * params.vt[i] * fresh_slope[k][i] + 0.5 * miller[i] * tau_out;
-                    debug_assert_eq!(
-                        delay_ps.to_bits(),
-                        gate_delay_with_output_edge_vt(
-                            &self.corner_libs[0],
-                            cell,
-                            VtTiming::of(self.vt_class[gi]),
-                            cin,
-                            load,
-                            fresh_slope[k][i],
-                            in_edge,
-                            out_edge,
-                        )
-                        .delay_ps
-                        .to_bits(),
-                        "settled arc delay must match the model"
-                    );
-                    worst = worst.max(delay_ps);
-                }
-            }
-        }
-        worst
-    }
-
-    /// The most critical path: traceback from the worst primary output.
+    /// The most critical path: traceback from the worst primary output,
+    /// following the primary corner's predecessors.
     ///
     /// Returns an empty path only for circuits without gates.
     pub fn critical_path(&self) -> NetlistPath {
         self.flush_forward();
+        let nc = self.corner_libs.len();
         let fwd = self.fwd.borrow();
         let Some((net, edge)) = fwd.critical_net[0] else {
             return NetlistPath {
@@ -1908,25 +1742,12 @@ impl<'c> TimingGraph<'c> {
                 end_edge: EdgeDir::Rising,
             };
         };
-        self.trace_path(&fwd, net, edge)
-    }
-
-    /// Traceback the worst path ending at `net` with `edge`.
-    pub fn path_to(&self, net: NetId, edge: Edge) -> NetlistPath {
-        self.flush_forward();
-        let fwd = self.fwd.borrow();
-        self.trace_path(&fwd, net, edge)
-    }
-
-    fn trace_path(&self, fwd: &ForwardState, net: NetId, edge: Edge) -> NetlistPath {
-        let nc = self.corner_libs.len();
         let mut gates = Vec::new();
         let mut cur = Some((net, edge));
         while let Some((n, e)) = cur {
             if let Some(gid) = self.net_driver[n.index()] {
                 gates.push(gid);
             }
-            // Traceback follows the primary corner's predecessors.
             cur = fwd.pred[self.slot(n) * nc][eidx(e)];
         }
         gates.reverse();
@@ -1936,21 +1757,16 @@ impl<'c> TimingGraph<'c> {
         }
     }
 
-    /// Primary output nets.
-    pub fn outputs(&self) -> &[NetId] {
-        self.circuit.primary_outputs()
-    }
-
     // ---- backward query surface (mirrors `SlackReport`) ----
 
     /// Set the cycle constraint and start maintaining the backward
-    /// state (required times, slacks, k-paths completion bounds) under
-    /// it. The first call — and every call with a *different* `tc_ps`,
-    /// since required times are subtract-chains from the constraint,
-    /// not offsets of it — schedules one full backward pass, paid by
-    /// the first backward query (the lazy flush); from then on
-    /// mutations only accumulate dirty seeds and each query drains
-    /// whatever accumulated in one merged O(backward cone) pass.
+    /// state (required times and slacks) under it. The first call — and
+    /// every call with a *different* `tc_ps`, since required times are
+    /// subtract-chains from the constraint, not offsets of it —
+    /// schedules one full backward pass, paid by the first backward
+    /// query (the lazy flush); from then on mutations only accumulate
+    /// dirty seeds and each query drains whatever accumulated in one
+    /// merged O(backward cone) pass.
     ///
     /// An infinite `tc_ps` is accepted and behaves like the full pass:
     /// `+inf` leaves every net unconstrained (no finite slack anywhere),
@@ -1991,17 +1807,13 @@ impl<'c> TimingGraph<'c> {
         *self.backward.get_mut() = Some(BackwardState {
             tc_ps,
             required: vec![[f64::INFINITY; 2]; n_nets * nc],
-            completion: vec![f64::NEG_INFINITY; n_gates * nc],
             req: DirtySet::new(n_gates),
             req_src: DirtySet::new(self.n_src),
-            comp: DirtySet::new(n_gates),
             // One behind: the first backward query performs the flush
             // that doubles as the initial full backward pass.
             req_flushed_gen: self.gen.wrapping_sub(1),
-            comp_flushed_gen: self.gen.wrapping_sub(1),
             resized_log: Vec::new(),
             req_net_log: Vec::new(),
-            comp_gate_log: Vec::new(),
             slack_net_log: Vec::new(),
             worst: WorstSlackIndex::new(n_nets),
             refold_all: false,
@@ -2127,43 +1939,6 @@ impl<'c> TimingGraph<'c> {
         (worst != f64::INFINITY).then_some(worst)
     }
 
-    /// Frozen-weight k-paths completion bound of a gate (ps); `-inf`
-    /// off every PI→PO path. Bit-identical to
-    /// [`completion_bounds`](crate::kpaths::completion_bounds).
-    ///
-    /// # Panics
-    ///
-    /// As [`TimingGraph::required_ps`].
-    pub fn completion_ps(&self, gate: GateId) -> f64 {
-        self.flush_completion();
-        let nc = self.corner_libs.len();
-        self.backward().completion[self.rank[gate.index()] as usize * nc]
-    }
-
-    /// Materialize the maintained backward state as a [`SlackReport`],
-    /// bit-identical to a fresh [`required_times`](crate::required_times)
-    /// under the same constraint — but O(nets) with no arc evaluations
-    /// beyond the pending flush.
-    ///
-    /// # Panics
-    ///
-    /// As [`TimingGraph::required_ps`].
-    pub fn slack_report(&self) -> SlackReport {
-        self.flush_required();
-        let nc = self.corner_libs.len();
-        let fwd = self.fwd.borrow();
-        let bw = self.backward();
-        // The report is net-id-indexed (and single-corner: the primary
-        // lane); permute the slot-major slabs back through `slot_of`.
-        let required: Vec<[f64; 2]> = (0..self.slot_of.len())
-            .map(|net| bw.required[self.slot_of[net] as usize * nc])
-            .collect();
-        let arrival: Vec<[f64; 2]> = (0..self.slot_of.len())
-            .map(|net| fwd.arrival[self.slot_of[net] as usize * nc])
-            .collect();
-        SlackReport::from_parts(bw.tc_ps, required, arrival)
-    }
-
     // ---- forward internals ----
 
     /// Store a net's exact load (see [`TimingGraph::fresh_net_load`]).
@@ -2186,8 +1961,8 @@ impl<'c> TimingGraph<'c> {
     /// a topo-order pass gives every gate final fanin values and
     /// unchanged gates reproduce their cached bits exactly. Backward
     /// cones are *not* drained here — the seeds the walk deposits into
-    /// the backward state (slope, delay and arrival changes) stay
-    /// pending until the next backward query's lazy flush.
+    /// the backward state (slope and arrival changes) stay pending
+    /// until the next backward query's lazy flush.
     fn flush_forward(&self) {
         let mut guard = self.fwd.borrow_mut();
         let fwd = &mut *guard;
@@ -2231,7 +2006,6 @@ impl<'c> TimingGraph<'c> {
                     fwd.dirty.mark(self.pos(driver));
                     if let Some(bw) = bw.as_deref_mut() {
                         bw.resized_log.push(driver);
-                        bw.comp_gate_log.push(driver);
                     }
                 }
             }
@@ -2327,7 +2101,6 @@ impl<'c> TimingGraph<'c> {
             fanin_off: &self.fanin_off,
             cins: self.sizing.as_slice(),
             n_src: self.n_src,
-            out_net: &self.out_net,
             fanout: &self.fanout,
             fanout_off: &self.fanout_off,
             rank: &self.rank,
@@ -2338,9 +2111,8 @@ impl<'c> TimingGraph<'c> {
 
     /// Re-evaluate the gate at `pos`, deposit the lazy backward seeds
     /// its change flags call for — plain log appends: arcs *from* the
-    /// output net move with its slope, the gate's completion bound with
-    /// its worst delay, the net's worst-slack leaf with its arrival —
-    /// and report whether its output moved.
+    /// output net move with its slope, the net's worst-slack leaf with
+    /// its arrival — and report whether its output moved.
     fn forward_step(
         &self,
         view: &mut FwdView<'_>,
@@ -2353,9 +2125,6 @@ impl<'c> TimingGraph<'c> {
             let gid = self.topo[pos];
             if flags & F_SLOPE != 0 {
                 bw.req_net_log.push(self.out_net[gid.index()]);
-            }
-            if flags & F_DELAY != 0 {
-                bw.comp_gate_log.push(gid);
             }
             if flags & F_ARRIVAL != 0 {
                 bw.slack_net_log.push(self.out_net[gid.index()]);
@@ -2412,8 +2181,8 @@ impl<'c> TimingGraph<'c> {
         }
     }
 
-    /// Invalidate the whole backward state *lazily*: mark every net and
-    /// gate dirty and schedule a wholesale worst-slack refold, without
+    /// Invalidate the whole backward state *lazily*: mark every net
+    /// dirty and schedule a wholesale worst-slack refold, without
     /// draining — the next backward query pays one full backward pass
     /// (every position is marked, so [`TimingGraph::drain_limit`] picks
     /// the sweep). Pending backward seed logs are subsumed and
@@ -2427,15 +2196,13 @@ impl<'c> TimingGraph<'c> {
         };
         bw.req.fill();
         bw.req_src.fill();
-        bw.comp.fill();
         bw.resized_log.clear();
         bw.req_net_log.clear();
-        bw.comp_gate_log.clear();
         bw.slack_net_log.clear();
         bw.refold_all = true;
     }
 
-    /// The required-time side of the lazy flush: drain the accumulated
+    /// The backward side of the lazy flush: drain the accumulated
     /// required seeds in *descending* position order, then fold the
     /// moved slacks into the worst-slack index. A no-op when that state
     /// already reflects the current mutation generation; otherwise one
@@ -2463,7 +2230,6 @@ impl<'c> TimingGraph<'c> {
         let BackwardState {
             tc_ps,
             required,
-            completion,
             req,
             req_src,
             resized_log,
@@ -2490,7 +2256,7 @@ impl<'c> TimingGraph<'c> {
 
         let drained = self.drain_limit(req, Direction::Backward).map(|limit| {
             let ctx = self.eval_ctx();
-            let mut view = bwd_view(&fwd, *tc_ps, required, completion);
+            let mut view = bwd_view(&fwd, *tc_ps, required);
             let mut eval = |slot: usize| {
                 let net = self.net_at(slot);
                 let changed = view.eval_required_net(&ctx, net.index(), slot);
@@ -2573,67 +2339,6 @@ impl<'c> TimingGraph<'c> {
         });
     }
 
-    /// The completion-bound side of the lazy flush (k-paths queries):
-    /// drain the accumulated completion seeds in descending position
-    /// order, each changed gate marking its fanin drivers, with the same
-    /// cut-over to a straight descending sweep (dependency order makes
-    /// re-marking unnecessary there). Completion bounds depend only on
-    /// forward state (which this flush settles first — the two-phase
-    /// contract), so this flush is independent of
-    /// [`TimingGraph::flush_required`] — a slack-only workload never
-    /// pays it.
-    fn flush_completion(&self) {
-        self.flush_forward();
-        let fwd = self.fwd.borrow();
-        let mut guard = self.backward.borrow_mut();
-        let Some(bw) = guard.as_mut() else {
-            return;
-        };
-        if bw.comp_flushed_gen == self.gen {
-            return;
-        }
-        bw.comp_flushed_gen = self.gen;
-
-        let BackwardState {
-            tc_ps,
-            required,
-            completion,
-            comp,
-            comp_gate_log,
-            ..
-        } = &mut *bw;
-        for gate in comp_gate_log.drain(..) {
-            comp.mark(self.pos(gate));
-        }
-        let drained = self.drain_limit(comp, Direction::Backward).map(|limit| {
-            let ctx = self.eval_ctx();
-            let mut view = bwd_view(&fwd, *tc_ps, required, completion);
-            comp.drain(
-                Direction::Backward,
-                limit,
-                |pos| view.eval_completion_gate(&ctx, pos),
-                |pos, comp| {
-                    for &s in self.fanin_slots_of(self.topo[pos]) {
-                        if let Some(driver) = (s as usize).checked_sub(self.n_src) {
-                            comp.mark(driver);
-                        }
-                    }
-                },
-            )
-        });
-        let mut comp_reevals = drained.map_or(0, |d| d.evals);
-        if drained.is_none_or(|d| d.bailed) {
-            self.sweep_completion_full(&fwd, bw);
-            bw.comp.clear();
-            comp_reevals += self.topo.len();
-        }
-
-        self.stat(|s| {
-            s.backward_flushes += 1;
-            s.completion_reevaluated += comp_reevals;
-        });
-    }
-
     /// Gate-centric full backward pass into `bw.required`: reinitialize
     /// every net (`tc` at primary outputs, `+inf` elsewhere) and push
     /// min candidates down the descending topo order, hoisting each
@@ -2655,20 +2360,9 @@ impl<'c> TimingGraph<'c> {
             bw.required[base..base + nc].fill(init);
         }
         let ctx = self.eval_ctx();
-        let mut view = bwd_view(fwd, bw.tc_ps, &mut bw.required, &mut bw.completion);
+        let mut view = bwd_view(fwd, bw.tc_ps, &mut bw.required);
         for pos in (0..self.topo.len()).rev() {
             view.sweep_gate(&ctx, pos);
-        }
-    }
-
-    /// Full completion pass into `bw.completion` — one descending
-    /// evaluation per gate (dependency order makes re-marking
-    /// unnecessary).
-    fn sweep_completion_full(&self, fwd: &ForwardState, bw: &mut BackwardState) {
-        let ctx = self.eval_ctx();
-        let mut view = bwd_view(fwd, bw.tc_ps, &mut bw.required, &mut bw.completion);
-        for pos in (0..self.topo.len()).rev() {
-            view.eval_completion_gate(&ctx, pos);
         }
     }
 
@@ -2728,18 +2422,11 @@ fn slack_key(required: &[[f64; 2]], arrival: &[[f64; 2]], nc: usize, slot: usize
 
 /// The backward kernels' view of one flush: the backward slabs to
 /// write, over the settled forward state.
-fn bwd_view<'v>(
-    fwd: &'v ForwardState,
-    tc_ps: f64,
-    required: &'v mut [[f64; 2]],
-    completion: &'v mut [f64],
-) -> BwdView<'v> {
+fn bwd_view<'v>(fwd: &'v ForwardState, tc_ps: f64, required: &'v mut [[f64; 2]]) -> BwdView<'v> {
     BwdView {
         required,
-        completion,
         slope: &fwd.slope,
         load: &fwd.load,
-        gate_delay_worst: &fwd.gate_delay_worst,
         tc_ps,
     }
 }
@@ -2759,49 +2446,6 @@ impl TimingView for TimingGraph<'_> {
     }
     fn gate_delay_worst_ps(&self, gate: GateId) -> f64 {
         TimingGraph::gate_delay_worst_ps(self, gate)
-    }
-    fn cached_completion_ps(&self) -> Option<Vec<f64>> {
-        self.flush_completion();
-        // The consumer expects gate-id indexing; permute the rank-major
-        // slab back through `rank`.
-        let nc = self.corner_libs.len();
-        self.backward.borrow().as_ref().map(|bw| {
-            (0..self.rank.len())
-                .map(|g| bw.completion[self.rank[g] as usize * nc])
-                .collect()
-        })
-    }
-    fn cached_required_times(&self, tc_ps: f64, sizing: &Sizing) -> Option<SlackReport> {
-        let hit = matches!(
-            self.backward.borrow().as_ref(),
-            Some(bw) if bw.tc_ps.to_bits() == tc_ps.to_bits() && *sizing == self.sizing
-        );
-        // `slack_report` flushes the pending lazy seeds itself.
-        hit.then(|| self.slack_report())
-    }
-}
-
-/// Slack queries against the maintained backward state.
-///
-/// # Panics
-///
-/// Every method panics unless [`TimingGraph::set_constraint`] was
-/// called (the inherent methods carry the same contract).
-impl SlackView for TimingGraph<'_> {
-    fn constraint_ps(&self) -> f64 {
-        self.backward().tc_ps
-    }
-    fn required_ps(&self, net: NetId, edge: EdgeDir) -> f64 {
-        TimingGraph::required_ps(self, net, edge)
-    }
-    fn slack_ps(&self, net: NetId, edge: EdgeDir) -> f64 {
-        TimingGraph::slack_ps(self, net, edge)
-    }
-    fn worst_slack_ps(&self, net: NetId) -> f64 {
-        TimingGraph::worst_slack_ps(self, net)
-    }
-    fn worst_slack_overall_ps(&self) -> Option<f64> {
-        TimingGraph::worst_slack_overall_ps(self)
     }
 }
 
@@ -2990,9 +2634,10 @@ mod tests {
             "worst slack overall"
         );
         let bounds = completion_bounds(circuit, &fresh);
+        let via_graph = completion_bounds(circuit, graph);
         for g in circuit.gate_ids() {
             assert_eq!(
-                graph.completion_ps(g).to_bits(),
+                via_graph[g.index()].to_bits(),
                 bounds[g.index()].to_bits(),
                 "completion {g}"
             );
@@ -3103,7 +2748,6 @@ mod tests {
         let after = graph.stats();
         assert_eq!(after.backward_flushes, settled.backward_flushes);
         assert_eq!(after.required_reevaluated, settled.required_reevaluated);
-        assert_eq!(after.completion_reevaluated, settled.completion_reevaluated);
         // Forward is lazy too: the resizes did no arc work either.
         assert_eq!(after.forward_flushes, settled.forward_flushes);
         assert_eq!(after.gates_reevaluated, settled.gates_reevaluated);
@@ -3122,18 +2766,17 @@ mod tests {
         let c = suite::circuit("c880").unwrap();
         let s = Sizing::minimum(&c, &lib);
         let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
-        graph.set_constraint(0.95 * graph.critical_delay_ps());
+        let tc = 0.95 * graph.critical_delay_ps();
+        graph.set_constraint(tc);
         let gates: Vec<GateId> = c.gate_ids().collect();
         for (i, &g) in gates.iter().enumerate().step_by(7) {
             graph.resize_gate(g, (1.0 + (i % 9) as f64 * 0.4) * lib.min_drive_ff());
-            // Tournament-tree root vs the O(nets) fold over the
-            // materialized report: bit-identical at every step.
+            // Tournament-tree root vs the O(nets) fold over a fresh
+            // backward pass: bit-identical at every step.
+            let fresh = crate::slack::required_times(&c, &lib, graph.sizing(), &graph, tc).unwrap();
             assert_eq!(
                 graph.worst_slack_overall_ps().map(f64::to_bits),
-                graph
-                    .slack_report()
-                    .worst_slack_overall_ps()
-                    .map(f64::to_bits),
+                fresh.worst_slack_overall_ps().map(f64::to_bits),
             );
         }
     }
@@ -3145,44 +2788,10 @@ mod tests {
         let s = Sizing::minimum(&c, &lib);
         let graph = TimingGraph::new(&c, &lib, &s).unwrap();
         assert_eq!(graph.constraint_ps(), None);
-        assert!(graph.cached_completion_ps().is_none());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             graph.worst_slack_overall_ps()
         }));
         assert!(result.is_err(), "querying slack without a constraint");
-    }
-
-    #[test]
-    fn cached_required_times_short_circuits_only_on_matching_tc() {
-        let lib = Library::cmos025();
-        let c = inverter_chain(5);
-        let s = Sizing::minimum(&c, &lib);
-        let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
-        let tc = 1.2 * graph.critical_delay_ps();
-        graph.set_constraint(tc);
-        assert_eq!(graph.constraint_ps(), Some(tc));
-        assert!(graph.cached_completion_ps().is_some());
-        let sizing = graph.sizing().clone();
-        assert!(TimingView::cached_required_times(&graph, tc, &sizing).is_some());
-        assert!(TimingView::cached_required_times(&graph, tc + 1.0, &sizing).is_none());
-        // A probe sizing that differs from the graph's own must miss the
-        // cache — the answer would be for the wrong sizes.
-        let mut probe = sizing.clone();
-        let g0 = c.gate_ids().next().unwrap();
-        probe.set(g0, 2.0 * probe.cin_ff(g0));
-        assert!(TimingView::cached_required_times(&graph, tc, &probe).is_none());
-        // And the materialized report agrees with the full pass.
-        let via_cache = crate::slack::required_times(&c, &lib, graph.sizing(), &graph, tc).unwrap();
-        let fresh = analyze(&c, &lib, graph.sizing()).unwrap();
-        let via_pass = crate::slack::required_times(&c, &lib, graph.sizing(), &fresh, tc).unwrap();
-        for net in c.net_ids() {
-            for dir in [EdgeDir::Rising, EdgeDir::Falling] {
-                assert_eq!(
-                    via_cache.required_ps(net, dir).to_bits(),
-                    via_pass.required_ps(net, dir).to_bits()
-                );
-            }
-        }
     }
 
     fn assert_surgery_matches_fresh(graph: &TimingGraph) {
@@ -3269,10 +2878,12 @@ mod tests {
                 );
             }
         }
+        let bounds = crate::kpaths::completion_bounds(graph.circuit(), &graph);
+        let fresh_bounds = crate::kpaths::completion_bounds(graph.circuit(), &fresh);
         for g in graph.circuit().gate_ids() {
             assert_eq!(
-                graph.completion_ps(g).to_bits(),
-                fresh.completion_ps(g).to_bits(),
+                bounds[g.index()].to_bits(),
+                fresh_bounds[g.index()].to_bits(),
                 "completion {g}"
             );
         }

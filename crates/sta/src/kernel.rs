@@ -5,12 +5,11 @@
 //! slabs (see [`crate::incremental`]) with the model constants cached
 //! per (gate, corner): the forward gate evaluation of
 //! [`crate::analysis::analyze_with`], the per-net required-time fold of
-//! [`crate::required_times`], the completion bound of
-//! [`crate::kpaths::completion_bounds`], and the gate-centric required
-//! scatter the backward full sweep uses. Dirty-cone drains (the one
-//! drain loop of `crate::dirty`) and full sweeps call the same kernels,
-//! so they cannot diverge: bit-identical state is a structural property
-//! (the differential suites assert it anyway).
+//! [`crate::required_times`], and the gate-centric required scatter the
+//! backward full sweep uses. Dirty-cone drains (the one drain loop of
+//! `crate::dirty`) and full sweeps call the same kernels, so they cannot
+//! diverge: bit-identical state is a structural property (the
+//! differential suites assert it anyway).
 
 use pops_delay::model::{gate_delay_with_output_edge_vt, Edge};
 use pops_delay::{Library, VtTiming};
@@ -22,10 +21,8 @@ use crate::incremental::{ArcTerms, GateParams};
 /// Arrival or slope of the gate's output net changed (bitwise) — the
 /// forward cone expands through its fanouts.
 pub(crate) const F_SLOPE: u8 = 1 << 0;
-/// The gate's worst delay changed — its completion bound re-derives.
-pub(crate) const F_DELAY: u8 = 1 << 1;
 /// The output net's arrival changed — its slack leaf re-folds.
-pub(crate) const F_ARRIVAL: u8 = 1 << 2;
+pub(crate) const F_ARRIVAL: u8 = 1 << 1;
 /// The output net moved at all (slope or arrival): fanouts re-mark.
 pub(crate) const F_OUT_CHANGED: u8 = F_SLOPE | F_ARRIVAL;
 
@@ -59,9 +56,6 @@ pub(crate) struct EvalCtx<'a> {
     /// Slots `0..n_src` hold driverless nets; gate `pos` writes slot
     /// `n_src + pos`.
     pub n_src: usize,
-    /// Output net per gate id (the completion kernel keys its fanout
-    /// walk on it).
-    pub out_net: &'a [NetId],
     /// Flattened fanout gates per net id (`fanout_off` delimits).
     pub fanout: &'a [GateId],
     /// Fanout offsets per net id.
@@ -167,9 +161,6 @@ impl FwdView<'_> {
             let out = out_slot * nc + c;
             let old_arrival = self.arrival[out];
             let old_slope = self.slope[out];
-            if self.gate_delay_worst[pos * nc + c].to_bits() != worst_gate_delay.to_bits() {
-                flags |= F_DELAY;
-            }
             if new_slope[0].to_bits() != old_slope[0].to_bits()
                 || new_slope[1].to_bits() != old_slope[1].to_bits()
             {
@@ -194,10 +185,8 @@ impl FwdView<'_> {
 /// contract).
 pub(crate) struct BwdView<'a> {
     pub required: &'a mut [[f64; 2]],
-    pub completion: &'a mut [f64],
     pub slope: &'a [[f64; 2]],
     pub load: &'a [f64],
-    pub gate_delay_worst: &'a [f64],
     pub tc_ps: f64,
 }
 
@@ -275,42 +264,6 @@ impl BwdView<'_> {
             let cur = &mut self.required[slot * nc + c];
             changed |= req[0].to_bits() != cur[0].to_bits() || req[1].to_bits() != cur[1].to_bits();
             *cur = req;
-        }
-        changed
-    }
-
-    /// Recompute the completion bound of the gate at topo position
-    /// `pos`; returns whether it changed (bitwise). Same fold, in the
-    /// same successor order, as [`crate::kpaths::completion_bounds`].
-    pub(crate) fn eval_completion_gate(&mut self, ctx: &EvalCtx<'_>, pos: usize) -> bool {
-        let gid = ctx.topo[pos];
-        let out = ctx.out_net[gid.index()].index();
-        let nc = ctx.n_corners;
-        let (lo, hi) = (
-            ctx.fanout_off[out] as usize,
-            ctx.fanout_off[out + 1] as usize,
-        );
-        let mut changed = false;
-        for c in 0..nc {
-            let mut best = if ctx.is_po[out] {
-                0.0
-            } else {
-                f64::NEG_INFINITY
-            };
-            for &succ in &ctx.fanout[lo..hi] {
-                let comp = self.completion[ctx.rank[succ.index()] as usize * nc + c];
-                if comp.is_finite() {
-                    best = best.max(comp);
-                }
-            }
-            let new = if best.is_finite() {
-                self.gate_delay_worst[pos * nc + c] + best
-            } else {
-                f64::NEG_INFINITY
-            };
-            let cur = &mut self.completion[pos * nc + c];
-            changed |= new.to_bits() != cur.to_bits();
-            *cur = new;
         }
         changed
     }

@@ -47,12 +47,19 @@ impl Ord for HeapEntry {
 /// Enumerate the `k` most critical (longest) gate paths.
 ///
 /// Paths run from a gate fed by a primary input to a gate driving a
-/// primary output. Returned in non-increasing weight order; fewer than `k`
-/// paths are returned if the circuit has fewer distinct paths.
+/// primary output, in non-increasing weight order. Fewer than `k` paths
+/// come back when the circuit has fewer distinct paths, **or** when the
+/// search first reaches its limit of `(k+1)·max(gates, 64)·8`
+/// partial-path expansions: it then stops and returns the paths found
+/// so far — on a fabric with many tied paths (`synth10k`) that can be
+/// none.
 ///
 /// The weight of a path is the sum of [`TimingView::gate_delay_worst_ps`]
 /// over its gates. Accepts any timing backend — a one-shot
-/// [`crate::TimingReport`] or an incremental [`crate::TimingGraph`].
+/// [`crate::TimingReport`] or an incremental [`crate::TimingGraph`]. The
+/// search bounds are derived per call with [`completion_bounds`] — one
+/// reverse-topological pass — so on a graph this is a flushing query:
+/// pending mutations settle before the first bound is read.
 ///
 /// # Example
 ///
@@ -81,19 +88,7 @@ pub fn k_most_critical_paths<V: TimingView + ?Sized>(
         return Vec::new();
     }
     let w = |g: GateId| report.gate_delay_worst_ps(g);
-
-    // Best completion weight from each gate to any primary output. A
-    // backend that maintains the bounds incrementally (a `TimingGraph`
-    // with a constraint set) runs its two-phase lazy flush here —
-    // forward first (the frozen gate delays the bounds fold over),
-    // then the completion side only, never the required times — and
-    // hands over its cached array, bit-identical to the from-scratch
-    // derivation, making per-round path extraction O(cone) instead of
-    // O(circuit). This call is therefore a flushing query: pending
-    // mutations settle before the first bound is read.
-    let completion: Vec<f64> = report
-        .cached_completion_ps()
-        .unwrap_or_else(|| completion_bounds(circuit, report));
+    let completion = completion_bounds(circuit, report);
 
     // Source gates: fed by at least one primary input.
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
@@ -113,8 +108,8 @@ pub fn k_most_critical_paths<V: TimingView + ?Sized>(
     }
 
     let mut results = Vec::with_capacity(k);
-    // Guard against pathological blowup: the heap never needs to expand
-    // more than k * max_path_len * max_fanout entries to yield k paths.
+    // Guard against pathological blowup: past this many expansions the
+    // search stops and returns what it found (see the docs above).
     let mut expansions = 0usize;
     let expansion_limit = (k + 1) * circuit.gate_count().max(64) * 8;
 
@@ -163,10 +158,11 @@ pub fn k_most_critical_paths<V: TimingView + ?Sized>(
 /// successors` (0 at a primary output, `-inf` off every PI→PO path).
 ///
 /// This is the backward analogue of the forward arrival state with the
-/// gate weights frozen at [`TimingView::gate_delay_worst_ps`]; it is
-/// both the admissible bound driving the K-paths search heap and the
-/// array [`crate::TimingGraph`] maintains incrementally (the
-/// differential suites compare the two bit-for-bit).
+/// gate weights frozen at [`TimingView::gate_delay_worst_ps`]: the
+/// admissible bound driving the K-paths search heap, derived afresh on
+/// every [`k_most_critical_paths`] call. The flow reads it once per
+/// round, and every round moves delays all over the circuit, so a
+/// maintained copy would re-derive every gate anyway.
 pub fn completion_bounds<V: TimingView + ?Sized>(circuit: &Circuit, report: &V) -> Vec<f64> {
     let order = circuit
         .topo_order()

@@ -54,4 +54,4 @@ pub use extract::{extract_timed_path, ExtractOptions};
 pub use incremental::TimingGraph;
 pub use kpaths::{completion_bounds, k_most_critical_paths, path_weight_ps};
 pub use sizing::Sizing;
-pub use slack::{required_times, SlackReport, SlackView};
+pub use slack::{required_times, SlackReport};

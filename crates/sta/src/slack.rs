@@ -14,7 +14,7 @@
 //! (`required − arrival`) is therefore **finite or `+inf`, never NaN**:
 //! the only NaN-producing combination (`+inf − +inf` / `-inf − -inf`)
 //! cannot occur. A `+inf` slack means "this net does not constrain the
-//! design"; [`SlackView::worst_slack_overall_ps`] skips those and
+//! design"; [`SlackReport::worst_slack_overall_ps`] skips those and
 //! returns `None` when *no* net carries a finite slack (e.g. a circuit
 //! with zero primary outputs).
 
@@ -24,40 +24,6 @@ use pops_netlist::{Circuit, NetId, NetlistError};
 
 use crate::analysis::{compatible_input_edges, EdgeDir, TimingView};
 use crate::sizing::Sizing;
-
-/// Read-only view over a backward (required-time) state: the query
-/// surface shared by the one-shot [`SlackReport`] and the incremental
-/// [`crate::incremental::TimingGraph`] (after
-/// [`set_constraint`](crate::incremental::TimingGraph::set_constraint)).
-///
-/// Slack-driven consumers — candidate ranking in the sizing loop,
-/// endpoint budgets in the circuit flow — are generic over this trait,
-/// so they work unchanged whether the required times came from a full
-/// backward pass or from reverse dirty-cone propagation.
-pub trait SlackView {
-    /// The cycle constraint the required times were computed against
-    /// (ps).
-    fn constraint_ps(&self) -> f64;
-
-    /// Required time of a net for an edge (ps); `+inf` where
-    /// unconstrained.
-    fn required_ps(&self, net: NetId, edge: EdgeDir) -> f64;
-
-    /// Slack of a net for an edge (ps): `required − arrival`. Negative
-    /// means the net lies on a violating path; `+inf` means the net does
-    /// not constrain the design (see the module docs — never NaN).
-    fn slack_ps(&self, net: NetId, edge: EdgeDir) -> f64;
-
-    /// Worst (most negative) slack over both edges of a net.
-    fn worst_slack_ps(&self, net: NetId) -> f64 {
-        self.slack_ps(net, EdgeDir::Rising)
-            .min(self.slack_ps(net, EdgeDir::Falling))
-    }
-
-    /// Worst finite slack over the whole design, or `None` when no net
-    /// carries a finite slack (no primary outputs, or none reachable).
-    fn worst_slack_overall_ps(&self) -> Option<f64>;
-}
 
 /// Fold the design-worst finite slack out of `(required, arrival)`
 /// pairs. Shared by both backends so their answers are bit-identical.
@@ -276,16 +242,6 @@ fn eidx(e: Edge) -> usize {
 }
 
 impl SlackReport {
-    /// Assemble a report from raw backward state (the incremental
-    /// engine's materialization path).
-    pub(crate) fn from_parts(tc_ps: f64, required: Vec<[f64; 2]>, arrival: Vec<[f64; 2]>) -> Self {
-        SlackReport {
-            tc_ps,
-            required,
-            arrival,
-        }
-    }
-
     /// The cycle constraint the required times were computed against
     /// (ps).
     pub fn constraint_ps(&self) -> f64 {
@@ -327,24 +283,6 @@ impl SlackReport {
     }
 }
 
-impl SlackView for SlackReport {
-    fn constraint_ps(&self) -> f64 {
-        SlackReport::constraint_ps(self)
-    }
-    fn required_ps(&self, net: NetId, edge: EdgeDir) -> f64 {
-        SlackReport::required_ps(self, net, edge)
-    }
-    fn slack_ps(&self, net: NetId, edge: EdgeDir) -> f64 {
-        SlackReport::slack_ps(self, net, edge)
-    }
-    fn worst_slack_ps(&self, net: NetId) -> f64 {
-        SlackReport::worst_slack_ps(self, net)
-    }
-    fn worst_slack_overall_ps(&self) -> Option<f64> {
-        SlackReport::worst_slack_overall_ps(self)
-    }
-}
-
 /// Backward pass: compute required times against a cycle constraint
 /// `tc_ps` applied at every primary output.
 ///
@@ -352,11 +290,10 @@ impl SlackView for SlackReport {
 /// from (arc delays are re-derived with the report's slopes). Accepts any
 /// timing backend — a one-shot [`crate::TimingReport`] or an incremental
 /// [`crate::TimingGraph`] — so the sizing loop never forces a full
-/// re-analysis just to read slacks. A backend that maintains its own
-/// backward state under exactly `tc_ps` (a `TimingGraph` after
-/// [`set_constraint`](crate::incremental::TimingGraph::set_constraint))
-/// short-circuits the whole pass: the cached state is materialized in
-/// O(nets) with no arc evaluations, bit-identical to the full pass.
+/// re-analysis just to read slacks. A graph that maintains its own
+/// backward state answers the same queries incrementally after
+/// [`set_constraint`](crate::incremental::TimingGraph::set_constraint),
+/// bit-identical to this pass.
 ///
 /// # Errors
 ///
@@ -368,9 +305,6 @@ pub fn required_times<V: TimingView + ?Sized>(
     report: &V,
     tc_ps: f64,
 ) -> Result<SlackReport, NetlistError> {
-    if let Some(cached) = report.cached_required_times(tc_ps, sizing) {
-        return Ok(cached);
-    }
     let order = circuit.topo_order()?;
     let n_nets = circuit.net_count();
     let mut required = vec![[f64::INFINITY; 2]; n_nets];
@@ -586,8 +520,5 @@ mod tests {
         let (lib, s, r) = setup(&c);
         let slacks = required_times(&c, &lib, &s, &r, 123.5).unwrap();
         assert_eq!(slacks.constraint_ps(), 123.5);
-        // And through the trait object surface.
-        let view: &dyn SlackView = &slacks;
-        assert_eq!(view.constraint_ps(), 123.5);
     }
 }

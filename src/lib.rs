@@ -75,6 +75,6 @@ pub mod prelude {
     pub use pops_sta::analysis::analyze;
     pub use pops_sta::{
         extract_timed_path, k_most_critical_paths, required_times, ExtractOptions, Sizing,
-        SlackView, TimingGraph, TimingView,
+        TimingGraph, TimingView,
     };
 }

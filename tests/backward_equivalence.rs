@@ -1,10 +1,11 @@
 //! Randomized backward equivalence: the incremental backward state of a
-//! [`TimingGraph`] — per-net required times, slacks, the design-worst
-//! slack and the k-paths completion bounds — must match a from-scratch
-//! backward pass (`required_times` over a fresh `analyze_with` report,
-//! `completion_bounds` over the same) after **every** step of a random
-//! resize sequence. The mirror of `tests/incremental_equivalence.rs`
-//! for the reverse direction.
+//! [`TimingGraph`] — per-net required times, slacks and the design-worst
+//! slack — must match a from-scratch backward pass (`required_times`
+//! over a fresh `analyze_with` report) after **every** step of a random
+//! resize sequence, and the k-paths completion bounds derived over the
+//! graph must match `completion_bounds` over the same fresh report. The
+//! mirror of `tests/incremental_equivalence.rs` for the reverse
+//! direction.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
 
@@ -46,11 +47,12 @@ fn assert_backward_equivalent(graph: &TimingGraph, circuit: &Circuit, lib: &Libr
         slacks.worst_slack_overall_ps().map(f64::to_bits),
         "{name} step {step}: design-worst slack diverged"
     );
-    // The k-paths completion bounds ride on the same backward machinery.
+    // The k-paths bounds derived over the graph's worst gate delays.
     let bounds = completion_bounds(circuit, &fresh);
+    let via_graph = completion_bounds(circuit, graph);
     for g in circuit.gate_ids() {
         assert_eq!(
-            graph.completion_ps(g).to_bits(),
+            via_graph[g.index()].to_bits(),
             bounds[g.index()].to_bits(),
             "{name} step {step}: completion bound of {g}"
         );

@@ -1,15 +1,18 @@
-//! Flush scheduling: the lazy drains, the drain-to-sweep cut-overs and
-//! the flushless settles must land on the bits of a from-scratch pass.
+//! Flush scheduling: the lazy drains and the drain-to-sweep cut-overs
+//! must land on the bits of a from-scratch pass, and every forward read
+//! flushes before it answers.
 //!
 //! Covered here: random mutation bursts on the synth10k fabric (wide
 //! levels, spread cones, frequent full-sweep cut-overs) checked against
-//! fresh `analyze_with` / `required_times` / `completion_bounds` passes
-//! and the deep-consistency audit; the cut-over rule's three ways to the
-//! sweep — a saturated count, the closure estimate on spread seeds and
-//! the backward drain's bail at its budget — each firing where it
-//! should without changing bits; the loads-only `net_load_ff` and
-//! flushless `gate_delay_worst_ps` settles; and validity and
-//! determinism of the synthetic scaling fabrics.
+//! fresh `analyze_with` / `required_times` passes — with the k-paths
+//! bounds derived over the graph checked against `completion_bounds`
+//! over the fresh report — and the deep-consistency audit; the cut-over
+//! rule's three ways to the sweep — a saturated count, the closure
+//! estimate on spread seeds and the backward drain's bail at its
+//! budget — each firing where it should without changing bits; the
+//! uniform flushing contract of `net_load_ff` and
+//! `gate_delay_worst_ps`; and validity and determinism of the synthetic
+//! scaling fabrics.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
 
@@ -108,6 +111,7 @@ fn assert_matches_fresh(graph: &TimingGraph, lib: &Library, label: &str) {
         );
     }
     let bounds = completion_bounds(circuit, &fresh);
+    let via_graph = completion_bounds(circuit, graph);
     for g in circuit.gate_ids() {
         assert_eq!(
             graph.gate_delay_worst_ps(g).to_bits(),
@@ -115,7 +119,7 @@ fn assert_matches_fresh(graph: &TimingGraph, lib: &Library, label: &str) {
             "{label}: worst delay of {g}"
         );
         assert_eq!(
-            graph.completion_ps(g).to_bits(),
+            via_graph[g.index()].to_bits(),
             bounds[g.index()].to_bits(),
             "{label}: completion bound of {g}"
         );
@@ -188,11 +192,11 @@ fn random_forward_sequence(circuit: Circuit, seed: u64, steps: usize, check_ever
 }
 
 /// Backward-focused bursts: every burst is *immediately* followed by
-/// backward queries, so `flush_required` and `flush_completion` fire
-/// once per burst — in whatever dirty-state mix the burst schedule
-/// leaves behind — instead of only at the periodic checks. Constraint
-/// bursts saturate the backward dirty sets, so the next query runs the
-/// gate-centric full-sweep path.
+/// backward queries, so the backward flush fires once per burst — in
+/// whatever dirty-state mix the burst schedule leaves behind — instead
+/// of only at the periodic checks. Constraint bursts saturate the
+/// backward dirty sets, so the next query runs the gate-centric
+/// full-sweep path.
 fn random_backward_sequence(circuit: Circuit, seed: u64, steps: usize, check_every: usize) {
     let lib = Library::cmos025();
     let sizing = Sizing::minimum(&circuit, &lib);
@@ -227,11 +231,10 @@ fn random_backward_sequence(circuit: Circuit, seed: u64, steps: usize, check_eve
                 graph.resize_gate(g, cref * (1.0 + 25.0 * rng.next_f64()));
             }
         }
-        // Flush both backward directions every burst.
+        // Flush the backward state every burst.
         let _ = graph.worst_slack_overall_ps();
         let probe_net = *rng.pick(&graph.circuit().net_ids().collect::<Vec<_>>());
         let _ = graph.slack_ps(probe_net, EdgeDir::Rising);
-        let _ = graph.completion_ps(*rng.pick(&gates));
         if step % check_every == check_every - 1 {
             assert_matches_fresh(&graph, &lib, &format!("step {step}"));
         }
@@ -366,53 +369,74 @@ fn backward_drain_bails_to_the_sweep_at_its_budget() {
 }
 
 #[test]
-fn gate_delay_queries_settle_without_flushing() {
-    // `gate_delay_worst_ps` under pure-resize seeds: answered by the
-    // flushless settle — correct value, no forward flush — so a K=1
-    // resize/probe loop no longer drains the whole merged union per
-    // probe. The settled answers must be bit-identical to the slab
-    // values the next flushing query produces.
+fn forward_reads_flush_once_and_match_a_fresh_pass() {
+    // `gate_delay_worst_ps` and `net_load_ff` are ordinary flushing
+    // reads, like every other forward query: with pure resizes pending
+    // on a constrained graph, whichever is read first drains the merged
+    // forward cone — one forward flush, no backward flush — later
+    // forward reads on the clean generation cost nothing, and every
+    // answer carries the bits of a fresh full pass.
     let lib = Library::cmos025();
     let circuit = suite::circuit("c880").unwrap();
     let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).unwrap();
+    graph.set_constraint(0.9 * graph.critical_delay_ps());
+    let _ = graph.worst_slack_overall_ps();
     let gates: Vec<GateId> = circuit.gate_ids().collect();
-    graph.resize_gate(gates[gates.len() / 3], 5.0 * lib.min_drive_ff());
+    let cref = lib.min_drive_ff();
 
-    let before = graph.stats();
-    let settled: Vec<u64> = gates
-        .iter()
-        .map(|&g| graph.gate_delay_worst_ps(g).to_bits())
-        .collect();
-    let mid = graph.stats();
-    assert_eq!(
-        mid.forward_flushes, before.forward_flushes,
-        "a worst-delay probe under resize seeds must not flush"
-    );
-    assert_eq!(
-        mid.gate_delay_settles,
-        before.gate_delay_settles + gates.len(),
-        "every probe takes the settle path"
-    );
+    for (round, load_first) in [false, true].into_iter().enumerate() {
+        let batch: Vec<(GateId, f64)> = gates
+            .iter()
+            .skip(round)
+            .step_by(97)
+            .map(|&g| (g, (3.0 + round as f64) * cref))
+            .collect();
+        let probe = batch[batch.len() / 2].0;
+        let probe_net = circuit.gate(probe).inputs()[0];
+        graph.resize_gates(batch);
+        let fresh = analyze_with(&circuit, &lib, graph.sizing(), graph.options()).unwrap();
 
-    let _ = graph.critical_delay_ps();
-    assert_eq!(graph.stats().forward_flushes, before.forward_flushes + 1);
-    for (i, &g) in gates.iter().enumerate() {
+        let before = graph.stats();
+        let (first, want) = if load_first {
+            (graph.net_load_ff(probe_net), fresh.net_load_ff(probe_net))
+        } else {
+            (
+                graph.gate_delay_worst_ps(probe),
+                fresh.gate_delay_worst_ps(probe),
+            )
+        };
+        assert_eq!(first.to_bits(), want.to_bits(), "round {round}: first read");
+        let after_first = graph.stats();
         assert_eq!(
-            graph.gate_delay_worst_ps(g).to_bits(),
-            settled[i],
-            "settled and flushed worst delay of {g} must agree"
+            after_first.forward_flushes,
+            before.forward_flushes + 1,
+            "round {round}: the first forward read must flush forward once"
+        );
+        assert_eq!(
+            after_first.backward_flushes, before.backward_flushes,
+            "round {round}: a forward read must not flush backward"
+        );
+
+        for &g in &gates {
+            assert_eq!(
+                graph.gate_delay_worst_ps(g).to_bits(),
+                fresh.gate_delay_worst_ps(g).to_bits(),
+                "round {round}: worst delay of {g}"
+            );
+        }
+        for net in circuit.net_ids() {
+            assert_eq!(
+                graph.net_load_ff(net).to_bits(),
+                fresh.net_load_ff(net).to_bits(),
+                "round {round}: load of {net}"
+            );
+        }
+        assert_eq!(
+            graph.stats(),
+            after_first,
+            "round {round}: later forward reads must not flush"
         );
     }
-    // Structural seeds (surgery) disable the settle: the probe flushes.
-    let mut rng = SplitMix64::new(0x5E77_1E00);
-    let plan = random_buffer_plan(&graph, &lib, &mut rng).unwrap();
-    graph.apply_edits(&plan).unwrap();
-    let before = graph.stats();
-    let _ = graph.gate_delay_worst_ps(gates[0]);
-    let after = graph.stats();
-    assert_eq!(after.forward_flushes, before.forward_flushes + 1);
-    assert_eq!(after.gate_delay_settles, before.gate_delay_settles);
-    assert_matches_eager(&graph, &lib, "after settle round-trips");
 }
 
 #[test]
@@ -477,45 +501,4 @@ fn scaling_fabrics_are_valid_and_deterministic() {
     let cloud = builders::random_logic_cloud(64, 5_000, 0xC10D_5EED);
     assert_eq!(cloud.gate_count(), 5_000);
     assert!(cloud.topo_order().is_ok());
-}
-
-#[test]
-fn net_load_queries_settle_without_flushing() {
-    // `net_load_ff` under pending seeds: answered by the loads-only
-    // settle — correct value, no forward flush, no arc work — and the
-    // cached (pre-mutation) load baseline survives for the flush-time
-    // load scans.
-    let lib = Library::cmos025();
-    let circuit = suite::circuit("c880").unwrap();
-    let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).unwrap();
-    let g = circuit.gate_ids().nth(circuit.gate_count() / 3).unwrap();
-    let fanin_net = circuit.gate(g).inputs()[0];
-    graph.resize_gate(g, 5.0 * lib.min_drive_ff());
-
-    let before = graph.stats();
-    let lazy_load = graph.net_load_ff(fanin_net);
-    let mid = graph.stats();
-    assert_eq!(
-        mid.forward_flushes, before.forward_flushes,
-        "a load query must not flush"
-    );
-    assert_eq!(
-        mid.gates_reevaluated, before.gates_reevaluated,
-        "a load query must not evaluate arcs"
-    );
-    assert_eq!(mid.load_only_settles, before.load_only_settles + 1);
-
-    // Same bits as the settled state the next flushing query produces,
-    // and the flush itself (driven off the preserved pre-edit baseline)
-    // still lands on the eager answer.
-    let _ = graph.critical_delay_ps();
-    let after = graph.stats();
-    assert_eq!(after.forward_flushes, before.forward_flushes + 1);
-    assert_eq!(
-        graph.net_load_ff(fanin_net).to_bits(),
-        lazy_load.to_bits(),
-        "lazy and settled load answers must agree"
-    );
-    assert_eq!(graph.stats().load_only_settles, after.load_only_settles);
-    assert_matches_eager(&graph, &lib, "after loads-only settle");
 }

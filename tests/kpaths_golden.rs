@@ -2,7 +2,7 @@
 //! c1908 / c6288 / c7552 at minimum sizing under default options are
 //! pinned — weight to 1e-9 ps, path length, endpoint net id and a
 //! fingerprint of the exact gate sequence — so a change to the
-//! completion bounds (in particular the incrementally maintained ones)
+//! completion bounds (derived per call, over either timing backend)
 //! can never silently reorder, retarget or drop paths.
 //!
 //! If an *intentional* model or ranking change moves these values,
@@ -90,7 +90,7 @@ fn golden_case(name: &str, golden: &[Golden; 5]) {
     let report = analyze(&circuit, &lib, &sizing).unwrap();
     check(name, "report", &circuit, &report, golden);
 
-    // Incremental backend with maintained bounds — including after a
+    // Incremental backend with a constraint set — including after a
     // resize/revert walk over the top path's cones, which must restore
     // the exact ranking.
     let mut graph = TimingGraph::new(&circuit, &lib, &sizing).unwrap();

@@ -101,9 +101,10 @@ fn assert_equivalent(graph: &TimingGraph, lib: &Library, step: usize) {
         "{name} step {step}: design-worst slack diverged"
     );
     let bounds = completion_bounds(circuit, &fresh);
+    let via_graph = completion_bounds(circuit, graph);
     for g in circuit.gate_ids() {
         assert_eq!(
-            graph.completion_ps(g).to_bits(),
+            via_graph[g.index()].to_bits(),
             bounds[g.index()].to_bits(),
             "{name} step {step}: completion bound of {g}"
         );
