@@ -21,7 +21,6 @@
 //! its gate's input pins, which would invalidate a later buffer op's
 //! recorded `(gate, pin)` list).
 
-use crate::cell::CellKind;
 use crate::circuit::{Circuit, GateId, NetId};
 use crate::error::NetlistError;
 
@@ -39,16 +38,6 @@ pub enum EditOp {
         /// second]` — the first loads the relieved net, the second
         /// drives the moved pins.
         stage_cin_ff: [f64; 2],
-    },
-    /// Swap a gate's cell and input wiring ([`Circuit::replace_gate`]).
-    /// Raw primitive: callers are responsible for logic equivalence.
-    ReplaceGate {
-        /// Gate to rewrite.
-        gate: GateId,
-        /// New cell.
-        kind: CellKind,
-        /// New input nets, in pin order (must match the cell's arity).
-        inputs: Vec<NetId>,
     },
     /// Rewrite a NAND/NOR into its De Morgan dual plus inverters,
     /// preserving the logic function ([`Circuit::demorgan_gate`]).
@@ -196,12 +185,6 @@ impl EditPlan {
                         check_cin(cin)?;
                     }
                 }
-                EditOp::ReplaceGate { gate, inputs, .. } => {
-                    check_gate(*gate)?;
-                    for &net in inputs {
-                        check_net(net)?;
-                    }
-                }
                 EditOp::DeMorgan { gate, inv_cin_ff } => {
                     check_gate(*gate)?;
                     check_cin(*inv_cin_ff)?;
@@ -240,22 +223,6 @@ impl EditOp {
                     touched_gates: loads.iter().map(|&(g, _)| g).collect(),
                 })
             }
-            EditOp::ReplaceGate { gate, kind, inputs } => {
-                let old_inputs = circuit.gate(*gate).inputs().to_vec();
-                circuit.replace_gate(*gate, *kind, inputs)?;
-                let mut touched_nets = old_inputs;
-                touched_nets.extend_from_slice(inputs);
-                touched_nets.push(circuit.gate(*gate).output());
-                touched_nets.sort_unstable();
-                touched_nets.dedup();
-                Ok(AppliedEdit {
-                    new_gates: Vec::new(),
-                    new_gate_cin_ff: Vec::new(),
-                    new_nets: Vec::new(),
-                    touched_nets,
-                    touched_gates: vec![*gate],
-                })
-            }
             EditOp::DeMorgan { gate, inv_cin_ff } => {
                 let old_inputs = circuit.gate(*gate).inputs().to_vec();
                 let y = circuit.gate(*gate).output();
@@ -284,6 +251,7 @@ impl EditOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::CellKind;
 
     fn nor_into_fanout() -> (Circuit, GateId, NetId, Vec<GateId>) {
         let mut c = Circuit::new("t");
@@ -373,23 +341,5 @@ mod tests {
             plan.apply_to(&mut c),
             Err(NetlistError::UnsupportedEdit(_))
         ));
-    }
-
-    #[test]
-    fn replace_gate_op_logs_old_and_new_nets() {
-        let (mut c, g, y, _) = nor_into_fanout();
-        let a = c.primary_inputs()[0];
-        let plan: EditPlan = vec![EditOp::ReplaceGate {
-            gate: g,
-            kind: CellKind::Nand2,
-            inputs: vec![a, a],
-        }]
-        .into();
-        let applied = plan.apply_to(&mut c).unwrap();
-        assert!(applied[0].new_gates.is_empty());
-        assert!(applied[0].touched_nets.contains(&y));
-        assert!(applied[0].touched_nets.contains(&a));
-        assert_eq!(applied[0].touched_gates, vec![g]);
-        c.validate().unwrap();
     }
 }

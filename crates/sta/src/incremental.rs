@@ -4,11 +4,12 @@
 //! re-time, repeat — and a single gate resize only perturbs its fanin
 //! nets' loads and its downstream fanout cone. A [`TimingGraph`] is
 //! built once per circuit (caching the topological order, per-gate topo
-//! rank and per-net loads) and then kept consistent through
-//! [`TimingGraph::resize_gate`] / [`TimingGraph::set_options`] mutators
-//! that re-evaluate only the affected cone, in rank order, stopping as
-//! soon as re-propagated arrivals and slopes converge onto their cached
-//! values.
+//! rank and per-net loads) and then kept consistent through mutators
+//! ([`TimingGraph::resize_gate`], [`TimingGraph::set_vt_class`],
+//! [`TimingGraph::apply_edits`]) that re-evaluate only the affected
+//! cone, in rank order, stopping as soon as re-propagated arrivals and
+//! slopes converge onto their cached values. The options (latch load,
+//! input slope) are fixed at construction.
 //!
 //! # Equivalence contract
 //!
@@ -41,11 +42,10 @@
 //! while the forward propagation reports every net whose slope moved,
 //! seeding the backward cones on the fanout side. The same bitwise
 //! convergence rule applies: a net whose recomputed required times are
-//! bit-identical to the cached value cuts its backward cone.
-//! [`TimingGraph::set_options`] and constraint changes invalidate the
-//! backward state wholesale — required times are subtract-chains from
-//! `tc`, not `tc`-offsets — so their next flush is one full backward
-//! pass. `tests/backward_equivalence.rs` and
+//! bit-identical to the cached value cuts its backward cone. A
+//! constraint change invalidates the backward state wholesale —
+//! required times are subtract-chains from `tc`, not `tc`-offsets — so
+//! its next flush is one full backward pass. `tests/backward_equivalence.rs` and
 //! `tests/lazy_equivalence.rs` assert bit-identity against a fresh
 //! [`crate::required_times`] after every step of random mutation
 //! sequences.
@@ -159,7 +159,7 @@ pub struct UpdateStats {
     pub gates_reevaluated: usize,
     /// Re-evaluations whose output was bit-unchanged, cutting the cone.
     pub converged_early: usize,
-    /// Mutator calls (resize / option changes) processed.
+    /// Mutator calls (resize batches, Vt swaps, edit plans) processed.
     pub updates: usize,
     /// Per-net required-time re-evaluations (backward cone walks; the
     /// constraint-setting full pass is counted too).
@@ -351,13 +351,10 @@ pub struct TimingGraph<'c> {
 
     /// Primary-output flag per net (flat copy for the backward hot loop).
     is_po: Vec<bool>,
-    /// Primary-input nets (flat copy: the hot loops must not chase the
-    /// circuit while the graph is being mutated).
-    pis: Vec<NetId>,
     /// Primary-output nets, in declaration order (critical scan order).
     pos: Vec<NetId>,
     /// Mutation generation: bumped by every state-changing mutator
-    /// (resize batches, option/constraint changes, structural edits).
+    /// (resize batches, Vt swaps, constraint changes, structural edits).
     /// The forward and backward states each record the generation they
     /// last flushed at; the pairs implement the lazy clean →
     /// dirty(gen) → flushed cycle in both directions.
@@ -432,12 +429,6 @@ struct ForwardState {
     /// are the pre-edit loads) and re-time the drivers of the ones that
     /// moved, seeding their backward cones alongside.
     scan_loads: bool,
-    /// The primary-output latch load changed ([`AnalyzeOptions`]):
-    /// recompute every primary-output net's load and re-time its driver.
-    reload_pos: bool,
-    /// The primary-input transition changed: rewrite every primary
-    /// input's slopes and re-evaluate its fanout gates.
-    reslope_pis: bool,
 }
 
 impl ForwardState {
@@ -476,7 +467,6 @@ struct Structure {
     fanout: Vec<GateId>,
     fanout_off: Vec<u32>,
     is_po: Vec<bool>,
-    pis: Vec<NetId>,
     pos: Vec<NetId>,
 }
 
@@ -583,7 +573,6 @@ fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
             .net_ids()
             .map(|n| circuit.net(n).is_output())
             .collect(),
-        pis: circuit.primary_inputs().to_vec(),
         pos: circuit.primary_outputs().to_vec(),
     })
 }
@@ -701,9 +690,10 @@ struct BackwardState {
     /// paths (resize batches, forward cone evaluation) only *append*
     /// ids here — no rank lookups, no bitset read-modify-writes — and
     /// the flush marks them into the position-keyed dirty sets (a
-    /// wholesale invalidation discards them: its full sets subsume
-    /// them). Entries may repeat; ids are stable across append-only surgery,
-    /// so no translation is needed when ranks are reassigned.
+    /// constraint change drops them with the old state: the new
+    /// state's full sets subsume them). Entries may repeat; ids are
+    /// stable across append-only surgery, so no translation is needed
+    /// when ranks are reassigned.
     ///
     /// Gates whose drive changed: their fanin nets' required times and
     /// their fanin drivers' fanin required times re-derive.
@@ -716,9 +706,9 @@ struct BackwardState {
     /// Tournament tree over per-net worst finite slacks (root = design
     /// worst); see [`WorstSlackIndex`].
     worst: WorstSlackIndex,
-    /// Every slack may have moved (constraint/option invalidation,
-    /// graph surgery): rebuild the index wholesale at the next flush
-    /// instead of per-leaf updates.
+    /// Every slack may have moved (constraint change, graph surgery):
+    /// rebuild the index wholesale at the next flush instead of
+    /// per-leaf updates.
     refold_all: bool,
 }
 
@@ -820,7 +810,6 @@ impl<'c> TimingGraph<'c> {
             fanout: s.fanout,
             fanout_off: s.fanout_off,
             is_po: s.is_po,
-            pis: s.pis,
             pos: s.pos,
             gen: 0,
             fwd: RefCell::new(ForwardState {
@@ -835,8 +824,6 @@ impl<'c> TimingGraph<'c> {
                 resized_log: Vec::new(),
                 gate_log: Vec::new(),
                 scan_loads: false,
-                reload_pos: false,
-                reslope_pis: false,
             }),
             backward: RefCell::new(None),
             stats: Cell::new(UpdateStats::default()),
@@ -850,8 +837,7 @@ impl<'c> TimingGraph<'c> {
             for i in 0..n_nets {
                 graph.recompute_net_load(&mut fwd, i);
             }
-            for i in 0..graph.pis.len() {
-                let pi = graph.pis[i];
+            for pi in circuit.primary_inputs() {
                 let slot = graph.slot_of[pi.index()] as usize;
                 // Source conditions are corner-invariant (options, not
                 // process): every corner lane starts identically.
@@ -1029,18 +1015,14 @@ impl<'c> TimingGraph<'c> {
             || !fwd.resized_log.is_empty()
             || !fwd.gate_log.is_empty()
             || fwd.scan_loads
-            || fwd.reload_pos
-            || fwd.reslope_pis
         {
             return corrupt(format!(
                 "flushed forward state still dirty: {} marks, {} resize seeds, {} gate seeds, \
-                 flags {}/{}/{}",
+                 scan_loads {}",
                 fwd.dirty.count(),
                 fwd.resized_log.len(),
                 fwd.gate_log.len(),
-                fwd.scan_loads,
-                fwd.reload_pos,
-                fwd.reslope_pis
+                fwd.scan_loads
             ));
         }
 
@@ -1206,11 +1188,6 @@ impl<'c> TimingGraph<'c> {
         self.corner_libs.len()
     }
 
-    /// The Vt variant a gate is currently implemented in.
-    pub fn vt_class(&self, gate: GateId) -> VtClass {
-        self.vt_class[gate.index()]
-    }
-
     /// 0-based level of a topo position (`level_start` is sorted; empty
     /// levels cannot occur, but repeated starts would resolve correctly
     /// anyway).
@@ -1226,18 +1203,9 @@ impl<'c> TimingGraph<'c> {
     /// # Panics
     ///
     /// Panics if the gate id is out of range or `cin_ff` is not finite
-    /// and positive (the [`TimingGraph::try_resize_gate`] rejections).
+    /// and positive (the [`TimingGraph::try_resize_gates`] rejections).
     pub fn resize_gate(&mut self, gate: GateId, cin_ff: f64) {
         self.resize_gates([(gate, cin_ff)]);
-    }
-
-    /// Fallible form of [`TimingGraph::resize_gate`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TimingGraph::try_resize_gates`].
-    pub fn try_resize_gate(&mut self, gate: GateId, cin_ff: f64) -> Result<(), StaError> {
-        self.try_resize_gates([(gate, cin_ff)])
     }
 
     /// Apply a batch of resizes. Nothing re-times here: each change is
@@ -1364,34 +1332,8 @@ impl<'c> TimingGraph<'c> {
         Ok(())
     }
 
-    /// Switch to new analysis options. What they touch (all
-    /// primary-output loads and/or all primary-input slopes) re-times
-    /// lazily at the next forward query; any maintained backward state
-    /// is invalidated wholesale — a latch load shifts every
-    /// primary-output arc, an input slope every source arc — and the
-    /// next backward query pays one full backward pass.
-    pub fn set_options(&mut self, options: &AnalyzeOptions) {
-        if self.options == *options {
-            return;
-        }
-        self.gen = self.gen.wrapping_add(1);
-        let po_changed = self.options.po_load_ff != options.po_load_ff;
-        let slope_changed = self.options.input_transition_ps != options.input_transition_ps;
-        self.options = options.clone();
-
-        let fwd = self.fwd.get_mut();
-        if po_changed {
-            fwd.reload_pos = true;
-        }
-        if slope_changed {
-            fwd.reslope_pis = true;
-        }
-        self.stat(|s| s.updates += 1);
-        self.invalidate_backward();
-    }
-
-    /// Apply a batch of structural edits — buffer insertions, gate
-    /// replacements, De Morgan rewrites — to the circuit *and* patch the
+    /// Apply a batch of structural edits — buffer insertions and De
+    /// Morgan rewrites — to the circuit *and* patch the
     /// timing state around them, instead of rebuilding from scratch.
     ///
     /// On the first call the graph clones the borrowed circuit into an
@@ -1459,18 +1401,6 @@ impl<'c> TimingGraph<'c> {
         }
     }
 
-    /// [`TimingGraph::apply_edits`] behind the typed [`StaError`]
-    /// boundary: netlist failures arrive as [`StaError::InvalidEdit`],
-    /// with the same validate-first / partial-application semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`TimingGraph::apply_edits`], wrapped in
-    /// [`StaError::InvalidEdit`].
-    pub fn try_apply_edits(&mut self, plan: &EditPlan) -> Result<Vec<AppliedEdit>, StaError> {
-        self.apply_edits(plan).map_err(StaError::from)
-    }
-
     /// Rebuild structure, extend state and seed the lazy re-time after
     /// the circuit was surgically edited. `applied` carries the created
     /// ids and suggested sizes; conservative seeding beyond it (the
@@ -1508,7 +1438,6 @@ impl<'c> TimingGraph<'c> {
         self.fanout = s.fanout;
         self.fanout_off = s.fanout_off;
         self.is_po = s.is_po;
-        self.pis = s.pis;
         self.pos = s.pos;
 
         // Per-gate / per-net timing state: existing entries keep their
@@ -1562,8 +1491,8 @@ impl<'c> TimingGraph<'c> {
                 nc,
             );
             // Marks cannot follow a re-ranking, but outside a flush a
-            // dirty set is only ever empty or — after a wholesale
-            // invalidation — full: re-invalidate under the new ranks.
+            // dirty set is only ever empty or — after a constraint
+            // change — full: re-invalidate under the new ranks.
             for (set, size) in [(&mut bw.req, n_gates), (&mut bw.req_src, self.n_src)] {
                 let invalidated = !set.is_empty();
                 *set = DirtySet::new(size);
@@ -1803,12 +1732,21 @@ impl<'c> TimingGraph<'c> {
         let n_nets = self.circuit.net_count();
         let n_gates = self.circuit.gate_count();
         let nc = self.corner_libs.len();
+        // Required times are subtract-chains from `tc`, not offsets of
+        // it, so the new state starts wholly invalid: every net marked
+        // (so `drain_limit` picks the full sweep) and a wholesale
+        // worst-slack refold scheduled.
+        let full = |size| {
+            let mut set = DirtySet::new(size);
+            set.fill();
+            set
+        };
         self.gen = self.gen.wrapping_add(1);
         *self.backward.get_mut() = Some(BackwardState {
             tc_ps,
             required: vec![[f64::INFINITY; 2]; n_nets * nc],
-            req: DirtySet::new(n_gates),
-            req_src: DirtySet::new(self.n_src),
+            req: full(n_gates),
+            req_src: full(self.n_src),
             // One behind: the first backward query performs the flush
             // that doubles as the initial full backward pass.
             req_flushed_gen: self.gen.wrapping_sub(1),
@@ -1816,9 +1754,8 @@ impl<'c> TimingGraph<'c> {
             req_net_log: Vec::new(),
             slack_net_log: Vec::new(),
             worst: WorstSlackIndex::new(n_nets),
-            refold_all: false,
+            refold_all: true,
         });
-        self.invalidate_backward();
         Ok(())
     }
 
@@ -1970,12 +1907,7 @@ impl<'c> TimingGraph<'c> {
             return;
         }
         fwd.flushed_gen = self.gen;
-        if !fwd.scan_loads
-            && !fwd.reload_pos
-            && !fwd.reslope_pis
-            && fwd.resized_log.is_empty()
-            && fwd.gate_log.is_empty()
-        {
+        if !fwd.scan_loads && fwd.resized_log.is_empty() && fwd.gate_log.is_empty() {
             return;
         }
         let mut bw_guard = self.backward.borrow_mut();
@@ -2007,31 +1939,6 @@ impl<'c> TimingGraph<'c> {
                     if let Some(bw) = bw.as_deref_mut() {
                         bw.resized_log.push(driver);
                     }
-                }
-            }
-        }
-        if fwd.reload_pos {
-            fwd.reload_pos = false;
-            for &net in &self.pos {
-                self.recompute_net_load(fwd, net.index());
-                if let Some(driver) = self.net_driver[net.index()] {
-                    fwd.dirty.mark(self.pos(driver));
-                }
-            }
-        }
-        if fwd.reslope_pis {
-            fwd.reslope_pis = false;
-            let nc = self.corner_libs.len();
-            for &pi in &self.pis {
-                let slot = self.slot(pi);
-                for c in 0..nc {
-                    for e in EDGES {
-                        fwd.slope[slot * nc + c][eidx(e)] = self.options.input_transition_ps;
-                    }
-                }
-                let (lo, hi) = (self.fanout_off[pi.index()], self.fanout_off[pi.index() + 1]);
-                for j in lo..hi {
-                    fwd.dirty.mark(self.pos(self.fanout[j as usize]));
                 }
             }
         }
@@ -2179,27 +2086,6 @@ impl<'c> TimingGraph<'c> {
             Some(pos) => req.mark(pos),
             None => req_src.mark(slot),
         }
-    }
-
-    /// Invalidate the whole backward state *lazily*: mark every net
-    /// dirty and schedule a wholesale worst-slack refold, without
-    /// draining — the next backward query pays one full backward pass
-    /// (every position is marked, so [`TimingGraph::drain_limit`] picks
-    /// the sweep). Pending backward seed logs are subsumed and
-    /// discarded. Used where incremental seeding is unsound: constraint
-    /// changes (required times are subtract-chains from `tc`, not
-    /// offsets) and option changes (every primary-output arc and/or
-    /// source arc moves).
-    fn invalidate_backward(&mut self) {
-        let Some(bw) = self.backward.get_mut().as_mut() else {
-            return;
-        };
-        bw.req.fill();
-        bw.req_src.fill();
-        bw.resized_log.clear();
-        bw.req_net_log.clear();
-        bw.slack_net_log.clear();
-        bw.refold_all = true;
     }
 
     /// The backward side of the lazy flush: drain the accumulated
@@ -2589,25 +2475,6 @@ mod tests {
         assert_eq!(graph.stats().updates, 0);
     }
 
-    #[test]
-    fn set_options_matches_full_analysis_under_new_options() {
-        let lib = Library::cmos025();
-        let c = ripple_carry_adder(6);
-        let s = Sizing::minimum(&c, &lib);
-        let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
-        let new = AnalyzeOptions {
-            po_load_ff: 42.0,
-            input_transition_ps: 120.0,
-        };
-        graph.set_options(&new);
-        assert_matches_fresh(&graph, &c, &lib);
-        let fresh = analyze_with(&c, &lib, graph.sizing(), &new).unwrap();
-        assert_eq!(
-            graph.critical_delay_ps().to_bits(),
-            fresh.critical_delay_ps().to_bits()
-        );
-    }
-
     fn assert_backward_matches_fresh(graph: &TimingGraph, circuit: &Circuit, lib: &Library) {
         use crate::kpaths::completion_bounds;
         use crate::slack::required_times;
@@ -2684,21 +2551,6 @@ mod tests {
         graph.set_constraint(t0);
         let worst = graph.worst_slack_overall_ps().unwrap();
         assert!(worst.abs() < 1e-9, "worst slack {worst}");
-    }
-
-    #[test]
-    fn set_options_invalidates_and_rebuilds_backward_state() {
-        let lib = Library::cmos025();
-        let c = ripple_carry_adder(6);
-        let s = Sizing::minimum(&c, &lib);
-        let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
-        graph.set_constraint(1.1 * graph.critical_delay_ps());
-        graph.set_options(&AnalyzeOptions {
-            po_load_ff: 35.0,
-            input_transition_ps: 90.0,
-        });
-        assert_matches_fresh(&graph, &c, &lib);
-        assert_backward_matches_fresh(&graph, &c, &lib);
     }
 
     #[test]

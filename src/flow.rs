@@ -351,7 +351,6 @@ pub fn optimize_circuit(
                     match op {
                         EditOp::InsertBuffer { .. } => buffers_inserted += 1,
                         EditOp::DeMorgan { .. } => gates_restructured += 1,
-                        EditOp::ReplaceGate { .. } => {}
                     }
                 }
                 edit_slack_gain_ps += graph.worst_slack_overall_ps().unwrap_or(0.0) - ws_before;

@@ -152,12 +152,17 @@ fn option_and_constraint_changes_interleaved_with_resizes_match() {
     for step in 0..24 {
         match step % 6 {
             4 => {
-                // Option changes invalidate and rebuild the backward
-                // state wholesale.
-                graph.set_options(&AnalyzeOptions {
+                // Options are fixed per graph: an option change is a
+                // rebuild on the current sizing under the same
+                // constraint, and the resizes continue on it.
+                let options = AnalyzeOptions {
                     po_load_ff: 5.0 + 40.0 * rng.next_f64(),
                     input_transition_ps: 20.0 + 100.0 * rng.next_f64(),
-                });
+                };
+                let tc = graph.constraint_ps().expect("constraint set");
+                let sizing = graph.sizing().clone();
+                graph = TimingGraph::with_options(&circuit, &lib, &sizing, &options).unwrap();
+                graph.set_constraint(tc);
             }
             5 => {
                 // Constraint moves force a full backward refresh too

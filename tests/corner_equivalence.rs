@@ -2,8 +2,7 @@
 //! slow/typical/fast per-net corner arrays through a single dirty-cone
 //! flush must be **bit-identical**, corner by corner, to N separate
 //! single-corner graphs each built on that corner's library — under any
-//! interleaving of resize / surgery / option / constraint / Vt-class
-//! bursts. The fused pass must also do
+//! interleaving of resize / surgery / constraint / Vt-class bursts. The fused pass must also do
 //! strictly less gate-evaluation work than the N independent passes
 //! combined: each union-cone gate is evaluated once *covering every
 //! corner*, not once per corner.
@@ -194,17 +193,6 @@ fn random_corner_twin_sequence(circuit: Circuit, seed: u64, steps: usize, check_
                     for g in &mut twins {
                         g.apply_edits(&plan).expect("valid edit");
                     }
-                }
-            }
-            2 => {
-                // Option change: the full-rescan path on every corner.
-                let options = AnalyzeOptions {
-                    po_load_ff: 5.0 + 40.0 * rng.next_f64(),
-                    input_transition_ps: 20.0 + 100.0 * rng.next_f64(),
-                };
-                fused.set_options(&options);
-                for g in &mut twins {
-                    g.set_options(&options);
                 }
             }
             3 => {

@@ -140,7 +140,7 @@ fn assert_matches_fresh(graph: &TimingGraph, lib: &Library, label: &str) {
 }
 
 /// Drive one graph through `steps` random mutation bursts — resizes,
-/// surgery, option and constraint changes — checking it against fresh
+/// surgery and constraint changes — checking it against fresh
 /// passes every `check_every` steps and at the end.
 fn random_forward_sequence(circuit: Circuit, seed: u64, steps: usize, check_every: usize) {
     let lib = Library::cmos025();
@@ -169,14 +169,6 @@ fn random_forward_sequence(circuit: Circuit, seed: u64, steps: usize, check_ever
                 if let Some(plan) = random_buffer_plan(&graph, &lib, &mut rng) {
                     graph.apply_edits(&plan).expect("valid edit");
                 }
-            }
-            2 => {
-                // Option change: the full-rescan path (and usually the
-                // budgeted full-sweep cut-over).
-                graph.set_options(&AnalyzeOptions {
-                    po_load_ff: 5.0 + 40.0 * rng.next_f64(),
-                    input_transition_ps: 20.0 + 100.0 * rng.next_f64(),
-                });
             }
             3 => graph.set_constraint(t0 * (0.7 + 0.6 * rng.next_f64())),
             _ => {

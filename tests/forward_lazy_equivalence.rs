@@ -5,8 +5,8 @@
 //! surface — arrivals, slopes, loads, worst gate delays, the critical
 //! path, required times, slacks, completion bounds, k-paths — stays
 //! **bit-identical** to a from-scratch eager pass no matter how many
-//! mutations (resizes, batched write-backs, structural edits, option
-//! and constraint changes) pile up *between* queries.
+//! mutations (resizes, batched write-backs, structural edits and
+//! constraint changes) pile up *between* queries.
 //!
 //! The mirror of `tests/lazy_equivalence.rs` (which covers the backward
 //! state) for the forward direction, plus the stats-proven lazy
@@ -19,7 +19,7 @@
 use pops::netlist::rng::SplitMix64;
 use pops::netlist::surgery::{EditOp, EditPlan};
 use pops::prelude::*;
-use pops::sta::analysis::{analyze_with, AnalyzeOptions, EdgeDir};
+use pops::sta::analysis::{analyze_with, EdgeDir};
 use pops::sta::{completion_bounds, TimingGraph};
 
 /// Bit-exact comparison of every *forward* observable against a fresh
@@ -164,14 +164,6 @@ fn random_forward_lazy_sequence(name: &str, seed: u64, steps: usize, check_every
                 if let Some(plan) = random_buffer_plan(&graph, &lib, &mut rng) {
                     graph.apply_edits(&plan).expect("valid edit");
                 }
-            }
-            2 => {
-                // Option change: lazy PO-load/PI-slope rescan forward,
-                // wholesale (lazy) invalidation backward.
-                graph.set_options(&AnalyzeOptions {
-                    po_load_ff: 5.0 + 40.0 * rng.next_f64(),
-                    input_transition_ps: 20.0 + 100.0 * rng.next_f64(),
-                });
             }
             3 => {
                 // Constraint move: fresh backward state, no forward work.

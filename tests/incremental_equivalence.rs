@@ -7,7 +7,7 @@
 
 use pops::netlist::rng::SplitMix64;
 use pops::prelude::*;
-use pops::sta::analysis::{analyze_with, AnalyzeOptions, EdgeDir};
+use pops::sta::analysis::{analyze_with, EdgeDir};
 use pops::sta::TimingGraph;
 
 const STEPS_PER_CIRCUIT: usize = 50;
@@ -112,28 +112,6 @@ fn c432_random_resizes_match_full_analysis() {
 #[test]
 fn c880_random_resizes_match_full_analysis() {
     random_resize_sequence("c880", 0x880);
-}
-
-#[test]
-fn option_changes_interleaved_with_resizes_match() {
-    let lib = Library::cmos025();
-    let circuit = suite::circuit("fpd").unwrap();
-    let mut rng = SplitMix64::new(0x0971);
-    let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).unwrap();
-    let gates: Vec<GateId> = circuit.gate_ids().collect();
-    let cref = lib.min_drive_ff();
-    for step in 0..20 {
-        if step % 5 == 4 {
-            graph.set_options(&AnalyzeOptions {
-                po_load_ff: 5.0 + 40.0 * rng.next_f64(),
-                input_transition_ps: 20.0 + 100.0 * rng.next_f64(),
-            });
-        } else {
-            let g = *rng.pick(&gates);
-            graph.resize_gate(g, cref * (1.0 + 20.0 * rng.next_f64()));
-        }
-        assert_equivalent(&graph, &circuit, &lib, step);
-    }
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Lazy ≡ eager: the query-driven backward state of a [`TimingGraph`]
 //! must be observationally identical to the eager PR-2/PR-3 semantics —
 //! i.e. to a from-scratch forward + backward pass — no matter how many
-//! mutations (resizes, batched write-backs, structural edits, option
-//! and constraint changes) pile up *between* queries, and no matter
+//! mutations (resizes, batched write-backs, structural edits and
+//! constraint changes) pile up *between* queries, and no matter
 //! which query kind (slack, required time, design-worst slack, k-paths)
 //! triggers the flush.
 //!
@@ -17,7 +17,7 @@
 use pops::netlist::rng::SplitMix64;
 use pops::netlist::surgery::{EditOp, EditPlan};
 use pops::prelude::*;
-use pops::sta::analysis::{analyze_with, AnalyzeOptions, EdgeDir};
+use pops::sta::analysis::{analyze_with, EdgeDir};
 use pops::sta::{completion_bounds, TimingGraph};
 
 /// Bit-exact comparison of every backward observable against fresh
@@ -129,13 +129,6 @@ fn random_lazy_sequence(name: &str, seed: u64, steps: usize, check_every: usize)
                 if let Some(plan) = random_buffer_plan(&graph, &lib, &mut rng) {
                     graph.apply_edits(&plan).expect("valid edit");
                 }
-            }
-            2 => {
-                // Option change: wholesale (lazy) invalidation.
-                graph.set_options(&AnalyzeOptions {
-                    po_load_ff: 5.0 + 40.0 * rng.next_f64(),
-                    input_transition_ps: 20.0 + 100.0 * rng.next_f64(),
-                });
             }
             3 => {
                 // Constraint move: fresh backward state, still lazy.

@@ -185,7 +185,7 @@ fn id_boundaries_reject_foreign_gates() {
     let big = suite::circuit("c432").unwrap();
     let foreign = big.gate_ids().last().unwrap();
 
-    let err = graph.try_resize_gate(foreign, 5.0).unwrap_err();
+    let err = graph.try_resize_gates([(foreign, 5.0)]).unwrap_err();
     assert!(
         matches!(err, StaError::GateOutOfRange { n_gates: 3, .. }),
         "wrong rejection: {err}"
@@ -196,7 +196,7 @@ fn id_boundaries_reject_foreign_gates() {
     // Non-finite / non-positive drives, with a valid id.
     let g = small.gate_ids().next().unwrap();
     for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
-        let err = graph.try_resize_gate(g, bad).unwrap_err();
+        let err = graph.try_resize_gates([(g, bad)]).unwrap_err();
         assert!(
             matches!(err, StaError::InvalidDrive { .. }),
             "cin {bad}: wrong rejection {err}"
@@ -272,7 +272,7 @@ fn edit_plan_boundary_rejects_malformed_plans() {
     .into();
     let err = graph.apply_edits(&plan).unwrap_err();
     assert!(matches!(err, NetlistError::InvalidId(_)), "got {err}");
-    let err = graph.try_apply_edits(&plan).unwrap_err();
+    let err = StaError::from(graph.apply_edits(&plan).unwrap_err());
     assert!(matches!(err, StaError::InvalidEdit(_)), "got {err}");
 
     // Non-finite created-stage capacitance, on a net that exists.

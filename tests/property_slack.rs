@@ -69,15 +69,20 @@ fn worst_slack_is_monotone_under_po_load_increase() {
     for name in ["fpd", "c432"] {
         let circuit = suite::circuit(name).unwrap();
         let sizing = random_sizing(&circuit, &lib, &mut rng);
-        let mut graph = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-        graph.set_constraint(1.1 * graph.critical_delay_ps());
+        let tc = 1.1
+            * TimingGraph::new(&circuit, &lib, &sizing)
+                .unwrap()
+                .critical_delay_ps();
         let mut last = f64::INFINITY;
         let mut po_load = 5.0;
         for _ in 0..8 {
-            graph.set_options(&AnalyzeOptions {
+            // Options are fixed per graph: each latch load is a rebuild.
+            let options = AnalyzeOptions {
                 po_load_ff: po_load,
                 input_transition_ps: 50.0,
-            });
+            };
+            let mut graph = TimingGraph::with_options(&circuit, &lib, &sizing, &options).unwrap();
+            graph.set_constraint(tc);
             let worst = graph.worst_slack_overall_ps().unwrap();
             assert!(
                 worst <= last + 1e-9,
@@ -151,20 +156,23 @@ fn slack_identity_survives_a_random_resize_walk() {
 #[test]
 fn analyze_with_agrees_with_graph_under_random_options() {
     // Forward+backward state under random options: the fresh analysis
-    // and the rebuilt graph state must agree bit-for-bit on weights so
-    // path ranking can never depend on the backend.
+    // and a graph built under the same options must agree bit-for-bit
+    // on weights so path ranking can never depend on the backend.
     let lib = Library::cmos025();
     let circuit = suite::circuit("fpd").unwrap();
     let mut rng = SplitMix64::new(0x51AC_0005);
     let sizing = random_sizing(&circuit, &lib, &mut rng);
-    let mut graph = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    graph.set_constraint(1.05 * graph.critical_delay_ps());
+    let tc = 1.05
+        * TimingGraph::new(&circuit, &lib, &sizing)
+            .unwrap()
+            .critical_delay_ps();
     for _ in 0..6 {
         let options = AnalyzeOptions {
             po_load_ff: 2.0 + 60.0 * rng.next_f64(),
             input_transition_ps: 10.0 + 150.0 * rng.next_f64(),
         };
-        graph.set_options(&options);
+        let mut graph = TimingGraph::with_options(&circuit, &lib, &sizing, &options).unwrap();
+        graph.set_constraint(tc);
         let fresh = analyze_with(&circuit, &lib, &sizing, &options).unwrap();
         for g in circuit.gate_ids() {
             assert_eq!(

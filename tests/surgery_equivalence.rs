@@ -1,7 +1,7 @@
 //! Randomized surgery equivalence: the first suite that mutates graph
 //! *topology* under incremental timing state. After **every** step of a
-//! random mix of resizes, Inv-pair buffer insertions, De Morgan
-//! rewrites and raw gate replacements, the whole queryable state of the
+//! random mix of resizes, Inv-pair buffer insertions and De Morgan
+//! rewrites, the whole queryable state of the
 //! [`TimingGraph`] — arrivals, slopes, loads, gate delays, the critical
 //! path, required times, slacks, the design-worst slack and the k-paths
 //! completion bounds — must be bit-identical to a from-scratch pipeline
@@ -13,22 +13,8 @@
 use pops::netlist::rng::SplitMix64;
 use pops::netlist::surgery::{EditOp, EditPlan};
 use pops::prelude::*;
-use pops::sta::analysis::{analyze_with, EdgeDir};
+use pops::sta::analysis::{analyze_with, AnalyzeOptions, EdgeDir};
 use pops::sta::{completion_bounds, TimingGraph};
-
-/// Same-arity alternatives for the random `ReplaceGate` move (timing
-/// equivalence does not require logic preservation; the raw primitive
-/// is exercised as-is).
-fn same_arity_swap(kind: CellKind, rng: &mut SplitMix64) -> CellKind {
-    use CellKind::*;
-    let pool: &[CellKind] = match kind.num_inputs() {
-        1 => &[Inv, Buf],
-        2 => &[Nand2, Nor2, And2, Or2, Xor2, Xnor2],
-        3 => &[Nand3, Nor3, And3, Or3],
-        _ => &[Nand4, Nor4, And4, Or4],
-    };
-    *rng.pick(pool)
-}
 
 fn assert_equivalent(graph: &TimingGraph, lib: &Library, step: usize) {
     let circuit = graph.circuit();
@@ -114,7 +100,7 @@ fn assert_equivalent(graph: &TimingGraph, lib: &Library, step: usize) {
 /// One random structural edit. Returns `None` when the dice produced an
 /// inapplicable move (caller falls back to a resize).
 fn random_edit(circuit: &Circuit, cref: f64, rng: &mut SplitMix64) -> Option<EditOp> {
-    match rng.below(3) {
+    match rng.below(2) {
         0 => {
             // Buffer a random driven net, moving a random nonempty
             // subset of its load pins.
@@ -138,7 +124,7 @@ fn random_edit(circuit: &Circuit, cref: f64, rng: &mut SplitMix64) -> Option<Edi
                 ],
             })
         }
-        1 => {
+        _ => {
             // De Morgan a random NAND/NOR.
             let duals: Vec<GateId> = circuit
                 .gate_ids()
@@ -150,17 +136,6 @@ fn random_edit(circuit: &Circuit, cref: f64, rng: &mut SplitMix64) -> Option<Edi
             Some(EditOp::DeMorgan {
                 gate: *rng.pick(&duals),
                 inv_cin_ff: cref * (1.0 + 4.0 * rng.next_f64()),
-            })
-        }
-        _ => {
-            // Swap a random gate's cell within its arity class.
-            let gates: Vec<GateId> = circuit.gate_ids().collect();
-            let gate = *rng.pick(&gates);
-            let kind = same_arity_swap(circuit.gate(gate).kind(), rng);
-            Some(EditOp::ReplaceGate {
-                gate,
-                kind,
-                inputs: circuit.gate(gate).inputs().to_vec(),
             })
         }
     }
@@ -270,38 +245,51 @@ fn c7552_random_surgery_matches_rebuild() {
 
 #[test]
 fn surgery_interleaved_with_option_and_constraint_changes_matches() {
+    // Options are fixed per graph, so an option change is a rebuild:
+    // each epoch times the circuit, sizing and constraint the previous
+    // epoch's graph left behind under freshly drawn options, then runs
+    // surgery, resizes and a constraint move on the rebuilt graph.
     let lib = Library::cmos025();
-    let base = suite::circuit("fpd").unwrap();
+    let mut circuit = suite::circuit("fpd").unwrap();
+    let mut sizing = Sizing::minimum(&circuit, &lib);
     let mut rng = SplitMix64::new(0x0B97_1CAF_5E11);
-    let mut graph = TimingGraph::new(&base, &lib, &Sizing::minimum(&base, &lib)).unwrap();
-    let t0 = graph.critical_delay_ps();
-    graph.set_constraint(t0);
+    let t0 = TimingGraph::new(&circuit, &lib, &sizing)
+        .unwrap()
+        .critical_delay_ps();
+    let mut tc = t0;
     let cref = lib.min_drive_ff();
-    for step in 0..24 {
-        match step % 6 {
-            0 | 3 => {
-                if let Some(op) = random_edit(graph.circuit(), cref, &mut rng) {
-                    graph.apply_edits(&vec![op].into()).unwrap();
+    let mut structural_edits = 0;
+    for epoch in 0..4 {
+        let options = AnalyzeOptions {
+            po_load_ff: 5.0 + 40.0 * rng.next_f64(),
+            input_transition_ps: 20.0 + 100.0 * rng.next_f64(),
+        };
+        let mut graph = TimingGraph::with_options(&circuit, &lib, &sizing, &options).unwrap();
+        graph.set_constraint(tc);
+        for step in 6 * epoch..6 * epoch + 6 {
+            match step % 6 {
+                0 | 3 => {
+                    if let Some(op) = random_edit(graph.circuit(), cref, &mut rng) {
+                        graph.apply_edits(&vec![op].into()).unwrap();
+                    }
+                }
+                5 => {
+                    graph.set_constraint(t0 * (0.7 + 0.6 * rng.next_f64()));
+                }
+                _ => {
+                    let gates: Vec<GateId> = graph.circuit().gate_ids().collect();
+                    let g = *rng.pick(&gates);
+                    graph.resize_gate(g, cref * (1.0 + 20.0 * rng.next_f64()));
                 }
             }
-            4 => {
-                graph.set_options(&pops::sta::analysis::AnalyzeOptions {
-                    po_load_ff: 5.0 + 40.0 * rng.next_f64(),
-                    input_transition_ps: 20.0 + 100.0 * rng.next_f64(),
-                });
-            }
-            5 => {
-                graph.set_constraint(t0 * (0.7 + 0.6 * rng.next_f64()));
-            }
-            _ => {
-                let gates: Vec<GateId> = graph.circuit().gate_ids().collect();
-                let g = *rng.pick(&gates);
-                graph.resize_gate(g, cref * (1.0 + 20.0 * rng.next_f64()));
-            }
+            assert_equivalent(&graph, &lib, step);
         }
-        assert_equivalent(&graph, &lib, step);
+        structural_edits += graph.stats().structural_edits;
+        tc = graph.constraint_ps().expect("constraint set");
+        sizing = graph.sizing().clone();
+        circuit = graph.circuit().clone();
     }
-    assert!(graph.stats().structural_edits > 0);
+    assert!(structural_edits > 0);
 }
 
 #[test]
