@@ -296,27 +296,9 @@ pub struct TimingGraph<'c> {
     lib: &'c Library,
     options: AnalyzeOptions,
     sizing: Sizing,
-
-    /// Gates in the cached topological order. The order is
-    /// **level-major**: counting-sorted by logic level, stable by the
-    /// circuit's base topo order within a level — still a topological
-    /// order, but with every level contiguous.
-    topo: Vec<GateId>,
-    /// `rank[gate] = position in `topo`` — the propagation priority.
-    rank: Vec<u32>,
-    /// Positions `level_start[l] .. level_start[l+1]` form logic level
-    /// `l` (0-based here; the netlist's levels are 1-based).
-    level_start: Vec<u32>,
-    /// Slab slot of each net's timing state: driverless nets take slots
-    /// `0..n_src` in net-id order, the net driven by the gate at
-    /// position `p` takes slot `n_src + p`.
-    slot_of: Vec<u32>,
-    /// Number of driverless nets (= the first gate-driven slot).
-    n_src: usize,
-    /// The driverless nets in slot order (`sources[s]` occupies slot `s`).
-    sources: Vec<NetId>,
-    /// Driver gate of each net (`None` for primary inputs).
-    net_driver: Vec<Option<GateId>>,
+    /// Topology, adjacency and slot layout of `circuit`, rebuilt
+    /// wholesale by every structural edit.
+    s: Structure,
 
     /// Flattened model constants per (gate, corner), corner-innermost:
     /// gate `gi` at corner `c` is `gate_params[gi * n_corners + c]`
@@ -332,27 +314,6 @@ pub struct TimingGraph<'c> {
     /// by surgery enter as the default [`VtClass::Svt`].
     vt_class: Vec<VtClass>,
 
-    /// Cell kind per gate (flat copy: avoids chasing `circuit.gate()`
-    /// in the hot loop).
-    cell: Vec<CellKind>,
-    /// Output net per gate.
-    out_net: Vec<NetId>,
-    /// Fanin nets of all gates, flattened; gate `g`'s inputs are
-    /// `fanin[fanin_off[g] .. fanin_off[g+1]]`.
-    fanin: Vec<NetId>,
-    fanin_off: Vec<u32>,
-    /// Slab slot of each flattened fanin net (parallel to `fanin`), so
-    /// the per-gate kernel never round-trips through net ids.
-    fanin_slots: Vec<u32>,
-    /// Fanout gates of all nets, flattened; net `n`'s loads are
-    /// `fanout[fanout_off[n] .. fanout_off[n+1]]` (one entry per pin).
-    fanout: Vec<GateId>,
-    fanout_off: Vec<u32>,
-
-    /// Primary-output flag per net (flat copy for the backward hot loop).
-    is_po: Vec<bool>,
-    /// Primary-output nets, in declaration order (critical scan order).
-    pos: Vec<NetId>,
     /// Mutation generation: bumped by every state-changing mutator
     /// (resize batches, Vt swaps, constraint changes, structural edits).
     /// The forward and backward states each record the generation they
@@ -446,28 +407,54 @@ impl ForwardState {
 }
 
 /// The circuit-derived arrays of a [`TimingGraph`]: topology, adjacency
-/// and flattened model constants — everything except the floating-point
-/// timing state. Rebuilt wholesale by [`TimingGraph::apply_edits`]
-/// (graph surgery changes ranks and adjacency arbitrarily, and this
-/// rebuild is pure pointer/arena work — the expensive part, arc
-/// re-evaluation, stays confined to the seeded dirty cones).
-struct Structure {
-    topo: Vec<GateId>,
-    rank: Vec<u32>,
-    level_start: Vec<u32>,
-    slot_of: Vec<u32>,
-    n_src: usize,
-    sources: Vec<NetId>,
-    net_driver: Vec<Option<GateId>>,
-    cell: Vec<CellKind>,
-    out_net: Vec<NetId>,
-    fanin: Vec<NetId>,
-    fanin_off: Vec<u32>,
-    fanin_slots: Vec<u32>,
-    fanout: Vec<GateId>,
-    fanout_off: Vec<u32>,
-    is_po: Vec<bool>,
-    pos: Vec<NetId>,
+/// and the slot layout — everything except the model constants and the
+/// floating-point timing state. Built only by [`build_structure`], at
+/// construction and again by [`TimingGraph::apply_edits`] (graph surgery
+/// changes ranks and adjacency arbitrarily, and this rebuild is pure
+/// pointer/arena work — the expensive part, arc re-evaluation, stays
+/// confined to the seeded dirty cones).
+#[derive(Debug, Clone)]
+pub(crate) struct Structure {
+    /// Gates in the cached topological order. The order is
+    /// **level-major**: counting-sorted by logic level, stable by the
+    /// circuit's base topo order within a level — still a topological
+    /// order, but with every level contiguous.
+    pub(crate) topo: Vec<GateId>,
+    /// `rank[gate] = position in `topo`` — the propagation priority.
+    pub(crate) rank: Vec<u32>,
+    /// Positions `level_start[l] .. level_start[l+1]` form logic level
+    /// `l` (0-based here; the netlist's levels are 1-based).
+    pub(crate) level_start: Vec<u32>,
+    /// Slab slot of each net's timing state: driverless nets take slots
+    /// `0..n_src` in net-id order, the net driven by the gate at
+    /// position `p` takes slot `n_src + p`.
+    pub(crate) slot_of: Vec<u32>,
+    /// Number of driverless nets (= the first gate-driven slot).
+    pub(crate) n_src: usize,
+    /// The driverless nets in slot order (`sources[s]` occupies slot `s`).
+    pub(crate) sources: Vec<NetId>,
+    /// Driver gate of each net (`None` for primary inputs).
+    pub(crate) net_driver: Vec<Option<GateId>>,
+    /// Cell kind per gate (flat copy: avoids chasing `circuit.gate()`
+    /// in the hot loop).
+    pub(crate) cell: Vec<CellKind>,
+    /// Output net per gate.
+    pub(crate) out_net: Vec<NetId>,
+    /// Fanin nets of all gates, flattened; gate `g`'s inputs are
+    /// `fanin[fanin_off[g] .. fanin_off[g+1]]`.
+    pub(crate) fanin: Vec<NetId>,
+    pub(crate) fanin_off: Vec<u32>,
+    /// Slab slot of each flattened fanin net (parallel to `fanin`), so
+    /// the per-gate kernel never round-trips through net ids.
+    pub(crate) fanin_slots: Vec<u32>,
+    /// Fanout gates of all nets, flattened; net `n`'s loads are
+    /// `fanout[fanout_off[n] .. fanout_off[n+1]]` (one entry per pin).
+    pub(crate) fanout: Vec<GateId>,
+    pub(crate) fanout_off: Vec<u32>,
+    /// Primary-output flag per net (flat copy for the backward hot loop).
+    pub(crate) is_po: Vec<bool>,
+    /// Primary-output nets, in declaration order (critical scan order).
+    pub(crate) pos: Vec<NetId>,
 }
 
 fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
@@ -780,7 +767,6 @@ impl<'c> TimingGraph<'c> {
         options: &AnalyzeOptions,
     ) -> Result<Self, NetlistError> {
         sizing.check_covers(circuit)?;
-        let s = build_structure(circuit)?;
         let n_nets = circuit.net_count();
         let n_gates = circuit.gate_count();
         let nc = corner_libs.len();
@@ -792,25 +778,10 @@ impl<'c> TimingGraph<'c> {
             lib,
             options: options.clone(),
             sizing: sizing.clone(),
-            topo: s.topo,
-            rank: s.rank,
-            level_start: s.level_start,
-            slot_of: s.slot_of,
-            n_src: s.n_src,
-            sources: s.sources,
-            net_driver: s.net_driver,
+            s: build_structure(circuit)?,
             gate_params,
             corner_libs,
             vt_class,
-            cell: s.cell,
-            out_net: s.out_net,
-            fanin: s.fanin,
-            fanin_off: s.fanin_off,
-            fanin_slots: s.fanin_slots,
-            fanout: s.fanout,
-            fanout_off: s.fanout_off,
-            is_po: s.is_po,
-            pos: s.pos,
             gen: 0,
             fwd: RefCell::new(ForwardState {
                 arrival: vec![[f64::NEG_INFINITY; 2]; n_nets * nc],
@@ -838,7 +809,7 @@ impl<'c> TimingGraph<'c> {
                 graph.recompute_net_load(&mut fwd, i);
             }
             for pi in circuit.primary_inputs() {
-                let slot = graph.slot_of[pi.index()] as usize;
+                let slot = graph.s.slot_of[pi.index()] as usize;
                 // Source conditions are corner-invariant (options, not
                 // process): every corner lane starts identically.
                 for c in 0..nc {
@@ -911,15 +882,15 @@ impl<'c> TimingGraph<'c> {
         self.flush_required();
         let corrupt = |detail: String| Err(StaError::StateCorrupt { detail });
 
-        let n_nets = self.slot_of.len();
-        let n_gates = self.topo.len();
+        let n_nets = self.s.slot_of.len();
+        let n_gates = self.s.topo.len();
         let nc = self.corner_libs.len();
 
         // Slot/rank bijection.
         let mut slot_seen = vec![false; n_nets];
         let mut next_src = 0usize;
         for net in 0..n_nets {
-            let slot = self.slot_of[net] as usize;
+            let slot = self.s.slot_of[net] as usize;
             if slot >= n_nets {
                 return corrupt(format!(
                     "net {net}: slot {slot} out of range ({n_nets} nets)"
@@ -929,7 +900,7 @@ impl<'c> TimingGraph<'c> {
                 return corrupt(format!("net {net}: slot {slot} assigned twice"));
             }
             slot_seen[slot] = true;
-            match self.net_driver[net] {
+            match self.s.net_driver[net] {
                 None => {
                     if slot != next_src {
                         return corrupt(format!(
@@ -939,53 +910,53 @@ impl<'c> TimingGraph<'c> {
                     next_src += 1;
                 }
                 Some(driver) => {
-                    let pos = self.rank[driver.index()] as usize;
-                    if slot != self.n_src + pos {
+                    let pos = self.s.rank[driver.index()] as usize;
+                    if slot != self.s.n_src + pos {
                         return corrupt(format!(
                             "net {net} driven by topo position {pos} occupies slot {slot}, \
                              expected {}",
-                            self.n_src + pos
+                            self.s.n_src + pos
                         ));
                     }
                 }
             }
         }
-        if next_src != self.n_src {
+        if next_src != self.s.n_src {
             return corrupt(format!(
                 "{next_src} driverless nets but n_src = {}",
-                self.n_src
+                self.s.n_src
             ));
         }
-        for (pos, &gate) in self.topo.iter().enumerate() {
-            if self.rank[gate.index()] as usize != pos {
+        for (pos, &gate) in self.s.topo.iter().enumerate() {
+            if self.s.rank[gate.index()] as usize != pos {
                 return corrupt(format!(
                     "rank[{}] = {} does not invert topo position {pos}",
                     gate.index(),
-                    self.rank[gate.index()]
+                    self.s.rank[gate.index()]
                 ));
             }
         }
 
         // Level monotonicity.
-        if self.level_start.first() != Some(&0)
-            || self.level_start.last() != Some(&(n_gates as u32))
-            || self.level_start.windows(2).any(|w| w[0] >= w[1])
+        if self.s.level_start.first() != Some(&0)
+            || self.s.level_start.last() != Some(&(n_gates as u32))
+            || self.s.level_start.windows(2).any(|w| w[0] >= w[1])
         {
             return corrupt(format!(
                 "level_start {:?} is not a strictly increasing partition of {n_gates} positions",
-                self.level_start
+                self.s.level_start
             ));
         }
         for pos in 0..n_gates {
-            let gate = self.topo[pos];
+            let gate = self.s.topo[pos];
             let level = self.level_of(pos as u32);
             let (lo, hi) = (
-                self.fanin_off[gate.index()] as usize,
-                self.fanin_off[gate.index() + 1] as usize,
+                self.s.fanin_off[gate.index()] as usize,
+                self.s.fanin_off[gate.index() + 1] as usize,
             );
-            for &in_net in &self.fanin[lo..hi] {
-                if let Some(driver) = self.net_driver[in_net.index()] {
-                    let dpos = self.rank[driver.index()] as usize;
+            for &in_net in &self.s.fanin[lo..hi] {
+                if let Some(driver) = self.s.net_driver[in_net.index()] {
+                    let dpos = self.s.rank[driver.index()] as usize;
                     if dpos >= pos || self.level_of(dpos as u32) >= level {
                         return corrupt(format!(
                             "gate at position {pos} (level {level}) has a fanin driver at \
@@ -1158,27 +1129,27 @@ impl<'c> TimingGraph<'c> {
     /// Slab slot of a net's timing state.
     #[inline]
     fn slot(&self, net: NetId) -> usize {
-        self.slot_of[net.index()] as usize
+        self.s.slot_of[net.index()] as usize
     }
 
     /// The net whose timing state occupies `slot`.
     fn net_at(&self, slot: usize) -> NetId {
-        match slot.checked_sub(self.n_src) {
-            Some(pos) => self.out_net[self.topo[pos].index()],
-            None => self.sources[slot],
+        match slot.checked_sub(self.s.n_src) {
+            Some(pos) => self.s.out_net[self.s.topo[pos].index()],
+            None => self.s.sources[slot],
         }
     }
 
     /// Topo position of a gate.
     #[inline]
     fn pos(&self, gate: GateId) -> usize {
-        self.rank[gate.index()] as usize
+        self.s.rank[gate.index()] as usize
     }
 
     /// Slots of a gate's fanin nets, in pin order.
     fn fanin_slots_of(&self, gate: GateId) -> &[u32] {
         let gi = gate.index();
-        &self.fanin_slots[self.fanin_off[gi] as usize..self.fanin_off[gi + 1] as usize]
+        &self.s.fanin_slots[self.s.fanin_off[gi] as usize..self.s.fanin_off[gi + 1] as usize]
     }
 
     /// Number of process corners the graph maintains (the stride of
@@ -1192,7 +1163,7 @@ impl<'c> TimingGraph<'c> {
     /// levels cannot occur, but repeated starts would resolve correctly
     /// anyway).
     fn level_of(&self, pos: u32) -> usize {
-        self.level_start.partition_point(|&s| s <= pos) - 1
+        self.s.level_start.partition_point(|&s| s <= pos) - 1
     }
 
     /// Set one gate's input capacitance. The affected cone — the gate
@@ -1239,7 +1210,7 @@ impl<'c> TimingGraph<'c> {
         changes: impl IntoIterator<Item = (GateId, f64)>,
     ) -> Result<(), StaError> {
         let changes: Vec<(GateId, f64)> = changes.into_iter().collect();
-        let n_gates = self.rank.len();
+        let n_gates = self.s.rank.len();
         for &(gate, cin_ff) in &changes {
             if gate.index() >= n_gates {
                 return Err(StaError::GateOutOfRange {
@@ -1315,7 +1286,7 @@ impl<'c> TimingGraph<'c> {
         self.vt_class[gi] = class;
         let nc = self.corner_libs.len();
         for (c, lib) in self.corner_libs.iter().enumerate() {
-            self.gate_params[gi * nc + c] = gate_params_for(lib, self.cell[gi], class);
+            self.gate_params[gi * nc + c] = gate_params_for(lib, self.s.cell[gi], class);
         }
         // Forward: the gate's delay, slope and arrival all re-derive
         // (loads are untouched — no fanin-driver re-time needed, but
@@ -1408,21 +1379,12 @@ impl<'c> TimingGraph<'c> {
     /// log understates. No arc is evaluated here — the whole cone
     /// re-time is deferred to the first timing query.
     fn resync_after_surgery(&mut self, applied: &[AppliedEdit]) -> Result<(), NetlistError> {
-        let s = build_structure(self.circuit.as_ref())?;
-        let n_gates = s.topo.len();
-        let nc = self.corner_libs.len();
-
         // Surgery re-levels and re-ranks arbitrarily, and the slabs are
-        // keyed by slot/position — keep the old keys to permute the
-        // surviving state into the new layout below.
-        let old_slot_of = std::mem::replace(&mut self.slot_of, s.slot_of);
-        let old_rank = std::mem::replace(&mut self.rank, s.rank);
-        self.topo = s.topo;
-        self.level_start = s.level_start;
-        self.n_src = s.n_src;
-        self.sources = s.sources;
-        self.net_driver = s.net_driver;
-        self.cell = s.cell;
+        // keyed by slot/position — keep the old structure's keys to
+        // permute the surviving state into the new layout below.
+        let old = std::mem::replace(&mut self.s, build_structure(self.circuit.as_ref())?);
+        let n_gates = self.s.topo.len();
+        let nc = self.corner_libs.len();
         // Created gates enter in the default Vt variant; surviving
         // gates keep theirs (ids are stable across append-only
         // surgery, so no remap is needed). The constants rebuild
@@ -1431,14 +1393,6 @@ impl<'c> TimingGraph<'c> {
         self.vt_class.resize(n_gates, VtClass::Svt);
         self.gate_params =
             build_gate_params(self.circuit.as_ref(), &self.corner_libs, &self.vt_class);
-        self.out_net = s.out_net;
-        self.fanin = s.fanin;
-        self.fanin_off = s.fanin_off;
-        self.fanin_slots = s.fanin_slots;
-        self.fanout = s.fanout;
-        self.fanout_off = s.fanout_off;
-        self.is_po = s.is_po;
-        self.pos = s.pos;
 
         // Per-gate / per-net timing state: existing entries keep their
         // values (they are still bit-correct wherever the edits did not
@@ -1450,16 +1404,16 @@ impl<'c> TimingGraph<'c> {
             debug_assert!(fwd.dirty.is_empty(), "surgery over a drained queue");
             fwd.arrival = remap_slots(
                 &fwd.arrival,
-                &old_slot_of,
-                &self.slot_of,
+                &old.slot_of,
+                &self.s.slot_of,
                 [f64::NEG_INFINITY; 2],
                 nc,
             );
-            fwd.slope = remap_slots(&fwd.slope, &old_slot_of, &self.slot_of, [0.0; 2], nc);
-            fwd.pred = remap_slots(&fwd.pred, &old_slot_of, &self.slot_of, [None, None], nc);
-            fwd.load = remap_slots(&fwd.load, &old_slot_of, &self.slot_of, 0.0, 1);
+            fwd.slope = remap_slots(&fwd.slope, &old.slot_of, &self.s.slot_of, [0.0; 2], nc);
+            fwd.pred = remap_slots(&fwd.pred, &old.slot_of, &self.s.slot_of, [None, None], nc);
+            fwd.load = remap_slots(&fwd.load, &old.slot_of, &self.s.slot_of, 0.0, 1);
             fwd.gate_delay_worst =
-                remap_ranks(&fwd.gate_delay_worst, &old_rank, &self.rank, 0.0, nc);
+                remap_ranks(&fwd.gate_delay_worst, &old.rank, &self.s.rank, 0.0, nc);
             fwd.dirty = DirtySet::new(n_gates);
             // Load deltas are detected lazily: the cached loads are
             // still the pre-edit values, so the flush recompares every
@@ -1485,15 +1439,15 @@ impl<'c> TimingGraph<'c> {
         if let Some(bw) = self.backward.get_mut().as_mut() {
             bw.required = remap_slots(
                 &bw.required,
-                &old_slot_of,
-                &self.slot_of,
+                &old.slot_of,
+                &self.s.slot_of,
                 [f64::INFINITY; 2],
                 nc,
             );
             // Marks cannot follow a re-ranking, but outside a flush a
             // dirty set is only ever empty or — after a constraint
             // change — full: re-invalidate under the new ranks.
-            for (set, size) in [(&mut bw.req, n_gates), (&mut bw.req_src, self.n_src)] {
+            for (set, size) in [(&mut bw.req, n_gates), (&mut bw.req_src, self.s.n_src)] {
                 let invalidated = !set.is_empty();
                 *set = DirtySet::new(size);
                 if invalidated {
@@ -1518,15 +1472,15 @@ impl<'c> TimingGraph<'c> {
                 if let Some(bw) = self.backward.get_mut() {
                     bw.req_net_log.push(net);
                 }
-                if let Some(driver) = self.net_driver[net.index()] {
+                if let Some(driver) = self.s.net_driver[net.index()] {
                     self.seed_edited_gate(driver);
                 }
                 let (lo, hi) = (
-                    self.fanout_off[net.index()] as usize,
-                    self.fanout_off[net.index() + 1] as usize,
+                    self.s.fanout_off[net.index()] as usize,
+                    self.s.fanout_off[net.index() + 1] as usize,
                 );
                 for i in lo..hi {
-                    let g = self.fanout[i];
+                    let g = self.s.fanout[i];
                     self.seed_edited_gate(g);
                 }
             }
@@ -1628,12 +1582,15 @@ impl<'c> TimingGraph<'c> {
     /// circuit's load-pin order), so it reproduces the flushed value bit
     /// for bit.
     fn fresh_net_load(&self, i: usize) -> f64 {
-        let (lo, hi) = (self.fanout_off[i] as usize, self.fanout_off[i + 1] as usize);
+        let (lo, hi) = (
+            self.s.fanout_off[i] as usize,
+            self.s.fanout_off[i + 1] as usize,
+        );
         let mut load = 0.0;
-        for &g in &self.fanout[lo..hi] {
+        for &g in &self.s.fanout[lo..hi] {
             load += self.sizing.cin_ff(g);
         }
-        if self.is_po[i] {
+        if self.s.is_po[i] {
             load += self.options.po_load_ff;
         }
         load
@@ -1654,7 +1611,7 @@ impl<'c> TimingGraph<'c> {
         assert!(corner < self.corner_libs.len(), "corner out of range");
         self.flush_forward();
         let nc = self.corner_libs.len();
-        self.fwd.borrow().gate_delay_worst[self.rank[gate.index()] as usize * nc + corner]
+        self.fwd.borrow().gate_delay_worst[self.s.rank[gate.index()] as usize * nc + corner]
     }
 
     /// The most critical path: traceback from the worst primary output,
@@ -1674,7 +1631,7 @@ impl<'c> TimingGraph<'c> {
         let mut gates = Vec::new();
         let mut cur = Some((net, edge));
         while let Some((n, e)) = cur {
-            if let Some(gid) = self.net_driver[n.index()] {
+            if let Some(gid) = self.s.net_driver[n.index()] {
                 gates.push(gid);
             }
             cur = fwd.pred[self.slot(n) * nc][eidx(e)];
@@ -1746,7 +1703,7 @@ impl<'c> TimingGraph<'c> {
             tc_ps,
             required: vec![[f64::INFINITY; 2]; n_nets * nc],
             req: full(n_gates),
-            req_src: full(self.n_src),
+            req_src: full(self.s.n_src),
             // One behind: the first backward query performs the flush
             // that doubles as the initial full backward pass.
             req_flushed_gen: self.gen.wrapping_sub(1),
@@ -1866,7 +1823,7 @@ impl<'c> TimingGraph<'c> {
         let fwd = self.fwd.borrow();
         let bw = self.backward();
         let mut worst = f64::INFINITY;
-        for slot in 0..self.slot_of.len() {
+        for slot in 0..self.s.slot_of.len() {
             let entry = slot * nc + corner;
             worst = min2(
                 worst,
@@ -1882,7 +1839,7 @@ impl<'c> TimingGraph<'c> {
     /// Takes the raw net index so whole-array sweeps need no id
     /// round-trip.
     fn recompute_net_load(&self, fwd: &mut ForwardState, net: usize) {
-        fwd.load[self.slot_of[net] as usize] = self.fresh_net_load(net);
+        fwd.load[self.s.slot_of[net] as usize] = self.fresh_net_load(net);
     }
 
     /// The forward side of the lazy flush: a no-op when the forward
@@ -1912,8 +1869,8 @@ impl<'c> TimingGraph<'c> {
         }
         let mut bw_guard = self.backward.borrow_mut();
         let mut bw = bw_guard.as_mut();
-        let n_gates = self.topo.len();
-        let n_nets = self.net_driver.len();
+        let n_gates = self.s.topo.len();
+        let n_nets = self.s.net_driver.len();
 
         // Materialize the pending seeds. Loads are recomputed exactly
         // (same summation order as the full pass — no delta
@@ -1928,13 +1885,13 @@ impl<'c> TimingGraph<'c> {
             // its backward state re-derives (arcs through the driver
             // moved with its output load).
             for net in 0..n_nets {
-                let slot = self.slot_of[net] as usize;
+                let slot = self.s.slot_of[net] as usize;
                 let old = fwd.load[slot];
                 self.recompute_net_load(fwd, net);
                 if old.to_bits() == fwd.load[slot].to_bits() {
                     continue;
                 }
-                if let Some(driver) = self.net_driver[net] {
+                if let Some(driver) = self.s.net_driver[net] {
                     fwd.dirty.mark(self.pos(driver));
                     if let Some(bw) = bw.as_deref_mut() {
                         bw.resized_log.push(driver);
@@ -1947,13 +1904,13 @@ impl<'c> TimingGraph<'c> {
             // The fanin nets' loads moved with the gate's C_IN: their
             // drivers re-time, and the gate's own drive changed.
             let (lo, hi) = (
-                self.fanin_off[gate.index()] as usize,
-                self.fanin_off[gate.index() + 1] as usize,
+                self.s.fanin_off[gate.index()] as usize,
+                self.s.fanin_off[gate.index() + 1] as usize,
             );
             for i in lo..hi {
-                let in_net = self.fanin[i];
+                let in_net = self.s.fanin[i];
                 self.recompute_net_load(fwd, in_net.index());
-                if let Some(driver) = self.net_driver[in_net.index()] {
+                if let Some(driver) = self.s.net_driver[in_net.index()] {
                     fwd.dirty.mark(self.pos(driver));
                 }
             }
@@ -1974,9 +1931,9 @@ impl<'c> TimingGraph<'c> {
                     limit,
                     |pos| self.forward_step(&mut view, &ctx, &mut bw, pos),
                     |pos, dirty| {
-                        let out = self.out_net[self.topo[pos].index()].index();
-                        let (lo, hi) = (self.fanout_off[out], self.fanout_off[out + 1]);
-                        for &g in &self.fanout[lo as usize..hi as usize] {
+                        let out = self.s.out_net[self.s.topo[pos].index()].index();
+                        let (lo, hi) = (self.s.fanout_off[out], self.s.fanout_off[out + 1]);
+                        for &g in &self.s.fanout[lo as usize..hi as usize] {
                             dirty.mark(self.pos(g));
                         }
                     },
@@ -1998,20 +1955,11 @@ impl<'c> TimingGraph<'c> {
     /// ([`crate::kernel`]) consume.
     fn eval_ctx(&self) -> EvalCtx<'_> {
         EvalCtx {
-            topo: &self.topo,
-            cell: &self.cell,
+            s: &self.s,
             gate_params: &self.gate_params,
             n_corners: self.corner_libs.len(),
             vt_class: &self.vt_class,
-            fanin: &self.fanin,
-            fanin_slots: &self.fanin_slots,
-            fanin_off: &self.fanin_off,
             cins: self.sizing.as_slice(),
-            n_src: self.n_src,
-            fanout: &self.fanout,
-            fanout_off: &self.fanout_off,
-            rank: &self.rank,
-            is_po: &self.is_po,
             libs: &self.corner_libs,
         }
     }
@@ -2029,12 +1977,12 @@ impl<'c> TimingGraph<'c> {
     ) -> bool {
         let flags = view.eval_gate(ctx, pos);
         if let Some(bw) = bw.as_deref_mut() {
-            let gid = self.topo[pos];
+            let gid = self.s.topo[pos];
             if flags & F_SLOPE != 0 {
-                bw.req_net_log.push(self.out_net[gid.index()]);
+                bw.req_net_log.push(self.s.out_net[gid.index()]);
             }
             if flags & F_ARRIVAL != 0 {
-                bw.slack_net_log.push(self.out_net[gid.index()]);
+                bw.slack_net_log.push(self.s.out_net[gid.index()]);
             }
         }
         flags & F_OUT_CHANGED != 0
@@ -2053,7 +2001,7 @@ impl<'c> TimingGraph<'c> {
         let (mut view, dirty) = fwd.split();
         dirty.clear();
         let mut any_changed = false;
-        for pos in 0..self.topo.len() {
+        for pos in 0..self.s.topo.len() {
             any_changed |= self.forward_step(&mut view, &ctx, &mut bw, pos);
         }
         any_changed
@@ -2065,7 +2013,7 @@ impl<'c> TimingGraph<'c> {
         let nc = self.corner_libs.len();
         for c in 0..nc {
             let mut critical: Option<(NetId, Edge, f64)> = None;
-            for &po in &self.pos {
+            for &po in &self.s.pos {
                 for e in EDGES {
                     let t = fwd.arrival[self.slot(po) * nc + c][eidx(e)];
                     if t > critical.map(|(_, _, cr)| cr).unwrap_or(f64::NEG_INFINITY) {
@@ -2082,7 +2030,7 @@ impl<'c> TimingGraph<'c> {
     /// Mark the net at `slot` required-dirty: a driven net under its
     /// driver's topo position, a driverless one in the source set.
     fn mark_required(&self, req: &mut DirtySet, req_src: &mut DirtySet, slot: usize) {
-        match slot.checked_sub(self.n_src) {
+        match slot.checked_sub(self.s.n_src) {
             Some(pos) => req.mark(pos),
             None => req_src.mark(slot),
         }
@@ -2132,8 +2080,8 @@ impl<'c> TimingGraph<'c> {
         for gate in resized_log.drain(..) {
             for &s in self.fanin_slots_of(gate) {
                 self.mark_required(req, req_src, s as usize);
-                if let Some(pos) = (s as usize).checked_sub(self.n_src) {
-                    for &d in self.fanin_slots_of(self.topo[pos]) {
+                if let Some(pos) = (s as usize).checked_sub(self.s.n_src) {
+                    for &d in self.fanin_slots_of(self.s.topo[pos]) {
                         self.mark_required(req, req_src, d as usize);
                     }
                 }
@@ -2154,9 +2102,9 @@ impl<'c> TimingGraph<'c> {
             let mut done = req.drain(
                 Direction::Backward,
                 limit,
-                |pos| eval(self.n_src + pos),
+                |pos| eval(self.s.n_src + pos),
                 |pos, req| {
-                    for &s in self.fanin_slots_of(self.topo[pos]) {
+                    for &s in self.fanin_slots_of(self.s.topo[pos]) {
                         self.mark_required(req, req_src, s as usize);
                     }
                 },
@@ -2185,7 +2133,7 @@ impl<'c> TimingGraph<'c> {
             // The sweep bypasses per-net change detection, so the moved
             // slacks are unknown: refold the index wholesale below.
             bw.refold_all = true;
-            req_reevals += self.slot_of.len();
+            req_reevals += self.s.slot_of.len();
         }
 
         // Fold the moved slacks into the tournament tree, now that the
@@ -2198,7 +2146,7 @@ impl<'c> TimingGraph<'c> {
         // Leaves are keyed by *slot* — a bijection of the nets, so the
         // root min folds the same value multiset as a net-keyed tree
         // (bit-identical worst; surgery re-keys under `refold_all`).
-        let n_nets = self.slot_of.len();
+        let n_nets = self.s.slot_of.len();
         let nc = self.corner_libs.len();
         if bw.refold_all || bw.slack_net_log.len() > n_nets / 4 {
             bw.refold_all = false;
@@ -2236,9 +2184,9 @@ impl<'c> TimingGraph<'c> {
     /// per-gate pass.
     fn sweep_required_full(&self, fwd: &ForwardState, bw: &mut BackwardState) {
         let nc = self.corner_libs.len();
-        for net in 0..self.slot_of.len() {
-            let base = self.slot_of[net] as usize * nc;
-            let init = if self.is_po[net] {
+        for net in 0..self.s.slot_of.len() {
+            let base = self.s.slot_of[net] as usize * nc;
+            let init = if self.s.is_po[net] {
                 [bw.tc_ps; 2]
             } else {
                 [f64::INFINITY; 2]
@@ -2247,7 +2195,7 @@ impl<'c> TimingGraph<'c> {
         }
         let ctx = self.eval_ctx();
         let mut view = bwd_view(fwd, bw.tc_ps, &mut bw.required);
-        for pos in (0..self.topo.len()).rev() {
+        for pos in (0..self.s.topo.len()).rev() {
             view.sweep_gate(&ctx, pos);
         }
     }
@@ -2274,7 +2222,7 @@ impl<'c> TimingGraph<'c> {
     /// estimate. On merged probe unions the convergence cut keeps true
     /// closures far below the span, and the count stays in charge.
     fn drain_limit(&self, set: &DirtySet, dir: Direction) -> Option<usize> {
-        let n = self.topo.len();
+        let n = self.s.topo.len();
         let (budget, limit) = match dir {
             Direction::Forward => (n * 3 / 4 + 1, usize::MAX),
             Direction::Backward => (n / 3 + 1, n / 3 + 1),
@@ -2284,11 +2232,11 @@ impl<'c> TimingGraph<'c> {
             return None;
         }
         if count >= 32 {
-            if let Some((lo, hi, hit)) = set.level_profile(&self.level_start) {
-                let n_levels = self.level_start.len() - 1;
+            if let Some((lo, hi, hit)) = set.level_profile(&self.s.level_start) {
+                let n_levels = self.s.level_start.len() - 1;
                 let (levels, span) = match dir {
-                    Direction::Forward => (n_levels - lo, n - self.level_start[lo] as usize),
-                    Direction::Backward => (hi + 1, self.level_start[hi + 1] as usize),
+                    Direction::Forward => (n_levels - lo, n - self.s.level_start[lo] as usize),
+                    Direction::Backward => (hi + 1, self.s.level_start[hi + 1] as usize),
                 };
                 if hit * 2 >= levels && count * 4 >= span && span >= budget {
                     return None;

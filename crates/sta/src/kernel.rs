@@ -13,10 +13,10 @@
 
 use pops_delay::model::{gate_delay_with_output_edge_vt, Edge};
 use pops_delay::{Library, VtTiming};
-use pops_netlist::{CellKind, GateId, NetId, VtClass};
+use pops_netlist::{NetId, VtClass};
 
 use crate::analysis::{compatible_input_edges, eidx, EDGES};
-use crate::incremental::{ArcTerms, GateParams};
+use crate::incremental::{ArcTerms, GateParams, Structure};
 
 /// Arrival or slope of the gate's output net changed (bitwise) — the
 /// forward cone expands through its fanouts.
@@ -33,10 +33,9 @@ pub(crate) type PredPair = [Option<(NetId, Edge)>; 2];
 /// Read-only view of every circuit-derived array the kernels need,
 /// assembled by the graph per flush.
 pub(crate) struct EvalCtx<'a> {
-    /// Gates in level-major topo order (`pos` indexes this).
-    pub topo: &'a [GateId],
-    /// Cell kind per gate (id-indexed).
-    pub cell: &'a [CellKind],
+    /// Topology, adjacency and slot layout (`pos` indexes `s.topo`;
+    /// gate `pos` writes slot `s.n_src + pos`).
+    pub s: &'a Structure,
     /// Flattened model constants per (gate, corner), corner-innermost:
     /// gate `gi` at corner `c` is `gate_params[gi * n_corners + c]`.
     pub gate_params: &'a [GateParams],
@@ -45,26 +44,8 @@ pub(crate) struct EvalCtx<'a> {
     /// Vt variant per gate (id-indexed; for the debug model cross-check
     /// — the electrical effect is baked into `gate_params`).
     pub vt_class: &'a [VtClass],
-    /// Flattened fanin nets (ids, for predecessor records).
-    pub fanin: &'a [NetId],
-    /// Slot of each flattened fanin net (parallel to `fanin`).
-    pub fanin_slots: &'a [u32],
-    /// Fanin offsets per gate id.
-    pub fanin_off: &'a [u32],
     /// Input capacitance per gate (id-indexed).
     pub cins: &'a [f64],
-    /// Slots `0..n_src` hold driverless nets; gate `pos` writes slot
-    /// `n_src + pos`.
-    pub n_src: usize,
-    /// Flattened fanout gates per net id (`fanout_off` delimits).
-    pub fanout: &'a [GateId],
-    /// Fanout offsets per net id.
-    pub fanout_off: &'a [u32],
-    /// Topo position per gate id (fanout gates resolve to their slots
-    /// as `n_src + rank`).
-    pub rank: &'a [u32],
-    /// Primary-output flag per net id.
-    pub is_po: &'a [bool],
     /// One characterized library per corner, corner-indexed — for the
     /// debug cross-check against the reference delay model.
     pub libs: &'a [Library],
@@ -87,14 +68,14 @@ impl FwdView<'_> {
     /// per corner to a single-corner engine (the `debug_assert`
     /// cross-checks the model).
     pub(crate) fn eval_gate(&mut self, ctx: &EvalCtx<'_>, pos: usize) -> u8 {
-        let gid = ctx.topo[pos];
+        let gid = ctx.s.topo[pos];
         let gi = gid.index();
-        let cell = ctx.cell[gi];
+        let cell = ctx.s.cell[gi];
         let cin = ctx.cins[gi];
-        let out_slot = ctx.n_src + pos;
+        let out_slot = ctx.s.n_src + pos;
         let load = self.load[out_slot];
         let nc = ctx.n_corners;
-        let fanin_range = ctx.fanin_off[gi] as usize..ctx.fanin_off[gi + 1] as usize;
+        let fanin_range = ctx.s.fanin_off[gi] as usize..ctx.s.fanin_off[gi + 1] as usize;
 
         let mut flags = 0u8;
         for c in 0..nc {
@@ -115,8 +96,8 @@ impl FwdView<'_> {
                 let tau_out = tau_out_by_edge[eidx(out_edge)];
                 let mut best: Option<(f64, NetId, Edge)> = None;
                 for idx in fanin_range.clone() {
-                    let in_net = ctx.fanin[idx];
-                    let in_slot = ctx.fanin_slots[idx] as usize;
+                    let in_net = ctx.s.fanin[idx];
+                    let in_slot = ctx.s.fanin_slots[idx] as usize;
                     let in_arrival = self.arrival[in_slot * nc + c];
                     let in_slope = self.slope[in_slot * nc + c];
                     for &in_edge in compatible_input_edges(cell, out_edge) {
@@ -203,23 +184,23 @@ impl BwdView<'_> {
     pub(crate) fn eval_required_net(&mut self, ctx: &EvalCtx<'_>, net: usize, slot: usize) -> bool {
         let nc = ctx.n_corners;
         let (lo, hi) = (
-            ctx.fanout_off[net] as usize,
-            ctx.fanout_off[net + 1] as usize,
+            ctx.s.fanout_off[net] as usize,
+            ctx.s.fanout_off[net + 1] as usize,
         );
         let mut changed = false;
         for c in 0..nc {
-            let mut req = if ctx.is_po[net] {
+            let mut req = if ctx.s.is_po[net] {
                 [self.tc_ps; 2]
             } else {
                 [f64::INFINITY; 2]
             };
             let slope = self.slope[slot * nc + c];
-            for &h in &ctx.fanout[lo..hi] {
+            for &h in &ctx.s.fanout[lo..hi] {
                 let g = h.index();
-                let cell = ctx.cell[g];
+                let cell = ctx.s.cell[g];
                 // A gate's output slot is `n_src + rank` — no net-id
                 // round-trip.
-                let h_out_slot = ctx.n_src + ctx.rank[g] as usize;
+                let h_out_slot = ctx.s.n_src + ctx.s.rank[g] as usize;
                 let cin = ctx.cins[g];
                 let load = self.load[h_out_slot];
                 let params = &ctx.gate_params[g * nc + c];
@@ -275,14 +256,14 @@ impl BwdView<'_> {
     /// constants. Run in descending topo order, every candidate into a
     /// slot lands before that slot's own gate reads it.
     pub(crate) fn sweep_gate(&mut self, ctx: &EvalCtx<'_>, pos: usize) {
-        let gid = ctx.topo[pos];
+        let gid = ctx.s.topo[pos];
         let gi = gid.index();
-        let out_slot = ctx.n_src + pos;
-        let cell = ctx.cell[gi];
+        let out_slot = ctx.s.n_src + pos;
+        let cell = ctx.s.cell[gi];
         let cin = ctx.cins[gi];
         let load = self.load[out_slot];
         let nc = ctx.n_corners;
-        let fanin_range = ctx.fanin_off[gi] as usize..ctx.fanin_off[gi + 1] as usize;
+        let fanin_range = ctx.s.fanin_off[gi] as usize..ctx.s.fanin_off[gi + 1] as usize;
         for c in 0..nc {
             let params = &ctx.gate_params[gi * nc + c];
             let ArcTerms {
@@ -296,7 +277,7 @@ impl BwdView<'_> {
                 }
                 let tau_out = tau_out_by_edge[eidx(out_edge)];
                 for idx in fanin_range.clone() {
-                    let in_slot = ctx.fanin_slots[idx] as usize;
+                    let in_slot = ctx.s.fanin_slots[idx] as usize;
                     for &in_edge in compatible_input_edges(cell, out_edge) {
                         let i = eidx(in_edge);
                         let slope = self.slope[in_slot * nc + c][i];
