@@ -56,100 +56,28 @@
 //! [`k_most_critical_paths`](crate::k_most_critical_paths) derives them
 //! per call with [`completion_bounds`](crate::completion_bounds) over
 //! this graph's worst gate delays.
-//!
-//! # Lazy, query-driven flushing
-//!
-//! The sizing loop's workload is *many mutations, occasional slack
-//! reads*: a sensitivity sweep resizes, probes, reverts; the flow
-//! writes back a whole path before looking at slack again. Backward
-//! state is therefore **never** brought up to date by a mutation.
-//! Mutations only accumulate their seeds into the backward dirty sets
-//! under a **generation counter**, and the first backward query —
-//! slack, required time, design-worst slack — flushes the merged cone
-//! once:
-//!
-//! ```text
-//!           mutation (seeds ∪= cone, gen += 1)
-//!        ┌──────────────────────────────────────┐
-//!        ▼                                      │
-//!   clean ──mutation──▶ dirty(gen) ──backward query──▶ flushed(gen) = clean
-//! ```
-//!
-//! N resizes followed by one slack read pay **one** merged backward
-//! propagation instead of N eager ones; the seeds deduplicate in the
-//! dirty sets, and the bitwise convergence cut still confines the
-//! flush to the union cone.
-//!
-//! The **forward** state is lazy under the same generation counter.
-//! Mutations append id-keyed forward seed logs — resized gates, gates a
-//! structural edit touched or created, pending load/slope rescans — and
-//! every *forward* query, without exception (`critical_delay_ps`,
-//! `arrival_ps`, `slope_ps`, `net_load_ff`, `gate_delay_worst_ps`,
-//! `critical_path`, and every [`TimingView`] read), marks them into the
-//! dirty set and drains one merged forward cone — or sweeps, see *Drain
-//! or sweep* below. Backward queries are **two-phase**: they flush
-//! forward first (required times re-derive from final slopes and
-//! loads), then drain the backward seeds the forward flush just
-//! deposited. The eager/lazy distinction is invisible to every
-//! consumer — `tests/lazy_equivalence.rs` and
-//! `tests/forward_lazy_equivalence.rs` prove any interleaving of
-//! mutations and queries bit-identical to the eager semantics, and
-//! [`UpdateStats::forward_flushes`] / [`UpdateStats::backward_flushes`]
-//! prove mutations alone never flush either direction.
-//!
-//! # The worst-slack tournament tree
-//!
-//! `worst_slack_overall_ps` used to fold over all nets per query —
-//! O(nets) even when nothing moved, which is exactly what broke even on
-//! the small-circuit probes. The backward flush already knows every net
-//! whose required time or arrival moved, so the graph maintains a
-//! `WorstSlackIndex`: per-net worst finite slacks at the leaves of a
-//! tournament tree of partial minima. Each moved slack is an O(log
-//! nets) leaf update folded in at flush time; the design-worst slack
-//! query is then O(1) at the root, bit-identical to the full fold.
-//!
-//! # Rank-major slabs
-//!
-//! At 100k–1M gates the full sweeps are memory-bound, so the
-//! floating-point state lives in **rank-major struct-of-arrays slabs**
-//! instead of id-keyed records. The cached topo order is *level-major*:
-//! gates are counting-sorted by logic level (stable by topo order
-//! within a level), `rank[g]` is the gate's position in that order and
-//! `level_start[l] .. level_start[l+1]` delimits level `l` — the level
-//! profile the drain-or-sweep rule reads off a dirty set. A level-major
-//! order is still a topological order, so ascending and descending
-//! drains work unchanged. Net state is indexed by
-//! **slot**: the driverless nets (primary inputs and any undriven nets)
-//! occupy slots `0..n_src` in net-id order, and the net driven by the
-//! gate at position `p` occupies slot `n_src + p` — a full sweep
-//! therefore *streams* the arrival/slope/pred/load/required slabs in
-//! memory order instead of pointer-chasing the netlist.
-//!
-//! # Drain or sweep
-//!
-//! Every flush — forward and required times — marks its seed logs
-//! into a dirty set over topo positions and drains it with
-//! the one drain loop of `crate::dirty`: positions pop in dependency
-//! order (ascending forward, descending backward), each runs its
-//! per-gate kernel from `crate::kernel`, and a changed output marks the
-//! kernel's neighbours. One rule, `TimingGraph::drain_limit`, decides
-//! per flush when a straight full sweep over the same kernels is
-//! cheaper; drain and sweep land on the same bits.
 
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 
-use pops_delay::model::Edge;
-use pops_delay::{CornerSet, Library, VtTiming};
-use pops_netlist::surgery::{AppliedEdit, EditPlan};
-use pops_netlist::{CellKind, Circuit, GateId, NetId, NetlistError, VtClass};
+use pops_delay::{CornerSet, Library};
+use pops_netlist::{Circuit, GateId, NetId, NetlistError, VtClass};
 
 use crate::analysis::{eidx, AnalyzeOptions, EdgeDir, NetlistPath, TimingView, EDGES};
-use crate::dirty::{Direction, DirtySet, Drained};
+use crate::dirty::DirtySet;
 use crate::error::StaError;
-use crate::kernel::{BwdView, EvalCtx, FwdView, PredPair, F_ARRIVAL, F_OUT_CHANGED, F_SLOPE};
+use crate::kernel::{build_gate_params, gate_params_for, GateParams};
 use crate::sizing::Sizing;
 use crate::slack::{min2, WorstSlackIndex};
+
+mod audit;
+mod flush;
+mod structure;
+mod surgery;
+
+use flush::{BackwardState, ForwardState};
+use structure::build_structure;
+pub(crate) use structure::Structure;
 
 /// Cumulative work counters, for benchmarks and cone-size assertions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -186,71 +114,6 @@ pub struct UpdateStats {
     /// Worst-slack tournament-tree leaf refreshes folded in by flushes
     /// (each O(log nets); a wholesale refold counts one per net).
     pub slack_index_updates: usize,
-}
-
-/// Per-(gate, corner) model constants, flattened out of the corner
-/// libraries at build time.
-///
-/// `Library::cell()` is a by-kind lookup and the symmetry factors are
-/// re-derived on every call; one cone re-evaluation makes thousands of
-/// arc evaluations, so the graph caches the resolved constants per gate
-/// and corner. Every cached value is produced by the *same*
-/// floating-point expression the model uses, so arc delays stay
-/// bit-identical to
-/// [`gate_delay_with_output_edge_vt`](pops_delay::model::gate_delay_with_output_edge_vt)
-/// — and, for SVT gates on the typical corner, to the plain
-/// single-corner model (the `× 1.0` Vt factors are bit-neutral).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GateParams {
-    /// `C_par = cpar_factor · C_IN`.
-    cpar_factor: f64,
-    /// P/N configuration ratio `k` (Miller coupling split).
-    k: f64,
-    /// `(τ · S(out_edge)) · drive_factor`, indexed by [`eidx`] of the
-    /// output edge (the Vt variant's drive derate folds in here).
-    tau_s: [f64; 2],
-    /// Reduced thresholds `v_T · vt_scale` of this gate's corner and Vt
-    /// variant, indexed by [`eidx`] of the *input* edge.
-    pub(crate) vt: [f64; 2],
-}
-
-/// Fanin-independent arc terms of one gate under its current drive and
-/// load, hoisted out of the per-arc loops of the forward and backward
-/// kernels ([`crate::kernel`]).
-pub(crate) struct ArcTerms {
-    /// τ_out per *output* edge: `(τ·S) · C_L / C_IN`.
-    pub(crate) tau_out_by_edge: [f64; 2],
-    /// Miller amplification per *input* edge (C_M couples through the
-    /// P device on a rising input, the N device on a falling one).
-    pub(crate) miller: [f64; 2],
-}
-
-impl GateParams {
-    /// Compute the hoisted arc terms. This is the single home of the
-    /// delay-model arithmetic shared by the forward and backward
-    /// evaluators: every expression reproduces the exact operation
-    /// order of `gate_delay_with_output_edge`, so arc delays (and
-    /// therefore the whole timing state, both directions) stay
-    /// bit-identical to the full passes.
-    pub(crate) fn arc_terms(&self, cin: f64, load: f64) -> ArcTerms {
-        let cl_total = self.cpar_factor * cin + load;
-        let tau_out_by_edge = [
-            self.tau_s[0] * cl_total / cin,
-            self.tau_s[1] * cl_total / cin,
-        ];
-        let cm = [
-            0.5 * cin * self.k / (1.0 + self.k),
-            0.5 * cin / (1.0 + self.k),
-        ];
-        let miller = [
-            1.0 + 2.0 * cm[0] / (cm[0] + cl_total),
-            1.0 + 2.0 * cm[1] / (cm[1] + cl_total),
-        ];
-        ArcTerms {
-            tau_out_by_edge,
-            miller,
-        }
-    }
 }
 
 /// Incrementally maintained timing state of one circuit.
@@ -330,373 +193,6 @@ pub struct TimingGraph<'c> {
     /// [`TimingGraph::set_constraint`]. Interior-mutable as `fwd`.
     backward: RefCell<Option<BackwardState>>,
     stats: Cell<UpdateStats>,
-}
-
-/// Incrementally maintained forward timing state of a [`TimingGraph`]:
-/// the floating-point arrays plus the lazy-flush bookkeeping. Lives in
-/// a [`RefCell`] so forward queries on `&self` can drain pending seeds.
-#[derive(Debug, Clone)]
-struct ForwardState {
-    /// Arrival time per edge (ps), **slot- and corner-indexed**: net
-    /// slot `s` at corner `c` is entry `s * n_corners + c` (see
-    /// [`TimingGraph::slot_of`]); `-inf` where unreachable. Slabs
-    /// instead of per-net records: a full sweep writes slots in memory
-    /// order (gate `p` owns slot `n_src + p`), so the sweep streams
-    /// memory-bandwidth-bound. The corner lanes ride in the
-    /// same stride-`n_corners` layout, propagated together in one pass.
-    arrival: Vec<[f64; 2]>,
-    /// Transition time per edge (ps), slot- and corner-indexed.
-    slope: Vec<[f64; 2]>,
-    /// Predecessor `(net, input edge)` of the worst arrival, slot- and
-    /// corner-indexed.
-    pred: Vec<PredPair>,
-    /// Capacitive load (fF) under the current sizing, slot-indexed —
-    /// corner-*invariant* (corners derate only electrical parameters,
-    /// never geometry), so this slab keeps stride 1.
-    load: Vec<f64>,
-    /// Worst-case delay of each gate under the current slopes,
-    /// **position- and corner-indexed** (`pos * n_corners + c`).
-    gate_delay_worst: Vec<f64>,
-    /// Worst primary output `(net, edge)` per corner (corner-indexed).
-    critical_net: Vec<Option<(NetId, Edge)>>,
-
-    /// Gates to re-evaluate, by topo position. Populated only *inside*
-    /// a flush (mutators append to the id-keyed seed logs instead, so
-    /// graph surgery can re-rank freely without orphaning pending
-    /// marks) and drained in ascending order.
-    dirty: DirtySet,
-
-    /// Generation ([`TimingGraph::gen`]) the forward state last flushed
-    /// at; a mismatch means seeds are pending and the next forward
-    /// query drains them (and deposits the backward seeds the drained
-    /// cone produces — backward flushes therefore run *after* this).
-    flushed_gen: u64,
-
-    /// Seed logs: the mutation-side half of the forward lazy contract.
-    /// Mutators only *append* ids here — no rank lookups, no bitset
-    /// read-modify-writes — and the flush marks them into the
-    /// position-keyed dirty set. Entries may repeat; ids are stable across
-    /// append-only surgery, so no translation is needed when ranks are
-    /// reassigned.
-    ///
-    /// Gates whose drive changed: their fanin nets' loads recompute,
-    /// those nets' drivers re-time, and the gate itself re-evaluates.
-    resized_log: Vec<GateId>,
-    /// Gates a structural edit touched or created: re-evaluate outright
-    /// (cell, wiring or environment may have changed).
-    gate_log: Vec<GateId>,
-    /// A structural edit changed connectivity: recompare every net's
-    /// load under the edited structure at flush time (the cached values
-    /// are the pre-edit loads) and re-time the drivers of the ones that
-    /// moved, seeding their backward cones alongside.
-    scan_loads: bool,
-}
-
-impl ForwardState {
-    /// The per-gate kernels' view of the slabs, beside the dirty set.
-    fn split(&mut self) -> (FwdView<'_>, &mut DirtySet) {
-        let view = FwdView {
-            arrival: &mut self.arrival,
-            slope: &mut self.slope,
-            pred: &mut self.pred,
-            load: &self.load,
-            gate_delay_worst: &mut self.gate_delay_worst,
-        };
-        (view, &mut self.dirty)
-    }
-}
-
-/// The circuit-derived arrays of a [`TimingGraph`]: topology, adjacency
-/// and the slot layout — everything except the model constants and the
-/// floating-point timing state. Built only by [`build_structure`], at
-/// construction and again by [`TimingGraph::apply_edits`] (graph surgery
-/// changes ranks and adjacency arbitrarily, and this rebuild is pure
-/// pointer/arena work — the expensive part, arc re-evaluation, stays
-/// confined to the seeded dirty cones).
-#[derive(Debug, Clone)]
-pub(crate) struct Structure {
-    /// Gates in the cached topological order. The order is
-    /// **level-major**: counting-sorted by logic level, stable by the
-    /// circuit's base topo order within a level — still a topological
-    /// order, but with every level contiguous.
-    pub(crate) topo: Vec<GateId>,
-    /// `rank[gate] = position in `topo`` — the propagation priority.
-    pub(crate) rank: Vec<u32>,
-    /// Positions `level_start[l] .. level_start[l+1]` form logic level
-    /// `l` (0-based here; the netlist's levels are 1-based).
-    pub(crate) level_start: Vec<u32>,
-    /// Slab slot of each net's timing state: driverless nets take slots
-    /// `0..n_src` in net-id order, the net driven by the gate at
-    /// position `p` takes slot `n_src + p`.
-    pub(crate) slot_of: Vec<u32>,
-    /// Number of driverless nets (= the first gate-driven slot).
-    pub(crate) n_src: usize,
-    /// The driverless nets in slot order (`sources[s]` occupies slot `s`).
-    pub(crate) sources: Vec<NetId>,
-    /// Driver gate of each net (`None` for primary inputs).
-    pub(crate) net_driver: Vec<Option<GateId>>,
-    /// Cell kind per gate (flat copy: avoids chasing `circuit.gate()`
-    /// in the hot loop).
-    pub(crate) cell: Vec<CellKind>,
-    /// Output net per gate.
-    pub(crate) out_net: Vec<NetId>,
-    /// Fanin nets of all gates, flattened; gate `g`'s inputs are
-    /// `fanin[fanin_off[g] .. fanin_off[g+1]]`.
-    pub(crate) fanin: Vec<NetId>,
-    pub(crate) fanin_off: Vec<u32>,
-    /// Slab slot of each flattened fanin net (parallel to `fanin`), so
-    /// the per-gate kernel never round-trips through net ids.
-    pub(crate) fanin_slots: Vec<u32>,
-    /// Fanout gates of all nets, flattened; net `n`'s loads are
-    /// `fanout[fanout_off[n] .. fanout_off[n+1]]` (one entry per pin).
-    pub(crate) fanout: Vec<GateId>,
-    pub(crate) fanout_off: Vec<u32>,
-    /// Primary-output flag per net (flat copy for the backward hot loop).
-    pub(crate) is_po: Vec<bool>,
-    /// Primary-output nets, in declaration order (critical scan order).
-    pub(crate) pos: Vec<NetId>,
-}
-
-fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
-    // Level-major topo order: counting-sort the base topo order by
-    // logic level (stable within a level). Every fanin of a gate sits
-    // at a strictly lower level, so this is still a topological order —
-    // ascending and descending drains work unchanged — and each
-    // level is a contiguous run of mutually independent gates.
-    let base_topo = circuit.topo_order()?;
-    let levels = circuit.logic_levels()?;
-    let n_gates = circuit.gate_count();
-    // Slots, ranks, level starts and adjacency offsets are stored as
-    // `u32`; net and pin counts bound every one of them.
-    assert!(
-        u32::try_from(circuit.net_count()).is_ok() && u32::try_from(circuit.pin_count()).is_ok(),
-        "net and pin counts must fit the u32 slot, rank and offset indices"
-    );
-    let n_levels = levels.iter().copied().max().unwrap_or(0);
-    let mut level_start = vec![0u32; n_levels + 1];
-    for &g in &base_topo {
-        level_start[levels[g.index()]] += 1;
-    }
-    for l in 1..level_start.len() {
-        level_start[l] += level_start[l - 1];
-    }
-    debug_assert_eq!(level_start[n_levels] as usize, n_gates);
-    // `cursor[l]` = next free position of 1-based level `l + 1`;
-    // `level_start` is already the prefix-summed offset table.
-    let mut cursor: Vec<u32> = level_start[..n_levels].to_vec();
-    let mut topo = base_topo.clone();
-    let mut rank = vec![0u32; n_gates];
-    for &g in &base_topo {
-        let l = levels[g.index()] - 1;
-        let r = cursor[l];
-        cursor[l] += 1;
-        topo[r as usize] = g;
-        rank[g.index()] = r;
-    }
-
-    let n_nets = circuit.net_count();
-    let net_driver: Vec<Option<GateId>> =
-        circuit.net_ids().map(|n| circuit.driver_gate(n)).collect();
-
-    // Slab slots: driverless nets first (net-id order), then one slot
-    // per gate at `n_src + rank[driver]` — a bijection onto
-    // `0..n_nets`, since every gate drives exactly one net.
-    let sources: Vec<NetId> = circuit
-        .net_ids()
-        .filter(|n| net_driver[n.index()].is_none())
-        .collect();
-    let n_src = sources.len();
-    let mut slot_of = vec![0u32; n_nets];
-    for (s, n) in sources.iter().enumerate() {
-        slot_of[n.index()] = s as u32;
-    }
-    for (i, d) in net_driver.iter().enumerate() {
-        if let Some(g) = d {
-            slot_of[i] = (n_src + rank[g.index()] as usize) as u32;
-        }
-    }
-    debug_assert_eq!(n_src + n_gates, n_nets, "slots must cover every net");
-
-    // Flatten the netlist adjacency into contiguous arrays: the cone
-    // walk is memory-bound, and per-gate/per-net `Vec`s would cost a
-    // pointer chase per visit.
-    let cell: Vec<CellKind> = circuit.gate_ids().map(|g| circuit.gate(g).kind()).collect();
-    let out_net: Vec<NetId> = circuit
-        .gate_ids()
-        .map(|g| circuit.gate(g).output())
-        .collect();
-    let mut fanin = Vec::with_capacity(circuit.pin_count());
-    let mut fanin_off = Vec::with_capacity(circuit.gate_count() + 1);
-    fanin_off.push(0u32);
-    for g in circuit.gate_ids() {
-        fanin.extend_from_slice(circuit.gate(g).inputs());
-        fanin_off.push(fanin.len() as u32);
-    }
-    let mut fanout = Vec::with_capacity(circuit.pin_count());
-    let mut fanout_off = Vec::with_capacity(n_nets + 1);
-    fanout_off.push(0u32);
-    for n in circuit.net_ids() {
-        fanout.extend(circuit.fanout_gates(n));
-        fanout_off.push(fanout.len() as u32);
-    }
-    let fanin_slots: Vec<u32> = fanin.iter().map(|n| slot_of[n.index()]).collect();
-
-    Ok(Structure {
-        topo,
-        rank,
-        level_start,
-        slot_of,
-        n_src,
-        sources,
-        net_driver,
-        cell,
-        out_net,
-        fanin,
-        fanin_off,
-        fanin_slots,
-        fanout,
-        fanout_off,
-        is_po: circuit
-            .net_ids()
-            .map(|n| circuit.net(n).is_output())
-            .collect(),
-        pos: circuit.primary_outputs().to_vec(),
-    })
-}
-
-/// Resolve the flattened model constants of one `(cell, Vt variant)`
-/// pair under one corner's library. This is the single home of the
-/// constant-folding arithmetic: `tau_s` caches `(τ·S) · drive_factor`
-/// in the exact association order of
-/// [`gate_delay_with_output_edge_vt`](pops_delay::model::gate_delay_with_output_edge_vt)'s
-/// `process.tau_ps * s * drive_factor * C_L / C_IN`, and `vt` caches
-/// `v_T · vt_scale` — so for an SVT gate (both factors `1.0`,
-/// bit-neutral) the constants reproduce the plain single-corner model
-/// bit for bit.
-fn gate_params_for(lib: &Library, kind: CellKind, class: VtClass) -> GateParams {
-    let process = lib.process();
-    let cell = lib.cell(kind);
-    let vtt = VtTiming::of(class);
-    let mut tau_s = [0.0f64; 2];
-    for e in EDGES {
-        tau_s[eidx(e)] = process.tau_ps * cell.s_factor(process, e) * vtt.drive_factor;
-    }
-    GateParams {
-        cpar_factor: cell.cpar_factor,
-        k: cell.k,
-        tau_s,
-        vt: [
-            process.vtn_reduced() * vtt.vt_scale,
-            process.vtp_reduced() * vtt.vt_scale,
-        ],
-    }
-}
-
-/// Flatten the model constants of every gate under every corner,
-/// corner-innermost (`gi * n_corners + c`). Called at construction and
-/// again after surgery (the created gates need constants too).
-fn build_gate_params(
-    circuit: &Circuit,
-    corner_libs: &[Library],
-    vt_class: &[VtClass],
-) -> Vec<GateParams> {
-    let mut out = Vec::with_capacity(circuit.gate_count() * corner_libs.len());
-    for g in circuit.gate_ids() {
-        let kind = circuit.gate(g).kind();
-        for lib in corner_libs {
-            out.push(gate_params_for(lib, kind, vt_class[g.index()]));
-        }
-    }
-    out
-}
-
-/// Permute a slot-indexed slab into a new slot layout after surgery:
-/// net ids are stable across append-only edits, so each surviving net
-/// carries its value from its old slot to its new one; created ids
-/// (slots no old net maps to) get `default`. `stride` is the per-slot
-/// entry count (the corner count for the per-corner slabs, 1 for the
-/// corner-invariant ones); a slot's corner lanes move together.
-fn remap_slots<T: Copy>(
-    old: &[T],
-    old_slot_of: &[u32],
-    new_slot_of: &[u32],
-    default: T,
-    stride: usize,
-) -> Vec<T> {
-    let mut out = vec![default; new_slot_of.len() * stride];
-    for net in 0..old_slot_of.len() {
-        let o = old_slot_of[net] as usize * stride;
-        let n = new_slot_of[net] as usize * stride;
-        out[n..n + stride].copy_from_slice(&old[o..o + stride]);
-    }
-    out
-}
-
-/// Permute a position-indexed (rank-major) slab into a new rank layout
-/// after surgery, as [`remap_slots`] but keyed by gate id.
-fn remap_ranks<T: Copy>(
-    old: &[T],
-    old_rank: &[u32],
-    new_rank: &[u32],
-    default: T,
-    stride: usize,
-) -> Vec<T> {
-    let mut out = vec![default; new_rank.len() * stride];
-    for g in 0..old_rank.len() {
-        let o = old_rank[g] as usize * stride;
-        let n = new_rank[g] as usize * stride;
-        out[n..n + stride].copy_from_slice(&old[o..o + stride]);
-    }
-    out
-}
-
-/// Incrementally maintained backward timing state (see the module
-/// docs): per-net required times under a fixed constraint, kept
-/// consistent by reverse-rank dirty-cone propagation.
-#[derive(Debug, Clone)]
-struct BackwardState {
-    /// The cycle constraint applied at every primary output (ps).
-    tc_ps: f64,
-    /// `required[net][edge]` (ps); `+inf` where unconstrained.
-    required: Vec<[f64; 2]>,
-
-    /// Driven nets whose required times must re-derive, by the topo
-    /// position of their driver (net slot `n_src + p`), drained in
-    /// descending order.
-    req: DirtySet,
-    /// Driverless nets whose required times must re-derive, by slot:
-    /// sinks of the backward walk, drained after `req`.
-    req_src: DirtySet,
-
-    /// Generation ([`TimingGraph::gen`]) the required-time state (and
-    /// the worst-slack index) last flushed at; a mismatch means seeds
-    /// are pending and the next slack/required query drains them.
-    req_flushed_gen: u64,
-
-    /// Seed logs: the mutation-side half of the lazy contract. Hot
-    /// paths (resize batches, forward cone evaluation) only *append*
-    /// ids here — no rank lookups, no bitset read-modify-writes — and
-    /// the flush marks them into the position-keyed dirty sets (a
-    /// constraint change drops them with the old state: the new
-    /// state's full sets subsume them). Entries may repeat; ids are
-    /// stable across append-only surgery, so no translation is needed
-    /// when ranks are reassigned.
-    ///
-    /// Gates whose drive changed: their fanin nets' required times and
-    /// their fanin drivers' fanin required times re-derive.
-    resized_log: Vec<GateId>,
-    /// Nets whose slope moved: their required times re-derive.
-    req_net_log: Vec<NetId>,
-    /// Nets whose arrival moved: their worst-slack leaves re-fold.
-    slack_net_log: Vec<NetId>,
-
-    /// Tournament tree over per-net worst finite slacks (root = design
-    /// worst); see [`WorstSlackIndex`].
-    worst: WorstSlackIndex,
-    /// Every slack may have moved (constraint change, graph surgery):
-    /// rebuild the index wholesale at the next flush instead of
-    /// per-leaf updates.
-    refold_all: bool,
 }
 
 impl<'c> TimingGraph<'c> {
@@ -846,254 +342,6 @@ impl<'c> TimingGraph<'c> {
     /// Cumulative incremental-work counters.
     pub fn stats(&self) -> UpdateStats {
         self.stats.get()
-    }
-
-    /// Deep-consistency audit of the engine's internal state — a cheap
-    /// health check for long-lived processes and the oracle the
-    /// mutation-boundary tests consult. Pending lazy
-    /// seeds are flushed first (the invariants hold over settled
-    /// state); the audit then checks, in order:
-    ///
-    /// * **slot/rank bijection** — driverless nets occupy slots
-    ///   `0..n_src` in net-id order, the net driven by the gate at topo
-    ///   position `p` occupies slot `n_src + p`, and `rank` inverts the
-    ///   topo order;
-    /// * **level monotonicity** — `level_start` partitions the topo
-    ///   positions and every gate's fanin drivers sit in strictly lower
-    ///   levels;
-    /// * **dirty-set vs generation agreement** — every dirty set's
-    ///   popcount matches its maintained count, and state flushed to the
-    ///   current mutation generation holds no pending marks, seed-log
-    ///   entries or rescan flags;
-    /// * **worst-slack tree agreement** — every leaf bit-matches an
-    ///   independent refold of the required/arrival slabs and every
-    ///   internal node (the root included) the min of its children;
-    /// * **per-corner finiteness policy** — loads finite and
-    ///   non-negative, slopes and worst gate delays finite, arrivals
-    ///   `-inf` or finite, required times `+inf` or finite; NaN
-    ///   nowhere.
-    ///
-    /// # Errors
-    ///
-    /// [`StaError::StateCorrupt`] naming the first violated invariant
-    /// and the offending values.
-    pub fn verify_state(&self) -> Result<(), StaError> {
-        self.flush_forward();
-        self.flush_required();
-        let corrupt = |detail: String| Err(StaError::StateCorrupt { detail });
-
-        let n_nets = self.s.slot_of.len();
-        let n_gates = self.s.topo.len();
-        let nc = self.corner_libs.len();
-
-        // Slot/rank bijection.
-        let mut slot_seen = vec![false; n_nets];
-        let mut next_src = 0usize;
-        for net in 0..n_nets {
-            let slot = self.s.slot_of[net] as usize;
-            if slot >= n_nets {
-                return corrupt(format!(
-                    "net {net}: slot {slot} out of range ({n_nets} nets)"
-                ));
-            }
-            if slot_seen[slot] {
-                return corrupt(format!("net {net}: slot {slot} assigned twice"));
-            }
-            slot_seen[slot] = true;
-            match self.s.net_driver[net] {
-                None => {
-                    if slot != next_src {
-                        return corrupt(format!(
-                            "driverless net {net} at slot {slot}, expected source slot {next_src}"
-                        ));
-                    }
-                    next_src += 1;
-                }
-                Some(driver) => {
-                    let pos = self.s.rank[driver.index()] as usize;
-                    if slot != self.s.n_src + pos {
-                        return corrupt(format!(
-                            "net {net} driven by topo position {pos} occupies slot {slot}, \
-                             expected {}",
-                            self.s.n_src + pos
-                        ));
-                    }
-                }
-            }
-        }
-        if next_src != self.s.n_src {
-            return corrupt(format!(
-                "{next_src} driverless nets but n_src = {}",
-                self.s.n_src
-            ));
-        }
-        for (pos, &gate) in self.s.topo.iter().enumerate() {
-            if self.s.rank[gate.index()] as usize != pos {
-                return corrupt(format!(
-                    "rank[{}] = {} does not invert topo position {pos}",
-                    gate.index(),
-                    self.s.rank[gate.index()]
-                ));
-            }
-        }
-
-        // Level monotonicity.
-        if self.s.level_start.first() != Some(&0)
-            || self.s.level_start.last() != Some(&(n_gates as u32))
-            || self.s.level_start.windows(2).any(|w| w[0] >= w[1])
-        {
-            return corrupt(format!(
-                "level_start {:?} is not a strictly increasing partition of {n_gates} positions",
-                self.s.level_start
-            ));
-        }
-        for pos in 0..n_gates {
-            let gate = self.s.topo[pos];
-            let level = self.level_of(pos as u32);
-            let (lo, hi) = (
-                self.s.fanin_off[gate.index()] as usize,
-                self.s.fanin_off[gate.index() + 1] as usize,
-            );
-            for &in_net in &self.s.fanin[lo..hi] {
-                if let Some(driver) = self.s.net_driver[in_net.index()] {
-                    let dpos = self.s.rank[driver.index()] as usize;
-                    if dpos >= pos || self.level_of(dpos as u32) >= level {
-                        return corrupt(format!(
-                            "gate at position {pos} (level {level}) has a fanin driver at \
-                             position {dpos} (level {}) — not strictly lower",
-                            self.level_of(dpos as u32)
-                        ));
-                    }
-                }
-            }
-        }
-
-        let fwd = self.fwd.borrow();
-
-        // Dirty bookkeeping vs generation agreement. The flushes above
-        // settled everything to the current generation, so every mark,
-        // seed log and rescan flag must now be clear.
-        if let Err(e) = fwd.dirty.check_count() {
-            return corrupt(format!("forward dirty set: {e}"));
-        }
-        if fwd.flushed_gen != self.gen {
-            return corrupt(format!(
-                "forward state at generation {} behind mutation generation {} after a flush",
-                fwd.flushed_gen, self.gen
-            ));
-        }
-        if !fwd.dirty.is_empty()
-            || !fwd.resized_log.is_empty()
-            || !fwd.gate_log.is_empty()
-            || fwd.scan_loads
-        {
-            return corrupt(format!(
-                "flushed forward state still dirty: {} marks, {} resize seeds, {} gate seeds, \
-                 scan_loads {}",
-                fwd.dirty.count(),
-                fwd.resized_log.len(),
-                fwd.gate_log.len(),
-                fwd.scan_loads
-            ));
-        }
-
-        // Forward finiteness policy.
-        for (slot, &load) in fwd.load.iter().enumerate() {
-            if !load.is_finite() || load < 0.0 {
-                return corrupt(format!(
-                    "load at slot {slot} is {load} (finite ≥ 0 required)"
-                ));
-            }
-        }
-        for (i, a) in fwd.arrival.iter().enumerate() {
-            for &v in a {
-                if v.is_nan() || v == f64::INFINITY {
-                    return corrupt(format!(
-                        "arrival at slot {}/corner {} is {v} (-inf or finite required)",
-                        i / nc,
-                        i % nc
-                    ));
-                }
-            }
-        }
-        for (i, s) in fwd.slope.iter().enumerate() {
-            for &v in s {
-                if !v.is_finite() {
-                    return corrupt(format!(
-                        "slope at slot {}/corner {} is {v} (finite required)",
-                        i / nc,
-                        i % nc
-                    ));
-                }
-            }
-        }
-        for (i, &d) in fwd.gate_delay_worst.iter().enumerate() {
-            if !d.is_finite() {
-                return corrupt(format!(
-                    "worst gate delay at position {}/corner {} is {d} (finite required)",
-                    i / nc,
-                    i % nc
-                ));
-            }
-        }
-
-        let guard = self.backward.borrow();
-        if let Some(bw) = guard.as_ref() {
-            for (name, set) in [("required", &bw.req), ("required source", &bw.req_src)] {
-                if let Err(e) = set.check_count() {
-                    return corrupt(format!("{name} dirty set: {e}"));
-                }
-            }
-            if bw.req_flushed_gen != self.gen {
-                return corrupt(format!(
-                    "backward state at generation {} behind mutation generation {} after a \
-                     flush",
-                    bw.req_flushed_gen, self.gen
-                ));
-            }
-            if !bw.req.is_empty()
-                || !bw.req_src.is_empty()
-                || !bw.resized_log.is_empty()
-                || !bw.req_net_log.is_empty()
-                || !bw.slack_net_log.is_empty()
-                || bw.refold_all
-            {
-                return corrupt(format!(
-                    "flushed backward state still dirty: {} marks, {} PI sinks, {}+{}+{} seeds, \
-                     refold_all {}",
-                    bw.req.count(),
-                    bw.req_src.count(),
-                    bw.resized_log.len(),
-                    bw.req_net_log.len(),
-                    bw.slack_net_log.len(),
-                    bw.refold_all
-                ));
-            }
-
-            // Backward finiteness policy.
-            for (i, r) in bw.required.iter().enumerate() {
-                for &v in r {
-                    if v.is_nan() || v == f64::NEG_INFINITY {
-                        return corrupt(format!(
-                            "required at slot {}/corner {} is {v} (+inf or finite required)",
-                            i / nc,
-                            i % nc
-                        ));
-                    }
-                }
-            }
-
-            // Worst-slack tree: leaves against an independent refold of
-            // the slabs, internal nodes (root included) against their
-            // children.
-            let keys: Vec<f64> = (0..n_nets)
-                .map(|slot| slack_key(&bw.required, &fwd.arrival, nc, slot))
-                .collect();
-            if let Err(detail) = bw.worst.audit_against(&keys) {
-                return corrupt(detail);
-            }
-        }
-        Ok(())
     }
 
     /// Read-modify-write one or more stat counters (the counters sit in
@@ -1301,211 +549,6 @@ impl<'c> TimingGraph<'c> {
         self.gen = self.gen.wrapping_add(1);
         self.stat(|s| s.updates += 1);
         Ok(())
-    }
-
-    /// Apply a batch of structural edits — buffer insertions and De
-    /// Morgan rewrites — to the circuit *and* patch the
-    /// timing state around them, instead of rebuilding from scratch.
-    ///
-    /// On the first call the graph clones the borrowed circuit into an
-    /// owned copy (the caller's original netlist is never mutated);
-    /// from then on [`TimingGraph::circuit`] is the authoritative,
-    /// edited netlist. The graph then
-    ///
-    /// 1. applies the plan through the [`Circuit`] surgery primitives
-    ///    (append-only: every pre-existing id stays valid),
-    /// 2. rebuilds its structural arrays — topological ranks, flattened
-    ///    adjacency, per-gate model constants — pure arena work with no
-    ///    arc evaluations,
-    /// 3. extends the per-gate/per-net timing state for the created ids
-    ///    (new gates enter at their planned sizes, clamped to the
-    ///    library minimum; new nets start unreached),
-    /// 4. seeds the forward and backward dirty cones from the edit log:
-    ///    every net whose load moved re-times its driver, every gate
-    ///    whose cell/wiring changed re-evaluates, new gates evaluate for
-    ///    the first time — and the usual bitwise-convergence propagation
-    ///    confines the floating-point work to the affected cones.
-    ///
-    /// After the call every queryable value — arrivals, slopes, loads,
-    /// required times, slacks — is **bit-identical** to a from-scratch
-    /// [`TimingGraph`] built on the edited circuit under the same
-    /// sizing, options and constraint (`tests/surgery_equivalence.rs`
-    /// asserts this after every edit of random surgery/resize mixes).
-    ///
-    /// Returns the per-op [`AppliedEdit`] log (created gate/net ids).
-    ///
-    /// # Errors
-    ///
-    /// A malformed plan — out-of-range ids, non-finite or non-positive
-    /// stage capacitances — is rejected by [`EditPlan::validate`]
-    /// *before* anything is applied, so it cannot abort a long flow run
-    /// or leave the graph half-edited. Past validation, the first
-    /// failing op's [`NetlistError`] propagates; ops before it stay
-    /// applied — the graph re-synchronizes its state to the partially
-    /// edited circuit before returning, so it remains consistent and
-    /// usable even on error.
-    pub fn apply_edits(&mut self, plan: &EditPlan) -> Result<Vec<AppliedEdit>, NetlistError> {
-        if plan.is_empty() {
-            return Ok(Vec::new());
-        }
-        plan.validate(self.circuit.as_ref())?;
-        let mut applied = Vec::with_capacity(plan.len());
-        let mut first_err = None;
-        {
-            let circuit = self.circuit.to_mut();
-            for op in plan.ops() {
-                match op.apply_to(circuit) {
-                    Ok(a) => applied.push(a),
-                    Err(e) => {
-                        // Resync to the applied prefix below so the
-                        // graph stays consistent with its circuit.
-                        first_err = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        self.resync_after_surgery(&applied)?;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(applied),
-        }
-    }
-
-    /// Rebuild structure, extend state and seed the lazy re-time after
-    /// the circuit was surgically edited. `applied` carries the created
-    /// ids and suggested sizes; conservative seeding beyond it (the
-    /// flush-time load-change scan over all nets) covers any edit the
-    /// log understates. No arc is evaluated here — the whole cone
-    /// re-time is deferred to the first timing query.
-    fn resync_after_surgery(&mut self, applied: &[AppliedEdit]) -> Result<(), NetlistError> {
-        // Surgery re-levels and re-ranks arbitrarily, and the slabs are
-        // keyed by slot/position — keep the old structure's keys to
-        // permute the surviving state into the new layout below.
-        let old = std::mem::replace(&mut self.s, build_structure(self.circuit.as_ref())?);
-        let n_gates = self.s.topo.len();
-        let nc = self.corner_libs.len();
-        // Created gates enter in the default Vt variant; surviving
-        // gates keep theirs (ids are stable across append-only
-        // surgery, so no remap is needed). The constants rebuild
-        // wholesale — pure arithmetic over the corner libraries, no
-        // arc evaluations.
-        self.vt_class.resize(n_gates, VtClass::Svt);
-        self.gate_params =
-            build_gate_params(self.circuit.as_ref(), &self.corner_libs, &self.vt_class);
-
-        // Per-gate / per-net timing state: existing entries keep their
-        // values (they are still bit-correct wherever the edits did not
-        // reach) — permuted into the new slot/rank layout — and new ids
-        // get neutral initial state. Pending lazy seeds live in the
-        // id-keyed logs, which survive append-only surgery untouched.
-        {
-            let fwd = self.fwd.get_mut();
-            debug_assert!(fwd.dirty.is_empty(), "surgery over a drained queue");
-            fwd.arrival = remap_slots(
-                &fwd.arrival,
-                &old.slot_of,
-                &self.s.slot_of,
-                [f64::NEG_INFINITY; 2],
-                nc,
-            );
-            fwd.slope = remap_slots(&fwd.slope, &old.slot_of, &self.s.slot_of, [0.0; 2], nc);
-            fwd.pred = remap_slots(&fwd.pred, &old.slot_of, &self.s.slot_of, [None, None], nc);
-            fwd.load = remap_slots(&fwd.load, &old.slot_of, &self.s.slot_of, 0.0, 1);
-            fwd.gate_delay_worst =
-                remap_ranks(&fwd.gate_delay_worst, &old.rank, &self.s.rank, 0.0, nc);
-            fwd.dirty = DirtySet::new(n_gates);
-            // Load deltas are detected lazily: the cached loads are
-            // still the pre-edit values, so the flush recompares every
-            // net under the edited structure and seeds the drivers of
-            // the ones that moved (forward *and* backward).
-            fwd.scan_loads = true;
-        }
-        // Extend the sizing for the created gates, keyed by id — the
-        // edit log lists each op's gates in creation order, but keying
-        // (instead of trusting the traversal order) pins every size to
-        // its gate regardless of log order, and makes a gapped or
-        // duplicated id set a typed error rather than mis-sized gates.
-        let min_drive = self.lib.min_drive_ff();
-        self.sizing
-            .try_extend_dense(applied.iter().flat_map(|edit| {
-                edit.new_gates
-                    .iter()
-                    .zip(&edit.new_gate_cin_ff)
-                    .map(|(&g, &cin)| (g, cin.max(min_drive)))
-            }))
-            .map_err(|e| NetlistError::InvalidId(e.to_string()))?;
-        assert_eq!(self.sizing.len(), n_gates, "one size per gate");
-        if let Some(bw) = self.backward.get_mut().as_mut() {
-            bw.required = remap_slots(
-                &bw.required,
-                &old.slot_of,
-                &self.s.slot_of,
-                [f64::INFINITY; 2],
-                nc,
-            );
-            // Marks cannot follow a re-ranking, but outside a flush a
-            // dirty set is only ever empty or — after a constraint
-            // change — full: re-invalidate under the new ranks.
-            for (set, size) in [(&mut bw.req, n_gates), (&mut bw.req_src, self.s.n_src)] {
-                let invalidated = !set.is_empty();
-                *set = DirtySet::new(size);
-                if invalidated {
-                    set.fill();
-                }
-            }
-            // The edit moved loads/drivers arbitrarily: refold the
-            // worst-slack index wholesale at the next flush (its leaf
-            // space just grew, and the O(nets) refold is noise next to
-            // this rebuild's own O(V+E)).
-            bw.refold_all = true;
-        }
-
-        // Seed the connectivity deltas from the edit log: nets whose
-        // fanout set or driver changed, gates whose cell/wiring changed
-        // and every created gate. (Load deltas are the flush-time scan
-        // scheduled above.) Over-seeding is safe (the bitwise
-        // convergence cut discards no-op re-evaluations); the goal is
-        // only to never under-seed.
-        for edit in applied {
-            for &net in edit.touched_nets.iter().chain(&edit.new_nets) {
-                if let Some(bw) = self.backward.get_mut() {
-                    bw.req_net_log.push(net);
-                }
-                if let Some(driver) = self.s.net_driver[net.index()] {
-                    self.seed_edited_gate(driver);
-                }
-                let (lo, hi) = (
-                    self.s.fanout_off[net.index()] as usize,
-                    self.s.fanout_off[net.index() + 1] as usize,
-                );
-                for i in lo..hi {
-                    let g = self.s.fanout[i];
-                    self.seed_edited_gate(g);
-                }
-            }
-            for &g in edit.touched_gates.iter().chain(&edit.new_gates) {
-                self.seed_edited_gate(g);
-            }
-        }
-
-        self.gen = self.gen.wrapping_add(1);
-        self.stat(|s| {
-            s.updates += 1;
-            s.structural_edits += applied.len();
-        });
-        Ok(())
-    }
-
-    /// Log one gate whose cell, wiring, drive or environment a
-    /// structural edit may have changed: re-evaluate it forward at the
-    /// next flush, and re-derive its fanin required times at the next
-    /// backward flush (the resized-log expansion covers the fanins).
-    fn seed_edited_gate(&mut self, g: GateId) {
-        self.fwd.get_mut().gate_log.push(g);
-        if let Some(bw) = self.backward.get_mut().as_mut() {
-            bw.resized_log.push(g);
-        }
     }
 
     // ---- query surface (mirrors `TimingReport`) ----
@@ -1832,437 +875,6 @@ impl<'c> TimingGraph<'c> {
         }
         (worst != f64::INFINITY).then_some(worst)
     }
-
-    // ---- forward internals ----
-
-    /// Store a net's exact load (see [`TimingGraph::fresh_net_load`]).
-    /// Takes the raw net index so whole-array sweeps need no id
-    /// round-trip.
-    fn recompute_net_load(&self, fwd: &mut ForwardState, net: usize) {
-        fwd.load[self.s.slot_of[net] as usize] = self.fresh_net_load(net);
-    }
-
-    /// The forward side of the lazy flush: a no-op when the forward
-    /// state already reflects the current mutation generation, or when
-    /// a generation bump left no forward seeds (e.g. a constraint
-    /// change). Otherwise one merged propagation covers every mutation
-    /// since the last forward query: the seed logs are marked into the
-    /// dirty set, which drains in ascending position order, stopping
-    /// where a gate's re-evaluated output is bit-identical to its cached
-    /// state. When [`TimingGraph::drain_limit`] says the cone covers most
-    /// of the gates, a straight full topo sweep (no set bookkeeping, no
-    /// fanout marking) finishes cheaper — and is bit-identical, because
-    /// a topo-order pass gives every gate final fanin values and
-    /// unchanged gates reproduce their cached bits exactly. Backward
-    /// cones are *not* drained here — the seeds the walk deposits into
-    /// the backward state (slope and arrival changes) stay pending
-    /// until the next backward query's lazy flush.
-    fn flush_forward(&self) {
-        let mut guard = self.fwd.borrow_mut();
-        let fwd = &mut *guard;
-        if fwd.flushed_gen == self.gen {
-            return;
-        }
-        fwd.flushed_gen = self.gen;
-        if !fwd.scan_loads && fwd.resized_log.is_empty() && fwd.gate_log.is_empty() {
-            return;
-        }
-        let mut bw_guard = self.backward.borrow_mut();
-        let mut bw = bw_guard.as_mut();
-        let n_gates = self.s.topo.len();
-        let n_nets = self.s.net_driver.len();
-
-        // Materialize the pending seeds. Loads are recomputed exactly
-        // (same summation order as the full pass — no delta
-        // accumulation); marking is unconditional where the eager
-        // engine marked unconditionally, so the convergence cut — not
-        // the seeding — decides what actually re-evaluates.
-        if fwd.scan_loads {
-            fwd.scan_loads = false;
-            // Surgery changed connectivity: recompare every net's load
-            // against its cached (pre-edit) value and treat a changed
-            // net like a resized fanin net — its driver re-times and
-            // its backward state re-derives (arcs through the driver
-            // moved with its output load).
-            for net in 0..n_nets {
-                let slot = self.s.slot_of[net] as usize;
-                let old = fwd.load[slot];
-                self.recompute_net_load(fwd, net);
-                if old.to_bits() == fwd.load[slot].to_bits() {
-                    continue;
-                }
-                if let Some(driver) = self.s.net_driver[net] {
-                    fwd.dirty.mark(self.pos(driver));
-                    if let Some(bw) = bw.as_deref_mut() {
-                        bw.resized_log.push(driver);
-                    }
-                }
-            }
-        }
-        let mut resized = std::mem::take(&mut fwd.resized_log);
-        for gate in resized.drain(..) {
-            // The fanin nets' loads moved with the gate's C_IN: their
-            // drivers re-time, and the gate's own drive changed.
-            let (lo, hi) = (
-                self.s.fanin_off[gate.index()] as usize,
-                self.s.fanin_off[gate.index() + 1] as usize,
-            );
-            for i in lo..hi {
-                let in_net = self.s.fanin[i];
-                self.recompute_net_load(fwd, in_net.index());
-                if let Some(driver) = self.s.net_driver[in_net.index()] {
-                    fwd.dirty.mark(self.pos(driver));
-                }
-            }
-            fwd.dirty.mark(self.pos(gate));
-        }
-        fwd.resized_log = resized;
-        for gate in fwd.gate_log.drain(..) {
-            fwd.dirty.mark(self.pos(gate));
-        }
-
-        let (reevals, cuts, any_changed) = match self.drain_limit(&fwd.dirty, Direction::Forward) {
-            None => (n_gates, 0, self.full_forward_sweep(fwd, bw)),
-            Some(limit) => {
-                let ctx = self.eval_ctx();
-                let (mut view, dirty) = fwd.split();
-                let done = dirty.drain(
-                    Direction::Forward,
-                    limit,
-                    |pos| self.forward_step(&mut view, &ctx, &mut bw, pos),
-                    |pos, dirty| {
-                        let out = self.s.out_net[self.s.topo[pos].index()].index();
-                        let (lo, hi) = (self.s.fanout_off[out], self.s.fanout_off[out + 1]);
-                        for &g in &self.s.fanout[lo as usize..hi as usize] {
-                            dirty.mark(self.pos(g));
-                        }
-                    },
-                );
-                (done.evals, done.cuts, done.evals > done.cuts)
-            }
-        };
-        self.stat(|s| {
-            s.forward_flushes += 1;
-            s.gates_reevaluated += reevals;
-            s.converged_early += cuts;
-        });
-        if any_changed {
-            self.recompute_critical(fwd);
-        }
-    }
-
-    /// Assemble the read-only circuit-array view the per-gate kernels
-    /// ([`crate::kernel`]) consume.
-    fn eval_ctx(&self) -> EvalCtx<'_> {
-        EvalCtx {
-            s: &self.s,
-            gate_params: &self.gate_params,
-            n_corners: self.corner_libs.len(),
-            vt_class: &self.vt_class,
-            cins: self.sizing.as_slice(),
-            libs: &self.corner_libs,
-        }
-    }
-
-    /// Re-evaluate the gate at `pos`, deposit the lazy backward seeds
-    /// its change flags call for — plain log appends: arcs *from* the
-    /// output net move with its slope, the net's worst-slack leaf with
-    /// its arrival — and report whether its output moved.
-    fn forward_step(
-        &self,
-        view: &mut FwdView<'_>,
-        ctx: &EvalCtx<'_>,
-        bw: &mut Option<&mut BackwardState>,
-        pos: usize,
-    ) -> bool {
-        let flags = view.eval_gate(ctx, pos);
-        if let Some(bw) = bw.as_deref_mut() {
-            let gid = self.s.topo[pos];
-            if flags & F_SLOPE != 0 {
-                bw.req_net_log.push(self.s.out_net[gid.index()]);
-            }
-            if flags & F_ARRIVAL != 0 {
-                bw.slack_net_log.push(self.s.out_net[gid.index()]);
-            }
-        }
-        flags & F_OUT_CHANGED != 0
-    }
-
-    /// Evaluate every gate once in topological order — exactly the full
-    /// pass of `analyze_with` — streaming the slabs in memory order, and
-    /// clear the dirty set it subsumes. Returns whether any output
-    /// moved.
-    fn full_forward_sweep(
-        &self,
-        fwd: &mut ForwardState,
-        mut bw: Option<&mut BackwardState>,
-    ) -> bool {
-        let ctx = self.eval_ctx();
-        let (mut view, dirty) = fwd.split();
-        dirty.clear();
-        let mut any_changed = false;
-        for pos in 0..self.s.topo.len() {
-            any_changed |= self.forward_step(&mut view, &ctx, &mut bw, pos);
-        }
-        any_changed
-    }
-
-    /// Same worst-output scan (and tie-breaking order) as the full
-    /// pass, run independently per corner.
-    fn recompute_critical(&self, fwd: &mut ForwardState) {
-        let nc = self.corner_libs.len();
-        for c in 0..nc {
-            let mut critical: Option<(NetId, Edge, f64)> = None;
-            for &po in &self.s.pos {
-                for e in EDGES {
-                    let t = fwd.arrival[self.slot(po) * nc + c][eidx(e)];
-                    if t > critical.map(|(_, _, cr)| cr).unwrap_or(f64::NEG_INFINITY) {
-                        critical = Some((po, e, t));
-                    }
-                }
-            }
-            fwd.critical_net[c] = critical.map(|(n, e, _)| (n, e));
-        }
-    }
-
-    // ---- backward internals ----
-
-    /// Mark the net at `slot` required-dirty: a driven net under its
-    /// driver's topo position, a driverless one in the source set.
-    fn mark_required(&self, req: &mut DirtySet, req_src: &mut DirtySet, slot: usize) {
-        match slot.checked_sub(self.s.n_src) {
-            Some(pos) => req.mark(pos),
-            None => req_src.mark(slot),
-        }
-    }
-
-    /// The backward side of the lazy flush: drain the accumulated
-    /// required seeds in *descending* position order, then fold the
-    /// moved slacks into the worst-slack index. A no-op when that state
-    /// already reflects the current mutation generation; otherwise one
-    /// merged reverse propagation covers every mutation since the last
-    /// slack/required query. **Two-phase**: the forward state flushes
-    /// first — required times derive from final slopes and loads, and
-    /// the forward drain is what deposits this flush's arrival/slope
-    /// seeds. Propagation stops where a recomputed required time is
-    /// bit-identical to its cached value; marks always target strictly
-    /// lower positions (a driver's fanins rank below it), and the
-    /// driverless nets — sinks with no driver to propagate through —
-    /// drain last.
-    fn flush_required(&self) {
-        self.flush_forward();
-        let fwd = self.fwd.borrow();
-        let mut guard = self.backward.borrow_mut();
-        let Some(bw) = guard.as_mut() else {
-            return;
-        };
-        if bw.req_flushed_gen == self.gen {
-            return;
-        }
-        bw.req_flushed_gen = self.gen;
-
-        let BackwardState {
-            tc_ps,
-            required,
-            req,
-            req_src,
-            resized_log,
-            req_net_log,
-            slack_net_log,
-            ..
-        } = &mut *bw;
-        // Materialize the seed logs. A resized gate expands to its fanin
-        // nets (arcs through it moved with its C_IN) and its fanin
-        // drivers' fanin nets (their output loads moved).
-        for net in req_net_log.drain(..) {
-            self.mark_required(req, req_src, self.slot(net));
-        }
-        for gate in resized_log.drain(..) {
-            for &s in self.fanin_slots_of(gate) {
-                self.mark_required(req, req_src, s as usize);
-                if let Some(pos) = (s as usize).checked_sub(self.s.n_src) {
-                    for &d in self.fanin_slots_of(self.s.topo[pos]) {
-                        self.mark_required(req, req_src, d as usize);
-                    }
-                }
-            }
-        }
-
-        let drained = self.drain_limit(req, Direction::Backward).map(|limit| {
-            let ctx = self.eval_ctx();
-            let mut view = bwd_view(&fwd, *tc_ps, required);
-            let mut eval = |slot: usize| {
-                let net = self.net_at(slot);
-                let changed = view.eval_required_net(&ctx, net.index(), slot);
-                if changed {
-                    slack_net_log.push(net);
-                }
-                changed
-            };
-            let mut done = req.drain(
-                Direction::Backward,
-                limit,
-                |pos| eval(self.s.n_src + pos),
-                |pos, req| {
-                    for &s in self.fanin_slots_of(self.s.topo[pos]) {
-                        self.mark_required(req, req_src, s as usize);
-                    }
-                },
-            );
-            if !done.bailed {
-                let sinks = req_src.drain(Direction::Backward, usize::MAX, eval, |_, _| {});
-                done.evals += sinks.evals;
-                done.cuts += sinks.cuts;
-            }
-            done
-        });
-        let Drained {
-            evals: mut req_reevals,
-            cuts: req_cuts,
-            ..
-        } = drained.unwrap_or_default();
-        let mut index_updates = 0usize;
-        if drained.is_none_or(|d| d.bailed) {
-            // Gate-centric full backward pass: same candidate multiset
-            // per net as the drain would deliver (a min over one
-            // multiset is order-independent — bit-identical), at
-            // once-per-gate hoisting cost. Subsumes every pending mark.
-            self.sweep_required_full(&fwd, bw);
-            bw.req.clear();
-            bw.req_src.clear();
-            // The sweep bypasses per-net change detection, so the moved
-            // slacks are unknown: refold the index wholesale below.
-            bw.refold_all = true;
-            req_reevals += self.s.slot_of.len();
-        }
-
-        // Fold the moved slacks into the tournament tree, now that the
-        // required times are final for this generation. The log may
-        // repeat a net; the repeat hits the leaf's bit-unchanged early
-        // return. Past a quarter of the nets the per-leaf root walks
-        // (random access × log n) lose to one linear wholesale refold —
-        // which is the old O(nets) fold, paid once per flush instead of
-        // once per query.
-        // Leaves are keyed by *slot* — a bijection of the nets, so the
-        // root min folds the same value multiset as a net-keyed tree
-        // (bit-identical worst; surgery re-keys under `refold_all`).
-        let n_nets = self.s.slot_of.len();
-        let nc = self.corner_libs.len();
-        if bw.refold_all || bw.slack_net_log.len() > n_nets / 4 {
-            bw.refold_all = false;
-            bw.slack_net_log.clear();
-            let keys: Vec<f64> = (0..n_nets)
-                .map(|slot| slack_key(&bw.required, &fwd.arrival, nc, slot))
-                .collect();
-            bw.worst.rebuild(&keys);
-            index_updates += n_nets;
-        } else {
-            for net in bw.slack_net_log.drain(..) {
-                let slot = self.slot(net);
-                bw.worst
-                    .update(slot, slack_key(&bw.required, &fwd.arrival, nc, slot));
-                index_updates += 1;
-            }
-        }
-
-        self.stat(|s| {
-            s.backward_flushes += 1;
-            s.required_reevaluated += req_reevals;
-            s.required_converged_early += req_cuts;
-            s.slack_index_updates += index_updates;
-        });
-    }
-
-    /// Gate-centric full backward pass into `bw.required`: reinitialize
-    /// every net (`tc` at primary outputs, `+inf` elsewhere) and push
-    /// min candidates down the descending topo order, hoisting each
-    /// gate's arc terms once — exactly [`crate::required_times`]'s walk
-    /// run over the cached constants. Produces the same candidate
-    /// multiset per net as the per-net drain kernel, so the same min and
-    /// the same bits; used by the flush when every rank is marked, where
-    /// the per-pin re-hoisting of the drain would cost more than this
-    /// per-gate pass.
-    fn sweep_required_full(&self, fwd: &ForwardState, bw: &mut BackwardState) {
-        let nc = self.corner_libs.len();
-        for net in 0..self.s.slot_of.len() {
-            let base = self.s.slot_of[net] as usize * nc;
-            let init = if self.s.is_po[net] {
-                [bw.tc_ps; 2]
-            } else {
-                [f64::INFINITY; 2]
-            };
-            bw.required[base..base + nc].fill(init);
-        }
-        let ctx = self.eval_ctx();
-        let mut view = bwd_view(fwd, bw.tc_ps, &mut bw.required);
-        for pos in (0..self.s.topo.len()).rev() {
-            view.sweep_gate(&ctx, pos);
-        }
-    }
-
-    /// The drain-or-sweep rule, decided once per flush after the seed
-    /// logs are marked into `set`: sweep now (`None`) when the marked
-    /// count or the closure estimate reaches the budget — `n·3/4 + 1`
-    /// gates forward, `n/3 + 1` backward — else drain, bailing to the
-    /// sweep after the returned number of evaluations.
-    ///
-    /// A forward drain evaluates a gate just as the sweep does (arc
-    /// terms hoisted once per gate), so the sweep only saves the set
-    /// bookkeeping and wins when nearly every gate is dirty; for the
-    /// same reason the forward drain never bails — bailing would re-pay
-    /// the drained prefix inside the sweep. A backward drain re-hoists a
-    /// fanout gate's arc terms once per *pin*, so it breaks even about a
-    /// third of the way in and bails at its budget.
-    ///
-    /// The count underestimates a spread seed set whose cones close over
-    /// nearly the whole circuit (the fabrics' drain loses from 0.25
-    /// spread seeds on), so when ≥ 32 seeds hit at least half the levels
-    /// of their span — up from the lowest dirty level forward, down from
-    /// the highest backward — at ≥ ¼ density, the whole span is the
-    /// estimate. On merged probe unions the convergence cut keeps true
-    /// closures far below the span, and the count stays in charge.
-    fn drain_limit(&self, set: &DirtySet, dir: Direction) -> Option<usize> {
-        let n = self.s.topo.len();
-        let (budget, limit) = match dir {
-            Direction::Forward => (n * 3 / 4 + 1, usize::MAX),
-            Direction::Backward => (n / 3 + 1, n / 3 + 1),
-        };
-        let count = set.count();
-        if count >= budget {
-            return None;
-        }
-        if count >= 32 {
-            if let Some((lo, hi, hit)) = set.level_profile(&self.s.level_start) {
-                let n_levels = self.s.level_start.len() - 1;
-                let (levels, span) = match dir {
-                    Direction::Forward => (n_levels - lo, n - self.s.level_start[lo] as usize),
-                    Direction::Backward => (hi + 1, self.s.level_start[hi + 1] as usize),
-                };
-                if hit * 2 >= levels && count * 4 >= span && span >= budget {
-                    return None;
-                }
-            }
-        }
-        Some(limit)
-    }
-}
-
-/// The worst-slack index key of the net at `slot`: its worst finite
-/// slack over every corner lane of the slot-major slabs.
-fn slack_key(required: &[[f64; 2]], arrival: &[[f64; 2]], nc: usize, slot: usize) -> f64 {
-    let lanes = slot * nc..(slot + 1) * nc;
-    WorstSlackIndex::key_over(&required[lanes.clone()], &arrival[lanes])
-}
-
-/// The backward kernels' view of one flush: the backward slabs to
-/// write, over the settled forward state.
-fn bwd_view<'v>(fwd: &'v ForwardState, tc_ps: f64, required: &'v mut [[f64; 2]]) -> BwdView<'v> {
-    BwdView {
-        required,
-        slope: &fwd.slope,
-        load: &fwd.load,
-        tc_ps,
-    }
 }
 
 impl TimingView for TimingGraph<'_> {
@@ -2289,6 +901,7 @@ mod tests {
     use crate::analysis::{analyze, analyze_with};
     use pops_netlist::builders::{inverter_chain, ripple_carry_adder};
     use pops_netlist::suite;
+    use pops_netlist::CellKind;
 
     fn assert_matches_fresh(graph: &TimingGraph, circuit: &Circuit, lib: &Library) {
         let fresh = analyze_with(circuit, lib, graph.sizing(), graph.options()).unwrap();

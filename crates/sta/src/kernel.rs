@@ -13,10 +13,10 @@
 
 use pops_delay::model::{gate_delay_with_output_edge_vt, Edge};
 use pops_delay::{Library, VtTiming};
-use pops_netlist::{NetId, VtClass};
+use pops_netlist::{CellKind, Circuit, NetId, VtClass};
 
 use crate::analysis::{compatible_input_edges, eidx, EDGES};
-use crate::incremental::{ArcTerms, GateParams, Structure};
+use crate::incremental::Structure;
 
 /// Arrival or slope of the gate's output net changed (bitwise) — the
 /// forward cone expands through its fanouts.
@@ -29,6 +29,117 @@ pub(crate) const F_OUT_CHANGED: u8 = F_SLOPE | F_ARRIVAL;
 /// Predecessor record per edge: `(fanin net, input edge)` of the worst
 /// arrival.
 pub(crate) type PredPair = [Option<(NetId, Edge)>; 2];
+
+/// Per-(gate, corner) model constants, flattened out of the corner
+/// libraries at build time.
+///
+/// `Library::cell()` is a by-kind lookup and the symmetry factors are
+/// re-derived on every call; one cone re-evaluation makes thousands of
+/// arc evaluations, so the graph caches the resolved constants per gate
+/// and corner. Every cached value is produced by the *same*
+/// floating-point expression the model uses, so arc delays stay
+/// bit-identical to
+/// [`gate_delay_with_output_edge_vt`](pops_delay::model::gate_delay_with_output_edge_vt)
+/// — and, for SVT gates on the typical corner, to the plain
+/// single-corner model (the `× 1.0` Vt factors are bit-neutral).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GateParams {
+    /// `C_par = cpar_factor · C_IN`.
+    cpar_factor: f64,
+    /// P/N configuration ratio `k` (Miller coupling split).
+    k: f64,
+    /// `(τ · S(out_edge)) · drive_factor`, indexed by [`eidx`] of the
+    /// output edge (the Vt variant's drive derate folds in here).
+    tau_s: [f64; 2],
+    /// Reduced thresholds `v_T · vt_scale` of this gate's corner and Vt
+    /// variant, indexed by [`eidx`] of the *input* edge.
+    pub(crate) vt: [f64; 2],
+}
+
+/// Fanin-independent arc terms of one gate under its current drive and
+/// load, hoisted out of the per-arc loops of the forward and backward
+/// kernels ([`crate::kernel`]).
+pub(crate) struct ArcTerms {
+    /// τ_out per *output* edge: `(τ·S) · C_L / C_IN`.
+    pub(crate) tau_out_by_edge: [f64; 2],
+    /// Miller amplification per *input* edge (C_M couples through the
+    /// P device on a rising input, the N device on a falling one).
+    pub(crate) miller: [f64; 2],
+}
+
+impl GateParams {
+    /// Compute the hoisted arc terms. This is the single home of the
+    /// delay-model arithmetic shared by the forward and backward
+    /// evaluators: every expression reproduces the exact operation
+    /// order of `gate_delay_with_output_edge`, so arc delays (and
+    /// therefore the whole timing state, both directions) stay
+    /// bit-identical to the full passes.
+    pub(crate) fn arc_terms(&self, cin: f64, load: f64) -> ArcTerms {
+        let cl_total = self.cpar_factor * cin + load;
+        let tau_out_by_edge = [
+            self.tau_s[0] * cl_total / cin,
+            self.tau_s[1] * cl_total / cin,
+        ];
+        let cm = [
+            0.5 * cin * self.k / (1.0 + self.k),
+            0.5 * cin / (1.0 + self.k),
+        ];
+        let miller = [
+            1.0 + 2.0 * cm[0] / (cm[0] + cl_total),
+            1.0 + 2.0 * cm[1] / (cm[1] + cl_total),
+        ];
+        ArcTerms {
+            tau_out_by_edge,
+            miller,
+        }
+    }
+}
+
+/// Resolve the flattened model constants of one `(cell, Vt variant)`
+/// pair under one corner's library. This is the single home of the
+/// constant-folding arithmetic: `tau_s` caches `(τ·S) · drive_factor`
+/// in the exact association order of
+/// [`gate_delay_with_output_edge_vt`](pops_delay::model::gate_delay_with_output_edge_vt)'s
+/// `process.tau_ps * s * drive_factor * C_L / C_IN`, and `vt` caches
+/// `v_T · vt_scale` — so for an SVT gate (both factors `1.0`,
+/// bit-neutral) the constants reproduce the plain single-corner model
+/// bit for bit.
+pub(crate) fn gate_params_for(lib: &Library, kind: CellKind, class: VtClass) -> GateParams {
+    let process = lib.process();
+    let cell = lib.cell(kind);
+    let vtt = VtTiming::of(class);
+    let mut tau_s = [0.0f64; 2];
+    for e in EDGES {
+        tau_s[eidx(e)] = process.tau_ps * cell.s_factor(process, e) * vtt.drive_factor;
+    }
+    GateParams {
+        cpar_factor: cell.cpar_factor,
+        k: cell.k,
+        tau_s,
+        vt: [
+            process.vtn_reduced() * vtt.vt_scale,
+            process.vtp_reduced() * vtt.vt_scale,
+        ],
+    }
+}
+
+/// Flatten the model constants of every gate under every corner,
+/// corner-innermost (`gi * n_corners + c`). Called at construction and
+/// again after surgery (the created gates need constants too).
+pub(crate) fn build_gate_params(
+    circuit: &Circuit,
+    corner_libs: &[Library],
+    vt_class: &[VtClass],
+) -> Vec<GateParams> {
+    let mut out = Vec::with_capacity(circuit.gate_count() * corner_libs.len());
+    for g in circuit.gate_ids() {
+        let kind = circuit.gate(g).kind();
+        for lib in corner_libs {
+            out.push(gate_params_for(lib, kind, vt_class[g.index()]));
+        }
+    }
+    out
+}
 
 /// Read-only view of every circuit-derived array the kernels need,
 /// assembled by the graph per flush.
