@@ -172,8 +172,10 @@ fn strip_directive<'a>(
     keyword: &str,
     lineno: usize,
 ) -> Option<Result<&'a str, NetlistError>> {
+    // A line with `=` is a gate assignment, even when its output's
+    // name starts with a directive keyword (`output_1 = NOT(a)`).
     let upper = line.to_ascii_uppercase();
-    if !upper.starts_with(keyword) {
+    if !upper.starts_with(keyword) || line.contains('=') {
         return None;
     }
     let rest = line[keyword.len()..].trim();
@@ -366,6 +368,30 @@ OUTPUT(23)
     fn rejects_undefined_output() {
         let err = parse_bench("bad", "INPUT(a)\nOUTPUT(nope)\n").unwrap_err();
         assert!(matches!(err, NetlistError::BenchSyntax { .. }));
+    }
+
+    #[test]
+    fn gate_outputs_named_like_directives_are_gates() {
+        let c = parse_bench("t", "INPUT(a)\nOUTPUT(output_1)\noutput_1 = NOT(a)\n").unwrap();
+        assert_eq!(c.gate_count(), 1);
+        let src = "INPUT(a)\nOUTPUT(y)\ninput_inv = NOT(a)\nInput2 = NOT(a)\ny = AND(input_inv, Input2)\n";
+        let c = parse_bench("t", src).unwrap();
+        assert_eq!(c.gate_count(), 3);
+    }
+
+    #[test]
+    fn directive_like_names_round_trip() {
+        let mut c = Circuit::new("t");
+        let a = c.add_input("a");
+        let inv = c.add_gate(CellKind::Inv, &[a], "input_inv").unwrap();
+        let y = c.add_gate(CellKind::Inv, &[inv], "OUTPUT_1").unwrap();
+        c.mark_output(y);
+        let r = parse_bench("t", &write_bench(&c)).unwrap();
+        assert_eq!(r.gate_count(), 2);
+        for v in [false, true] {
+            let vals: HashMap<&str, bool> = [("a", v)].into_iter().collect();
+            assert_eq!(r.evaluate(&vals).unwrap(), c.evaluate(&vals).unwrap());
+        }
     }
 
     #[test]
