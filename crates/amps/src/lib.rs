@@ -10,21 +10,17 @@
 //!   bump the size of the gate with the best delay-gain/area-cost ratio
 //!   until the constraint is met;
 //! * [`random`] — the "pseudo-random sizing technique" the paper mentions
-//!   for minimum-delay search;
-//! * [`anneal`] — a simulated-annealing area minimizer under a delay
-//!   constraint (ablation).
+//!   for minimum-delay search.
 //!
-//! All three work on the same bounded [`pops_delay::TimedPath`]
+//! Both work on the same bounded [`pops_delay::TimedPath`]
 //! abstraction as the POPS optimizers, so comparisons are apples to
 //! apples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anneal;
 pub mod greedy;
 pub mod random;
 
-pub use anneal::{anneal_area_under_constraint, AnnealOptions};
 pub use greedy::{greedy_min_delay, greedy_size_for_constraint, GreedyOptions, GreedyResult};
 pub use random::{random_min_delay, RandomSearchOptions};
