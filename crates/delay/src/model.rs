@@ -1,6 +1,6 @@
 //! Eqs. (1)–(3): single-gate delay and output transition time.
 
-use pops_netlist::CellKind;
+use pops_netlist::{CellKind, VtClass};
 
 use crate::library::{Library, VtTiming};
 
@@ -98,8 +98,9 @@ pub fn gate_delay(
 /// from the cell's polarity) is the right entry point.
 ///
 /// The input edge selects the slope-term threshold and the Miller
-/// coupling device; the output edge selects the symmetry factor.
-#[allow(clippy::too_many_arguments)]
+/// coupling device; the output edge selects the symmetry factor. This is
+/// [`gate_delay_with_output_edge_vt`] for the standard-Vt cell, whose
+/// factors are exactly `1.0`, so every product is exact.
 pub fn gate_delay_with_output_edge(
     lib: &Library,
     kind: CellKind,
@@ -109,41 +110,23 @@ pub fn gate_delay_with_output_edge(
     input_edge: Edge,
     output_edge: Edge,
 ) -> GateDelay {
-    debug_assert!(cin_ff > 0.0, "input capacitance must be positive");
-    debug_assert!(cl_ext_ff >= 0.0, "load must be non-negative");
-    debug_assert!(tau_in_ps >= 0.0, "input transition must be non-negative");
-
-    let process = lib.process();
-    let cell = lib.cell(kind);
-
-    // eq. (2)-(3): output transition time.
-    let cl_total = cell.cpar_ff(cin_ff) + cl_ext_ff;
-    let s = cell.s_factor(process, output_edge);
-    let tau_out = process.tau_ps * s * cl_total / cin_ff;
-
-    // eq. (1): slope term + Miller-amplified output term.
-    let vt = match input_edge {
-        Edge::Rising => process.vtn_reduced(),
-        Edge::Falling => process.vtp_reduced(),
-    };
-    let cm = cell.miller_ff(cin_ff, input_edge);
-    let miller = 1.0 + 2.0 * cm / (cm + cl_total);
-    let delay = 0.5 * vt * tau_in_ps + 0.5 * miller * tau_out;
-
-    GateDelay {
-        delay_ps: delay,
-        output_transition_ps: tau_out,
+    gate_delay_with_output_edge_vt(
+        lib,
+        kind,
+        VtTiming::of(VtClass::Svt),
+        cin_ff,
+        cl_ext_ff,
+        tau_in_ps,
+        input_edge,
         output_edge,
-    }
+    )
 }
 
 /// Evaluate eqs. (1)–(3) for a threshold-voltage variant of the cell.
 ///
 /// The Vt variant scales the output-transition scale (`drive_factor` on
 /// `τ·S`) and the effective reduced threshold (`vt_scale` on `v_T`);
-/// capacitances are unchanged (same drawn widths, different implants). With
-/// [`VtTiming::of`]`(Svt)` — all factors exactly `1.0` — this reproduces
-/// [`gate_delay_with_output_edge`] bit-for-bit.
+/// capacitances are unchanged (same drawn widths, different implants).
 #[allow(clippy::too_many_arguments)]
 pub fn gate_delay_with_output_edge_vt(
     lib: &Library,
@@ -162,10 +145,12 @@ pub fn gate_delay_with_output_edge_vt(
     let process = lib.process();
     let cell = lib.cell(kind);
 
+    // eq. (2)-(3): output transition time.
     let cl_total = cell.cpar_ff(cin_ff) + cl_ext_ff;
     let s = cell.s_factor(process, output_edge);
     let tau_out = process.tau_ps * s * vt_timing.drive_factor * cl_total / cin_ff;
 
+    // eq. (1): slope term + Miller-amplified output term.
     let vt = match input_edge {
         Edge::Rising => process.vtn_reduced(),
         Edge::Falling => process.vtp_reduced(),
@@ -184,7 +169,6 @@ pub fn gate_delay_with_output_edge_vt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pops_netlist::cell::VtClass;
 
     fn lib() -> Library {
         Library::cmos025()
@@ -297,30 +281,6 @@ mod tests {
         let r = gate_delay(&lib, CellKind::Inv, 5.0, 20.0, 100.0, Edge::Rising);
         let f = gate_delay(&lib, CellKind::Inv, 5.0, 20.0, 100.0, Edge::Falling);
         assert_ne!(r.delay_ps, f.delay_ps);
-    }
-
-    #[test]
-    fn svt_variant_is_bit_identical_to_baseline() {
-        let lib = lib();
-        let svt = VtTiming::of(VtClass::Svt);
-        for (cell, cin, cl, tau) in [
-            (CellKind::Inv, 2.7, 10.8, 50.0),
-            (CellKind::Nand3, 8.0, 30.0, 75.0),
-            (CellKind::Nor2, 6.0, 12.0, 0.0),
-        ] {
-            for in_edge in [Edge::Rising, Edge::Falling] {
-                let out_edge = in_edge.through(cell);
-                let base = gate_delay_with_output_edge(&lib, cell, cin, cl, tau, in_edge, out_edge);
-                let vt = gate_delay_with_output_edge_vt(
-                    &lib, cell, svt, cin, cl, tau, in_edge, out_edge,
-                );
-                assert_eq!(base.delay_ps.to_bits(), vt.delay_ps.to_bits());
-                assert_eq!(
-                    base.output_transition_ps.to_bits(),
-                    vt.output_transition_ps.to_bits()
-                );
-            }
-        }
     }
 
     #[test]
