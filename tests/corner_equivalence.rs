@@ -2,10 +2,14 @@
 //! slow/typical/fast per-net corner arrays through a single dirty-cone
 //! flush must be **bit-identical**, corner by corner, to N separate
 //! single-corner graphs each built on that corner's library — under any
-//! interleaving of resize / surgery / constraint / Vt-class bursts. The fused pass must also do
-//! strictly less gate-evaluation work than the N independent passes
-//! combined: each union-cone gate is evaluated once *covering every
-//! corner*, not once per corner.
+//! interleaving of resize / surgery / constraint / Vt-class bursts. The
+//! fused pass must also do strictly less gate-evaluation work than the N
+//! independent passes combined: each union-cone gate is evaluated once
+//! *covering every corner*, not once per corner.
+//!
+//! The Vt pass's probe history — demote, read, revert — is checked
+//! against a graph without that history: a fresh three-corner graph
+//! built on the same circuit, sizing and Vt classes.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
 
@@ -268,6 +272,139 @@ fn c7552_corners_match_single_corner() {
 fn synth10k_corners_match_single_corner() {
     let c = suite::scaling_circuit("synth10k").unwrap();
     random_corner_twin_sequence(c, 0xC04E_E010, 4, 2);
+}
+
+/// Every corner's arrivals, slopes, required times and critical delay,
+/// and the design-worst slack, of `probed` are bit-identical to
+/// `fresh`'s.
+fn assert_matches_fresh_corners(probed: &TimingGraph, fresh: &TimingGraph, label: &str) {
+    let circuit = probed.circuit();
+    for c in 0..probed.n_corners() {
+        assert_eq!(
+            probed.critical_delay_ps_corner(c).to_bits(),
+            fresh.critical_delay_ps_corner(c).to_bits(),
+            "{label}: corner {c} critical delay diverged"
+        );
+        for net in circuit.net_ids() {
+            for dir in [EdgeDir::Rising, EdgeDir::Falling] {
+                assert_eq!(
+                    probed.arrival_ps_corner(net, dir, c).to_bits(),
+                    fresh.arrival_ps_corner(net, dir, c).to_bits(),
+                    "{label}: corner {c} arrival of {net} {dir:?}"
+                );
+                assert_eq!(
+                    probed.slope_ps_corner(net, dir, c).to_bits(),
+                    fresh.slope_ps_corner(net, dir, c).to_bits(),
+                    "{label}: corner {c} slope of {net} {dir:?}"
+                );
+                assert_eq!(
+                    probed.required_ps_corner(net, dir, c).to_bits(),
+                    fresh.required_ps_corner(net, dir, c).to_bits(),
+                    "{label}: corner {c} required of {net} {dir:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        probed.worst_slack_overall_ps().map(f64::to_bits),
+        fresh.worst_slack_overall_ps().map(f64::to_bits),
+        "{label}: design-worst slack diverged"
+    );
+}
+
+/// The Vt pass's probes on a three-corner graph at 1.4·T0 — demote a
+/// gate to HVT, read the design-worst slack, revert when it went
+/// negative — mixed with resizes and buffer edits, and checked every
+/// `check_every` steps against a fresh `with_corners` graph on the same
+/// circuit, sizing and Vt classes.
+fn vt_probe_sequence(name: &str, seed: u64, steps: usize, check_every: usize) {
+    let lib = Library::cmos025();
+    let circuit = suite::circuit(name).unwrap();
+    let set = corners();
+    let options = AnalyzeOptions::default();
+    let sizing = Sizing::minimum(&circuit, &lib);
+    let mut graph = TimingGraph::with_corners(&circuit, &lib, &sizing, &options, &set).unwrap();
+    let tc = 1.4 * graph.critical_delay_ps();
+    graph.set_constraint(tc);
+    let mut classes = vec![VtClass::Svt; circuit.gate_count()];
+    let (mut kept, mut reverted) = (0usize, 0usize);
+
+    let mut rng = SplitMix64::new(seed);
+    let cref = lib.min_drive_ff();
+    let check = |graph: &TimingGraph, classes: &[VtClass], label: &str| {
+        let mut fresh =
+            TimingGraph::with_corners(graph.circuit(), &lib, graph.sizing(), &options, &set)
+                .unwrap();
+        for (g, &class) in graph.circuit().gate_ids().zip(classes) {
+            fresh.set_vt_class(g, class);
+        }
+        fresh.set_constraint(tc);
+        assert_matches_fresh_corners(graph, &fresh, label);
+    };
+    for step in 0..steps {
+        // Gates created by surgery enter as SVT.
+        classes.resize(graph.circuit().gate_count(), VtClass::Svt);
+        let gates: Vec<GateId> = graph.circuit().gate_ids().collect();
+        match rng.below(8) {
+            0 => {
+                let batch: Vec<(GateId, f64)> = (0..2 + rng.below(6))
+                    .map(|_| (*rng.pick(&gates), cref * (1.0 + 9.0 * rng.next_f64())))
+                    .collect();
+                graph.resize_gates(batch);
+            }
+            1 => {
+                if let Some(plan) = random_buffer_plan(&graph, &lib, &mut rng) {
+                    graph.apply_edits(&plan).expect("valid edit");
+                }
+            }
+            _ => {
+                // Half the probes hit the critical path, where a
+                // demotion can use up the slack and must be reverted.
+                let g = if rng.chance(0.5) {
+                    *rng.pick(&graph.critical_path().gates)
+                } else {
+                    *rng.pick(&gates)
+                };
+                graph.set_vt_class(g, VtClass::Hvt);
+                if matches!(graph.worst_slack_overall_ps(), Some(s) if s >= 0.0) {
+                    classes[g.index()] = VtClass::Hvt;
+                    kept += 1;
+                } else {
+                    graph.set_vt_class(g, classes[g.index()]);
+                    reverted += 1;
+                }
+            }
+        }
+        if step % check_every == check_every - 1 {
+            check(&graph, &classes, &format!("{name} step {step}"));
+        }
+    }
+    classes.resize(graph.circuit().gate_count(), VtClass::Svt);
+    check(&graph, &classes, &format!("{name} final"));
+    assert!(
+        kept > 0 && reverted > 0,
+        "{name}: {kept} demotions kept and {reverted} reverted; the sequence needs both"
+    );
+}
+
+#[test]
+fn fpd_vt_probes_match_a_fresh_graph() {
+    vt_probe_sequence("fpd", 0x0B7_F00D, 48, 6);
+}
+
+#[test]
+fn c432_vt_probes_match_a_fresh_graph() {
+    vt_probe_sequence("c432", 0x0B7_0432, 48, 6);
+}
+
+#[test]
+fn c1908_vt_probes_match_a_fresh_graph() {
+    vt_probe_sequence("c1908", 0x0B7_1908, 32, 8);
+}
+
+#[test]
+fn c7552_vt_probes_match_a_fresh_graph() {
+    vt_probe_sequence("c7552", 0x0B7_7552, 64, 16);
 }
 
 #[test]
