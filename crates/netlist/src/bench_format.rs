@@ -374,7 +374,8 @@ OUTPUT(23)
     fn gate_outputs_named_like_directives_are_gates() {
         let c = parse_bench("t", "INPUT(a)\nOUTPUT(output_1)\noutput_1 = NOT(a)\n").unwrap();
         assert_eq!(c.gate_count(), 1);
-        let src = "INPUT(a)\nOUTPUT(y)\ninput_inv = NOT(a)\nInput2 = NOT(a)\ny = AND(input_inv, Input2)\n";
+        let src = "INPUT(a)\nOUTPUT(y)\n\
+                   input_inv = NOT(a)\nInput2 = NOT(a)\ny = AND(input_inv, Input2)\n";
         let c = parse_bench("t", src).unwrap();
         assert_eq!(c.gate_count(), 3);
     }

@@ -1,12 +1,16 @@
 //! Typed errors for the incremental timing engine's mutation boundary.
 //!
-//! Every mutating entry point of [`TimingGraph`](crate::TimingGraph) has a
-//! fallible `try_*` variant returning [`StaError`]: inputs that would poison
-//! the corner slabs (NaN drives, infinite constraints) or index out of range
+//! The [`TimingGraph`](crate::TimingGraph) mutators that take caller
+//! values — resizes, Vt swaps and constraints — have fallible `try_*`
+//! variants returning [`StaError`]: inputs that would poison the corner
+//! slabs (NaN drives, NaN or negative constraints) or index out of range
 //! are rejected *before* any state changes, so a malformed batch can never
-//! leave the graph half-mutated. The infallible legacy APIs route through
-//! the `try_*` variants and panic with the error's `Display` text — the
+//! leave the graph half-mutated. The infallible forms route through the
+//! `try_*` variants and panic with the error's `Display` text — the
 //! remaining panics mark programmer error, not data-dependent failure.
+//! [`TimingGraph::apply_edits`](crate::TimingGraph::apply_edits) returns
+//! its [`NetlistError`] directly; `From` wraps it as
+//! [`StaError::InvalidEdit`].
 
 use std::error::Error;
 use std::fmt;

@@ -11,6 +11,14 @@
 //! slopes converge onto their cached values. The options (latch load,
 //! input slope) are fixed at construction.
 //!
+//! This file holds the type, its constructors, mutators and queries.
+//! The child modules hold the rest: `structure` (the circuit-derived
+//! arrays and their one constructor, and the slab layout), `flush` (the
+//! forward and backward states, the lazy flushes, the full sweeps and
+//! the drain-or-sweep rule), `surgery` ([`TimingGraph::apply_edits`])
+//! and `audit` ([`TimingGraph::verify_state`]). The per-gate kernels and
+//! their cached model constants are in `crate::kernel`.
+//!
 //! # Equivalence contract
 //!
 //! After any sequence of mutations the queryable state is **bit-identical**

@@ -21,7 +21,7 @@ impl TimingGraph<'_> {
     /// * **dirty-set vs generation agreement** — every dirty set's
     ///   popcount matches its maintained count, and state flushed to the
     ///   current mutation generation holds no pending marks, seed-log
-    ///   entries or rescan flags;
+    ///   entries or load-rescan flag;
     /// * **worst-slack tree agreement** — every leaf bit-matches an
     ///   independent refold of the required/arrival slabs and every
     ///   internal node (the root included) the min of its children;
@@ -129,7 +129,7 @@ impl TimingGraph<'_> {
 
         // Dirty bookkeeping vs generation agreement. The flushes above
         // settled everything to the current generation, so every mark,
-        // seed log and rescan flag must now be clear.
+        // seed log and the load-rescan flag must now be clear.
         if let Err(e) = fwd.dirty.check_count() {
             return corrupt(format!("forward dirty set: {e}"));
         }

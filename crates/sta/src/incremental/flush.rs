@@ -26,12 +26,12 @@
 //!
 //! The **forward** state is lazy under the same generation counter.
 //! Mutations append id-keyed forward seed logs — resized gates, gates a
-//! structural edit touched or created, pending load/slope rescans — and
+//! structural edit touched or created, a pending load rescan — and
 //! every *forward* query, without exception (`critical_delay_ps`,
 //! `arrival_ps`, `slope_ps`, `net_load_ff`, `gate_delay_worst_ps`,
-//! `critical_path`, and every [`TimingView`](crate::TimingView) read), marks them into the
-//! dirty set and drains one merged forward cone — or sweeps, see *Drain
-//! or sweep* below. Backward queries are **two-phase**: they flush
+//! `critical_path`, and every [`TimingView`](crate::TimingView) read),
+//! marks them into the dirty set and drains one merged forward cone —
+//! or sweeps, see *Drain or sweep* below. Backward queries are **two-phase**: they flush
 //! forward first (required times re-derive from final slopes and
 //! loads), then drain the backward seeds the forward flush just
 //! deposited. The eager/lazy distinction is invisible to every
@@ -75,15 +75,16 @@ use crate::slack::WorstSlackIndex;
 
 /// Incrementally maintained forward timing state of a [`TimingGraph`]:
 /// the floating-point arrays plus the lazy-flush bookkeeping. Lives in
-/// a [`RefCell`](std::cell::RefCell) so forward queries on `&self` can drain pending seeds.
+/// a [`RefCell`](std::cell::RefCell) so forward queries on `&self` can
+/// drain pending seeds.
 #[derive(Debug, Clone)]
 pub(super) struct ForwardState {
     /// Arrival time per edge (ps), **slot- and corner-indexed**: net
     /// slot `s` at corner `c` is entry `s * n_corners + c` (see
-    /// [`TimingGraph::slot_of`]); `-inf` where unreachable. Slabs
-    /// instead of per-net records: a full sweep writes slots in memory
-    /// order (gate `p` owns slot `n_src + p`), so the sweep streams
-    /// memory-bandwidth-bound. The corner lanes ride in the
+    /// [`Structure::slot_of`](super::Structure::slot_of)); `-inf` where
+    /// unreachable. Slabs instead of per-net records: a full sweep
+    /// writes slots in memory order (gate `p` owns slot `n_src + p`),
+    /// so the sweep streams memory-bandwidth-bound. The corner lanes ride in the
     /// same stride-`n_corners` layout, propagated together in one pass.
     pub(super) arrival: Vec<[f64; 2]>,
     /// Transition time per edge (ps), slot- and corner-indexed.

@@ -1,5 +1,5 @@
-//! The circuit-derived arrays of a [`TimingGraph`](super::TimingGraph) and their one
-//! constructor.
+//! The circuit-derived arrays of a [`TimingGraph`](super::TimingGraph)
+//! and their one constructor.
 //!
 //! # Rank-major slabs
 //!
@@ -20,13 +20,14 @@
 
 use pops_netlist::{CellKind, Circuit, GateId, NetId, NetlistError};
 
-/// The circuit-derived arrays of a [`TimingGraph`](super::TimingGraph): topology, adjacency
-/// and the slot layout — everything except the model constants and the
-/// floating-point timing state. Built only by [`build_structure`], at
-/// construction and again by [`TimingGraph::apply_edits`](super::TimingGraph::apply_edits) (graph surgery
-/// changes ranks and adjacency arbitrarily, and this rebuild is pure
-/// pointer/arena work — the expensive part, arc re-evaluation, stays
-/// confined to the seeded dirty cones).
+/// The circuit-derived arrays of a [`TimingGraph`](super::TimingGraph):
+/// topology, adjacency and the slot layout — everything except the
+/// model constants and the floating-point timing state. Built only by
+/// [`build_structure`], at construction and again by
+/// [`TimingGraph::apply_edits`](super::TimingGraph::apply_edits) (graph
+/// surgery changes ranks and adjacency arbitrarily, and this rebuild is
+/// pure pointer/arena work — the expensive part, arc re-evaluation,
+/// stays confined to the seeded dirty cones).
 #[derive(Debug, Clone)]
 pub(crate) struct Structure {
     /// Gates in the cached topological order. The order is

@@ -39,7 +39,7 @@ pub(crate) type PredPair = [Option<(NetId, Edge)>; 2];
 /// and corner. Every cached value is produced by the *same*
 /// floating-point expression the model uses, so arc delays stay
 /// bit-identical to
-/// [`gate_delay_with_output_edge_vt`](pops_delay::model::gate_delay_with_output_edge_vt)
+/// [`gate_delay_with_output_edge_vt`]
 /// — and, for SVT gates on the typical corner, to the plain
 /// single-corner model (the `× 1.0` Vt factors are bit-neutral).
 #[derive(Debug, Clone, Copy)]
@@ -99,7 +99,7 @@ impl GateParams {
 /// pair under one corner's library. This is the single home of the
 /// constant-folding arithmetic: `tau_s` caches `(τ·S) · drive_factor`
 /// in the exact association order of
-/// [`gate_delay_with_output_edge_vt`](pops_delay::model::gate_delay_with_output_edge_vt)'s
+/// [`gate_delay_with_output_edge_vt`]'s
 /// `process.tau_ps * s * drive_factor * C_L / C_IN`, and `vt` caches
 /// `v_T · vt_scale` — so for an SVT gate (both factors `1.0`,
 /// bit-neutral) the constants reproduce the plain single-corner model
