@@ -10,15 +10,16 @@ use crate::kernel::build_gate_params;
 
 impl TimingGraph<'_> {
     /// Apply a batch of structural edits — buffer insertions and De
-    /// Morgan rewrites — to the circuit *and* patch the
-    /// timing state around them, instead of rebuilding from scratch.
+    /// Morgan rewrites — to the circuit *and* patch the timing state
+    /// around them, instead of rebuilding from scratch.
     ///
     /// On the first call the graph clones the borrowed circuit into an
     /// owned copy (the caller's original netlist is never mutated);
     /// from then on [`TimingGraph::circuit`] is the authoritative,
     /// edited netlist. The graph then
     ///
-    /// 1. applies the plan through the [`Circuit`](pops_netlist::Circuit) surgery primitives
+    /// 1. applies the plan through the
+    ///    [`Circuit`](pops_netlist::Circuit) surgery primitives
     ///    (append-only: every pre-existing id stays valid),
     /// 2. rebuilds its structural arrays — topological ranks, flattened
     ///    adjacency, per-gate model constants — pure arena work with no

@@ -342,8 +342,6 @@ fn vt_probe_sequence(name: &str, seed: u64, steps: usize, check_every: usize) {
         assert_matches_fresh_corners(graph, &fresh, label);
     };
     for step in 0..steps {
-        // Gates created by surgery enter as SVT.
-        classes.resize(graph.circuit().gate_count(), VtClass::Svt);
         let gates: Vec<GateId> = graph.circuit().gate_ids().collect();
         match rng.below(8) {
             0 => {
@@ -355,6 +353,8 @@ fn vt_probe_sequence(name: &str, seed: u64, steps: usize, check_every: usize) {
             1 => {
                 if let Some(plan) = random_buffer_plan(&graph, &lib, &mut rng) {
                     graph.apply_edits(&plan).expect("valid edit");
+                    // Gates created by surgery enter as SVT.
+                    classes.resize(graph.circuit().gate_count(), VtClass::Svt);
                 }
             }
             _ => {
@@ -379,7 +379,6 @@ fn vt_probe_sequence(name: &str, seed: u64, steps: usize, check_every: usize) {
             check(&graph, &classes, &format!("{name} step {step}"));
         }
     }
-    classes.resize(graph.circuit().gate_count(), VtClass::Svt);
     check(&graph, &classes, &format!("{name} final"));
     assert!(
         kept > 0 && reverted > 0,
