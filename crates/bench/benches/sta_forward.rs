@@ -6,8 +6,8 @@
 //!
 //! Both sides execute the identical mutation sequence:
 //!
-//! * `merged` — the lazy engine as-is: K resizes only append forward
-//!   seed logs; the one delay read per round drains the merged cone
+//! * `merged` — the lazy engine as-is: K resizes only mark the forward
+//!   dirty set; the one delay read per round drains the merged cone
 //!   (overlapping cones deduplicate in the rank bitset, and the
 //!   budgeted cut-over caps a saturated flush at one full topo sweep).
 //! * `per-mutation` — what the same round cost before PR 5: a delay
@@ -70,8 +70,8 @@ pops_bench::json_fields!(WorkloadBaseline {
 /// for one of them, which is visible at K = 1 where the strategies
 /// otherwise do identical work.
 ///
-/// * `per_mutation = false` — merged: K resizes append seed logs, the
-///   single delay read drains the merged cone.
+/// * `per_mutation = false` — merged: K resizes mark the dirty set,
+///   the single delay read drains the merged cone.
 /// * `per_mutation = true` — a delay read after every resize forces the
 ///   flush each mutation, the pre-lazy eager semantics.
 ///

@@ -3,7 +3,7 @@
 //! Each `src/bin/*` binary reproduces one artifact (Fig. 1 … Table 4) and
 //! prints the same rows/series the paper reports, next to the paper's
 //! published values where available. Machine-readable copies are written
-//! to `target/paper_results/*.json` so `EXPERIMENTS.md` can be audited.
+//! to `target/paper_results/*.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

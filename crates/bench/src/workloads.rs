@@ -3,8 +3,8 @@
 
 use pops_delay::{Library, TimedPath};
 use pops_netlist::suite;
-use pops_sta::analysis::analyze;
-use pops_sta::{extract_timed_path, ExtractOptions, Sizing};
+use pops_sta::analysis::{analyze, AnalyzeOptions};
+use pops_sta::{extract_timed_path, Sizing};
 
 /// A named bounded path extracted from a benchmark circuit.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub fn workload(lib: &Library, name: &'static str) -> Workload {
     let sizing = Sizing::minimum(&circuit, lib);
     let report = analyze(&circuit, lib, &sizing).expect("suite circuits are acyclic");
     let path = report.critical_path();
-    let extracted = extract_timed_path(&circuit, lib, &sizing, &path, &ExtractOptions::default());
+    let extracted = extract_timed_path(&circuit, lib, &sizing, &path, &AnalyzeOptions::default());
     Workload {
         name,
         gate_count: extracted.timed.len(),

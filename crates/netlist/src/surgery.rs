@@ -6,13 +6,13 @@
 //! immutable timing view. An [`EditPlan`] captures those decisions as
 //! data: a list of [`EditOp`]s referencing existing [`NetId`]s /
 //! [`GateId`]s, applied later in one shot by [`EditPlan::apply_to`] (or
-//! by `TimingGraph::apply_edits`, which additionally patches its
-//! incremental timing state around the same application).
+//! by `TimingGraph::apply_edits`, which additionally resets its timing
+//! state over the edited circuit).
 //!
 //! Every op maps onto one of the [`Circuit`] surgery primitives and is
 //! validated before it mutates; the returned [`AppliedEdit`] log names
-//! the gates and nets each op created or touched — exactly what an
-//! incremental timing engine needs to seed its dirty cones.
+//! the gates each op created, with their planned sizes — what a timing
+//! engine needs to extend its per-gate state.
 //!
 //! Ids are append-only: no op ever invalidates an existing `GateId` or
 //! `NetId`, so ops within one plan may reference the same base ids.
@@ -55,10 +55,9 @@ pub struct EditPlan {
     ops: Vec<EditOp>,
 }
 
-/// What one applied [`EditOp`] did to the circuit: the ids it created
-/// (with suggested sizes for new gates) and the pre-existing ids whose
-/// connectivity it changed. Consumed by incremental timing engines to
-/// seed dirty cones and extend their per-gate/per-net state.
+/// What one applied [`EditOp`] did to the circuit: the gates it
+/// created, with suggested sizes. Consumed by timing engines to extend
+/// their per-gate state.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppliedEdit {
     /// Gates created by this op, in id order.
@@ -66,14 +65,6 @@ pub struct AppliedEdit {
     /// Suggested input capacitance per created gate (fF), parallel to
     /// `new_gates`.
     pub new_gate_cin_ff: Vec<f64>,
-    /// Nets created by this op.
-    pub new_nets: Vec<NetId>,
-    /// Pre-existing *and* new nets whose driver, load pins or fanout
-    /// set changed.
-    pub touched_nets: Vec<NetId>,
-    /// Pre-existing gates whose cell, input wiring or output net
-    /// changed (created gates are listed in `new_gates` only).
-    pub touched_gates: Vec<GateId>,
 }
 
 impl EditPlan {
@@ -218,30 +209,15 @@ impl EditOp {
                 Ok(AppliedEdit {
                     new_gates: vec![ins.first, ins.second],
                     new_gate_cin_ff: stage_cin_ff.to_vec(),
-                    new_nets: vec![ins.mid_net, ins.out_net],
-                    touched_nets: vec![*net, ins.mid_net, ins.out_net],
-                    touched_gates: loads.iter().map(|&(g, _)| g).collect(),
                 })
             }
             EditOp::DeMorgan { gate, inv_cin_ff } => {
-                let old_inputs = circuit.gate(*gate).inputs().to_vec();
-                let y = circuit.gate(*gate).output();
                 let edit = circuit.demorgan_gate(*gate)?;
-                let mut new_gates = edit.input_invs.clone();
+                let mut new_gates = edit.input_invs;
                 new_gates.push(edit.output_inv);
-                let mut new_nets = edit.input_nets.clone();
-                new_nets.push(edit.inner_net);
-                let mut touched_nets = old_inputs;
-                touched_nets.extend_from_slice(&new_nets);
-                touched_nets.push(y);
-                touched_nets.sort_unstable();
-                touched_nets.dedup();
                 Ok(AppliedEdit {
                     new_gate_cin_ff: vec![*inv_cin_ff; new_gates.len()],
                     new_gates,
-                    new_nets,
-                    touched_nets,
-                    touched_gates: vec![*gate],
                 })
             }
         }

@@ -36,8 +36,6 @@ impl Default for AnalyzeOptions {
 pub struct NetlistPath {
     /// Gates in path order (fanin first).
     pub gates: Vec<GateId>,
-    /// Edge direction at the path's endpoint output.
-    pub end_edge: EdgeDir,
 }
 
 /// Serializable mirror of [`Edge`] used in reports.
@@ -196,19 +194,8 @@ impl TimingReport {
     ///
     /// Returns an empty path only for circuits without gates.
     pub fn critical_path(&self) -> NetlistPath {
-        let Some((net, edge)) = self.critical_net else {
-            return NetlistPath {
-                gates: Vec::new(),
-                end_edge: EdgeDir::Rising,
-            };
-        };
-        self.path_to(net, edge)
-    }
-
-    /// Traceback the worst path ending at `net` with `edge`.
-    fn path_to(&self, net: NetId, edge: Edge) -> NetlistPath {
         let mut gates = Vec::new();
-        let mut cur = Some((net, edge));
+        let mut cur = self.critical_net;
         while let Some((n, e)) = cur {
             if let Some(gid) = self.net_driver[n.index()] {
                 gates.push(gid);
@@ -216,10 +203,7 @@ impl TimingReport {
             cur = self.pred[n.index()][eidx(e)];
         }
         gates.reverse();
-        NetlistPath {
-            gates,
-            end_edge: edge.into(),
-        }
+        NetlistPath { gates }
     }
 }
 

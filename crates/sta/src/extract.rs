@@ -13,26 +13,6 @@ use pops_netlist::{Circuit, GateId};
 use crate::analysis::{AnalyzeOptions, NetlistPath};
 use crate::sizing::Sizing;
 
-/// Options controlling path extraction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtractOptions {
-    /// Latch input capacitance added at primary outputs (fF). Keep equal
-    /// to [`AnalyzeOptions::po_load_ff`] for consistency with STA.
-    pub po_load_ff: f64,
-    /// Transition time at the path input (ps).
-    pub input_transition_ps: f64,
-}
-
-impl Default for ExtractOptions {
-    fn default() -> Self {
-        let a = AnalyzeOptions::default();
-        ExtractOptions {
-            po_load_ff: a.po_load_ff,
-            input_transition_ps: a.input_transition_ps,
-        }
-    }
-}
-
 /// A bounded timed path plus its mapping back to netlist gates.
 #[derive(Debug, Clone)]
 pub struct ExtractedPath {
@@ -56,7 +36,9 @@ impl ExtractedPath {
     }
 }
 
-/// Extract the bounded [`TimedPath`] corresponding to `path`.
+/// Extract the bounded [`TimedPath`] corresponding to `path`, under the
+/// same [`AnalyzeOptions`] (latch load, input slope) as the timing that
+/// selected it.
 ///
 /// Boundary conditions:
 /// * **source drive** — the current size of the first path gate (fixed by
@@ -77,7 +59,8 @@ impl ExtractedPath {
 /// ```
 /// use pops_netlist::builders::ripple_carry_adder;
 /// use pops_delay::Library;
-/// use pops_sta::{analysis::analyze, extract_timed_path, ExtractOptions, Sizing};
+/// use pops_sta::analysis::{analyze, AnalyzeOptions};
+/// use pops_sta::{extract_timed_path, Sizing};
 ///
 /// # fn main() -> Result<(), pops_netlist::NetlistError> {
 /// let c = ripple_carry_adder(4);
@@ -85,7 +68,7 @@ impl ExtractedPath {
 /// let sizing = Sizing::minimum(&c, &lib);
 /// let report = analyze(&c, &lib, &sizing)?;
 /// let path = report.critical_path();
-/// let extracted = extract_timed_path(&c, &lib, &sizing, &path, &ExtractOptions::default());
+/// let extracted = extract_timed_path(&c, &lib, &sizing, &path, &AnalyzeOptions::default());
 /// assert_eq!(extracted.timed.len(), path.gates.len());
 /// # Ok(())
 /// # }
@@ -95,7 +78,7 @@ pub fn extract_timed_path(
     lib: &Library,
     sizing: &Sizing,
     path: &NetlistPath,
-    options: &ExtractOptions,
+    options: &AnalyzeOptions,
 ) -> ExtractedPath {
     assert!(!path.gates.is_empty(), "cannot extract an empty path");
     let n = path.gates.len();
@@ -172,7 +155,7 @@ mod tests {
         let sizing = Sizing::minimum(&c, &lib);
         let report = analyze(&c, &lib, &sizing).unwrap();
         let path = report.critical_path();
-        let e = extract_timed_path(&c, &lib, &sizing, &path, &ExtractOptions::default());
+        let e = extract_timed_path(&c, &lib, &sizing, &path, &AnalyzeOptions::default());
         (e, lib)
     }
 
@@ -190,12 +173,12 @@ mod tests {
         let sizing = Sizing::minimum(&c, &lib);
         let report = analyze(&c, &lib, &sizing).unwrap();
         let path = report.critical_path();
-        let e = extract_timed_path(&c, &lib, &sizing, &path, &ExtractOptions::default());
+        let e = extract_timed_path(&c, &lib, &sizing, &path, &AnalyzeOptions::default());
         for s in &e.timed.stages()[..4] {
             assert_eq!(s.off_path_load_ff, 0.0);
         }
         // Terminal = PO latch load.
-        assert!((e.timed.terminal_load_ff() - ExtractOptions::default().po_load_ff).abs() < 1e-9);
+        assert!((e.timed.terminal_load_ff() - AnalyzeOptions::default().po_load_ff).abs() < 1e-9);
     }
 
     #[test]
@@ -215,7 +198,7 @@ mod tests {
         let sizing = Sizing::minimum(&c, &lib);
         let report = analyze(&c, &lib, &sizing).unwrap();
         let path = report.critical_path();
-        let e = extract_timed_path(&c, &lib, &sizing, &path, &ExtractOptions::default());
+        let e = extract_timed_path(&c, &lib, &sizing, &path, &AnalyzeOptions::default());
         let sizes = e.timed.min_sizes(&lib);
         let d = e.timed.delay(&lib, &sizes);
         let sta = report.critical_delay_ps();
@@ -230,7 +213,7 @@ mod tests {
         let mut sizing = Sizing::minimum(&c, &lib);
         let report = analyze(&c, &lib, &sizing).unwrap();
         let path = report.critical_path();
-        let e = extract_timed_path(&c, &lib, &sizing, &path, &ExtractOptions::default());
+        let e = extract_timed_path(&c, &lib, &sizing, &path, &AnalyzeOptions::default());
         let sizes: Vec<f64> = (0..e.timed.len()).map(|i| 3.0 + i as f64).collect();
         e.apply_sizes(&mut sizing, &sizes);
         for (i, &g) in e.gates.iter().enumerate() {
@@ -249,9 +232,8 @@ mod tests {
         let gates: Vec<GateId> = c.gate_ids().collect();
         let path = NetlistPath {
             gates: vec![gates[1], gates[0]],
-            end_edge: crate::analysis::EdgeDir::Rising,
         };
-        let _ = extract_timed_path(&c, &lib, &sizing, &path, &ExtractOptions::default());
+        let _ = extract_timed_path(&c, &lib, &sizing, &path, &AnalyzeOptions::default());
     }
 
     #[test]

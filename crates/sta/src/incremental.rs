@@ -5,10 +5,12 @@
 //! nets' loads and its downstream fanout cone. A [`TimingGraph`] is
 //! built once per circuit (caching the topological order, per-gate topo
 //! rank and per-net loads) and then kept consistent through mutators
-//! ([`TimingGraph::resize_gate`], [`TimingGraph::set_vt_class`],
-//! [`TimingGraph::apply_edits`]) that re-evaluate only the affected
-//! cone, in rank order, stopping as soon as re-propagated arrivals and
-//! slopes converge onto their cached values. The options (latch load,
+//! ([`TimingGraph::resize_gate`], [`TimingGraph::set_vt_class`]) that
+//! re-evaluate only the affected cone, in rank order, stopping as soon
+//! as re-propagated arrivals and slopes converge onto their cached
+//! values. A structural edit ([`TimingGraph::apply_edits`]) rebuilds
+//! the circuit-derived arrays and resets the timing state, so the next
+//! query runs one full pass in each direction. The options (latch load,
 //! input slope) are fixed at construction.
 //!
 //! This file holds the type, its constructors, mutators and queries.
@@ -71,8 +73,7 @@ use std::cell::{Cell, Ref, RefCell};
 use pops_delay::{CornerSet, Library};
 use pops_netlist::{Circuit, GateId, NetId, NetlistError, VtClass};
 
-use crate::analysis::{eidx, AnalyzeOptions, EdgeDir, NetlistPath, TimingView, EDGES};
-use crate::dirty::DirtySet;
+use crate::analysis::{eidx, AnalyzeOptions, EdgeDir, NetlistPath, TimingView};
 use crate::error::StaError;
 use crate::kernel::{build_gate_params, gate_params_for, GateParams};
 use crate::sizing::Sizing;
@@ -110,10 +111,9 @@ pub struct UpdateStats {
     /// Structural edits applied through [`TimingGraph::apply_edits`].
     pub structural_edits: usize,
     /// Lazy forward flushes actually performed — one per *query* that
-    /// found arrivals behind the mutation generation with forward work
-    /// pending, never one per mutation (see the module docs' state
-    /// machine). A generation bump with no forward seeds (e.g. a
-    /// constraint change) is settled without counting a flush.
+    /// found forward marks pending, never one per mutation (see the
+    /// module docs' state machine). A mutation that marks nothing
+    /// forward (e.g. a constraint change) costs no flush.
     pub forward_flushes: usize,
     /// Lazy backward flushes actually performed — one per *query* that
     /// found the backward state behind the mutation generation, never
@@ -187,12 +187,11 @@ pub struct TimingGraph<'c> {
 
     /// Mutation generation: bumped by every state-changing mutator
     /// (resize batches, Vt swaps, constraint changes, structural edits).
-    /// The forward and backward states each record the generation they
-    /// last flushed at; the pairs implement the lazy clean →
-    /// dirty(gen) → flushed cycle in both directions.
+    /// The backward state records the generation it last flushed at;
+    /// the pair implements its lazy clean → dirty(gen) → flushed cycle.
     gen: u64,
     /// Maintained forward state (arrivals, slopes, loads, worst gate
-    /// delays) plus its lazy seed logs. Interior-mutable so `&self`
+    /// delays) plus its pending marks. Interior-mutable so `&self`
     /// queries can perform the lazy flush — mutators go through
     /// `get_mut` (no runtime borrow), queries borrow-check at runtime
     /// but never nest a mutable borrow under a shared one.
@@ -271,11 +270,9 @@ impl<'c> TimingGraph<'c> {
         options: &AnalyzeOptions,
     ) -> Result<Self, NetlistError> {
         sizing.check_covers(circuit)?;
-        let n_nets = circuit.net_count();
-        let n_gates = circuit.gate_count();
-        let nc = corner_libs.len();
-        let vt_class = vec![VtClass::Svt; n_gates];
+        let vt_class = vec![VtClass::Svt; circuit.gate_count()];
         let gate_params = build_gate_params(circuit, &corner_libs, &vt_class);
+        let fwd = ForwardState::new(circuit.net_count(), circuit.gate_count(), corner_libs.len());
 
         let graph = TimingGraph {
             circuit: Cow::Borrowed(circuit),
@@ -287,42 +284,17 @@ impl<'c> TimingGraph<'c> {
             corner_libs,
             vt_class,
             gen: 0,
-            fwd: RefCell::new(ForwardState {
-                arrival: vec![[f64::NEG_INFINITY; 2]; n_nets * nc],
-                slope: vec![[0.0; 2]; n_nets * nc],
-                pred: vec![[None, None]; n_nets * nc],
-                load: vec![0.0; n_nets],
-                gate_delay_worst: vec![0.0f64; n_gates * nc],
-                critical_net: vec![None; nc],
-                dirty: DirtySet::new(n_gates),
-                flushed_gen: 0,
-                resized_log: Vec::new(),
-                gate_log: Vec::new(),
-                scan_loads: false,
-            }),
+            fwd: RefCell::new(fwd),
             backward: RefCell::new(None),
             stats: Cell::new(UpdateStats::default()),
         };
         // Initial timing: evaluate every gate once in topological order
         // — exactly the full pass of `analyze_with`. Construction
-        // precedes any constraint (no backward state to seed) and is
+        // precedes any constraint (no backward state to mark) and is
         // not counted in the incremental-work stats.
         {
             let mut fwd = graph.fwd.borrow_mut();
-            for i in 0..n_nets {
-                graph.recompute_net_load(&mut fwd, i);
-            }
-            for pi in circuit.primary_inputs() {
-                let slot = graph.s.slot_of[pi.index()] as usize;
-                // Source conditions are corner-invariant (options, not
-                // process): every corner lane starts identically.
-                for c in 0..nc {
-                    for e in EDGES {
-                        fwd.arrival[slot * nc + c][eidx(e)] = 0.0;
-                        fwd.slope[slot * nc + c][eidx(e)] = graph.options.input_transition_ps;
-                    }
-                }
-            }
+            graph.init_forward(&mut fwd);
             graph.full_forward_sweep(&mut fwd, None);
             graph.recompute_critical(&mut fwd);
         }
@@ -402,12 +374,6 @@ impl<'c> TimingGraph<'c> {
         self.s.rank[gate.index()] as usize
     }
 
-    /// Slots of a gate's fanin nets, in pin order.
-    fn fanin_slots_of(&self, gate: GateId) -> &[u32] {
-        let gi = gate.index();
-        &self.s.fanin_slots[self.s.fanin_off[gi] as usize..self.s.fanin_off[gi + 1] as usize]
-    }
-
     /// Number of process corners the graph maintains (the stride of
     /// every per-corner slab; 1 for [`TimingGraph::new`] graphs).
     #[inline]
@@ -435,12 +401,13 @@ impl<'c> TimingGraph<'c> {
         self.resize_gates([(gate, cin_ff)]);
     }
 
-    /// Apply a batch of resizes. Nothing re-times here: each change is
-    /// one append to the forward (and, under a constraint, backward)
-    /// seed log, and the first timing query drains every batch since
-    /// the last query in one merged rank-ordered propagation — cheaper
-    /// than per-mutation flushes whenever the cones overlap (writing
-    /// back a whole optimized path, a sensitivity round's probes).
+    /// Apply a batch of resizes. Nothing re-times here: each change
+    /// re-sums the loads of the gate's fanin nets and marks the gates
+    /// and required times it moves, and the first timing query drains
+    /// every batch since the last query in one merged rank-ordered
+    /// propagation — cheaper than per-mutation flushes whenever the
+    /// cones overlap (writing back a whole optimized path, a sensitivity
+    /// round's probes).
     ///
     /// # Panics
     ///
@@ -453,7 +420,7 @@ impl<'c> TimingGraph<'c> {
     /// Fallible form of [`TimingGraph::resize_gates`]: the whole batch
     /// is validated *before* any entry is applied, so a rejected batch
     /// leaves the graph bit-identical to the state before the call —
-    /// no half-applied mutation, no seed-log entry, no generation bump.
+    /// no half-applied mutation, no mark, no generation bump.
     ///
     /// # Errors
     ///
@@ -490,14 +457,24 @@ impl<'c> TimingGraph<'c> {
                 continue;
             }
             any = true;
-            // Forward (lazy): the flush recomputes the fanin nets'
-            // loads, re-times their drivers and re-evaluates the gate.
-            self.fwd.get_mut().resized_log.push(gate);
-            // Backward (lazy): arcs through this gate and through its
-            // fanin drivers moved with its C_IN — one log append; the
-            // flush expands it into the affected required-time marks.
-            if let Some(bw) = self.backward.get_mut().as_mut() {
-                bw.resized_log.push(gate);
+            // Forward: the fanin nets' loads moved with the gate's C_IN
+            // (re-summed here, in full, never by deltas), so their
+            // drivers re-time, and the gate's own drive changed.
+            let fwd = self.fwd.get_mut();
+            let gi = gate.index();
+            for i in self.s.fanin_off[gi] as usize..self.s.fanin_off[gi + 1] as usize {
+                let net = self.s.fanin[i].index();
+                fwd.load[self.s.fanin_slots[i] as usize] =
+                    self.s.net_load(net, &self.sizing, self.options.po_load_ff);
+                if let Some(driver) = self.s.net_driver[net] {
+                    fwd.dirty.mark(self.s.rank[driver.index()] as usize);
+                }
+            }
+            fwd.dirty.mark(self.s.rank[gi] as usize);
+            // Backward: arcs through this gate and through its fanin
+            // drivers moved with its C_IN.
+            if let Some(bw) = self.backward.get_mut() {
+                bw.mark_arcs_through(&self.s, gate);
             }
         }
         if any {
@@ -545,14 +522,15 @@ impl<'c> TimingGraph<'c> {
             self.gate_params[gi * nc + c] = gate_params_for(lib, self.s.cell[gi], class);
         }
         // Forward: the gate's delay, slope and arrival all re-derive
-        // (loads are untouched — no fanin-driver re-time needed, but
-        // over-seeding would be bit-safe anyway).
-        self.fwd.get_mut().gate_log.push(gate);
-        if let Some(bw) = self.backward.get_mut().as_mut() {
+        // (loads are untouched — no fanin-driver re-time needed).
+        let pos = self.pos(gate);
+        self.fwd.get_mut().dirty.mark(pos);
+        if let Some(bw) = self.backward.get_mut() {
             // Backward: arcs *through* the gate moved, so its fanin
-            // required times re-derive (the resized-log expansion
-            // covers exactly that cone).
-            bw.resized_log.push(gate);
+            // required times re-derive. The resize marking also takes
+            // its fanin drivers' fanins, which the convergence cut
+            // settles.
+            bw.mark_arcs_through(&self.s, gate);
         }
         self.gen = self.gen.wrapping_add(1);
         self.stat(|s| s.updates += 1);
@@ -562,8 +540,8 @@ impl<'c> TimingGraph<'c> {
     // ---- query surface (mirrors `TimingReport`) ----
     //
     // Every forward query is a flushing query: it first drains the
-    // pending lazy seeds (one merged forward cone for everything since
-    // the last query), then answers from the settled state.
+    // pending marks (one merged forward cone for everything since the
+    // last query), then answers from the settled state.
 
     /// Worst arrival time over all primary outputs (ps), on the primary
     /// corner.
@@ -627,26 +605,6 @@ impl<'c> TimingGraph<'c> {
         self.fwd.borrow().load[self.slot(net)]
     }
 
-    /// Exact load of one net under the current sizing and options,
-    /// computed without touching the cached slab: the full pass's
-    /// summation order (the flattened fanout array preserves the
-    /// circuit's load-pin order), so it reproduces the flushed value bit
-    /// for bit.
-    fn fresh_net_load(&self, i: usize) -> f64 {
-        let (lo, hi) = (
-            self.s.fanout_off[i] as usize,
-            self.s.fanout_off[i + 1] as usize,
-        );
-        let mut load = 0.0;
-        for &g in &self.s.fanout[lo..hi] {
-            load += self.sizing.cin_ff(g);
-        }
-        if self.s.is_po[i] {
-            load += self.options.po_load_ff;
-        }
-        load
-    }
-
     /// Worst-case delay of a gate (ps) under the current slopes, on the
     /// primary corner.
     pub fn gate_delay_worst_ps(&self, gate: GateId) -> f64 {
@@ -673,14 +631,8 @@ impl<'c> TimingGraph<'c> {
         self.flush_forward();
         let nc = self.corner_libs.len();
         let fwd = self.fwd.borrow();
-        let Some((net, edge)) = fwd.critical_net[0] else {
-            return NetlistPath {
-                gates: Vec::new(),
-                end_edge: EdgeDir::Rising,
-            };
-        };
         let mut gates = Vec::new();
-        let mut cur = Some((net, edge));
+        let mut cur = fwd.critical_net[0];
         while let Some((n, e)) = cur {
             if let Some(gid) = self.s.net_driver[n.index()] {
                 gates.push(gid);
@@ -688,10 +640,7 @@ impl<'c> TimingGraph<'c> {
             cur = fwd.pred[self.slot(n) * nc][eidx(e)];
         }
         gates.reverse();
-        NetlistPath {
-            gates,
-            end_edge: edge.into(),
-        }
+        NetlistPath { gates }
     }
 
     // ---- backward query surface (mirrors `SlackReport`) ----
@@ -702,7 +651,7 @@ impl<'c> TimingGraph<'c> {
     /// subtract-chains from the constraint, not offsets of it —
     /// schedules one full backward pass, paid by the first backward
     /// query (the lazy flush); from then on mutations only accumulate
-    /// dirty seeds and each query drains whatever accumulated in one
+    /// dirty marks and each query drains whatever accumulated in one
     /// merged O(backward cone) pass.
     ///
     /// An infinite `tc_ps` is accepted and behaves like the full pass:
@@ -737,33 +686,11 @@ impl<'c> TimingGraph<'c> {
                 return Ok(());
             }
         }
-        let n_nets = self.circuit.net_count();
-        let n_gates = self.circuit.gate_count();
-        let nc = self.corner_libs.len();
         // Required times are subtract-chains from `tc`, not offsets of
-        // it, so the new state starts wholly invalid: every net marked
-        // (so `drain_limit` picks the full sweep) and a wholesale
-        // worst-slack refold scheduled.
-        let full = |size| {
-            let mut set = DirtySet::new(size);
-            set.fill();
-            set
-        };
+        // it, so the new state starts wholly invalid.
         self.gen = self.gen.wrapping_add(1);
-        *self.backward.get_mut() = Some(BackwardState {
-            tc_ps,
-            required: vec![[f64::INFINITY; 2]; n_nets * nc],
-            req: full(n_gates),
-            req_src: full(self.s.n_src),
-            // One behind: the first backward query performs the flush
-            // that doubles as the initial full backward pass.
-            req_flushed_gen: self.gen.wrapping_sub(1),
-            resized_log: Vec::new(),
-            req_net_log: Vec::new(),
-            slack_net_log: Vec::new(),
-            worst: WorstSlackIndex::new(n_nets),
-            refold_all: true,
-        });
+        let nc = self.corner_libs.len();
+        *self.backward.get_mut() = Some(BackwardState::invalid(tc_ps, &self.s, nc, self.gen));
         Ok(())
     }
 
@@ -782,9 +709,8 @@ impl<'c> TimingGraph<'c> {
     /// Required time of a net for an edge (ps); `+inf` where
     /// unconstrained. Bit-identical to a fresh
     /// [`required_times`](crate::required_times) under the same
-    /// constraint. Like every backward query, flushes pending lazy
-    /// seeds first (one merged cone for everything since the last
-    /// query).
+    /// constraint. Like every backward query, flushes pending marks
+    /// first (one merged cone for everything since the last query).
     ///
     /// # Panics
     ///

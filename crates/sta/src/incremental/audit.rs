@@ -7,9 +7,9 @@ use crate::error::StaError;
 impl TimingGraph<'_> {
     /// Deep-consistency audit of the engine's internal state — a cheap
     /// health check for long-lived processes and the oracle the
-    /// mutation-boundary tests consult. Pending lazy
-    /// seeds are flushed first (the invariants hold over settled
-    /// state); the audit then checks, in order:
+    /// mutation-boundary tests consult. Pending marks are flushed
+    /// first (the invariants hold over settled state); the audit then
+    /// checks, in order:
     ///
     /// * **slot/rank bijection** — driverless nets occupy slots
     ///   `0..n_src` in net-id order, the net driven by the gate at topo
@@ -19,9 +19,9 @@ impl TimingGraph<'_> {
     ///   positions and every gate's fanin drivers sit in strictly lower
     ///   levels;
     /// * **dirty-set vs generation agreement** — every dirty set's
-    ///   popcount matches its maintained count, and state flushed to the
-    ///   current mutation generation holds no pending marks, seed-log
-    ///   entries or load-rescan flag;
+    ///   popcount matches its maintained count, the backward state is
+    ///   flushed to the current mutation generation, and flushed state
+    ///   holds no pending marks, slack leaves or refold;
     /// * **worst-slack tree agreement** — every leaf bit-matches an
     ///   independent refold of the required/arrival slabs and every
     ///   internal node (the root included) the min of its children;
@@ -128,29 +128,15 @@ impl TimingGraph<'_> {
         let fwd = self.fwd.borrow();
 
         // Dirty bookkeeping vs generation agreement. The flushes above
-        // settled everything to the current generation, so every mark,
-        // seed log and the load-rescan flag must now be clear.
+        // settled everything to the current generation, so every mark
+        // must now be clear.
         if let Err(e) = fwd.dirty.check_count() {
             return corrupt(format!("forward dirty set: {e}"));
         }
-        if fwd.flushed_gen != self.gen {
+        if !fwd.dirty.is_empty() {
             return corrupt(format!(
-                "forward state at generation {} behind mutation generation {} after a flush",
-                fwd.flushed_gen, self.gen
-            ));
-        }
-        if !fwd.dirty.is_empty()
-            || !fwd.resized_log.is_empty()
-            || !fwd.gate_log.is_empty()
-            || fwd.scan_loads
-        {
-            return corrupt(format!(
-                "flushed forward state still dirty: {} marks, {} resize seeds, {} gate seeds, \
-                 scan_loads {}",
-                fwd.dirty.count(),
-                fwd.resized_log.len(),
-                fwd.gate_log.len(),
-                fwd.scan_loads
+                "flushed forward state still dirty: {} marks",
+                fwd.dirty.count()
             ));
         }
 
@@ -210,18 +196,14 @@ impl TimingGraph<'_> {
             }
             if !bw.req.is_empty()
                 || !bw.req_src.is_empty()
-                || !bw.resized_log.is_empty()
-                || !bw.req_net_log.is_empty()
                 || !bw.slack_net_log.is_empty()
                 || bw.refold_all
             {
                 return corrupt(format!(
-                    "flushed backward state still dirty: {} marks, {} PI sinks, {}+{}+{} seeds, \
+                    "flushed backward state still dirty: {} marks, {} PI sinks, {} slack leaves, \
                      refold_all {}",
                     bw.req.count(),
                     bw.req_src.count(),
-                    bw.resized_log.len(),
-                    bw.req_net_log.len(),
                     bw.slack_net_log.len(),
                     bw.refold_all
                 ));

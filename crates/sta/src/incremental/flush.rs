@@ -24,18 +24,19 @@
 //! dirty sets, and the bitwise convergence cut still confines the
 //! flush to the union cone.
 //!
-//! The **forward** state is lazy under the same generation counter.
-//! Mutations append id-keyed forward seed logs — resized gates, gates a
-//! structural edit touched or created, a pending load rescan — and
-//! every *forward* query, without exception (`critical_delay_ps`,
-//! `arrival_ps`, `slope_ps`, `net_load_ff`, `gate_delay_worst_ps`,
-//! `critical_path`, and every [`TimingView`](crate::TimingView) read),
-//! marks them into the dirty set and drains one merged forward cone —
-//! or sweeps, see *Drain or sweep* below. Backward queries are **two-phase**: they flush
-//! forward first (required times re-derive from final slopes and
-//! loads), then drain the backward seeds the forward flush just
-//! deposited. The eager/lazy distinction is invisible to every
-//! consumer — `tests/lazy_equivalence.rs` and
+//! The **forward** state is lazy too. Mutations mark the gates to
+//! re-evaluate in the forward dirty set — a resize also re-sums the
+//! loads it moves — and every *forward* query, without exception
+//! (`critical_delay_ps`, `arrival_ps`, `slope_ps`, `net_load_ff`,
+//! `gate_delay_worst_ps`, `critical_path`, and every
+//! [`TimingView`](crate::TimingView) read), drains one merged forward
+//! cone — or sweeps, see *Drain or sweep* below. A structural edit
+//! resets both states: every gate marked forward, the backward state
+//! invalid, so the next query pays one full pass each way. Backward
+//! queries are **two-phase**: they flush forward first (required times
+//! re-derive from final slopes and loads), then drain the backward
+//! marks the forward flush just deposited. The eager/lazy distinction
+//! is invisible to every consumer — `tests/lazy_equivalence.rs` and
 //! `tests/forward_lazy_equivalence.rs` prove any interleaving of
 //! mutations and queries bit-identical to the eager semantics, and
 //! [`UpdateStats::forward_flushes`](super::UpdateStats::forward_flushes) /
@@ -55,28 +56,27 @@
 //!
 //! # Drain or sweep
 //!
-//! Every flush — forward and required times — marks its seed logs
-//! into a dirty set over topo positions and drains it with
-//! the one drain loop of `crate::dirty`: positions pop in dependency
-//! order (ascending forward, descending backward), each runs its
-//! per-gate kernel from `crate::kernel`, and a changed output marks the
-//! kernel's neighbours. One rule, `TimingGraph::drain_limit`, decides
+//! Every flush — forward and required times — drains a dirty set over
+//! topo positions with the one drain loop of `crate::dirty`: positions
+//! pop in dependency order (ascending forward, descending backward),
+//! each runs its per-gate kernel from `crate::kernel`, and a changed
+//! output marks the kernel's neighbours. One rule, `TimingGraph::drain_limit`, decides
 //! per flush when a straight full sweep over the same kernels is
 //! cheaper; drain and sweep land on the same bits.
 
 use pops_delay::model::Edge;
 use pops_netlist::{GateId, NetId};
 
-use super::TimingGraph;
+use super::{Structure, TimingGraph};
 use crate::analysis::{eidx, EDGES};
 use crate::dirty::{Direction, DirtySet, Drained};
 use crate::kernel::{BwdView, EvalCtx, FwdView, PredPair, F_ARRIVAL, F_OUT_CHANGED, F_SLOPE};
 use crate::slack::WorstSlackIndex;
 
 /// Incrementally maintained forward timing state of a [`TimingGraph`]:
-/// the floating-point arrays plus the lazy-flush bookkeeping. Lives in
-/// a [`RefCell`](std::cell::RefCell) so forward queries on `&self` can
-/// drain pending seeds.
+/// the floating-point arrays plus the pending marks. Lives in a
+/// [`RefCell`](std::cell::RefCell) so forward queries on `&self` can
+/// drain them.
 #[derive(Debug, Clone)]
 pub(super) struct ForwardState {
     /// Arrival time per edge (ps), **slot- and corner-indexed**: net
@@ -102,39 +102,28 @@ pub(super) struct ForwardState {
     /// Worst primary output `(net, edge)` per corner (corner-indexed).
     pub(super) critical_net: Vec<Option<(NetId, Edge)>>,
 
-    /// Gates to re-evaluate, by topo position. Populated only *inside*
-    /// a flush (mutators append to the id-keyed seed logs instead, so
-    /// graph surgery can re-rank freely without orphaning pending
-    /// marks) and drained in ascending order.
+    /// Gates to re-evaluate, by topo position: marked by the mutators,
+    /// drained in ascending order by the next forward query (which
+    /// deposits the backward marks the drained cone produces — backward
+    /// flushes therefore run *after* it).
     pub(super) dirty: DirtySet,
-
-    /// Generation ([`TimingGraph::gen`]) the forward state last flushed
-    /// at; a mismatch means seeds are pending and the next forward
-    /// query drains them (and deposits the backward seeds the drained
-    /// cone produces — backward flushes therefore run *after* this).
-    pub(super) flushed_gen: u64,
-
-    /// Seed logs: the mutation-side half of the forward lazy contract.
-    /// Mutators only *append* ids here — no rank lookups, no bitset
-    /// read-modify-writes — and the flush marks them into the
-    /// position-keyed dirty set. Entries may repeat; ids are stable across
-    /// append-only surgery, so no translation is needed when ranks are
-    /// reassigned.
-    ///
-    /// Gates whose drive changed: their fanin nets' loads recompute,
-    /// those nets' drivers re-time, and the gate itself re-evaluates.
-    pub(super) resized_log: Vec<GateId>,
-    /// Gates a structural edit touched or created: re-evaluate outright
-    /// (cell, wiring or environment may have changed).
-    pub(super) gate_log: Vec<GateId>,
-    /// A structural edit changed connectivity: recompare every net's
-    /// load under the edited structure at flush time (the cached values
-    /// are the pre-edit loads) and re-time the drivers of the ones that
-    /// moved, seeding their backward cones alongside.
-    pub(super) scan_loads: bool,
 }
 
 impl ForwardState {
+    /// A state with every gate output unreached, every load 0 and no
+    /// mark, for `n_nets` nets, `n_gates` gates and `nc` corners.
+    pub(super) fn new(n_nets: usize, n_gates: usize, nc: usize) -> Self {
+        ForwardState {
+            arrival: vec![[f64::NEG_INFINITY; 2]; n_nets * nc],
+            slope: vec![[0.0; 2]; n_nets * nc],
+            pred: vec![[None, None]; n_nets * nc],
+            load: vec![0.0; n_nets],
+            gate_delay_worst: vec![0.0; n_gates * nc],
+            critical_net: vec![None; nc],
+            dirty: DirtySet::new(n_gates),
+        }
+    }
+
     /// The per-gate kernels' view of the slabs, beside the dirty set.
     fn split(&mut self) -> (FwdView<'_>, &mut DirtySet) {
         let view = FwdView {
@@ -167,127 +156,124 @@ pub(super) struct BackwardState {
     pub(super) req_src: DirtySet,
 
     /// Generation ([`TimingGraph::gen`]) the required-time state (and
-    /// the worst-slack index) last flushed at; a mismatch means seeds
+    /// the worst-slack index) last flushed at; a mismatch means marks
     /// are pending and the next slack/required query drains them.
     pub(super) req_flushed_gen: u64,
 
-    /// Seed logs: the mutation-side half of the lazy contract. Hot
-    /// paths (resize batches, forward cone evaluation) only *append*
-    /// ids here — no rank lookups, no bitset read-modify-writes — and
-    /// the flush marks them into the position-keyed dirty sets (a
-    /// constraint change drops them with the old state: the new
-    /// state's full sets subsume them). Entries may repeat; ids are
-    /// stable across append-only surgery, so no translation is needed
-    /// when ranks are reassigned.
-    ///
-    /// Gates whose drive changed: their fanin nets' required times and
-    /// their fanin drivers' fanin required times re-derive.
-    pub(super) resized_log: Vec<GateId>,
-    /// Nets whose slope moved: their required times re-derive.
-    pub(super) req_net_log: Vec<NetId>,
-    /// Nets whose arrival moved: their worst-slack leaves re-fold.
+    /// Nets whose arrival moved: their worst-slack leaves re-fold. May
+    /// repeat a net.
     pub(super) slack_net_log: Vec<NetId>,
 
     /// Tournament tree over per-net worst finite slacks (root = design
     /// worst); see [`WorstSlackIndex`].
     pub(super) worst: WorstSlackIndex,
-    /// Every slack may have moved (constraint change, graph surgery):
+    /// Every slack may have moved (constraint change, structural edit):
     /// rebuild the index wholesale at the next flush instead of
     /// per-leaf updates.
     pub(super) refold_all: bool,
 }
 
+impl BackwardState {
+    /// A wholly invalid state under `tc_ps` over the structure `s` with
+    /// `nc` corners: every net marked (so `drain_limit` picks the full
+    /// sweep), a wholesale worst-slack refold scheduled, and flushed one
+    /// generation behind `gen`, so the first backward query at `gen`
+    /// runs one full backward pass.
+    pub(super) fn invalid(tc_ps: f64, s: &Structure, nc: usize, gen: u64) -> Self {
+        let full = |size| {
+            let mut set = DirtySet::new(size);
+            set.fill();
+            set
+        };
+        let n_nets = s.slot_of.len();
+        BackwardState {
+            tc_ps,
+            required: vec![[f64::INFINITY; 2]; n_nets * nc],
+            req: full(s.topo.len()),
+            req_src: full(s.n_src),
+            req_flushed_gen: gen.wrapping_sub(1),
+            slack_net_log: Vec::new(),
+            worst: WorstSlackIndex::new(n_nets),
+            refold_all: true,
+        }
+    }
+
+    /// Mark the required times that move with the arcs through `gate`
+    /// (a new drive or Vt class): its fanin nets', and its fanin
+    /// drivers' fanin nets' (their output load moves with its C_IN).
+    pub(super) fn mark_arcs_through(&mut self, s: &Structure, gate: GateId) {
+        for &slot in s.fanin_slots_of(gate) {
+            mark_required(s, &mut self.req, &mut self.req_src, slot as usize);
+            if let Some(pos) = (slot as usize).checked_sub(s.n_src) {
+                for &d in s.fanin_slots_of(s.topo[pos]) {
+                    mark_required(s, &mut self.req, &mut self.req_src, d as usize);
+                }
+            }
+        }
+    }
+}
+
+/// Mark the net at `slot` required-dirty: a driven net under its
+/// driver's topo position, a driverless one in the source set.
+fn mark_required(s: &Structure, req: &mut DirtySet, req_src: &mut DirtySet, slot: usize) {
+    match slot.checked_sub(s.n_src) {
+        Some(pos) => req.mark(pos),
+        None => req_src.mark(slot),
+    }
+}
+
 impl TimingGraph<'_> {
     // ---- forward internals ----
 
-    /// Store a net's exact load (see [`TimingGraph::fresh_net_load`]).
-    /// Takes the raw net index so whole-array sweeps need no id
-    /// round-trip.
-    pub(super) fn recompute_net_load(&self, fwd: &mut ForwardState, net: usize) {
-        fwd.load[self.s.slot_of[net] as usize] = self.fresh_net_load(net);
+    /// Set every net's load in `fwd` under the current sizing and the
+    /// primary inputs' arrivals (0) and slopes (the input transition) on
+    /// every corner: the starting point of a full forward pass, shared
+    /// by construction and [`TimingGraph::apply_edits`].
+    pub(super) fn init_forward(&self, fwd: &mut ForwardState) {
+        for net in 0..self.s.slot_of.len() {
+            fwd.load[self.s.slot_of[net] as usize] =
+                self.s.net_load(net, &self.sizing, self.options.po_load_ff);
+        }
+        let nc = self.corner_libs.len();
+        for pi in self.circuit.primary_inputs() {
+            let slot = self.slot(*pi);
+            // Source conditions are corner-invariant (options, not
+            // process): every corner lane starts identically.
+            for c in 0..nc {
+                fwd.arrival[slot * nc + c] = [0.0; 2];
+                fwd.slope[slot * nc + c] = [self.options.input_transition_ps; 2];
+            }
+        }
     }
 
-    /// The forward side of the lazy flush: a no-op when the forward
-    /// state already reflects the current mutation generation, or when
-    /// a generation bump left no forward seeds (e.g. a constraint
-    /// change). Otherwise one merged propagation covers every mutation
-    /// since the last forward query: the seed logs are marked into the
-    /// dirty set, which drains in ascending position order, stopping
-    /// where a gate's re-evaluated output is bit-identical to its cached
-    /// state. When [`TimingGraph::drain_limit`] says the cone covers most
-    /// of the gates, a straight full topo sweep (no set bookkeeping, no
-    /// fanout marking) finishes cheaper — and is bit-identical, because
-    /// a topo-order pass gives every gate final fanin values and
-    /// unchanged gates reproduce their cached bits exactly. Backward
-    /// cones are *not* drained here — the seeds the walk deposits into
+    /// The forward side of the lazy flush: a no-op when no gate is
+    /// marked. Otherwise one merged propagation covers every mutation
+    /// since the last forward query: the dirty set drains in ascending
+    /// position order, stopping where a gate's re-evaluated output is
+    /// bit-identical to its cached state. When
+    /// [`TimingGraph::drain_limit`] says the cone covers most of the
+    /// gates, a straight full topo sweep (no set bookkeeping, no fanout
+    /// marking) finishes cheaper — and is bit-identical, because a
+    /// topo-order pass gives every gate final fanin values and unchanged
+    /// gates reproduce their cached bits exactly. Backward
+    /// cones are *not* drained here — the marks the walk deposits into
     /// the backward state (slope and arrival changes) stay pending
     /// until the next backward query's lazy flush.
     pub(super) fn flush_forward(&self) {
         let mut guard = self.fwd.borrow_mut();
         let fwd = &mut *guard;
-        if fwd.flushed_gen == self.gen {
-            return;
-        }
-        fwd.flushed_gen = self.gen;
-        if !fwd.scan_loads && fwd.resized_log.is_empty() && fwd.gate_log.is_empty() {
+        if fwd.dirty.is_empty() {
             return;
         }
         let mut bw_guard = self.backward.borrow_mut();
         let mut bw = bw_guard.as_mut();
         let n_gates = self.s.topo.len();
-        let n_nets = self.s.net_driver.len();
-
-        // Materialize the pending seeds. Loads are recomputed exactly
-        // (same summation order as the full pass — no delta
-        // accumulation); marking is unconditional where the eager
-        // engine marked unconditionally, so the convergence cut — not
-        // the seeding — decides what actually re-evaluates.
-        if fwd.scan_loads {
-            fwd.scan_loads = false;
-            // Surgery changed connectivity: recompare every net's load
-            // against its cached (pre-edit) value and treat a changed
-            // net like a resized fanin net — its driver re-times and
-            // its backward state re-derives (arcs through the driver
-            // moved with its output load).
-            for net in 0..n_nets {
-                let slot = self.s.slot_of[net] as usize;
-                let old = fwd.load[slot];
-                self.recompute_net_load(fwd, net);
-                if old.to_bits() == fwd.load[slot].to_bits() {
-                    continue;
-                }
-                if let Some(driver) = self.s.net_driver[net] {
-                    fwd.dirty.mark(self.pos(driver));
-                    if let Some(bw) = bw.as_deref_mut() {
-                        bw.resized_log.push(driver);
-                    }
-                }
-            }
-        }
-        let mut resized = std::mem::take(&mut fwd.resized_log);
-        for gate in resized.drain(..) {
-            // The fanin nets' loads moved with the gate's C_IN: their
-            // drivers re-time, and the gate's own drive changed.
-            let (lo, hi) = (
-                self.s.fanin_off[gate.index()] as usize,
-                self.s.fanin_off[gate.index() + 1] as usize,
-            );
-            for i in lo..hi {
-                let in_net = self.s.fanin[i];
-                self.recompute_net_load(fwd, in_net.index());
-                if let Some(driver) = self.s.net_driver[in_net.index()] {
-                    fwd.dirty.mark(self.pos(driver));
-                }
-            }
-            fwd.dirty.mark(self.pos(gate));
-        }
-        fwd.resized_log = resized;
-        for gate in fwd.gate_log.drain(..) {
-            fwd.dirty.mark(self.pos(gate));
-        }
 
         let (reevals, cuts, any_changed) = match self.drain_limit(&fwd.dirty, Direction::Forward) {
-            None => (n_gates, 0, self.full_forward_sweep(fwd, bw)),
+            None => {
+                self.full_forward_sweep(fwd, bw);
+                (n_gates, 0, true)
+            }
             Some(limit) => {
                 let ctx = self.eval_ctx();
                 let (mut view, dirty) = fwd.split();
@@ -329,10 +315,10 @@ impl TimingGraph<'_> {
         }
     }
 
-    /// Re-evaluate the gate at `pos`, deposit the lazy backward seeds
-    /// its change flags call for — plain log appends: arcs *from* the
-    /// output net move with its slope, the net's worst-slack leaf with
-    /// its arrival — and report whether its output moved.
+    /// Re-evaluate the gate at `pos`, deposit the lazy backward marks
+    /// its change flags call for — arcs *from* the output net move with
+    /// its slope, the net's worst-slack leaf with its arrival — and
+    /// report whether its output moved.
     fn forward_step(
         &self,
         view: &mut FwdView<'_>,
@@ -342,12 +328,14 @@ impl TimingGraph<'_> {
     ) -> bool {
         let flags = view.eval_gate(ctx, pos);
         if let Some(bw) = bw.as_deref_mut() {
-            let gid = self.s.topo[pos];
             if flags & F_SLOPE != 0 {
-                bw.req_net_log.push(self.s.out_net[gid.index()]);
+                // The output net sits at slot `n_src + pos`, so its
+                // required-time key is the gate's own position.
+                bw.req.mark(pos);
             }
             if flags & F_ARRIVAL != 0 {
-                bw.slack_net_log.push(self.s.out_net[gid.index()]);
+                bw.slack_net_log
+                    .push(self.s.out_net[self.s.topo[pos].index()]);
             }
         }
         flags & F_OUT_CHANGED != 0
@@ -355,21 +343,18 @@ impl TimingGraph<'_> {
 
     /// Evaluate every gate once in topological order — exactly the full
     /// pass of `analyze_with` — streaming the slabs in memory order, and
-    /// clear the dirty set it subsumes. Returns whether any output
-    /// moved.
+    /// clear the dirty set it subsumes.
     pub(super) fn full_forward_sweep(
         &self,
         fwd: &mut ForwardState,
         mut bw: Option<&mut BackwardState>,
-    ) -> bool {
+    ) {
         let ctx = self.eval_ctx();
         let (mut view, dirty) = fwd.split();
         dirty.clear();
-        let mut any_changed = false;
         for pos in 0..self.s.topo.len() {
-            any_changed |= self.forward_step(&mut view, &ctx, &mut bw, pos);
+            self.forward_step(&mut view, &ctx, &mut bw, pos);
         }
-        any_changed
     }
 
     /// Same worst-output scan (and tie-breaking order) as the full
@@ -392,24 +377,15 @@ impl TimingGraph<'_> {
 
     // ---- backward internals ----
 
-    /// Mark the net at `slot` required-dirty: a driven net under its
-    /// driver's topo position, a driverless one in the source set.
-    fn mark_required(&self, req: &mut DirtySet, req_src: &mut DirtySet, slot: usize) {
-        match slot.checked_sub(self.s.n_src) {
-            Some(pos) => req.mark(pos),
-            None => req_src.mark(slot),
-        }
-    }
-
     /// The backward side of the lazy flush: drain the accumulated
-    /// required seeds in *descending* position order, then fold the
+    /// required marks in *descending* position order, then fold the
     /// moved slacks into the worst-slack index. A no-op when that state
     /// already reflects the current mutation generation; otherwise one
     /// merged reverse propagation covers every mutation since the last
     /// slack/required query. **Two-phase**: the forward state flushes
     /// first — required times derive from final slopes and loads, and
     /// the forward drain is what deposits this flush's arrival/slope
-    /// seeds. Propagation stops where a recomputed required time is
+    /// marks. Propagation stops where a recomputed required time is
     /// bit-identical to its cached value; marks always target strictly
     /// lower positions (a driver's fanins rank below it), and the
     /// driverless nets — sinks with no driver to propagate through —
@@ -431,28 +407,9 @@ impl TimingGraph<'_> {
             required,
             req,
             req_src,
-            resized_log,
-            req_net_log,
             slack_net_log,
             ..
         } = &mut *bw;
-        // Materialize the seed logs. A resized gate expands to its fanin
-        // nets (arcs through it moved with its C_IN) and its fanin
-        // drivers' fanin nets (their output loads moved).
-        for net in req_net_log.drain(..) {
-            self.mark_required(req, req_src, self.slot(net));
-        }
-        for gate in resized_log.drain(..) {
-            for &s in self.fanin_slots_of(gate) {
-                self.mark_required(req, req_src, s as usize);
-                if let Some(pos) = (s as usize).checked_sub(self.s.n_src) {
-                    for &d in self.fanin_slots_of(self.s.topo[pos]) {
-                        self.mark_required(req, req_src, d as usize);
-                    }
-                }
-            }
-        }
-
         let drained = self.drain_limit(req, Direction::Backward).map(|limit| {
             let ctx = self.eval_ctx();
             let mut view = bwd_view(&fwd, *tc_ps, required);
@@ -469,8 +426,8 @@ impl TimingGraph<'_> {
                 limit,
                 |pos| eval(self.s.n_src + pos),
                 |pos, req| {
-                    for &s in self.fanin_slots_of(self.s.topo[pos]) {
-                        self.mark_required(req, req_src, s as usize);
+                    for &slot in self.s.fanin_slots_of(self.s.topo[pos]) {
+                        mark_required(&self.s, req, req_src, slot as usize);
                     }
                 },
             );
@@ -510,7 +467,7 @@ impl TimingGraph<'_> {
         // once per query.
         // Leaves are keyed by *slot* — a bijection of the nets, so the
         // root min folds the same value multiset as a net-keyed tree
-        // (bit-identical worst; surgery re-keys under `refold_all`).
+        // (bit-identical worst).
         let n_nets = self.s.slot_of.len();
         let nc = self.corner_libs.len();
         if bw.refold_all || bw.slack_net_log.len() > n_nets / 4 {
@@ -565,8 +522,8 @@ impl TimingGraph<'_> {
         }
     }
 
-    /// The drain-or-sweep rule, decided once per flush after the seed
-    /// logs are marked into `set`: sweep now (`None`) when the marked
+    /// The drain-or-sweep rule, decided once per flush over the marks
+    /// pending in `set`: sweep now (`None`) when the marked
     /// count or the closure estimate reaches the budget — `n·3/4 + 1`
     /// gates forward, `n/3 + 1` backward — else drain, bailing to the
     /// sweep after the returned number of evaluations.

@@ -20,14 +20,14 @@
 
 use pops_netlist::{CellKind, Circuit, GateId, NetId, NetlistError};
 
+use crate::sizing::Sizing;
+
 /// The circuit-derived arrays of a [`TimingGraph`](super::TimingGraph):
 /// topology, adjacency and the slot layout — everything except the
 /// model constants and the floating-point timing state. Built only by
 /// [`build_structure`], at construction and again by
-/// [`TimingGraph::apply_edits`](super::TimingGraph::apply_edits) (graph
-/// surgery changes ranks and adjacency arbitrarily, and this rebuild is
-/// pure pointer/arena work — the expensive part, arc re-evaluation,
-/// stays confined to the seeded dirty cones).
+/// [`TimingGraph::apply_edits`](super::TimingGraph::apply_edits), which
+/// resets the timing state over the rebuilt arrays.
 #[derive(Debug, Clone)]
 pub(crate) struct Structure {
     /// Gates in the cached topological order. The order is
@@ -70,6 +70,33 @@ pub(crate) struct Structure {
     pub(crate) is_po: Vec<bool>,
     /// Primary-output nets, in declaration order (critical scan order).
     pub(crate) pos: Vec<NetId>,
+}
+
+impl Structure {
+    /// Slots of a gate's fanin nets, in pin order.
+    pub(crate) fn fanin_slots_of(&self, gate: GateId) -> &[u32] {
+        let gi = gate.index();
+        &self.fanin_slots[self.fanin_off[gi] as usize..self.fanin_off[gi + 1] as usize]
+    }
+
+    /// Exact load of net `net` (fF) under `sizing`, plus `po_load_ff`
+    /// at a primary output: the full pass's sum in its load-pin order
+    /// (the flattened fanout keeps the circuit's), so it reproduces that
+    /// pass's value bit for bit.
+    pub(crate) fn net_load(&self, net: usize, sizing: &Sizing, po_load_ff: f64) -> f64 {
+        let (lo, hi) = (
+            self.fanout_off[net] as usize,
+            self.fanout_off[net + 1] as usize,
+        );
+        let mut load = 0.0;
+        for &g in &self.fanout[lo..hi] {
+            load += sizing.cin_ff(g);
+        }
+        if self.is_po[net] {
+            load += po_load_ff;
+        }
+        load
+    }
 }
 
 pub(super) fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {

@@ -125,7 +125,7 @@ pub(crate) fn gate_params_for(lib: &Library, kind: CellKind, class: VtClass) -> 
 
 /// Flatten the model constants of every gate under every corner,
 /// corner-innermost (`gi * n_corners + c`). Called at construction and
-/// again after surgery (the created gates need constants too).
+/// again by every structural edit, over the edited circuit.
 pub(crate) fn build_gate_params(
     circuit: &Circuit,
     corner_libs: &[Library],

@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 
 use pops_netlist::{Circuit, GateId, NetDriver};
 
-use crate::analysis::{EdgeDir, NetlistPath, TimingView};
+use crate::analysis::{NetlistPath, TimingView};
 
 /// A partial or complete path in the search heap, ordered by its
 /// optimistic bound (current weight + best possible completion).
@@ -115,10 +115,7 @@ pub fn k_most_critical_paths<V: TimingView + ?Sized>(
 
     while let Some(entry) = heap.pop() {
         if entry.complete {
-            results.push(NetlistPath {
-                gates: entry.gates,
-                end_edge: EdgeDir::Rising,
-            });
+            results.push(NetlistPath { gates: entry.gates });
             if results.len() == k {
                 break;
             }

@@ -50,7 +50,7 @@ pub mod slack;
 
 pub use analysis::{analyze, NetlistPath, TimingReport, TimingView};
 pub use error::StaError;
-pub use extract::{extract_timed_path, ExtractOptions};
+pub use extract::extract_timed_path;
 pub use incremental::TimingGraph;
 pub use kpaths::{completion_bounds, k_most_critical_paths, path_weight_ps};
 pub use sizing::Sizing;

@@ -151,28 +151,24 @@ impl WorstSlackIndex {
 
     /// The design-worst finite slack; `None` when no net carries one —
     /// a root still at the `+inf` neutral element means every leaf is
-    /// unconstrained (zero primary outputs, an infinite constraint, a
-    /// post-surgery design whose endpoints all went infinite), and must
-    /// never be folded into a finite answer.
+    /// unconstrained (zero primary outputs, an infinite constraint),
+    /// and must never be folded into a finite answer.
     pub(crate) fn worst(&self) -> Option<f64> {
         let root = self.tree[1];
         root.is_finite().then_some(root)
     }
 
     /// Rebuild wholesale from one key per net — O(nets) min folds, used
-    /// when every slack may have moved (constraint/option invalidation,
-    /// graph surgery growing the net space). Leaves past `keys.len()`
-    /// (the power-of-two padding, and every leaf of a zero-net design)
-    /// are re-padded with the `+inf` neutral element.
+    /// when every slack may have moved (a new backward state, a flush
+    /// that moved most of them). The index is created at its final
+    /// size: `keys` holds one key per net it was created for, and the
+    /// padding leaves past them keep the `+inf` neutral element.
     pub(crate) fn rebuild(&mut self, keys: &[f64]) {
         debug_assert!(
             keys.iter().all(|k| !k.is_nan() && *k != f64::NEG_INFINITY),
             "worst-slack index keys are finite slacks or the +inf neutral element"
         );
-        let cap = keys.len().next_power_of_two().max(1);
-        self.cap = cap;
-        self.tree.clear();
-        self.tree.resize(2 * cap, f64::INFINITY);
+        let cap = self.cap;
         self.tree[cap..cap + keys.len()].copy_from_slice(keys);
         for i in (1..cap).rev() {
             self.tree[i] = min2(self.tree[2 * i], self.tree[2 * i + 1]);

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Optimize the worst one under a medium constraint.
     let critical = report.critical_path();
     let extracted =
-        extract_timed_path(&adder, &lib, &sizing, &critical, &ExtractOptions::default());
+        extract_timed_path(&adder, &lib, &sizing, &critical, &AnalyzeOptions::default());
     let bounds = delay_bounds(&lib, &extracted.timed);
     println!(
         "carry chain: {} stages, Tmin {:.2} ns, Tmax {:.2} ns",

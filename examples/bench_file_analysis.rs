@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &lib,
         &sizing,
         &paths[0],
-        &ExtractOptions::default(),
+        &AnalyzeOptions::default(),
     );
     let bounds = delay_bounds(&lib, &extracted.timed);
     let outcome = optimize(

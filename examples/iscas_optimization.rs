@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &lib,
             &sizing,
             &critical,
-            &ExtractOptions::default(),
+            &AnalyzeOptions::default(),
         );
 
         let bounds = delay_bounds(&lib, &extracted.timed);

@@ -9,7 +9,8 @@
 //! modifications to the netlist: over-limit nets of the stalled paths
 //! get Inv-pair buffers (§4.1), over-limit NORs their De Morgan
 //! rewrite (§4.2), both as an [`EditPlan`] written back through
-//! [`TimingGraph::apply_edits`], which re-times only the edited cones.
+//! [`TimingGraph::apply_edits`], after which the next timing read runs
+//! one full pass in each direction.
 
 use std::collections::{HashMap, HashSet};
 
@@ -22,7 +23,7 @@ use pops_delay::{CornerSet, Library};
 use pops_netlist::surgery::{EditOp, EditPlan};
 use pops_netlist::{Circuit, GateId, NetId, NetlistError, VtClass};
 use pops_sta::analysis::{AnalyzeOptions, EdgeDir, NetlistPath};
-use pops_sta::{extract_timed_path, k_most_critical_paths, ExtractOptions, Sizing, TimingGraph};
+use pops_sta::{extract_timed_path, k_most_critical_paths, Sizing, TimingGraph};
 
 /// Options for a circuit-level run.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,8 +37,10 @@ pub struct FlowOptions {
     /// structure-conserving (sizes write back one-to-one); stalled
     /// paths escalate to netlist surgery when `apply_structure` is on.
     pub protocol: ProtocolOptions,
-    /// Extraction options (latch loads, input slopes).
-    pub extract: ExtractOptions,
+    /// Timing and extraction options (latch load, input slope): the
+    /// flow's timing graphs — the sizing graph and the Vt pass's
+    /// multi-corner graph — and its path extraction all run under them.
+    pub extract: AnalyzeOptions,
     /// Write structure modifications back into the netlist when sizing
     /// stalls: buffer insertion past `Flimit` and De Morgan rewrites of
     /// over-limit NORs on the stalled critical paths.
@@ -59,7 +62,7 @@ impl Default for FlowOptions {
             paths_per_round: 8,
             max_rounds: 8,
             protocol: ProtocolOptions::default(),
-            extract: ExtractOptions::default(),
+            extract: AnalyzeOptions::default(),
             apply_structure: true,
             max_edits: 64,
             vt_assignment: false,
@@ -158,9 +161,9 @@ pub struct FlowResult {
 /// modifications to the netlist itself: Inv-pair buffers on the stalled
 /// paths' over-limit nets (keeping the on-path successor direct) and
 /// De Morgan rewrites of their over-limit NORs, written back via
-/// [`TimingGraph::apply_edits`] so only the edited cones re-time.
-/// Repeat until the constraint holds at every output or the round
-/// budget is exhausted.
+/// [`TimingGraph::apply_edits`] (the next timing read re-times the
+/// edited netlist in one full pass each way). Repeat until the
+/// constraint holds at every output or the round budget is exhausted.
 ///
 /// The input circuit is never mutated: the first applied edit clones it
 /// into the graph (copy-on-write), and the edited netlist is returned
@@ -204,18 +207,23 @@ pub fn optimize_circuit(
     }
     // The timing picture is built once and kept consistent through
     // incremental dirty-cone updates that are *lazy in both
-    // directions*: a whole round's batched resizes and structural edits
-    // only accumulate id-keyed seeds — no `resize_gates` or
-    // `apply_edits` call below forces a forward pass — and the first
-    // timing read of the next round flushes them as one merged
+    // directions*: a whole round's batched resizes only mark dirty
+    // sets — no `resize_gates` call below forces a forward pass — and
+    // the first timing read after them flushes them as one merged
     // forward-then-backward cone (so overlapping per-path write-backs
-    // deduplicate instead of each paying its own propagation). Setting
-    // the constraint additionally maintains the backward state —
-    // per-net required times, the k-paths completion bounds and the
-    // worst-slack tournament tree — under the same generation counter;
-    // the design-worst slack reads below are O(1) off the tournament
-    // root once flushed.
-    let mut graph = TimingGraph::new(circuit, lib, &Sizing::minimum(circuit, lib))?;
+    // deduplicate instead of each paying its own propagation). A
+    // structural edit resets the state instead: the read after
+    // `apply_edits` runs one full pass in each direction. Setting the
+    // constraint additionally maintains the backward state — per-net
+    // required times and the worst-slack tournament tree — under a
+    // generation counter; the design-worst slack reads below are O(1)
+    // off the tournament root once flushed.
+    let mut graph = TimingGraph::with_options(
+        circuit,
+        lib,
+        &Sizing::minimum(circuit, lib),
+        &options.extract,
+    )?;
     graph.set_constraint(tc_ps);
     let initial_delay_ps = graph.critical_delay_ps();
 
@@ -328,7 +336,7 @@ pub fn optimize_circuit(
         // their sizing-only Tmin *and* no critical-delay progress this
         // round — and slack is still negative, buffer the stalled
         // paths' over-limit nets and De Morgan their over-limit NORs,
-        // then re-time the cones.
+        // then re-time.
         let sizing_plateaued = graph.critical_delay_ps() >= round_entry_delay - 1e-9;
         if options.apply_structure
             && sizing_plateaued
@@ -391,7 +399,7 @@ pub fn optimize_circuit(
             &best_circuit,
             lib,
             &best_sizing,
-            &AnalyzeOptions::default(),
+            &options.extract,
             &corners,
         )?;
         vt_graph.set_constraint(tc_ps);
@@ -513,7 +521,7 @@ mod tests {
     use super::*;
     use pops_netlist::builders::ripple_carry_adder;
     use pops_netlist::suite;
-    use pops_sta::analysis::analyze;
+    use pops_sta::analysis::{analyze, analyze_with};
 
     #[test]
     fn flow_speeds_up_an_adder() {
@@ -658,6 +666,34 @@ mod tests {
                 "structural edits changed the logic function"
             );
         }
+    }
+
+    #[test]
+    fn flow_times_under_its_extract_options() {
+        // `extract` sets the latch load of the flow's timing as well as
+        // of its extraction: the reported delay is the analysis of the
+        // returned pair under those options, bit for bit.
+        let lib = Library::cmos025();
+        let adder = ripple_carry_adder(6);
+        let t0 = analyze(&adder, &lib, &Sizing::minimum(&adder, &lib))
+            .unwrap()
+            .critical_delay_ps();
+        let options = FlowOptions {
+            extract: AnalyzeOptions {
+                po_load_ff: 40.0,
+                ..AnalyzeOptions::default()
+            },
+            ..FlowOptions::default()
+        };
+        let r = optimize_circuit(&adder, &lib, 0.8 * t0, &options).unwrap();
+        let fresh = analyze_with(&r.circuit, &lib, &r.sizing, &options.extract).unwrap();
+        assert_eq!(
+            r.final_delay_ps.to_bits(),
+            fresh.critical_delay_ps().to_bits(),
+            "reported {} ps, fresh analysis {} ps",
+            r.final_delay_ps,
+            fresh.critical_delay_ps()
+        );
     }
 
     #[test]

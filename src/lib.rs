@@ -72,9 +72,8 @@ pub mod prelude {
     pub use pops_core::OptimizeError;
     pub use pops_delay::{CornerSet, Edge, Library, PathStage, Process, TimedPath};
     pub use pops_netlist::prelude::*;
-    pub use pops_sta::analysis::analyze;
+    pub use pops_sta::analysis::{analyze, AnalyzeOptions};
     pub use pops_sta::{
-        extract_timed_path, k_most_critical_paths, required_times, ExtractOptions, Sizing,
-        TimingGraph, TimingView,
+        extract_timed_path, k_most_critical_paths, required_times, Sizing, TimingGraph, TimingView,
     };
 }

@@ -1,6 +1,6 @@
 //! Forward-lazy ≡ eager: with PR 5 the *forward* timing state of a
-//! [`TimingGraph`] is query-driven too — mutations only append id-keyed
-//! seed logs, and the first timing query runs one merged
+//! [`TimingGraph`] is query-driven too — mutations only mark dirty
+//! sets, and the first timing query runs one merged
 //! forward(-then-backward) flush. This suite proves the whole queryable
 //! surface — arrivals, slopes, loads, worst gate delays, the critical
 //! path, required times, slacks, completion bounds, k-paths — stays
@@ -392,13 +392,13 @@ fn merged_forward_flush_beats_per_mutation_propagation() {
 
 #[test]
 fn surgery_interleaved_with_pending_logs_keeps_both_id_spaces_consistent() {
-    // The lazy/surgery seam (PR 5's satellite): resizes whose forward
-    // *and* backward seeds are still pending when graph surgery
-    // re-ranks the netlist — and then resizes of the freshly created
-    // gates on top — must neither drop nor mis-key any seed, and the
-    // sizing must extend exactly by the planned (clamped) sizes at the
-    // new dense ids. The first query after the pile-up answers
-    // bit-identically to a from-scratch eager pass.
+    // The lazy/surgery seam: resizes whose forward *and* backward
+    // marks are still pending when a structural edit re-ranks the
+    // netlist and resets the timing state — and then resizes of the
+    // freshly created gates on top — must leave nothing stale behind,
+    // and the sizing must extend exactly by the planned (clamped)
+    // sizes at the new dense ids. The first query after the pile-up
+    // answers bit-identically to a from-scratch eager pass.
     let lib = Library::cmos025();
     let circuit = suite::circuit("c432").unwrap();
     let mut rng = SplitMix64::new(0x05F0_5EA1);
@@ -409,14 +409,14 @@ fn surgery_interleaved_with_pending_logs_keeps_both_id_spaces_consistent() {
     let cref = lib.min_drive_ff();
 
     for round in 0..6 {
-        // 1. Resize burst: forward + backward logs go pending.
+        // 1. Resize burst: forward + backward marks go pending.
         let gates: Vec<GateId> = graph.circuit().gate_ids().collect();
         for _ in 0..5 {
             let g = *rng.pick(&gates);
             graph.resize_gate(g, cref * (1.0 + 20.0 * rng.next_f64()));
         }
-        // 2. Surgery while those logs are un-flushed: ids re-rank, the
-        //    sizing and per-id state extend.
+        // 2. Surgery while those marks are un-flushed: ids re-rank, the
+        //    sizing extends and the timing state resets.
         let before_gates = graph.circuit().gate_count();
         let plan = random_buffer_plan(&graph, &lib, &mut rng).expect("fanout-heavy nets exist");
         let applied = graph.apply_edits(&plan).expect("valid edit");
@@ -433,7 +433,7 @@ fn surgery_interleaved_with_pending_logs_keeps_both_id_spaces_consistent() {
             }
         }
         // 3. More mutations on top, including the created gates — their
-        //    ids key into the same (extended) log space.
+        //    ids key into the extended sizing.
         for &g in &created {
             graph.resize_gate(g, cref * (1.0 + 10.0 * rng.next_f64()));
         }

@@ -10,7 +10,7 @@
 //! that suite queries after every step (so each flush covers one
 //! mutation); this one lets whole mutation bursts accumulate unqueried,
 //! exercising the merged-cone flush, the saturation sweep cut-over and
-//! the seed logs' survival across graph surgery.
+//! the reset a structural edit makes under pending marks.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
 

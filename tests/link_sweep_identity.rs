@@ -185,7 +185,7 @@ fn critical_path(name: &str, lib: &Library) -> TimedPath {
     let sizing = Sizing::minimum(&circuit, lib);
     let report = analyze(&circuit, lib, &sizing).expect("acyclic");
     let path = report.critical_path();
-    extract_timed_path(&circuit, lib, &sizing, &path, &ExtractOptions::default()).timed
+    extract_timed_path(&circuit, lib, &sizing, &path, &AnalyzeOptions::default()).timed
 }
 
 const SUITE: [&str; 6] = ["fpd", "c432", "c880", "c1908", "c6288", "c7552"];

@@ -171,7 +171,7 @@ fn extraction_matches_path_length() {
         let sizing = Sizing::minimum(&c, &lib);
         let report = analyze(&c, &lib, &sizing).expect("acyclic");
         let path = report.critical_path();
-        let e = extract_timed_path(&c, &lib, &sizing, &path, &ExtractOptions::default());
+        let e = extract_timed_path(&c, &lib, &sizing, &path, &AnalyzeOptions::default());
         assert_eq!(e.timed.len(), path.gates.len());
         // Off-path loads are non-negative and terminal is positive.
         for s in e.timed.stages() {

@@ -14,7 +14,7 @@ fn extract(name: &str, lib: &Library) -> TimedPath {
     let sizing = Sizing::minimum(&circuit, lib);
     let report = analyze(&circuit, lib, &sizing).expect("acyclic");
     let path = report.critical_path();
-    extract_timed_path(&circuit, lib, &sizing, &path, &ExtractOptions::default()).timed
+    extract_timed_path(&circuit, lib, &sizing, &path, &AnalyzeOptions::default()).timed
 }
 
 /// (circuit, Tmin in ps) measured at repo creation.

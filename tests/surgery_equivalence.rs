@@ -293,19 +293,17 @@ fn surgery_interleaved_with_option_and_constraint_changes_matches() {
 }
 
 #[test]
-fn surgery_retime_touches_less_than_a_rebuild() {
-    // The economics of apply_edits: re-timing one buffer insertion must
-    // re-evaluate (far) fewer gates than the full pass a from-scratch
-    // graph pays. (The structural array rebuild is pointer work; the
-    // arc evaluations are what the incremental engine saves.)
+fn an_edit_costs_one_full_pass_each_way() {
+    // A structural edit resets the timing state: applying it evaluates
+    // no arc, the next forward query re-evaluates every gate once and
+    // the next backward query re-derives every net once.
     let lib = Library::cmos025();
     let base = suite::circuit("c880").unwrap();
     let mut graph = TimingGraph::new(&base, &lib, &Sizing::minimum(&base, &lib)).unwrap();
     graph.set_constraint(0.9 * graph.critical_delay_ps());
-    let before = graph.stats();
-    // Buffer a *deep* net (driver late in the topological order): its
-    // remaining downstream cone — the honest blast radius of the edit —
-    // is a fraction of the circuit.
+    let _ = graph.worst_slack_overall_ps();
+    // Buffer a *deep* net (driver late in the topological order), whose
+    // downstream cone is a fraction of the circuit.
     let order = base.topo_order().unwrap();
     let net = order
         .iter()
@@ -320,15 +318,34 @@ fn surgery_retime_touches_less_than_a_rebuild() {
         stage_cin_ff: [lib.min_drive_ff(), 4.0 * lib.min_drive_ff()],
     }]
     .into();
+    let before = graph.stats();
     graph.apply_edits(&plan).unwrap();
-    // Surgery itself no longer evaluates any arc (PR 5): the edit's
-    // honest blast radius is what the first post-edit query flushes.
-    let _ = graph.worst_slack_overall_ps();
-    let reevals = graph.stats().gates_reevaluated - before.gates_reevaluated;
-    assert!(
-        reevals < graph.circuit().gate_count() / 2,
-        "surgery cone {} vs full pass {}",
-        reevals,
+    let edited = graph.stats();
+    assert_eq!(edited.gates_reevaluated, before.gates_reevaluated);
+    assert_eq!(edited.required_reevaluated, before.required_reevaluated);
+    assert_eq!(edited.forward_flushes, before.forward_flushes);
+    assert_eq!(edited.backward_flushes, before.backward_flushes);
+
+    let _ = graph.critical_delay_ps();
+    let forward = graph.stats();
+    assert_eq!(forward.forward_flushes, edited.forward_flushes + 1);
+    assert_eq!(
+        forward.gates_reevaluated - edited.gates_reevaluated,
         graph.circuit().gate_count()
     );
+    assert_eq!(forward.required_reevaluated, edited.required_reevaluated);
+
+    let _ = graph.worst_slack_overall_ps();
+    let backward = graph.stats();
+    assert_eq!(backward.backward_flushes, forward.backward_flushes + 1);
+    assert_eq!(
+        backward.required_reevaluated - forward.required_reevaluated,
+        graph.circuit().net_count()
+    );
+    assert_eq!(backward.gates_reevaluated, forward.gates_reevaluated);
+
+    // Repeat reads on the settled state are free.
+    let _ = graph.critical_delay_ps();
+    let _ = graph.worst_slack_overall_ps();
+    assert_eq!(graph.stats(), backward);
 }
