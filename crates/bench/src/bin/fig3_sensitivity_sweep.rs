@@ -5,7 +5,7 @@
 
 use pops_bench::{print_table, write_artifact};
 use pops_core::bounds::{tmax, tmin};
-use pops_core::sensitivity::{design_space_sweep, SensitivityOptions};
+use pops_core::sensitivity::design_space_sweep;
 use pops_delay::{Library, PathStage, TimedPath};
 use pops_netlist::CellKind;
 
@@ -51,7 +51,7 @@ fn main() {
         0.0, -0.01, -0.03, -0.06, -0.1, -0.2, -0.4, -0.6, -0.8, -1.2, -2.0, -4.0, -8.0, -20.0,
         -60.0,
     ];
-    let points = design_space_sweep(&lib, &path, &a_values, &SensitivityOptions::default());
+    let points = design_space_sweep(&lib, &path, &a_values);
 
     println!("Fig. 3 — constant sensitivity design-space sweep (11-gate path)\n");
     let rows: Vec<Vec<String>> = points

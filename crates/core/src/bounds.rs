@@ -16,7 +16,9 @@
 //!   critical paths it takes 15–27 iterations and lands within 4e-16
 //!   relative of `tmin_with` run to 100,000 sweeps at tolerance 1e-15.
 //!   This is the `Tmin` of [`delay_bounds`], the protocol, buffer
-//!   insertion and restructuring.
+//!   insertion and restructuring. It is the `a = 0` end of the
+//!   constant-sensitivity curve, which [`crate::sensitivity`] solves
+//!   with the same iteration at `a < 0`.
 //! * [`tmin_with`] runs the paper's iterative sweeps and records their
 //!   trajectory, the data of Fig. 1. The sweeps converge linearly: on
 //!   c6288's critical path they need about 10,000 sweeps to reach the
@@ -98,7 +100,7 @@ pub fn tmax(lib: &Library, path: &TimedPath) -> f64 {
 /// sweeps and records Fig. 1's trajectory.
 pub fn tmin(lib: &Library, path: &TimedPath) -> TminResult {
     let mut sizes = path.min_sizes(lib);
-    let iterations = newton_links(lib, path, &mut sizes);
+    let iterations = newton_links(lib, path, 0.0, &mut sizes).iterations;
     let delay_ps = path.delay(lib, &sizes).total_ps;
     TminResult {
         sizes,
@@ -140,7 +142,6 @@ pub fn tmin_with(lib: &Library, path: &TimedPath, options: &TminOptions) -> Tmin
     let iterations = sweep_links(
         lib,
         path,
-        0.0,
         &mut sizes,
         options.max_sweeps,
         options.tolerance,

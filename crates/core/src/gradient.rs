@@ -1,5 +1,7 @@
 //! Operating-point coefficients `A_i`, the analytic path gradient and the
-//! two link-equation solvers built on them.
+//! two link-equation solvers built on them: the paper's sweep, kept for
+//! Fig. 1's trajectory, and the exact Newton iteration every other solve
+//! runs.
 //!
 //! Eq. (4) of the paper writes the stationarity condition through
 //! per-stage "design parameters involved in (1,2)" called `A_i`. Under the
@@ -22,7 +24,7 @@
 //! is exact up to the derivative of the Miller factor (a few percent);
 //! the sweeps re-freeze coefficients every sweep and add the Miller
 //! corrections, so their fixed points satisfy the *exact* first-order
-//! conditions.
+//! conditions, which the Newton iteration solves directly.
 //!
 //! # Per-stage constants
 //!
@@ -35,7 +37,7 @@
 //! * `q_j = β_j + C_par/C_IN`.
 //!
 //! With the stage's off-path load `off_j`, read from the path, these are
-//! all the sweeps, the Newton solver and [`analytic_gradient`] need.
+//! all the sweep, the Newton solver and [`analytic_gradient`] need.
 //!
 //! # The delay as a sum over links
 //!
@@ -49,10 +51,21 @@
 //!
 //! where `y` past the last stage is the terminal load. The gradient is
 //! `∂T/∂C_i = ∂F_{i−1}/∂y + ∂F_i/∂x` ([`analytic_gradient`]), and the
-//! Hessian is tridiagonal: its diagonal is
-//! `∂²F_{i−1}/∂y² + ∂²F_i/∂x²`, its off-diagonal `∂²F_i/∂x∂y`. One
-//! Newton step on `∂T/∂C = 0` is therefore one tridiagonal solve, which is
-//! how [`crate::bounds::tmin`] reaches the fixed point exactly.
+//! Hessian `H` is tridiagonal: its diagonal is
+//! `∂²F_{i−1}/∂y² + ∂²F_i/∂x²`, its off-diagonal `∂²F_i/∂x∂y`.
+//!
+//! # Newton on `∂T/∂C_IN = a`
+//!
+//! One Newton step on the link equations `∂T/∂C_IN(i) = a` is therefore
+//! one tridiagonal (Thomas) solve, `H·δ = −(g − a)`, with a stage held at
+//! `C_REF` while its gradient exceeds `a`. At `a = 0` this is eq. (4),
+//! how [`crate::bounds::tmin`] reaches the fixed point exactly; below 0
+//! it is eq. (6), each point of the constant-sensitivity curve that
+//! [`crate::sensitivity`] searches. One more substitution on the last
+//! factorization solves `H·y = 1` over the free stages: differentiating
+//! `g(C(a)) = a` gives `dC/da = y` there (0 on held stages), so the
+//! solution curve's slopes are `dΣC_IN/da = Σy` and `dT/da = a·Σy`, which
+//! the distribution's Newton step on `a` uses.
 
 use pops_delay::model::Edge;
 use pops_delay::{CellTiming, Library, TimedPath};
@@ -221,11 +234,11 @@ pub fn operating_point(lib: &Library, path: &TimedPath, sizes: &[f64]) -> Operat
     op
 }
 
-/// Sweep the link equations `∂T/∂C_IN(i) = a` in place from `sizes` —
-/// eq. (4) at `a = 0`, eq. (6) below — until no size moves by `tolerance`
-/// relative or `max_sweeps` ran; returns the sweeps run. Each sweep
-/// freezes the coefficients at the current sizing, applies
-/// `C_IN(i) ← √( A_i·C_L(i) / (A_{i−1}/C_IN(i−1) − a) )` forward over the
+/// Sweep the link equations `∂T/∂C_IN(i) = 0` (eq. 4) in place from
+/// `sizes` until no size moves by `tolerance` relative or `max_sweeps`
+/// ran; returns the sweeps run. Each sweep freezes the coefficients at the
+/// current sizing, applies
+/// `C_IN(i) ← √( A_i·C_L(i) / (A_{i−1}/C_IN(i−1)) )` forward over the
 /// interior stages (clamped at the minimum drive) and calls `after_sweep`.
 ///
 /// The per-stage constants are computed once per call. Stage `i`'s
@@ -236,7 +249,6 @@ pub fn operating_point(lib: &Library, path: &TimedPath, sizes: &[f64]) -> Operat
 pub(crate) fn sweep_links(
     lib: &Library,
     path: &TimedPath,
-    a: f64,
     sizes: &mut [f64],
     max_sweeps: usize,
     tolerance: f64,
@@ -251,10 +263,10 @@ pub(crate) fn sweep_links(
         let mut prev = links.point(0, sizes);
         for i in 1..sizes.len() {
             // C_L(i) reads the current downstream size, as the paper's
-            // iteration does; upstream ≥ 0 ≥ a keeps the root positive.
+            // iteration does; upstream ≥ 0 keeps the root positive.
             let cur = links.point(i, sizes);
             let upstream = prev.a / sizes[i - 1] + prev.up_corr + cur.own_corr;
-            let target = (cur.a * cur.load / (upstream - a).max(1e-12)).sqrt();
+            let target = (cur.a * cur.load / upstream.max(1e-12)).sqrt();
             let new = target.max(cref);
             max_rel_change = max_rel_change.max((new - sizes[i]).abs() / sizes[i]);
             sizes[i] = new;
@@ -278,47 +290,76 @@ const NEWTON_TOLERANCE: f64 = 1e-10;
 /// stages need at most a few dozen.
 pub(crate) const NEWTON_MAX_ITERATIONS: usize = 100;
 
-/// Solve eq. (4), `∂T/∂C_IN(i) = 0` over the interior stages, in place
-/// from `sizes` by a safeguarded Newton iteration on the exact gradient
-/// and tridiagonal Hessian (module docs); returns the iterations run.
+/// What one [`newton_links`] solve reports.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LinkSolve {
+    /// Newton iterations run (at least 1).
+    pub(crate) iterations: usize,
+    /// `Σy` over the free stages, where `H·y = 1` with the held stages'
+    /// rows as identity rows and right-hand side 0, on the last
+    /// iteration's factorization. Along the solution curve
+    /// `dC_IN/da = y`, so `dΣC_IN/da = Σy` and `dT/da = a·Σy`.
+    pub(crate) unit_sum: f64,
+}
+
+/// Solve the link equations `∂T/∂C_IN(i) = a` over the interior stages in
+/// place from `sizes` — eq. (4) at `a = 0`, eq. (6) below — by a
+/// safeguarded Newton iteration on the exact gradient and tridiagonal
+/// Hessian (module docs).
 ///
-/// Each step is one Thomas solve. It is clamped to `[C/4, 4·C]` per stage
-/// and then at the minimum drive `C_REF`. A stage sitting at `C_REF`
-/// whose gradient is positive is held there (an identity row in the
-/// system), which is the bound's first-order condition. The iteration
-/// stops when no size moves by `1e-10` relative.
-pub(crate) fn newton_links(lib: &Library, path: &TimedPath, sizes: &mut [f64]) -> usize {
+/// Each iteration is one Thomas solve of `H·δ = −(g − a)`. The step is
+/// clamped to `[C/4, 4·C]` per stage and then at the minimum drive
+/// `C_REF`. A stage sitting at `C_REF` whose gradient exceeds `a` is held
+/// there (an identity row in the system), which is the bound's
+/// first-order condition. The iteration stops when no size moves by
+/// `1e-10` relative; one more substitution on the last factorization
+/// then solves `H·y = 1` for [`LinkSolve::unit_sum`]. At `a = 0`,
+/// [`crate::bounds::tmin`]'s solve, every step is that of
+/// `∂T/∂C_IN = 0` bit for bit.
+pub(crate) fn newton_links(
+    lib: &Library,
+    path: &TimedPath,
+    a: f64,
+    sizes: &mut [f64],
+) -> LinkSolve {
     let n = sizes.len();
+    let mut solve = LinkSolve {
+        iterations: 0,
+        unit_sum: 0.0,
+    };
     if n < 2 {
         // No interior stage: the one iteration has nothing to move.
-        return 1;
+        solve.iterations = 1;
+        return solve;
     }
     let links = Links::new(lib, path);
     let cref = lib.min_drive_ff();
-    // Forward elimination state of row i: pivot, right-hand side, and the
-    // coupling to row i−1 (0 when either stage is held).
+    // Forward elimination state of row i: pivot, right-hand side, the
+    // coupling to row i−1 (0 when either stage is held), and the row's
+    // entry of the unit right-hand side (0 when held).
     let mut pivot = vec![1.0; n];
     let mut rhs = vec![0.0; n];
     let mut lower = vec![0.0; n];
-    let mut iterations = 0;
-    while iterations < NEWTON_MAX_ITERATIONS {
-        iterations += 1;
+    let mut unit = vec![0.0; n];
+    while solve.iterations < NEWTON_MAX_ITERATIONS {
+        solve.iterations += 1;
         let mut prev = links.partials(0, sizes);
         let mut prev_held = true;
         for i in 1..n {
             let cur = links.partials(i, sizes);
             let g = prev.fy + cur.fx;
-            let held = sizes[i] <= cref && g > 0.0;
-            let (d, r, l) = if held {
-                (1.0, 0.0, 0.0)
+            let held = sizes[i] <= cref && g > a;
+            let (d, r, u, l) = if held {
+                (1.0, 0.0, 0.0, 0.0)
             } else {
                 let l = if prev_held { 0.0 } else { prev.fxy };
-                (prev.fyy + cur.fxx, -g, l)
+                (prev.fyy + cur.fxx, -(g - a), 1.0, l)
             };
             let w = l / pivot[i - 1];
             pivot[i] = d - w * l;
             rhs[i] = r - w * rhs[i - 1];
             lower[i] = l;
+            unit[i] = u;
             prev = cur;
             prev_held = held;
         }
@@ -336,7 +377,16 @@ pub(crate) fn newton_links(lib: &Library, path: &TimedPath, sizes: &mut [f64]) -
             break;
         }
     }
-    iterations
+    for i in 1..n {
+        unit[i] -= lower[i] / pivot[i - 1] * unit[i - 1];
+    }
+    let mut y = 0.0;
+    for i in (1..n).rev() {
+        let upper = if i + 1 < n { lower[i + 1] } else { 0.0 };
+        y = (unit[i] - upper * y) / pivot[i];
+        solve.unit_sum += y;
+    }
+    solve
 }
 
 /// Analytic path gradient `∂T/∂C_IN(i)` at `sizes` — exact at the

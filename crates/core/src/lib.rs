@@ -9,8 +9,8 @@
 //!    drive) and `Tmin` (the fixed point of the eq. (4) link equations).
 //!    `Tc < Tmin` ⟹ the constraint is infeasible by sizing alone.
 //! 2. [`sensitivity`] — the **constant sensitivity method**: size every
-//!    gate so `∂T/∂C_IN(i) = a` (eq. 5–6) and bisect on `a` until the
-//!    constraint is met at minimum area.
+//!    gate so `∂T/∂C_IN(i) = a` (eq. 5–6) and search `a` by Newton steps
+//!    until the constraint is met at minimum area.
 //! 3. [`buffer`] — the **`Flimit` metric** (Table 2): the fan-out at which
 //!    inserting an optimally sized buffer beats driving the load directly;
 //!    used to identify critical nodes and to build the buffered variant of

@@ -474,7 +474,7 @@ impl<'c> TimingGraph<'c> {
             // Backward: arcs through this gate and through its fanin
             // drivers moved with its C_IN.
             if let Some(bw) = self.backward.get_mut() {
-                bw.mark_arcs_through(&self.s, gate);
+                bw.mark_resized(&self.s, gate);
             }
         }
         if any {
@@ -526,11 +526,11 @@ impl<'c> TimingGraph<'c> {
         let pos = self.pos(gate);
         self.fwd.get_mut().dirty.mark(pos);
         if let Some(bw) = self.backward.get_mut() {
-            // Backward: arcs *through* the gate moved, so its fanin
-            // required times re-derive. The resize marking also takes
-            // its fanin drivers' fanins, which the convergence cut
-            // settles.
-            bw.mark_arcs_through(&self.s, gate);
+            // Backward: arcs *through* the gate moved, so its fanin nets'
+            // required times re-derive. No capacitance moved, so the
+            // fanin drivers' arcs did not; the drain carries any change
+            // further up.
+            bw.mark_fanins(&self.s, gate);
         }
         self.gen = self.gen.wrapping_add(1);
         self.stat(|s| s.updates += 1);
@@ -710,7 +710,10 @@ impl<'c> TimingGraph<'c> {
     /// unconstrained. Bit-identical to a fresh
     /// [`required_times`](crate::required_times) under the same
     /// constraint. Like every backward query, flushes pending marks
-    /// first (one merged cone for everything since the last query).
+    /// first (one merged cone for everything since the last query),
+    /// except on a net that feeds no gate: no arc ends there, so its
+    /// required time is the constraint at a primary output and `+inf`
+    /// elsewhere, whatever is pending, and the read flushes nothing.
     ///
     /// # Panics
     ///
@@ -726,14 +729,34 @@ impl<'c> TimingGraph<'c> {
     /// As [`TimingGraph::required_ps`]; also if `corner >= n_corners()`.
     pub fn required_ps_corner(&self, net: NetId, edge: EdgeDir, corner: usize) -> f64 {
         assert!(corner < self.corner_libs.len(), "corner out of range");
+        if let Some(required) = self.fanout_free_required(net) {
+            return required;
+        }
         self.flush_required();
         let nc = self.corner_libs.len();
         self.backward().required[self.slot(net) * nc + corner][eidx(edge.into())]
     }
 
+    /// The required time of `net` when it feeds no gate, on every corner
+    /// and edge: the constraint at a primary output, `+inf` elsewhere.
+    /// `None` when it feeds a gate.
+    fn fanout_free_required(&self, net: NetId) -> Option<f64> {
+        let n = net.index();
+        if self.s.fanout_off[n] != self.s.fanout_off[n + 1] {
+            return None;
+        }
+        let tc_ps = self.backward().tc_ps;
+        Some(if self.s.is_po[n] {
+            tc_ps
+        } else {
+            f64::INFINITY
+        })
+    }
+
     /// Slack of a net for an edge (ps): `required − arrival`, on the
     /// primary corner. Finite or `+inf`, never NaN (see
-    /// [`crate::slack`]'s module docs).
+    /// [`crate::slack`]'s module docs). On a net that feeds no gate only
+    /// the forward state flushes (see [`TimingGraph::required_ps`]).
     ///
     /// # Panics
     ///
@@ -749,10 +772,14 @@ impl<'c> TimingGraph<'c> {
     /// As [`TimingGraph::required_ps`]; also if `corner >= n_corners()`.
     pub fn slack_ps_corner(&self, net: NetId, edge: EdgeDir, corner: usize) -> f64 {
         assert!(corner < self.corner_libs.len(), "corner out of range");
-        self.flush_required();
         let nc = self.corner_libs.len();
         let i = eidx(edge.into());
         let entry = self.slot(net) * nc + corner;
+        if let Some(required) = self.fanout_free_required(net) {
+            self.flush_forward();
+            return required - self.fwd.borrow().arrival[entry][i];
+        }
+        self.flush_required();
         let fwd = self.fwd.borrow();
         self.backward().required[entry][i] - fwd.arrival[entry][i]
     }

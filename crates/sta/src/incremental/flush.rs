@@ -22,7 +22,12 @@
 //! N resizes followed by one slack read pay **one** merged backward
 //! propagation instead of N eager ones; the seeds deduplicate in the
 //! dirty sets, and the bitwise convergence cut still confines the
-//! flush to the union cone.
+//! flush to the union cone. A slack or required-time read on a net that
+//! feeds no gate needs none of it: no arc ends there, so its required
+//! time is the constraint at a primary output and `+inf` elsewhere,
+//! whatever is pending. Such reads (the flow's per-endpoint reads are
+//! nearly all of them) flush forward only and leave the backward marks
+//! to the next query that needs them.
 //!
 //! The **forward** state is lazy too. Mutations mark the gates to
 //! re-evaluate in the forward dirty set — a resize also re-sums the
@@ -199,11 +204,19 @@ impl BackwardState {
     }
 
     /// Mark the required times that move with the arcs through `gate`
-    /// (a new drive or Vt class): its fanin nets', and its fanin
-    /// drivers' fanin nets' (their output load moves with its C_IN).
-    pub(super) fn mark_arcs_through(&mut self, s: &Structure, gate: GateId) {
+    /// alone (a new Vt class): its fanin nets'.
+    pub(super) fn mark_fanins(&mut self, s: &Structure, gate: GateId) {
         for &slot in s.fanin_slots_of(gate) {
             mark_required(s, &mut self.req, &mut self.req_src, slot as usize);
+        }
+    }
+
+    /// Mark the required times that move with a new drive of `gate`: its
+    /// fanin nets', and its fanin drivers' fanin nets' (their output
+    /// load moves with its C_IN).
+    pub(super) fn mark_resized(&mut self, s: &Structure, gate: GateId) {
+        self.mark_fanins(s, gate);
+        for &slot in s.fanin_slots_of(gate) {
             if let Some(pos) = (slot as usize).checked_sub(s.n_src) {
                 for &d in s.fanin_slots_of(s.topo[pos]) {
                     mark_required(s, &mut self.req, &mut self.req_src, d as usize);

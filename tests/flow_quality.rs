@@ -21,12 +21,12 @@ const CIRCUITS: [&str; 6] = ["fpd", "c432", "c880", "c1908", "c6288", "c7552"];
 
 /// Final delay / tc and total C_IN (fF) at tc = 0.6·T0, per circuit.
 const TIGHT_QUALITY: [(f64, f64); 6] = [
-    (1.2446370135684512, 1152.248045438138),
-    (1.109316990440988, 1357.3091965289534),
-    (1.029488151160465, 1214.0353798858584),
-    (1.0358858745194794, 2501.607203355028),
-    (1.0801494182919193, 6772.799942000717),
-    (1.035092145984179, 9562.51906833153),
+    (1.2446391131329146, 1152.2367687217572),
+    (1.1093157616172258, 1357.3118540814314),
+    (1.0294895429004163, 1214.0358776041548),
+    (1.035885923234687, 2501.6067711755404),
+    (1.080154253705193, 6772.795101952138),
+    (1.0350929851158928, 9562.518824199105),
 ];
 
 /// Rounds, paths optimized, edits applied, buffers inserted, gates

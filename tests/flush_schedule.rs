@@ -11,7 +11,8 @@
 //! estimate on spread seeds and the backward drain's bail at its
 //! budget — each firing where it should without changing bits; the
 //! uniform flushing contract of `net_load_ff` and
-//! `gate_delay_worst_ps`; and validity and determinism of the synthetic
+//! `gate_delay_worst_ps`; slack and required reads on a fanout-free net,
+//! which flush forward only; and validity and determinism of the synthetic
 //! scaling fabrics.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
@@ -429,6 +430,71 @@ fn forward_reads_flush_once_and_match_a_fresh_pass() {
             "round {round}: later forward reads must not flush"
         );
     }
+}
+
+#[test]
+fn fanout_free_slack_reads_flush_forward_only() {
+    // A net that feeds no gate ends no arc: its required time is tc at a
+    // primary output whatever is pending. With resizes pending on a
+    // constrained graph, slack and required reads there flush forward
+    // once and never backward, and carry the bits of fresh passes; the
+    // next read that needs the backward state still drains everything.
+    let lib = Library::cmos025();
+    let circuit = suite::circuit("c880").unwrap();
+    let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).unwrap();
+    let tc = 0.9 * graph.critical_delay_ps();
+    graph.set_constraint(tc);
+    let _ = graph.worst_slack_overall_ps();
+    let endpoint = *circuit
+        .primary_outputs()
+        .iter()
+        .find(|&&n| circuit.net(n).fanout() == 0)
+        .expect("c880 has a fanout-free primary output");
+    let cref = lib.min_drive_ff();
+    let batch: Vec<(GateId, f64)> = circuit
+        .gate_ids()
+        .step_by(53)
+        .map(|g| (g, 3.0 * cref))
+        .collect();
+    graph.resize_gates(batch);
+    let fresh = analyze_with(&circuit, &lib, graph.sizing(), graph.options()).unwrap();
+    let slacks = required_times(&circuit, &lib, graph.sizing(), &fresh, tc).unwrap();
+
+    let before = graph.stats();
+    assert_eq!(
+        graph.worst_slack_ps(endpoint).to_bits(),
+        slacks.worst_slack_ps(endpoint).to_bits(),
+        "worst slack of the endpoint"
+    );
+    for dir in [EdgeDir::Rising, EdgeDir::Falling] {
+        assert_eq!(
+            graph.required_ps(endpoint, dir).to_bits(),
+            slacks.required_ps(endpoint, dir).to_bits(),
+            "required time of the endpoint, {dir:?}"
+        );
+    }
+    let after = graph.stats();
+    assert_eq!(
+        after.forward_flushes,
+        before.forward_flushes + 1,
+        "the first read must flush forward once"
+    );
+    assert_eq!(
+        after.backward_flushes, before.backward_flushes,
+        "reads on a fanout-free net must not flush backward"
+    );
+
+    assert_eq!(
+        graph.worst_slack_overall_ps().map(f64::to_bits),
+        slacks.worst_slack_overall_ps().map(f64::to_bits),
+        "design-worst slack after the skipped flushes"
+    );
+    assert_eq!(
+        graph.stats().backward_flushes,
+        after.backward_flushes + 1,
+        "the design-worst read must flush backward once"
+    );
+    assert_matches_fresh(&graph, &lib, "after the fanout-free reads");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use pops::core::bounds::{delay_bounds, tmin};
 use pops::core::gradient::analytic_gradient;
-use pops::core::sensitivity::{distribute_constraint, solve_for_sensitivity, SensitivityOptions};
+use pops::core::sensitivity::{distribute_constraint, solve_for_sensitivity};
 use pops::netlist::rng::SplitMix64;
 use pops::prelude::*;
 
@@ -118,12 +118,11 @@ fn sensitivity_sweep_is_monotone() {
     let mut rng = SplitMix64::new(0xB4);
     for _ in 0..CASES {
         let path = random_path(&mut rng);
-        let opts = SensitivityOptions::default();
         let mut last_delay = f64::NEG_INFINITY;
         let mut last_area = f64::INFINITY;
         // a descending from 0: delay grows, area shrinks.
         for a in [0.0f64, -0.05, -0.3, -1.5, -8.0, -50.0] {
-            let p = solve_for_sensitivity(&lib, &path, a, &opts);
+            let p = solve_for_sensitivity(&lib, &path, a);
             assert!(p.delay_ps >= last_delay - 1e-6);
             assert!(p.total_cin_ff <= last_area + 1e-6);
             last_delay = p.delay_ps;
