@@ -11,7 +11,7 @@
 //! pull-up) must be relieved at much lower loads than an inverter
 //! (Table 2: inv 5.7 … nor3 2.7).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use pops_delay::{Library, PathStage, TimedPath};
 use pops_netlist::surgery::{EditOp, EditPlan};
@@ -234,27 +234,26 @@ pub fn insert_buffers(lib: &Library, path: &TimedPath) -> (BufferedPath, TminRes
     )
 }
 
-/// Memoized [`flimit`] lookups. Characterizing one (driver, gate) pair
-/// runs a bisection with a golden-section inner loop; a netlist-level
-/// planning pass touches the same handful of pairs for thousands of
-/// nets, so the cache turns the sweep into table lookups.
-#[derive(Debug, Clone, Default)]
-pub struct FlimitCache {
-    map: HashMap<(CellKind, CellKind), Option<f64>>,
-}
+/// [`flimit`] lookups. Characterizing one (driver, gate) pair runs a
+/// bisection with a golden-section inner loop (about 0.6 ms); the
+/// figure depends on the library alone, so the library keeps it
+/// ([`Library::flimit_slot`]) and every later lookup, through any
+/// cache, is a table read. A planning pass touches the same handful
+/// of pairs for thousands of nets, and a flow plans many times.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlimitCache;
 
 impl FlimitCache {
-    /// An empty cache.
+    /// A lookup handle.
     pub fn new() -> Self {
-        FlimitCache::default()
+        FlimitCache
     }
 
-    /// `Flimit` of `gate` driven by `driver`, characterized on first use.
+    /// `Flimit` of `gate` driven by `driver`, characterized on first use
+    /// of `lib`.
     pub fn get(&mut self, lib: &Library, driver: CellKind, gate: CellKind) -> Option<f64> {
-        *self
-            .map
-            .entry((driver, gate))
-            .or_insert_with(|| flimit(lib, driver, gate))
+        *lib.flimit_slot(driver, gate)
+            .get_or_init(|| flimit(lib, driver, gate))
     }
 }
 

@@ -1,6 +1,9 @@
 //! Per-cell electrical characterization: logical weights, configuration
 //! ratios and parasitics — the `DW`, `k` and `C_par` of eqs. (2)–(3).
 
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use pops_netlist::cell::{CellKind, VtClass, ALL_CELLS};
 
 use crate::model::{Edge, GateDelay};
@@ -179,13 +182,45 @@ fn characterize(kind: CellKind) -> CellTiming {
 pub struct Library {
     process: Process,
     cells: Vec<CellTiming>,
+    flimits: PairSlots,
+}
+
+/// One lazily filled figure per ordered cell pair, at
+/// `driver * ALL_CELLS.len() + gate`, shared by a library's clones.
+/// Equality and `Debug` ignore the contents: a library is its process
+/// and cells, whatever has been characterized so far.
+#[derive(Clone)]
+struct PairSlots(Arc<[OnceLock<Option<f64>>]>);
+
+impl PartialEq for PairSlots {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for PairSlots {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let filled = self.0.iter().filter(|s| s.get().is_some()).count();
+        write!(f, "PairSlots({filled} of {} filled)", self.0.len())
+    }
+}
+
+/// Index of `kind` in [`ALL_CELLS`], which lists the cells in
+/// declaration order.
+fn cell_index(kind: CellKind) -> usize {
+    kind as usize
 }
 
 impl Library {
     /// Build a library for an arbitrary process.
     pub fn new(process: Process) -> Self {
         let cells = ALL_CELLS.iter().map(|&k| characterize(k)).collect();
-        Library { process, cells }
+        let pairs = ALL_CELLS.len() * ALL_CELLS.len();
+        Library {
+            process,
+            cells,
+            flimits: PairSlots((0..pairs).map(|_| OnceLock::new()).collect()),
+        }
     }
 
     /// The default 0.25 µm library used throughout the paper reproduction.
@@ -200,11 +235,16 @@ impl Library {
 
     /// Electrical data for a cell.
     pub fn cell(&self, kind: CellKind) -> &CellTiming {
-        let idx = ALL_CELLS
-            .iter()
-            .position(|&k| k == kind)
-            .expect("every CellKind is characterized");
-        &self.cells[idx]
+        &self.cells[cell_index(kind)]
+    }
+
+    /// Where this library keeps the `Flimit` of `gate` driven by
+    /// `driver` (§4.1, Table 2), filled on first use by
+    /// `pops_core::buffer::FlimitCache`. The figure depends on the
+    /// library alone, which never changes, so one characterization
+    /// serves every later lookup.
+    pub fn flimit_slot(&self, driver: CellKind, gate: CellKind) -> &OnceLock<Option<f64>> {
+        &self.flimits.0[cell_index(driver) * ALL_CELLS.len() + cell_index(gate)]
     }
 
     /// Minimum available input capacitance ("minimum drive") for any cell:
@@ -243,7 +283,8 @@ mod tests {
     #[test]
     fn every_cell_is_characterized() {
         let lib = Library::cmos025();
-        for &kind in ALL_CELLS.iter() {
+        for (i, &kind) in ALL_CELLS.iter().enumerate() {
+            assert_eq!(cell_index(kind), i);
             let c = lib.cell(kind);
             assert_eq!(c.kind, kind);
             assert!(c.dw_hl >= 1.0);

@@ -54,6 +54,11 @@ impl DirtySet {
         self.count
     }
 
+    /// A position at or below every mark (`size` when none).
+    pub(crate) fn low_bound(&self) -> usize {
+        self.lo
+    }
+
     pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
@@ -150,6 +155,37 @@ impl DirtySet {
                 return done;
             }
         }
+    }
+
+    /// [`DirtySet::drain`] forward, restricted to the marks inside
+    /// `within` (a bitset over the same positions, none above `last`):
+    /// those pop in ascending order, while every other mark stays,
+    /// still bounded by the cursor hints. Never bails.
+    pub(crate) fn drain_within(
+        &mut self,
+        within: &[u64],
+        last: usize,
+        mut step: impl FnMut(usize) -> bool,
+        mut neighbours: impl FnMut(usize, &mut Self),
+    ) -> Drained {
+        let mut done = Drained::default();
+        let mut word = self.lo / 64;
+        while self.count > 0 && word <= last / 64 {
+            let hits = self.bits[word] & within[word];
+            if hits == 0 {
+                word += 1;
+                continue;
+            }
+            let i = word * 64 + hits.trailing_zeros() as usize;
+            self.unmark(i);
+            done.evals += 1;
+            if step(i) {
+                neighbours(i, self);
+            } else {
+                done.cuts += 1;
+            }
+        }
+        done
     }
 
     /// `(lowest level hit, highest, number of levels hit)`, where

@@ -111,9 +111,10 @@ pub struct UpdateStats {
     /// Structural edits applied through [`TimingGraph::apply_edits`].
     pub structural_edits: usize,
     /// Lazy forward flushes actually performed — one per *query* that
-    /// found forward marks pending, never one per mutation (see the
-    /// module docs' state machine). A mutation that marks nothing
-    /// forward (e.g. a constraint change) costs no flush.
+    /// found forward marks pending (a fanout-free slack read: marks in
+    /// its fanin cone), never one per mutation (see the module docs'
+    /// state machine). A mutation that marks nothing forward (e.g. a
+    /// constraint change) costs no flush.
     pub forward_flushes: usize,
     /// Lazy backward flushes actually performed — one per *query* that
     /// found the backward state behind the mutation generation, never
@@ -756,7 +757,9 @@ impl<'c> TimingGraph<'c> {
     /// Slack of a net for an edge (ps): `required − arrival`, on the
     /// primary corner. Finite or `+inf`, never NaN (see
     /// [`crate::slack`]'s module docs). On a net that feeds no gate only
-    /// the forward state flushes (see [`TimingGraph::required_ps`]).
+    /// the forward marks in its driver's fanin cone flush (see
+    /// [`TimingGraph::required_ps`]); the rest wait for the next full
+    /// flush.
     ///
     /// # Panics
     ///
@@ -776,7 +779,7 @@ impl<'c> TimingGraph<'c> {
         let i = eidx(edge.into());
         let entry = self.slot(net) * nc + corner;
         if let Some(required) = self.fanout_free_required(net) {
-            self.flush_forward();
+            self.flush_forward_cone(self.slot(net));
             return required - self.fwd.borrow().arrival[entry][i];
         }
         self.flush_required();

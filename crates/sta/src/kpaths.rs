@@ -18,10 +18,15 @@ use pops_netlist::{Circuit, GateId, NetDriver};
 use crate::analysis::{NetlistPath, TimingView};
 
 /// A partial or complete path in the search heap, ordered by its
-/// optimistic bound (current weight + best possible completion).
+/// optimistic bound (current weight + best possible completion) alone,
+/// so ties pop in the heap's own order whatever the entries carry.
 struct HeapEntry {
     bound: f64,
-    gates: Vec<GateId>,
+    /// The path's last gate in the search's arena of path prefixes.
+    node: usize,
+    /// Sum of the gate weights along the path, accumulated first gate
+    /// first.
+    weight: f64,
     complete: bool,
 }
 
@@ -41,6 +46,36 @@ impl Ord for HeapEntry {
         self.bound
             .partial_cmp(&other.bound)
             .unwrap_or(Ordering::Equal)
+    }
+}
+
+/// Path prefixes shared as parent pointers: node `i` is the prefix
+/// ending at `gate[i]` and continuing `parent[i]`'s (`None` at a first
+/// gate). An expansion adds one node per successor instead of copying
+/// its prefix.
+#[derive(Default)]
+struct Prefixes {
+    gate: Vec<GateId>,
+    parent: Vec<Option<usize>>,
+}
+
+impl Prefixes {
+    fn push(&mut self, gate: GateId, parent: Option<usize>) -> usize {
+        self.gate.push(gate);
+        self.parent.push(parent);
+        self.gate.len() - 1
+    }
+
+    /// The gates of the prefix ending at `node`, first gate first.
+    fn path(&self, node: usize) -> Vec<GateId> {
+        let mut gates = Vec::new();
+        let mut next = Some(node);
+        while let Some(node) = next {
+            gates.push(self.gate[node]);
+            next = self.parent[node];
+        }
+        gates.reverse();
+        gates
     }
 }
 
@@ -87,11 +122,12 @@ pub fn k_most_critical_paths<V: TimingView + ?Sized>(
     if k == 0 || circuit.gate_count() == 0 {
         return Vec::new();
     }
-    let w = |g: GateId| report.gate_delay_worst_ps(g);
-    let completion = completion_bounds(circuit, report);
+    let w = worst_delays(circuit, report);
+    let completion = completion_bounds_of(circuit, &w);
 
     // Source gates: fed by at least one primary input.
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
+    let mut prefixes = Prefixes::default();
     for gid in circuit.gate_ids() {
         let from_pi = circuit
             .gate(gid)
@@ -101,7 +137,8 @@ pub fn k_most_critical_paths<V: TimingView + ?Sized>(
         if from_pi && completion[gid.index()].is_finite() {
             heap.push(HeapEntry {
                 bound: completion[gid.index()],
-                gates: vec![gid],
+                node: prefixes.push(gid, None),
+                weight: w[gid.index()],
                 complete: false,
             });
         }
@@ -115,7 +152,9 @@ pub fn k_most_critical_paths<V: TimingView + ?Sized>(
 
     while let Some(entry) = heap.pop() {
         if entry.complete {
-            results.push(NetlistPath { gates: entry.gates });
+            results.push(NetlistPath {
+                gates: prefixes.path(entry.node),
+            });
             if results.len() == k {
                 break;
             }
@@ -125,23 +164,21 @@ pub fn k_most_critical_paths<V: TimingView + ?Sized>(
         if expansions > expansion_limit {
             break;
         }
-        let last = *entry.gates.last().expect("entries are non-empty");
-        let weight_so_far: f64 = entry.gates.iter().map(|&g| w(g)).sum();
+        let last = prefixes.gate[entry.node];
         let out = circuit.gate(last).output();
         if circuit.net(out).is_output() {
             heap.push(HeapEntry {
-                bound: weight_so_far,
-                gates: entry.gates.clone(),
+                bound: entry.weight,
                 complete: true,
+                ..entry
             });
         }
         for &(succ, _) in circuit.net(out).loads() {
             if completion[succ.index()].is_finite() {
-                let mut gates = entry.gates.clone();
-                gates.push(succ);
                 heap.push(HeapEntry {
-                    bound: weight_so_far + completion[succ.index()],
-                    gates,
+                    bound: entry.weight + completion[succ.index()],
+                    node: prefixes.push(succ, Some(entry.node)),
+                    weight: entry.weight + w[succ.index()],
                     complete: false,
                 });
             }
@@ -161,6 +198,20 @@ pub fn k_most_critical_paths<V: TimingView + ?Sized>(
 /// round, and every round moves delays all over the circuit, so a
 /// maintained copy would re-derive every gate anyway.
 pub fn completion_bounds<V: TimingView + ?Sized>(circuit: &Circuit, report: &V) -> Vec<f64> {
+    completion_bounds_of(circuit, &worst_delays(circuit, report))
+}
+
+/// Every gate's [`TimingView::gate_delay_worst_ps`], id-indexed: the
+/// gate weights of the search.
+fn worst_delays<V: TimingView + ?Sized>(circuit: &Circuit, report: &V) -> Vec<f64> {
+    circuit
+        .gate_ids()
+        .map(|g| report.gate_delay_worst_ps(g))
+        .collect()
+}
+
+/// [`completion_bounds`] under the gate weights `w`, id-indexed.
+fn completion_bounds_of(circuit: &Circuit, w: &[f64]) -> Vec<f64> {
     let order = circuit
         .topo_order()
         .expect("timing report implies an acyclic circuit");
@@ -178,7 +229,7 @@ pub fn completion_bounds<V: TimingView + ?Sized>(circuit: &Circuit, report: &V) 
             }
         }
         completion[gid.index()] = if best.is_finite() {
-            report.gate_delay_worst_ps(gid) + best
+            w[gid.index()] + best
         } else {
             f64::NEG_INFINITY
         };

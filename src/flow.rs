@@ -248,7 +248,9 @@ pub fn optimize_circuit(
     // snapshot — or ones that never beat the pre-edit best — are not
     // reported as part of it).
     let mut best_sizing = graph.sizing().clone();
-    let mut best_circuit = circuit.clone();
+    // `None` while the best netlist is the input: only an applied edit
+    // makes the graph's netlist worth a copy.
+    let mut best_circuit: Option<Circuit> = None;
     let mut best_delay = initial_delay_ps;
     let mut best_edits = (0usize, 0usize, 0usize, 0.0f64);
     let mut flimits = FlimitCache::new();
@@ -369,7 +371,7 @@ pub fn optimize_circuit(
         if graph.critical_delay_ps() < best_delay {
             best_delay = graph.critical_delay_ps();
             best_sizing = graph.sizing().clone();
-            best_circuit = graph.circuit().clone();
+            best_circuit = (edits_applied > 0).then(|| graph.circuit().clone());
             best_edits = (
                 edits_applied,
                 buffers_inserted,
@@ -383,6 +385,7 @@ pub fn optimize_circuit(
     }
 
     let (edits_applied, buffers_inserted, gates_restructured, edit_slack_gain_ps) = best_edits;
+    let best_circuit = best_circuit.unwrap_or_else(|| circuit.clone());
 
     // Leakage-aware Vt assignment on the best implementation: probe each
     // gate's HVT demotion against a slow/typical/fast multi-corner view

@@ -12,7 +12,7 @@
 //! budget — each firing where it should without changing bits; the
 //! uniform flushing contract of `net_load_ff` and
 //! `gate_delay_worst_ps`; slack and required reads on a fanout-free net,
-//! which flush forward only; and validity and determinism of the synthetic
+//! which flush forward only, and only their fanin cone; and validity and determinism of the synthetic
 //! scaling fabrics.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
@@ -432,24 +432,104 @@ fn forward_reads_flush_once_and_match_a_fresh_pass() {
     }
 }
 
+/// Gates in the fanin cone of `net`'s driver, the driver included.
+fn fanin_cone(circuit: &Circuit, net: NetId) -> Vec<GateId> {
+    let mut seen = vec![false; circuit.gate_count()];
+    let mut stack: Vec<GateId> = circuit.driver_gate(net).into_iter().collect();
+    let mut cone = Vec::new();
+    while let Some(g) = stack.pop() {
+        if std::mem::replace(&mut seen[g.index()], true) {
+            continue;
+        }
+        cone.push(g);
+        for &n in circuit.gate(g).inputs() {
+            stack.extend(circuit.driver_gate(n));
+        }
+    }
+    cone
+}
+
+#[test]
+fn a_cone_read_that_drains_every_mark_still_moves_the_critical_output() {
+    // Two separate inverter chains, each to its own primary output;
+    // the longer one is critical. Loading the short chain's middle
+    // stage with a wide last stage makes the short chain critical. The
+    // slack read at its output drains every mark (all sit in its
+    // cone), so the next full read finds nothing to drain, and must
+    // still re-derive the critical output.
+    let lib = Library::cmos025();
+    let mut circuit = Circuit::new("two_chains");
+    let chain = |circuit: &mut Circuit, name: &str, stages: usize| {
+        let mut net = circuit.add_input(format!("{name}_in"));
+        let mut gates = Vec::new();
+        for i in 0..stages {
+            net = circuit
+                .add_gate(CellKind::Inv, &[net], format!("{name}{i}"))
+                .unwrap();
+            gates.push(circuit.driver_gate(net).unwrap());
+        }
+        circuit.mark_output(net);
+        (net, gates)
+    };
+    let (short_out, short) = chain(&mut circuit, "short", 3);
+    let (long_out, _) = chain(&mut circuit, "long", 5);
+    let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).unwrap();
+    let tc = graph.critical_delay_ps();
+    graph.set_constraint(tc);
+    let _ = graph.worst_slack_overall_ps();
+    assert_eq!(graph.critical_path().gates.len(), 5, "the long chain leads");
+
+    graph.resize_gates([(short[2], 200.0 * lib.min_drive_ff())]);
+    let fresh = analyze_with(&circuit, &lib, graph.sizing(), graph.options()).unwrap();
+    assert!(
+        fresh
+            .arrival_ps(short_out, EdgeDir::Rising)
+            .max(fresh.arrival_ps(short_out, EdgeDir::Falling))
+            > fresh
+                .arrival_ps(long_out, EdgeDir::Rising)
+                .max(fresh.arrival_ps(long_out, EdgeDir::Falling)),
+        "the loaded short chain leads"
+    );
+    let slack = graph.worst_slack_ps(short_out);
+    assert!(slack < 0.0, "the short chain now misses tc: {slack}");
+    let drained = graph.stats();
+    let _ = graph.worst_slack_ps(long_out);
+    assert_eq!(
+        graph.stats(),
+        drained,
+        "the short chain's cone held every mark"
+    );
+    assert_eq!(
+        graph.critical_delay_ps().to_bits(),
+        fresh.critical_delay_ps().to_bits(),
+        "critical delay after the cone read"
+    );
+    assert_eq!(graph.critical_path().gates, short);
+    assert_eq!(graph.stats().forward_flushes, drained.forward_flushes);
+}
+
 #[test]
 fn fanout_free_slack_reads_flush_forward_only() {
     // A net that feeds no gate ends no arc: its required time is tc at a
-    // primary output whatever is pending. With resizes pending on a
-    // constrained graph, slack and required reads there flush forward
-    // once and never backward, and carry the bits of fresh passes; the
-    // next read that needs the backward state still drains everything.
+    // primary output whatever is pending, and its arrival depends on
+    // its driver's fanin cone alone. With resizes pending on a
+    // constrained graph, slack and required reads there drain only the
+    // marks in that cone, never flush backward, and carry the bits of
+    // fresh passes; the next read that needs the whole state drains
+    // what the cones left, forward and backward.
     let lib = Library::cmos025();
     let circuit = suite::circuit("c880").unwrap();
     let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).unwrap();
     let tc = 0.9 * graph.critical_delay_ps();
     graph.set_constraint(tc);
     let _ = graph.worst_slack_overall_ps();
-    let endpoint = *circuit
+    let endpoints: Vec<NetId> = circuit
         .primary_outputs()
         .iter()
-        .find(|&&n| circuit.net(n).fanout() == 0)
-        .expect("c880 has a fanout-free primary output");
+        .copied()
+        .filter(|&n| circuit.net(n).fanout() == 0)
+        .collect();
+    assert!(endpoints.len() > 1, "c880 has fanout-free primary outputs");
     let cref = lib.min_drive_ff();
     let batch: Vec<(GateId, f64)> = circuit
         .gate_ids()
@@ -459,40 +539,65 @@ fn fanout_free_slack_reads_flush_forward_only() {
     graph.resize_gates(batch);
     let fresh = analyze_with(&circuit, &lib, graph.sizing(), graph.options()).unwrap();
     let slacks = required_times(&circuit, &lib, graph.sizing(), &fresh, tc).unwrap();
+    // The same marks drained by one merged flush.
+    let merged = graph.clone();
+    let _ = merged.worst_slack_overall_ps();
+    let merged_evals = merged.stats().gates_reevaluated - graph.stats().gates_reevaluated;
 
-    let before = graph.stats();
-    assert_eq!(
-        graph.worst_slack_ps(endpoint).to_bits(),
-        slacks.worst_slack_ps(endpoint).to_bits(),
-        "worst slack of the endpoint"
-    );
-    for dir in [EdgeDir::Rising, EdgeDir::Falling] {
+    let start = graph.stats();
+    let mut drained = Vec::new();
+    for &endpoint in &endpoints {
+        let before = graph.stats();
         assert_eq!(
-            graph.required_ps(endpoint, dir).to_bits(),
-            slacks.required_ps(endpoint, dir).to_bits(),
-            "required time of the endpoint, {dir:?}"
+            graph.worst_slack_ps(endpoint).to_bits(),
+            slacks.worst_slack_ps(endpoint).to_bits(),
+            "worst slack of {endpoint}"
         );
+        for dir in [EdgeDir::Rising, EdgeDir::Falling] {
+            assert_eq!(
+                graph.required_ps(endpoint, dir).to_bits(),
+                slacks.required_ps(endpoint, dir).to_bits(),
+                "required time of {endpoint}, {dir:?}"
+            );
+        }
+        let after = graph.stats();
+        let evals = after.gates_reevaluated - before.gates_reevaluated;
+        assert!(
+            evals <= fanin_cone(&circuit, endpoint).len(),
+            "{endpoint}: {evals} re-evaluations outside its fanin cone"
+        );
+        assert_eq!(
+            after.forward_flushes - before.forward_flushes,
+            usize::from(evals > 0),
+            "{endpoint}: one forward flush when its cone holds marks, none otherwise"
+        );
+        assert_eq!(
+            after.backward_flushes, before.backward_flushes,
+            "{endpoint}: reads on a fanout-free net must not flush backward"
+        );
+        drained.push(evals);
     }
     let after = graph.stats();
-    assert_eq!(
-        after.forward_flushes,
-        before.forward_flushes + 1,
-        "the first read must flush forward once"
-    );
-    assert_eq!(
-        after.backward_flushes, before.backward_flushes,
-        "reads on a fanout-free net must not flush backward"
+    assert!(
+        drained.iter().any(|&e| e > 0) && drained.contains(&0),
+        "some cones hold marks and some do not: {drained:?}"
     );
 
     assert_eq!(
         graph.worst_slack_overall_ps().map(f64::to_bits),
         slacks.worst_slack_overall_ps().map(f64::to_bits),
-        "design-worst slack after the skipped flushes"
+        "design-worst slack after the cone flushes"
     );
+    let end = graph.stats();
     assert_eq!(
-        graph.stats().backward_flushes,
+        end.backward_flushes,
         after.backward_flushes + 1,
         "the design-worst read must flush backward once"
+    );
+    assert_eq!(
+        end.gates_reevaluated - start.gates_reevaluated,
+        merged_evals,
+        "the cones and the rest re-evaluate exactly the gates one merged flush does"
     );
     assert_matches_fresh(&graph, &lib, "after the fanout-free reads");
 }
