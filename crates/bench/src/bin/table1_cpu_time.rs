@@ -3,13 +3,14 @@
 //!
 //! The paper reports a two-orders-of-magnitude speedup. Wall-clock
 //! milliseconds on today's hardware are far smaller than 2005's, so the
-//! column to compare is the *ratio*.
+//! column to compare is the *ratio*. Both sizers are timed by one rule
+//! (`time_ms`), so the ratio compares like with like.
 
 use std::time::Instant;
 
 use pops_amps::{greedy_size_for_constraint, GreedyOptions};
 use pops_bench::paper_ref::TABLE1_CPU_TIME;
-use pops_bench::{paper_workloads, print_table, write_artifact};
+use pops_bench::{median, paper_workloads, print_table, write_artifact};
 use pops_core::bounds::delay_bounds;
 use pops_core::sensitivity::distribute_constraint;
 use pops_delay::Library;
@@ -31,18 +32,29 @@ pops_bench::json_fields!(Row {
     paper_speedup
 });
 
-fn time_ms(mut f: impl FnMut()) -> f64 {
-    // Repeat fast bodies for stable numbers.
-    let t0 = Instant::now();
-    let mut reps = 0u32;
-    loop {
-        f();
-        reps += 1;
-        if t0.elapsed().as_millis() >= 50 || reps >= 100 {
-            break;
-        }
+/// Calls every timing makes at least: the median of three discards one
+/// slow outlier (a cold cache, a preempted call).
+const MIN_REPS: usize = 3;
+/// Calls every timing makes at most.
+const MAX_REPS: usize = 100;
+/// Wall time (ms) after which a timing stops once it has `MIN_REPS`
+/// calls: the slowest AMPS rows (c6288, adder16) stop at three, and
+/// the whole table runs in a few seconds.
+const BUDGET_MS: f64 = 50.0;
+
+/// Median wall time of one call of `f` (ms): at least `MIN_REPS`
+/// calls, then more until `BUDGET_MS` is spent or `MAX_REPS` are made.
+fn time_ms<T>(mut f: impl FnMut() -> T) -> f64 {
+    let start = Instant::now();
+    let mut samples = Vec::new();
+    while samples.len() < MIN_REPS
+        || (samples.len() < MAX_REPS && start.elapsed().as_secs_f64() * 1e3 < BUDGET_MS)
+    {
+        let t = Instant::now();
+        std::hint::black_box(f());
+        samples.push(t.elapsed().as_secs_f64() * 1e3);
     }
-    t0.elapsed().as_secs_f64() * 1000.0 / reps as f64
+    median(samples)
 }
 
 fn main() {
@@ -54,12 +66,9 @@ fn main() {
     for w in paper_workloads(&lib) {
         let b = delay_bounds(&lib, &w.path);
         let tc = 1.2 * b.tmin_ps;
-        let pops_ms = time_ms(|| {
-            let _ = distribute_constraint(&lib, &w.path, tc);
-        });
-        let t0 = Instant::now();
-        let _ = greedy_size_for_constraint(&lib, &w.path, tc, &GreedyOptions::default());
-        let amps_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        let pops_ms = time_ms(|| distribute_constraint(&lib, &w.path, tc));
+        let amps_ms =
+            time_ms(|| greedy_size_for_constraint(&lib, &w.path, tc, &GreedyOptions::default()));
         let speedup = amps_ms / pops_ms;
         let paper = TABLE1_CPU_TIME
             .iter()

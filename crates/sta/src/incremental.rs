@@ -60,6 +60,19 @@
 //! [`crate::required_times`] after every step of random mutation
 //! sequences.
 //!
+//! # Deciding the constraint from the forward state
+//!
+//! One tournament tree per corner over the primary outputs keeps the
+//! latest output arrival: every forward step that moves an output's
+//! arrival updates its leaf, so [`TimingGraph::critical_delay_ps`] is
+//! an O(1) root read after any forward flush, cone flushes included.
+//! [`TimingGraph::meets_constraint`] compares that arrival, over all
+//! corners, with the constraint, and answers the sign of the
+//! design-worst slack bit for bit, flushing the backward state only
+//! inside a proven rounding band below the constraint. A probe loop
+//! decided this way (the flow's Vt pass) pays its forward cones only;
+//! the backward marks wait for the next slack read.
+//!
 //! The k-paths completion bounds are *not* maintained: the flow reads
 //! them once per round, after resizes spread over the whole circuit, so
 //! a maintained copy would re-derive every gate on every read anyway.
@@ -77,7 +90,7 @@ use crate::analysis::{eidx, AnalyzeOptions, EdgeDir, NetlistPath, TimingView};
 use crate::error::StaError;
 use crate::kernel::{build_gate_params, gate_params_for, GateParams};
 use crate::sizing::Sizing;
-use crate::slack::{min2, WorstSlackIndex};
+use crate::slack::{min2, slack_key};
 
 mod audit;
 mod flush;
@@ -185,6 +198,11 @@ pub struct TimingGraph<'c> {
     /// Vt variant per gate (id-indexed, like [`Sizing`]); gates created
     /// by surgery enter as the default [`VtClass::Svt`].
     vt_class: Vec<VtClass>,
+    /// No arc delay can be negative: the input slope, the latch load
+    /// and every gate's constants are non-negative. The rounding bound
+    /// behind [`TimingGraph::meets_constraint`]'s early "met" answer
+    /// rests on it.
+    delays_nonnegative: bool,
 
     /// Mutation generation: bumped by every state-changing mutator
     /// (resize batches, Vt swaps, constraint changes, structural edits).
@@ -273,14 +291,16 @@ impl<'c> TimingGraph<'c> {
         sizing.check_covers(circuit)?;
         let vt_class = vec![VtClass::Svt; circuit.gate_count()];
         let gate_params = build_gate_params(circuit, &corner_libs, &vt_class);
-        let fwd = ForwardState::new(circuit.net_count(), circuit.gate_count(), corner_libs.len());
+        let s = build_structure(circuit)?;
+        let fwd = ForwardState::new(&s, corner_libs.len());
 
         let graph = TimingGraph {
             circuit: Cow::Borrowed(circuit),
             lib,
             options: options.clone(),
             sizing: sizing.clone(),
-            s: build_structure(circuit)?,
+            s,
+            delays_nonnegative: delays_nonnegative(options, &gate_params),
             gate_params,
             corner_libs,
             vt_class,
@@ -297,7 +317,6 @@ impl<'c> TimingGraph<'c> {
             let mut fwd = graph.fwd.borrow_mut();
             graph.init_forward(&mut fwd);
             graph.full_forward_sweep(&mut fwd, None);
-            graph.recompute_critical(&mut fwd);
         }
         Ok(graph)
     }
@@ -520,7 +539,9 @@ impl<'c> TimingGraph<'c> {
         self.vt_class[gi] = class;
         let nc = self.corner_libs.len();
         for (c, lib) in self.corner_libs.iter().enumerate() {
-            self.gate_params[gi * nc + c] = gate_params_for(lib, self.s.cell[gi], class);
+            let params = gate_params_for(lib, self.s.cell[gi], class);
+            self.delays_nonnegative &= params.delays_nonnegative();
+            self.gate_params[gi * nc + c] = params;
         }
         // Forward: the gate's delay, slope and arrival all re-derive
         // (loads are untouched — no fanin-driver re-time needed).
@@ -545,23 +566,28 @@ impl<'c> TimingGraph<'c> {
     // last query), then answers from the settled state.
 
     /// Worst arrival time over all primary outputs (ps), on the primary
-    /// corner.
+    /// corner; 0 when no output is reached.
     pub fn critical_delay_ps(&self) -> f64 {
         self.critical_delay_ps_corner(0)
     }
 
-    /// [`TimingGraph::critical_delay_ps`] on one corner.
+    /// [`TimingGraph::critical_delay_ps`] on one corner. O(1) after the
+    /// forward flush: minus the root of the corner's critical-output
+    /// tree, which every forward step that moves an output's arrival
+    /// keeps current.
     ///
     /// # Panics
     ///
     /// Panics if `corner >= n_corners()`.
     pub fn critical_delay_ps_corner(&self, corner: usize) -> f64 {
+        assert!(corner < self.corner_libs.len(), "corner out of range");
         self.flush_forward();
-        let nc = self.corner_libs.len();
-        let fwd = self.fwd.borrow();
-        fwd.critical_net[corner]
-            .map(|(n, e)| fwd.arrival[self.slot(n) * nc + corner][eidx(e)])
-            .unwrap_or(0.0)
+        let root = self.fwd.borrow().critical[corner].root();
+        if root == f64::INFINITY {
+            0.0
+        } else {
+            -root
+        }
     }
 
     /// Arrival time of a net for a given edge (ps), `-inf` if
@@ -625,7 +651,10 @@ impl<'c> TimingGraph<'c> {
     }
 
     /// The most critical path: traceback from the worst primary output,
-    /// following the primary corner's predecessors.
+    /// following the primary corner's predecessors. The output is the
+    /// first in declaration order, and its edge the first, that reach
+    /// the critical delay — the full pass's tie rule. O(outputs) for
+    /// that scan.
     ///
     /// Returns an empty path only for circuits without gates.
     pub fn critical_path(&self) -> NetlistPath {
@@ -633,7 +662,7 @@ impl<'c> TimingGraph<'c> {
         let nc = self.corner_libs.len();
         let fwd = self.fwd.borrow();
         let mut gates = Vec::new();
-        let mut cur = fwd.critical_net[0];
+        let mut cur = self.critical_output(&fwd, 0);
         while let Some((n, e)) = cur {
             if let Some(gid) = self.s.net_driver[n.index()] {
                 gates.push(gid);
@@ -810,7 +839,73 @@ impl<'c> TimingGraph<'c> {
     /// As [`TimingGraph::required_ps`].
     pub fn worst_slack_overall_ps(&self) -> Option<f64> {
         self.flush_required();
-        self.backward().worst.worst()
+        self.backward().worst.finite_root()
+    }
+
+    /// Whether the design meets its constraint at every corner:
+    /// bit for bit `worst_slack_overall_ps().map(|s| s >= 0.0)`, but
+    /// decided from the forward state, so the backward state flushes
+    /// only inside a rounding band around the constraint. With `A` the
+    /// latest primary-output arrival over all corners (O(1) off the
+    /// critical-output trees after the forward flush), `tc` the
+    /// constraint and `L` the number of logic levels:
+    ///
+    /// * `None` when `tc` is `+inf` or no output is reached — exactly
+    ///   when no net carries a finite slack;
+    /// * `Some(false)` when `A > tc`: that output's required time is at
+    ///   most `tc`, so its slack is negative;
+    /// * `Some(true)` when `A < tc − δ` with `δ = 2(L+1)·ε·tc` (`ε` the
+    ///   machine epsilon), by the bound below — on the model's physical
+    ///   domain, where no arc delay is negative;
+    /// * otherwise the exact read, `worst_slack_overall_ps()`.
+    ///
+    /// **Why `δ` suffices.** Take any finite slack `fl(r − a)` of a net
+    /// `n` on one edge and corner. Its required time `r` is the end of a
+    /// chain `ρ_m = tc`, `ρ_k = fl(ρ_{k+1} − d_k)` along arcs from `n`
+    /// to a primary output, `m ≤ L` (one arc per gate, each gate a level
+    /// higher than the last). The forward state holds the same arc
+    /// delays `d_k`, bit for bit (one kernel expression over the same
+    /// slopes, loads and sizes), and each net's arrival is a max over
+    /// its arcs, so the arrivals `α_k` along the chain satisfy
+    /// `α_{k+1} ≥ fl(α_k + d_k)` with `α_0 = a` and `α_m ≤ A`. Arc
+    /// delays are non-negative and inputs arrive at 0, so
+    /// `0 ≤ α_k ≤ A < tc`: each addition rounds by at most `(ε/2)·A`,
+    /// and by induction down the chain each `ρ_k` stays in `[0, tc]`, so
+    /// each subtraction rounds by at most `(ε/2)·tc`. The two chains
+    /// cover the same delays, so `r − a > tc − A − (m+1)·ε·tc`, which is
+    /// non-negative when `A ≤ tc − (L+1)·ε·tc`; `δ` doubles that margin
+    /// to cover the rounding of `tc − δ` itself. Then `r ≥ a`, and the
+    /// slack rounds to a non-negative value.
+    ///
+    /// # Panics
+    ///
+    /// As [`TimingGraph::required_ps`].
+    pub fn meets_constraint(&self) -> Option<bool> {
+        let tc_ps = self.backward().tc_ps;
+        if tc_ps == f64::INFINITY {
+            return None;
+        }
+        self.flush_forward();
+        let key = self
+            .fwd
+            .borrow()
+            .critical
+            .iter()
+            .map(|tree| tree.root())
+            .fold(f64::INFINITY, min2);
+        if key == f64::INFINITY {
+            return None;
+        }
+        let latest = -key;
+        if latest > tc_ps {
+            return Some(false);
+        }
+        let levels = self.s.level_start.len() - 1;
+        let band = 2.0 * (levels + 1) as f64 * f64::EPSILON * tc_ps;
+        if self.delays_nonnegative && latest < tc_ps - band {
+            return Some(true);
+        }
+        self.worst_slack_overall_ps().map(|s| s >= 0.0)
     }
 
     /// Worst finite slack over the whole design on **one** corner;
@@ -832,13 +927,18 @@ impl<'c> TimingGraph<'c> {
         let mut worst = f64::INFINITY;
         for slot in 0..self.s.slot_of.len() {
             let entry = slot * nc + corner;
-            worst = min2(
-                worst,
-                WorstSlackIndex::key(bw.required[entry], fwd.arrival[entry]),
-            );
+            worst = min2(worst, slack_key(bw.required[entry], fwd.arrival[entry]));
         }
         (worst != f64::INFINITY).then_some(worst)
     }
+}
+
+/// Whether no arc delay can be negative under `options` and the model
+/// constants `gate_params` (see [`GateParams::delays_nonnegative`]).
+fn delays_nonnegative(options: &AnalyzeOptions, gate_params: &[GateParams]) -> bool {
+    options.input_transition_ps >= 0.0
+        && options.po_load_ff >= 0.0
+        && gate_params.iter().all(GateParams::delays_nonnegative)
 }
 
 impl TimingView for TimingGraph<'_> {
@@ -1155,6 +1255,89 @@ mod tests {
                 graph.worst_slack_overall_ps().map(f64::to_bits),
                 fresh.worst_slack_overall_ps().map(f64::to_bits),
             );
+        }
+    }
+
+    #[test]
+    fn deferred_slack_log_stays_bounded() {
+        // Probes decided on the forward state defer every backward
+        // flush, and each moved arrival would log its net. Past a
+        // quarter of the nets the log gives way to one wholesale refold,
+        // which lands on the bits of a fresh backward pass.
+        let lib = Library::cmos025();
+        let c = suite::circuit("c880").unwrap();
+        let s = Sizing::minimum(&c, &lib);
+        let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
+        let tc = 1.4 * graph.critical_delay_ps();
+        graph.set_constraint(tc);
+        let _ = graph.worst_slack_overall_ps();
+        let bound = c.net_count() / 4;
+        let log_len = |graph: &TimingGraph| {
+            let bw = graph.backward.borrow();
+            let bw = bw.as_ref().unwrap();
+            (bw.slack_net_log.len(), bw.refold_all)
+        };
+        let mut hit = false;
+        for g in c.gate_ids() {
+            graph.set_vt_class(g, VtClass::Hvt);
+            if graph.meets_constraint() != Some(true) {
+                graph.set_vt_class(g, VtClass::Svt);
+            }
+            let (len, refold_all) = log_len(&graph);
+            assert!(len <= bound, "log of {len} entries past its bound {bound}");
+            assert!(!refold_all || len == 0, "a refold needs no log");
+            hit |= refold_all;
+        }
+        assert!(
+            hit,
+            "the probes moved more than a quarter of the nets' arrivals"
+        );
+        assert_eq!(
+            graph.stats().backward_flushes,
+            1,
+            "only the settling read flushed"
+        );
+        let mut fresh = TimingGraph::new(&c, &lib, &s).unwrap();
+        for (g, &class) in c.gate_ids().zip(&graph.vt_class) {
+            fresh.set_vt_class(g, class);
+        }
+        fresh.set_constraint(tc);
+        assert_eq!(
+            graph.worst_slack_overall_ps().map(f64::to_bits),
+            fresh.worst_slack_overall_ps().map(f64::to_bits)
+        );
+        for net in c.net_ids() {
+            for dir in [EdgeDir::Rising, EdgeDir::Falling] {
+                assert_eq!(
+                    graph.required_ps(net, dir).to_bits(),
+                    fresh.required_ps(net, dir).to_bits(),
+                    "required {net} {dir:?}"
+                );
+            }
+        }
+        graph.verify_state().unwrap();
+    }
+
+    #[test]
+    fn meets_constraint_reads_exactly_when_delays_can_be_negative() {
+        // A negative NMOS threshold takes the model out of its physical
+        // domain: the slope term of a rising-input arc goes negative and
+        // the rounding bound no longer holds, so even a roomy constraint
+        // is decided by the exact backward read.
+        let c = suite::circuit("c432").unwrap();
+        let unphysical = Library::new(pops_delay::Process {
+            vtn: -0.5,
+            ..pops_delay::Process::cmos025()
+        });
+        for (lib, physical) in [(Library::cmos025(), true), (unphysical, false)] {
+            let s = Sizing::minimum(&c, &lib);
+            let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
+            assert_eq!(graph.delays_nonnegative, physical);
+            graph.set_constraint(2.0 * graph.critical_delay_ps());
+            let exact = graph.clone().worst_slack_overall_ps().map(|s| s >= 0.0);
+            assert_eq!(exact, Some(true));
+            assert_eq!(graph.meets_constraint(), exact);
+            assert_eq!(graph.stats().backward_flushes, usize::from(!physical));
         }
     }
 

@@ -22,6 +22,9 @@ impl TimingGraph<'_> {
     ///   popcount matches its maintained count, the backward state is
     ///   flushed to the current mutation generation, and flushed state
     ///   holds no pending marks, slack leaves or refold;
+    /// * **critical-output tree agreement** — on every corner, every
+    ///   leaf bit-matches its primary output's arrivals and every
+    ///   internal node (the root included) the min of its children;
     /// * **worst-slack tree agreement** — every leaf bit-matches an
     ///   independent refold of the required/arrival slabs and every
     ///   internal node (the root included) the min of its children;
@@ -127,6 +130,14 @@ impl TimingGraph<'_> {
 
         let fwd = self.fwd.borrow();
 
+        // Critical-output trees: per corner, leaves against the output
+        // arrivals, internal nodes against their children.
+        for (c, tree) in fwd.critical.iter().enumerate() {
+            if let Err(detail) = tree.audit_against(&self.critical_keys(&fwd, c)) {
+                return corrupt(format!("critical-output tree, corner {c}: {detail}"));
+            }
+        }
+
         // Dirty bookkeeping vs generation agreement. The flushes above
         // settled everything to the current generation, so every mark
         // must now be clear.
@@ -229,7 +240,7 @@ impl TimingGraph<'_> {
                 .map(|slot| slack_key(&bw.required, &fwd.arrival, nc, slot))
                 .collect();
             if let Err(detail) = bw.worst.audit_against(&keys) {
-                return corrupt(detail);
+                return corrupt(format!("worst-slack tree: {detail}"));
             }
         }
         Ok(())

@@ -55,16 +55,30 @@
 //! [`UpdateStats::backward_flushes`](super::UpdateStats::backward_flushes)
 //! prove mutations alone never flush either direction.
 //!
-//! # The worst-slack tournament tree
+//! # Tournament trees
 //!
 //! `worst_slack_overall_ps` used to fold over all nets per query —
 //! O(nets) even when nothing moved, which is exactly what broke even on
 //! the small-circuit probes. The backward flush already knows every net
 //! whose required time or arrival moved, so the graph maintains a
-//! `WorstSlackIndex`: per-net worst finite slacks at the leaves of a
+//! [`MinTree`]: per-net worst finite slacks at the leaves of a
 //! tournament tree of partial minima. Each moved slack is an O(log
 //! nets) leaf update folded in at flush time; the design-worst slack
 //! query is then O(1) at the root, bit-identical to the full fold.
+//!
+//! The moved slacks are logged between backward flushes, and forward
+//! flushes log one entry per moved arrival. A probe loop decided by
+//! `TimingGraph::meets_constraint` runs thousands of forward flushes
+//! and no backward one, so the log stops at a quarter of the nets and
+//! schedules the wholesale refold the flush would pick past that size
+//! anyway (`log_moved_slack`).
+//!
+//! The forward state keeps one more `MinTree` per corner, over the
+//! primary outputs keyed by minus their later arrival
+//! ([`critical_key`]). `forward_step` updates an output's leaves
+//! whenever its arrival moves, in drains and cone flushes alike, and a
+//! full sweep rebuilds the trees, so the critical delay never waits for
+//! a rescan: it is minus the root after any forward flush.
 //!
 //! # Drain or sweep
 //!
@@ -79,11 +93,12 @@
 use pops_delay::model::Edge;
 use pops_netlist::{GateId, NetId};
 
+use super::structure::NO_LEAF;
 use super::{Structure, TimingGraph};
 use crate::analysis::{eidx, EDGES};
 use crate::dirty::{Direction, DirtySet, Drained};
 use crate::kernel::{BwdView, EvalCtx, FwdView, PredPair, F_ARRIVAL, F_OUT_CHANGED, F_SLOPE};
-use crate::slack::WorstSlackIndex;
+use crate::slack::{min2, slack_key_over, MinTree};
 
 /// Incrementally maintained forward timing state of a [`TimingGraph`]:
 /// the floating-point arrays plus the pending marks. Lives in a
@@ -111,11 +126,12 @@ pub(super) struct ForwardState {
     /// Worst-case delay of each gate under the current slopes,
     /// **position- and corner-indexed** (`pos * n_corners + c`).
     pub(super) gate_delay_worst: Vec<f64>,
-    /// Worst primary output `(net, edge)` per corner (corner-indexed).
-    pub(super) critical_net: Vec<Option<(NetId, Edge)>>,
-    /// A cone flush moved some arrival: `critical_net` re-derives at the
-    /// next full flush, even when nothing is left to drain.
-    pub(super) critical_stale: bool,
+    /// One critical-output tree per corner (corner-indexed): leaf `i`
+    /// holds [`critical_key`] of primary output `pos[i]`, so the root is
+    /// minus the corner's critical delay. Kept current by every forward
+    /// step that moves an output's arrival, and rebuilt after every full
+    /// sweep.
+    pub(super) critical: Vec<MinTree>,
     /// Scratch bitset over topo positions: the fanin cone a cone flush
     /// drains, cleared after each.
     cone: Vec<u64>,
@@ -131,24 +147,25 @@ pub(super) struct ForwardState {
 
 impl ForwardState {
     /// A state with every gate output unreached, every load 0 and no
-    /// mark, for `n_nets` nets, `n_gates` gates and `nc` corners.
-    pub(super) fn new(n_nets: usize, n_gates: usize, nc: usize) -> Self {
+    /// mark, over the structure `s` with `nc` corners.
+    pub(super) fn new(s: &Structure, nc: usize) -> Self {
+        let (n_nets, n_gates) = (s.slot_of.len(), s.topo.len());
         ForwardState {
             arrival: vec![[f64::NEG_INFINITY; 2]; n_nets * nc],
             slope: vec![[0.0; 2]; n_nets * nc],
             pred: vec![[None, None]; n_nets * nc],
             load: vec![0.0; n_nets],
             gate_delay_worst: vec![0.0; n_gates * nc],
-            critical_net: vec![None; nc],
-            critical_stale: false,
+            critical: vec![MinTree::new(s.pos.len()); nc],
             cone: vec![0; n_gates.div_ceil(64)],
             cone_stack: Vec::new(),
             dirty: DirtySet::new(n_gates),
         }
     }
 
-    /// The per-gate kernels' view of the slabs, beside the dirty set.
-    fn split(&mut self) -> (FwdView<'_>, &mut DirtySet) {
+    /// The per-gate kernels' view of the slabs, beside the dirty set
+    /// and the critical-output trees.
+    fn split(&mut self) -> (FwdView<'_>, &mut DirtySet, &mut [MinTree]) {
         let view = FwdView {
             arrival: &mut self.arrival,
             slope: &mut self.slope,
@@ -156,8 +173,16 @@ impl ForwardState {
             load: &self.load,
             gate_delay_worst: &mut self.gate_delay_worst,
         };
-        (view, &mut self.dirty)
+        (view, &mut self.dirty, &mut self.critical)
     }
+}
+
+/// The critical-output tree key of a primary output's arrivals on one
+/// corner: minus the later edge, `+inf` when neither edge is reached.
+/// Negation is exact, so minus the root is that corner's latest output
+/// arrival bit for bit.
+pub(super) fn critical_key(arrival: [f64; 2]) -> f64 {
+    min2(-arrival[0], -arrival[1])
 }
 
 /// Incrementally maintained backward timing state (see the module
@@ -183,16 +208,17 @@ pub(super) struct BackwardState {
     /// are pending and the next slack/required query drains them.
     pub(super) req_flushed_gen: u64,
 
-    /// Nets whose arrival moved: their worst-slack leaves re-fold. May
-    /// repeat a net.
+    /// Nets whose arrival or required time moved: their worst-slack
+    /// leaves re-fold. May repeat a net. Bounded at a quarter of the
+    /// nets (see `log_moved_slack`).
     pub(super) slack_net_log: Vec<NetId>,
 
     /// Tournament tree over per-net worst finite slacks (root = design
-    /// worst); see [`WorstSlackIndex`].
-    pub(super) worst: WorstSlackIndex,
-    /// Every slack may have moved (constraint change, structural edit):
-    /// rebuild the index wholesale at the next flush instead of
-    /// per-leaf updates.
+    /// worst); see [`MinTree`].
+    pub(super) worst: MinTree,
+    /// Every slack may have moved (constraint change, structural edit, a
+    /// log past its bound): rebuild the index wholesale at the next
+    /// flush instead of per-leaf updates.
     pub(super) refold_all: bool,
 }
 
@@ -216,7 +242,7 @@ impl BackwardState {
             req_src: full(s.n_src),
             req_flushed_gen: gen.wrapping_sub(1),
             slack_net_log: Vec::new(),
-            worst: WorstSlackIndex::new(n_nets),
+            worst: MinTree::new(n_nets),
             refold_all: true,
         }
     }
@@ -244,6 +270,25 @@ impl BackwardState {
     }
 }
 
+/// Log `net` for the worst-slack re-fold — unless the next flush already
+/// refolds every leaf. Past a quarter of the nets the flush refolds
+/// wholesale anyway, so the log stops there: it sets `refold_all` and
+/// empties. Forward flushes log one entry per moved arrival while the
+/// backward flush waits for a read that may never come (a probe loop
+/// decided by [`TimingGraph::meets_constraint`]), and this keeps that
+/// log at O(nets); the results are the same bits, since the tree is a
+/// function of its leaves.
+fn log_moved_slack(log: &mut Vec<NetId>, refold_all: &mut bool, net: NetId, n_nets: usize) {
+    if *refold_all {
+        return;
+    }
+    log.push(net);
+    if log.len() > n_nets / 4 {
+        *refold_all = true;
+        log.clear();
+    }
+}
+
 /// Mark the net at `slot` required-dirty: a driven net under its
 /// driver's topo position, a driverless one in the source set.
 fn mark_required(s: &Structure, req: &mut DirtySet, req_src: &mut DirtySet, slot: usize) {
@@ -258,8 +303,9 @@ impl TimingGraph<'_> {
 
     /// Set every net's load in `fwd` under the current sizing and the
     /// primary inputs' arrivals (0) and slopes (the input transition) on
-    /// every corner: the starting point of a full forward pass, shared
-    /// by construction and [`TimingGraph::apply_edits`].
+    /// every corner, and fold those arrivals into the critical-output
+    /// trees: the starting point of a full forward pass, shared by
+    /// construction and [`TimingGraph::apply_edits`].
     pub(super) fn init_forward(&self, fwd: &mut ForwardState) {
         for net in 0..self.s.slot_of.len() {
             fwd.load[self.s.slot_of[net] as usize] =
@@ -275,6 +321,7 @@ impl TimingGraph<'_> {
                 fwd.slope[slot * nc + c] = [self.options.input_transition_ps; 2];
             }
         }
+        self.rebuild_critical(fwd);
     }
 
     /// The forward side of the lazy flush: a no-op when no gate is
@@ -289,35 +336,34 @@ impl TimingGraph<'_> {
     /// gates reproduce their cached bits exactly. Backward
     /// cones are *not* drained here — the marks the walk deposits into
     /// the backward state (slope and arrival changes) stay pending
-    /// until the next backward query's lazy flush.
+    /// until the next backward query's lazy flush. The critical-output
+    /// trees need nothing more: every step that moves an output's
+    /// arrival updates its leaf.
     pub(super) fn flush_forward(&self) {
         let mut guard = self.fwd.borrow_mut();
         let fwd = &mut *guard;
         if fwd.dirty.is_empty() {
-            if fwd.critical_stale {
-                self.recompute_critical(fwd);
-            }
             return;
         }
         let mut bw_guard = self.backward.borrow_mut();
         let mut bw = bw_guard.as_mut();
         let n_gates = self.s.topo.len();
 
-        let (reevals, cuts, any_changed) = match self.drain_limit(&fwd.dirty, Direction::Forward) {
+        let (reevals, cuts) = match self.drain_limit(&fwd.dirty, Direction::Forward) {
             None => {
                 self.full_forward_sweep(fwd, bw);
-                (n_gates, 0, true)
+                (n_gates, 0)
             }
             Some(limit) => {
                 let ctx = self.eval_ctx();
-                let (mut view, dirty) = fwd.split();
+                let (mut view, dirty, critical) = fwd.split();
                 let done = dirty.drain(
                     Direction::Forward,
                     limit,
-                    |pos| self.forward_step(&mut view, &ctx, &mut bw, pos),
+                    |pos| self.forward_step(&mut view, &ctx, &mut bw, Some(&mut *critical), pos),
                     |pos, dirty| self.mark_fanouts(pos, dirty),
                 );
-                (done.evals, done.cuts, done.evals > done.cuts)
+                (done.evals, done.cuts)
             }
         };
         self.stat(|s| {
@@ -325,9 +371,6 @@ impl TimingGraph<'_> {
             s.gates_reevaluated += reevals;
             s.converged_early += cuts;
         });
-        if any_changed || fwd.critical_stale {
-            self.recompute_critical(fwd);
-        }
     }
 
     /// The forward flush one read of the net at `slot` needs: drain
@@ -367,11 +410,11 @@ impl TimingGraph<'_> {
         }
 
         let ctx = self.eval_ctx();
-        let (mut view, dirty) = fwd.split();
+        let (mut view, dirty, critical) = fwd.split();
         let done = dirty.drain_within(
             &cone,
             target,
-            |pos| self.forward_step(&mut view, &ctx, &mut bw, pos),
+            |pos| self.forward_step(&mut view, &ctx, &mut bw, Some(&mut *critical), pos),
             |pos, dirty| self.mark_fanouts(pos, dirty),
         );
         cone[lo / 64..=target / 64].fill(0);
@@ -383,7 +426,6 @@ impl TimingGraph<'_> {
                 s.converged_early += done.cuts;
             });
         }
-        fwd.critical_stale |= done.evals > done.cuts;
     }
 
     /// Mark the gates reading the output of the gate at `pos`.
@@ -410,63 +452,99 @@ impl TimingGraph<'_> {
 
     /// Re-evaluate the gate at `pos`, deposit the lazy backward marks
     /// its change flags call for — arcs *from* the output net move with
-    /// its slope, the net's worst-slack leaf with its arrival — and
-    /// report whether its output moved.
+    /// its slope, the net's worst-slack leaf with its arrival — update
+    /// the output's critical-output leaves when `critical` is given and
+    /// its arrival moved, and report whether its output moved.
     fn forward_step(
         &self,
         view: &mut FwdView<'_>,
         ctx: &EvalCtx<'_>,
         bw: &mut Option<&mut BackwardState>,
+        critical: Option<&mut [MinTree]>,
         pos: usize,
     ) -> bool {
         let flags = view.eval_gate(ctx, pos);
+        // The output net sits at slot `n_src + pos`.
+        let slot = self.s.n_src + pos;
+        if let Some(critical) = critical {
+            let leaf = self.s.po_leaf[slot];
+            if flags & F_ARRIVAL != 0 && leaf != NO_LEAF {
+                let nc = critical.len();
+                for (c, tree) in critical.iter_mut().enumerate() {
+                    tree.update(leaf as usize, critical_key(view.arrival[slot * nc + c]));
+                }
+            }
+        }
         if let Some(bw) = bw.as_deref_mut() {
             if flags & F_SLOPE != 0 {
-                // The output net sits at slot `n_src + pos`, so its
-                // required-time key is the gate's own position.
+                // The output net's required-time key is the gate's own
+                // position.
                 bw.req.mark(pos);
             }
             if flags & F_ARRIVAL != 0 {
-                bw.slack_net_log
-                    .push(self.s.out_net[self.s.topo[pos].index()]);
+                let net = self.s.out_net[self.s.topo[pos].index()];
+                let n_nets = self.s.slot_of.len();
+                log_moved_slack(&mut bw.slack_net_log, &mut bw.refold_all, net, n_nets);
             }
         }
         flags & F_OUT_CHANGED != 0
     }
 
     /// Evaluate every gate once in topological order — exactly the full
-    /// pass of `analyze_with` — streaming the slabs in memory order, and
-    /// clear the dirty set it subsumes.
+    /// pass of `analyze_with` — streaming the slabs in memory order,
+    /// clear the dirty set it subsumes and rebuild the critical-output
+    /// trees (one linear fold each instead of a root walk per output).
     pub(super) fn full_forward_sweep(
         &self,
         fwd: &mut ForwardState,
         mut bw: Option<&mut BackwardState>,
     ) {
         let ctx = self.eval_ctx();
-        let (mut view, dirty) = fwd.split();
+        let (mut view, dirty, _) = fwd.split();
         dirty.clear();
         for pos in 0..self.s.topo.len() {
-            self.forward_step(&mut view, &ctx, &mut bw, pos);
+            self.forward_step(&mut view, &ctx, &mut bw, None, pos);
+        }
+        self.rebuild_critical(fwd);
+    }
+
+    /// The critical-output tree keys of corner `c`, in leaf order.
+    pub(super) fn critical_keys(&self, fwd: &ForwardState, c: usize) -> Vec<f64> {
+        let nc = self.corner_libs.len();
+        self.s
+            .pos
+            .iter()
+            .map(|&po| critical_key(fwd.arrival[self.slot(po) * nc + c]))
+            .collect()
+    }
+
+    /// Rebuild every corner's critical-output tree from the arrivals.
+    fn rebuild_critical(&self, fwd: &mut ForwardState) {
+        for c in 0..self.corner_libs.len() {
+            let keys = self.critical_keys(fwd, c);
+            fwd.critical[c].rebuild(&keys);
         }
     }
 
-    /// Same worst-output scan (and tie-breaking order) as the full
-    /// pass, run independently per corner.
-    pub(super) fn recompute_critical(&self, fwd: &mut ForwardState) {
-        fwd.critical_stale = false;
+    /// The first primary output and edge, in declaration order, whose
+    /// arrival on `corner` is the latest — the full pass's scan and tie
+    /// rule; `None` when no output is reached.
+    pub(super) fn critical_output(
+        &self,
+        fwd: &ForwardState,
+        corner: usize,
+    ) -> Option<(NetId, Edge)> {
         let nc = self.corner_libs.len();
-        for c in 0..nc {
-            let mut critical: Option<(NetId, Edge, f64)> = None;
-            for &po in &self.s.pos {
-                for e in EDGES {
-                    let t = fwd.arrival[self.slot(po) * nc + c][eidx(e)];
-                    if t > critical.map(|(_, _, cr)| cr).unwrap_or(f64::NEG_INFINITY) {
-                        critical = Some((po, e, t));
-                    }
+        let mut critical: Option<(NetId, Edge, f64)> = None;
+        for &po in &self.s.pos {
+            for e in EDGES {
+                let t = fwd.arrival[self.slot(po) * nc + corner][eidx(e)];
+                if t > critical.map(|(_, _, cr)| cr).unwrap_or(f64::NEG_INFINITY) {
+                    critical = Some((po, e, t));
                 }
             }
-            fwd.critical_net[c] = critical.map(|(n, e, _)| (n, e));
         }
+        critical.map(|(n, e, _)| (n, e))
     }
 
     // ---- backward internals ----
@@ -496,12 +574,14 @@ impl TimingGraph<'_> {
         }
         bw.req_flushed_gen = self.gen;
 
+        let n_nets = self.s.slot_of.len();
         let BackwardState {
             tc_ps,
             required,
             req,
             req_src,
             slack_net_log,
+            refold_all,
             ..
         } = &mut *bw;
         let drained = self.drain_limit(req, Direction::Backward).map(|limit| {
@@ -511,7 +591,7 @@ impl TimingGraph<'_> {
                 let net = self.net_at(slot);
                 let changed = view.eval_required_net(&ctx, net.index(), slot);
                 if changed {
-                    slack_net_log.push(net);
+                    log_moved_slack(slack_net_log, refold_all, net, n_nets);
                 }
                 changed
             };
@@ -558,13 +638,13 @@ impl TimingGraph<'_> {
         // return. Past a quarter of the nets the per-leaf root walks
         // (random access × log n) lose to one linear wholesale refold —
         // which is the old O(nets) fold, paid once per flush instead of
-        // once per query.
+        // once per query — so the log stops there and asks for it
+        // (`log_moved_slack`).
         // Leaves are keyed by *slot* — a bijection of the nets, so the
         // root min folds the same value multiset as a net-keyed tree
         // (bit-identical worst).
-        let n_nets = self.s.slot_of.len();
         let nc = self.corner_libs.len();
-        if bw.refold_all || bw.slack_net_log.len() > n_nets / 4 {
+        if bw.refold_all {
             bw.refold_all = false;
             bw.slack_net_log.clear();
             let keys: Vec<f64> = (0..n_nets)
@@ -672,7 +752,7 @@ pub(super) fn slack_key(
     slot: usize,
 ) -> f64 {
     let lanes = slot * nc..(slot + 1) * nc;
-    WorstSlackIndex::key_over(&required[lanes.clone()], &arrival[lanes])
+    slack_key_over(&required[lanes.clone()], &arrival[lanes])
 }
 
 /// The backward kernels' view of one flush: the backward slabs to

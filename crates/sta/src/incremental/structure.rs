@@ -68,9 +68,16 @@ pub(crate) struct Structure {
     pub(crate) fanout_off: Vec<u32>,
     /// Primary-output flag per net (flat copy for the backward hot loop).
     pub(crate) is_po: Vec<bool>,
-    /// Primary-output nets, in declaration order (critical scan order).
+    /// Primary-output nets, in declaration order (critical scan order);
+    /// output `i` is leaf `i` of every corner's critical-output tree.
     pub(crate) pos: Vec<NetId>,
+    /// Critical-output leaf per slot: the net's index in `pos`, or
+    /// [`NO_LEAF`] for a net that is not a primary output.
+    pub(crate) po_leaf: Vec<u32>,
 }
+
+/// [`Structure::po_leaf`] of a slot whose net is not a primary output.
+pub(crate) const NO_LEAF: u32 = u32::MAX;
 
 impl Structure {
     /// Slots of a gate's fanin nets, in pin order.
@@ -182,6 +189,12 @@ pub(super) fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistErr
         fanout_off.push(fanout.len() as u32);
     }
     let fanin_slots: Vec<u32> = fanin.iter().map(|n| slot_of[n.index()]).collect();
+    // `mark_output` is idempotent, so each output is listed once.
+    let pos = circuit.primary_outputs().to_vec();
+    let mut po_leaf = vec![NO_LEAF; n_nets];
+    for (leaf, po) in pos.iter().enumerate() {
+        po_leaf[slot_of[po.index()] as usize] = leaf as u32;
+    }
 
     Ok(Structure {
         topo,
@@ -202,6 +215,7 @@ pub(super) fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistErr
             .net_ids()
             .map(|n| circuit.net(n).is_output())
             .collect(),
-        pos: circuit.primary_outputs().to_vec(),
+        pos,
+        po_leaf,
     })
 }

@@ -5,7 +5,7 @@ use pops_netlist::surgery::{AppliedEdit, EditPlan};
 use pops_netlist::{NetlistError, VtClass};
 
 use super::flush::{BackwardState, ForwardState};
-use super::{build_structure, TimingGraph};
+use super::{build_structure, delays_nonnegative, TimingGraph};
 use crate::kernel::build_gate_params;
 
 impl TimingGraph<'_> {
@@ -104,9 +104,10 @@ impl TimingGraph<'_> {
         // append-only surgery).
         self.vt_class.resize(n_gates, VtClass::Svt);
         self.gate_params = build_gate_params(circuit, &self.corner_libs, &self.vt_class);
+        self.delays_nonnegative = delays_nonnegative(&self.options, &self.gate_params);
 
         let nc = self.corner_libs.len();
-        let mut fwd = ForwardState::new(circuit.net_count(), n_gates, nc);
+        let mut fwd = ForwardState::new(&self.s, nc);
         self.init_forward(&mut fwd);
         fwd.dirty.fill();
         *self.fwd.get_mut() = fwd;

@@ -95,6 +95,19 @@ impl GateParams {
     }
 }
 
+impl GateParams {
+    /// Whether every arc through a gate with these constants has a
+    /// non-negative delay under non-negative input slopes and loads:
+    /// `0.5·v_T·τ_in + 0.5·miller·τ_out` with the thresholds, the time
+    /// constants, `C_par` and `k` (so `miller ≥ 1`) non-negative — the
+    /// physical domain of the model.
+    pub(crate) fn delays_nonnegative(&self) -> bool {
+        self.cpar_factor >= 0.0
+            && self.k >= 0.0
+            && self.tau_s.iter().chain(&self.vt).all(|&x| x >= 0.0)
+    }
+}
+
 /// Resolve the flattened model constants of one `(cell, Vt variant)`
 /// pair under one corner's library. This is the single home of the
 /// constant-folding arithmetic: `tau_s` caches `(τ·S) · drive_factor`

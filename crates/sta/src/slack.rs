@@ -17,6 +17,16 @@
 //! design"; [`SlackReport::worst_slack_overall_ps`] skips those and
 //! returns `None` when *no* net carries a finite slack (e.g. a circuit
 //! with zero primary outputs).
+//!
+//! # Tournament trees
+//!
+//! The crate-private `MinTree` keeps a minimum up to date under point
+//! updates. The incremental [`TimingGraph`](crate::TimingGraph) keeps
+//! two kinds: the worst-slack tree over per-net slack keys, and one
+//! critical-output tree per corner over minus each primary output's
+//! later arrival, which makes the critical delay an O(1) read and lets
+//! [`TimingGraph::meets_constraint`](crate::TimingGraph::meets_constraint)
+//! decide the constraint without a backward pass.
 
 use pops_delay::model::{gate_delay_with_output_edge, Edge};
 use pops_delay::Library;
@@ -44,11 +54,12 @@ pub(crate) fn worst_finite_slack(pairs: impl Iterator<Item = ([f64; 2], [f64; 2]
 }
 
 /// Deterministic two-way minimum over non-NaN keys. Agrees with the
-/// [`worst_finite_slack`] fold on every multiset the index can hold:
-/// keys are finite slacks or the `+inf` neutral element, and a finite
-/// `required − arrival` is never `-0.0` (IEEE `x − y` with `x == y`
-/// rounds to `+0.0`), so equal keys are equal *bits* and any
-/// association of the minimum reproduces the fold bit-for-bit.
+/// [`worst_finite_slack`] fold on every multiset a [`MinTree`] of
+/// slacks can hold: keys are finite slacks or the `+inf` neutral
+/// element, and a finite `required − arrival` is never `-0.0` (IEEE
+/// `x − y` with `x == y` rounds to `+0.0`), so equal keys are equal
+/// *bits* and any association of the minimum reproduces the fold
+/// bit-for-bit.
 #[inline]
 pub(crate) fn min2(a: f64, b: f64) -> f64 {
     if a <= b {
@@ -58,83 +69,92 @@ pub(crate) fn min2(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Incrementally maintained design-worst slack: a tournament tree of
-/// per-rank partial minima over the per-net worst *finite* slacks.
+/// The worst-slack key of one net: its worst finite slack over both
+/// edges, `+inf` when no edge carries one — bit-compatible with what
+/// [`worst_finite_slack`] would fold in for this net.
+pub(crate) fn slack_key(required: [f64; 2], arrival: [f64; 2]) -> f64 {
+    let mut k = f64::INFINITY;
+    for i in 0..2 {
+        let s = required[i] - arrival[i];
+        if s.is_finite() && s < k {
+            k = s;
+        }
+    }
+    k
+}
+
+/// [`slack_key`] across every corner: `required`/`arrival` are the
+/// net's corner-innermost slices (length = corner count), and the key
+/// is the min over corners of the per-corner key — folded with [`min2`]
+/// in corner order, so with one corner this reduces to `slack_key`
+/// bit-for-bit.
+pub(crate) fn slack_key_over(required: &[[f64; 2]], arrival: &[[f64; 2]]) -> f64 {
+    debug_assert_eq!(required.len(), arrival.len());
+    let mut k = slack_key(required[0], arrival[0]);
+    for c in 1..required.len() {
+        k = min2(k, slack_key(required[c], arrival[c]));
+    }
+    k
+}
+
+/// An incrementally maintained minimum: a tournament tree of partial
+/// minima over one key per leaf.
 ///
-/// The leaves hold one key per net — the worst finite slack over both
-/// edges, or `+inf` when neither edge carries one (the same skip rule
-/// as [`worst_finite_slack`]) — and every internal node the minimum of
-/// its two children, so the root *is* the design-worst slack. A leaf
-/// update re-derives only its root path and stops as soon as a parent
-/// is bit-unchanged: O(log nets) per moved slack, against the O(nets)
-/// fold the query used to pay. The incremental
-/// [`TimingGraph`](crate::incremental::TimingGraph) feeds it exactly
-/// the nets its backward flush re-derived (plus the nets whose forward
-/// arrival moved), making the design-worst slack query O(1) on a
-/// flushed graph.
+/// Every internal node holds the [`min2`] of its two children, so the
+/// root *is* the minimum key. A leaf update re-derives only its root
+/// path and stops as soon as a parent is bit-unchanged: O(log leaves)
+/// per moved key, against the O(leaves) fold a query would pay. Keys
+/// are finite or the `+inf` neutral element; the tree is a function of
+/// its leaves alone, so per-leaf updates and a wholesale rebuild land on
+/// the same bits.
+///
+/// The incremental [`TimingGraph`](crate::incremental::TimingGraph)
+/// keeps two kinds:
+///
+/// * the **worst-slack tree**, one leaf per net keyed by
+///   [`slack_key_over`] (the net's worst finite slack over corners); its
+///   backward flush feeds it the nets whose required time or arrival
+///   moved, so the design-worst slack is O(1) on a flushed graph;
+/// * one **critical-output tree** per corner, one leaf per primary
+///   output keyed by `−max(arrival)` over its two edges (`+inf` where
+///   unreachable); the forward step updates the leaf whenever an
+///   output's arrival moves, so the critical delay is O(1) after any
+///   forward flush.
 #[derive(Debug, Clone)]
-pub(crate) struct WorstSlackIndex {
-    /// Leaf capacity: net count rounded up to a power of two (so the
+pub(crate) struct MinTree {
+    /// Leaf capacity: leaf count rounded up to a power of two (so the
     /// tree is complete and parent/child arithmetic is shift-only).
     cap: usize,
     /// 1-based heap layout: `tree[1]` is the root, leaves occupy
-    /// `tree[cap .. cap + nets]`; `+inf` pads unused slots (the neutral
-    /// element of the min).
+    /// `tree[cap .. cap + leaves]`; `+inf` pads unused slots (the
+    /// neutral element of the min).
     tree: Vec<f64>,
 }
 
-impl WorstSlackIndex {
-    /// An index over `nets` leaves, all at the `+inf` neutral key.
-    pub(crate) fn new(nets: usize) -> Self {
-        let cap = nets.next_power_of_two().max(1);
-        WorstSlackIndex {
+impl MinTree {
+    /// A tree over `leaves` leaves, all at the `+inf` neutral key.
+    pub(crate) fn new(leaves: usize) -> Self {
+        let cap = leaves.next_power_of_two().max(1);
+        MinTree {
             cap,
             tree: vec![f64::INFINITY; 2 * cap],
         }
     }
 
-    /// The key of one net: its worst finite slack over both edges,
-    /// `+inf` when no edge carries one — bit-compatible with what
-    /// [`worst_finite_slack`] would fold in for this net.
-    pub(crate) fn key(required: [f64; 2], arrival: [f64; 2]) -> f64 {
-        let mut k = f64::INFINITY;
-        for i in 0..2 {
-            let s = required[i] - arrival[i];
-            if s.is_finite() && s < k {
-                k = s;
-            }
-        }
-        k
-    }
-
-    /// The key of one net across every corner: `required`/`arrival` are
-    /// the net's corner-innermost slices (length = corner count), and
-    /// the key is the min over corners of the per-corner
-    /// [`WorstSlackIndex::key`] — folded with [`min2`] in corner order,
-    /// so with one corner this reduces to `key` bit-for-bit.
-    pub(crate) fn key_over(required: &[[f64; 2]], arrival: &[[f64; 2]]) -> f64 {
-        debug_assert_eq!(required.len(), arrival.len());
-        let mut k = Self::key(required[0], arrival[0]);
-        for c in 1..required.len() {
-            k = min2(k, Self::key(required[c], arrival[c]));
-        }
-        k
-    }
-
-    /// Replace one net's key and re-derive the partial minima along its
-    /// root path; O(log nets), cut short where a parent is bit-unchanged.
-    pub(crate) fn update(&mut self, net: usize, key: f64) {
+    /// Replace one leaf's key and re-derive the partial minima along its
+    /// root path; O(log leaves), cut short where a parent is
+    /// bit-unchanged.
+    pub(crate) fn update(&mut self, leaf: usize, key: f64) {
         // The key domain is finite-or-`+inf` (the neutral element) by
-        // construction of [`WorstSlackIndex::key`]. A NaN or `-inf`
-        // smuggled in here is the only way the root could ever fold a
-        // design with no finite slack into a bogus non-`None` answer —
-        // refuse it at the boundary instead of letting `min2` propagate
-        // it silently.
+        // construction of both key kinds. A NaN or `-inf` smuggled in
+        // here is the only way the root could ever fold an all-neutral
+        // tree into a bogus finite answer — refuse it at the boundary
+        // instead of letting `min2` propagate it silently.
         debug_assert!(
             !key.is_nan() && key != f64::NEG_INFINITY,
-            "worst-slack index keys are finite slacks or the +inf neutral element, got {key}"
+            "min-tree keys are finite or the +inf neutral element, got {key}"
         );
-        let mut i = self.cap + net;
+        let mut i = self.cap + leaf;
         if self.tree[i].to_bits() == key.to_bits() {
             return;
         }
@@ -149,24 +169,30 @@ impl WorstSlackIndex {
         }
     }
 
-    /// The design-worst finite slack; `None` when no net carries one —
-    /// a root still at the `+inf` neutral element means every leaf is
-    /// unconstrained (zero primary outputs, an infinite constraint),
-    /// and must never be folded into a finite answer.
-    pub(crate) fn worst(&self) -> Option<f64> {
+    /// The minimum key; `+inf` when every leaf holds the neutral
+    /// element.
+    pub(crate) fn root(&self) -> f64 {
+        self.tree[1]
+    }
+
+    /// The minimum key when it is finite; `None` when every leaf holds
+    /// the neutral element — for the worst-slack tree, no net carries a
+    /// finite slack (zero primary outputs, an infinite constraint), which
+    /// must never be folded into a finite answer.
+    pub(crate) fn finite_root(&self) -> Option<f64> {
         let root = self.tree[1];
         root.is_finite().then_some(root)
     }
 
-    /// Rebuild wholesale from one key per net — O(nets) min folds, used
-    /// when every slack may have moved (a new backward state, a flush
-    /// that moved most of them). The index is created at its final
-    /// size: `keys` holds one key per net it was created for, and the
-    /// padding leaves past them keep the `+inf` neutral element.
+    /// Rebuild wholesale from one key per leaf — O(leaves) min folds,
+    /// used when every key may have moved (a new state, a flush that
+    /// moved most of them). The tree is created at its final size:
+    /// `keys` holds one key per leaf it was created for, and the padding
+    /// leaves past them keep the `+inf` neutral element.
     pub(crate) fn rebuild(&mut self, keys: &[f64]) {
         debug_assert!(
             keys.iter().all(|k| !k.is_nan() && *k != f64::NEG_INFINITY),
-            "worst-slack index keys are finite slacks or the +inf neutral element"
+            "min-tree keys are finite or the +inf neutral element"
         );
         let cap = self.cap;
         self.tree[cap..cap + keys.len()].copy_from_slice(keys);
@@ -181,27 +207,27 @@ impl WorstSlackIndex {
     /// must still hold the `+inf` neutral element, and every internal
     /// node (the root included) must bit-match the `min2` of its
     /// children — i.e. the incrementally maintained tree is exactly the
-    /// tree [`WorstSlackIndex::rebuild`] would produce from `keys`.
+    /// tree [`MinTree::rebuild`] would produce from `keys`.
     pub(crate) fn audit_against(&self, keys: &[f64]) -> Result<(), String> {
         if keys.len() > self.cap || self.tree.len() != 2 * self.cap {
             return Err(format!(
-                "worst-slack tree sized for {} leaves, {} nets",
+                "tree sized for {} leaves, {} keys",
                 self.cap,
                 keys.len()
             ));
         }
-        for (slot, &key) in keys.iter().enumerate() {
-            let leaf = self.tree[self.cap + slot];
-            if leaf.to_bits() != key.to_bits() {
+        for (leaf, &key) in keys.iter().enumerate() {
+            let held = self.tree[self.cap + leaf];
+            if held.to_bits() != key.to_bits() {
                 return Err(format!(
-                    "worst-slack leaf {slot} holds {leaf} but the slabs refold to {key}"
+                    "leaf {leaf} holds {held} but the slabs refold to {key}"
                 ));
             }
         }
         for (i, &pad) in self.tree[self.cap + keys.len()..].iter().enumerate() {
             if pad != f64::INFINITY {
                 return Err(format!(
-                    "worst-slack padding leaf {} holds {pad}, not the +inf neutral element",
+                    "padding leaf {} holds {pad}, not the +inf neutral element",
                     keys.len() + i
                 ));
             }
@@ -210,7 +236,7 @@ impl WorstSlackIndex {
             let m = min2(self.tree[2 * i], self.tree[2 * i + 1]);
             if self.tree[i].to_bits() != m.to_bits() {
                 return Err(format!(
-                    "worst-slack node {i} holds {} but its children fold to {m}",
+                    "node {i} holds {} but its children fold to {m}",
                     self.tree[i]
                 ));
             }
@@ -472,22 +498,22 @@ mod tests {
                     (required, arrival)
                 })
                 .collect();
-            let keys: Vec<f64> = pairs
-                .iter()
-                .map(|&(r, a)| WorstSlackIndex::key(r, a))
-                .collect();
-            let mut index = WorstSlackIndex::new(nets);
+            let keys: Vec<f64> = pairs.iter().map(|&(r, a)| slack_key(r, a)).collect();
+            let mut index = MinTree::new(nets);
             index.rebuild(&keys);
             let fold = worst_finite_slack(pairs.iter().copied());
-            assert_eq!(index.worst().map(f64::to_bits), fold.map(f64::to_bits));
+            assert_eq!(
+                index.finite_root().map(f64::to_bits),
+                fold.map(f64::to_bits)
+            );
 
             // Point updates converge to the same root as a rebuild.
-            let mut incremental = WorstSlackIndex::new(nets);
+            let mut incremental = MinTree::new(nets);
             for (i, &k) in keys.iter().enumerate() {
                 incremental.update(i, k);
             }
             assert_eq!(
-                incremental.worst().map(f64::to_bits),
+                incremental.finite_root().map(f64::to_bits),
                 fold.map(f64::to_bits)
             );
             // Raising the minimum's key re-derives the next-worst.
@@ -498,11 +524,11 @@ mod tests {
                         let mut rest = keys.clone();
                         rest[pos] = f64::INFINITY;
                         incremental.update(pos, f64::INFINITY);
-                        let mut refold = WorstSlackIndex::new(nets);
+                        let mut refold = MinTree::new(nets);
                         refold.rebuild(&rest);
                         assert_eq!(
-                            incremental.worst().map(f64::to_bits),
-                            refold.worst().map(f64::to_bits)
+                            incremental.finite_root().map(f64::to_bits),
+                            refold.finite_root().map(f64::to_bits)
                         );
                     }
                 }

@@ -217,7 +217,12 @@ pub fn optimize_circuit(
     // constraint additionally maintains the backward state — per-net
     // required times and the worst-slack tournament tree — under a
     // generation counter; the design-worst slack reads below are O(1)
-    // off the tournament root once flushed.
+    // off the tournament root once flushed. The sign tests ask
+    // `meets_constraint`, which answers from the forward state (the
+    // latest output arrival against tc) and flushes backward only
+    // inside a proven rounding band, so required times re-derive only
+    // where a slack value is read: the edit gain, the endpoints that
+    // feed gates and the structural planner.
     let mut graph = TimingGraph::with_options(
         circuit,
         lib,
@@ -258,9 +263,8 @@ pub fn optimize_circuit(
     for _ in 0..options.max_rounds {
         rounds += 1;
         // Slack-driven convergence: stop when no net misses its
-        // required time (equivalently the critical delay meets tc, but
-        // read straight off the maintained backward state).
-        if !matches!(graph.worst_slack_overall_ps(), Some(s) if s < 0.0) {
+        // required time.
+        if graph.meets_constraint() != Some(false) {
             break;
         }
         let round_entry_delay = graph.critical_delay_ps();
@@ -344,7 +348,7 @@ pub fn optimize_circuit(
             && sizing_plateaued
             && !stalled.is_empty()
             && edits_applied < options.max_edits
-            && matches!(graph.worst_slack_overall_ps(), Some(s) if s < 0.0)
+            && graph.meets_constraint() == Some(false)
         {
             // One path per round: surgery is cheap to apply but shifts
             // the timing landscape, so edit the most critical stalled
@@ -408,10 +412,13 @@ pub fn optimize_circuit(
         vt_graph.set_constraint(tc_ps);
         // Only a design with headroom at every corner can trade any of
         // it for leakage; a failing design keeps its timing-optimal Vt.
-        if matches!(vt_graph.worst_slack_overall_ps(), Some(s) if s >= 0.0) {
+        // Each probe re-times the demoted gate's forward cone and
+        // compares the latest output arrival with tc; the required
+        // times never re-derive outside the rounding band.
+        if vt_graph.meets_constraint() == Some(true) {
             for g in best_circuit.gate_ids() {
                 vt_graph.set_vt_class(g, VtClass::Hvt);
-                if matches!(vt_graph.worst_slack_overall_ps(), Some(s) if s >= 0.0) {
+                if vt_graph.meets_constraint() == Some(true) {
                     vt_classes[g.index()] = VtClass::Hvt;
                     hvt_gates += 1;
                 } else {

@@ -7,9 +7,12 @@
 //! independent passes combined: each union-cone gate is evaluated once
 //! *covering every corner*, not once per corner.
 //!
-//! The Vt pass's probe history — demote, read, revert — is checked
+//! The Vt pass's probe history — demote, decide, revert — is checked
 //! against a graph without that history: a fresh three-corner graph
-//! built on the same circuit, sizing and Vt classes.
+//! built on the same circuit, sizing and Vt classes. Every decision
+//! `meets_constraint` makes there, and at constraints on the edges of
+//! its rounding band, must equal the sign of the exact design-worst
+//! slack.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
 
@@ -312,11 +315,70 @@ fn assert_matches_fresh_corners(probed: &TimingGraph, fresh: &TimingGraph, label
     );
 }
 
+/// The latest primary-output arrival over every corner.
+fn latest_output_arrival(graph: &TimingGraph) -> f64 {
+    (0..graph.n_corners())
+        .map(|c| graph.critical_delay_ps_corner(c))
+        .fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// `graph.meets_constraint()`, asserted equal to the sign of the exact
+/// design-worst slack read on a copy (so `graph` keeps the backward
+/// marks a probe loop defers).
+fn decide(graph: &TimingGraph, label: &str) -> Option<bool> {
+    let meets = graph.meets_constraint();
+    let exact = graph.clone().worst_slack_overall_ps().map(|s| s >= 0.0);
+    assert_eq!(
+        meets, exact,
+        "{label}: meets_constraint against the worst-slack sign"
+    );
+    meets
+}
+
+/// Move the constraint to the latest output arrival `A`, one ulp below
+/// and above it, and `+inf`, asserting `meets_constraint` against the
+/// worst-slack sign at each: `A` and the ulp above it fall in the
+/// rounding band (one exact backward read each), the ulp below fails on
+/// the forward state alone, and `+inf` answers `None` without a flush.
+fn constraint_edge_cases(graph: &mut TimingGraph, label: &str) {
+    let latest = latest_output_arrival(graph);
+    let below = f64::from_bits(latest.to_bits() - 1);
+    let above = f64::from_bits(latest.to_bits() + 1);
+    // Inside the band the answer is whatever the exact read says.
+    for (tc, fast_answer) in [
+        (latest, None),
+        (below, Some(Some(false))),
+        (above, None),
+        (f64::INFINITY, Some(None)),
+    ] {
+        graph.set_constraint(tc);
+        let flushes = graph.stats().backward_flushes;
+        let meets = graph.meets_constraint();
+        assert_eq!(
+            graph.stats().backward_flushes - flushes,
+            usize::from(fast_answer.is_none()),
+            "{label}: tc {tc} reads the backward state only inside the band"
+        );
+        if let Some(want) = fast_answer {
+            assert_eq!(
+                meets, want,
+                "{label}: tc {tc} against the latest arrival {latest}"
+            );
+        }
+        assert_eq!(
+            meets,
+            graph.worst_slack_overall_ps().map(|s| s >= 0.0),
+            "{label}: tc {tc}: meets_constraint against the worst-slack sign"
+        );
+    }
+}
+
 /// The Vt pass's probes on a three-corner graph at 1.4·T0 — demote a
-/// gate to HVT, read the design-worst slack, revert when it went
-/// negative — mixed with resizes and buffer edits, and checked every
-/// `check_every` steps against a fresh `with_corners` graph on the same
-/// circuit, sizing and Vt classes.
+/// gate to HVT, decide with `meets_constraint` (checked against the
+/// worst-slack sign), revert when it fails — mixed with resizes and
+/// buffer edits, and checked every `check_every` steps against a fresh
+/// `with_corners` graph on the same circuit, sizing and Vt classes,
+/// after a copy has run the constraint's edge cases.
 fn vt_probe_sequence(name: &str, seed: u64, steps: usize, check_every: usize) {
     let lib = Library::cmos025();
     let circuit = suite::circuit(name).unwrap();
@@ -343,6 +405,7 @@ fn vt_probe_sequence(name: &str, seed: u64, steps: usize, check_every: usize) {
     };
     for step in 0..steps {
         let gates: Vec<GateId> = graph.circuit().gate_ids().collect();
+        let label = format!("{name} step {step}");
         match rng.below(8) {
             0 => {
                 let batch: Vec<(GateId, f64)> = (0..2 + rng.below(6))
@@ -366,7 +429,7 @@ fn vt_probe_sequence(name: &str, seed: u64, steps: usize, check_every: usize) {
                     *rng.pick(&gates)
                 };
                 graph.set_vt_class(g, VtClass::Hvt);
-                if matches!(graph.worst_slack_overall_ps(), Some(s) if s >= 0.0) {
+                if decide(&graph, &label) == Some(true) {
                     classes[g.index()] = VtClass::Hvt;
                     kept += 1;
                 } else {
@@ -376,7 +439,9 @@ fn vt_probe_sequence(name: &str, seed: u64, steps: usize, check_every: usize) {
             }
         }
         if step % check_every == check_every - 1 {
-            check(&graph, &classes, &format!("{name} step {step}"));
+            // On a copy: the probes go on with their deferred state.
+            constraint_edge_cases(&mut graph.clone(), &label);
+            check(&graph, &classes, &label);
         }
     }
     check(&graph, &classes, &format!("{name} final"));
@@ -384,6 +449,7 @@ fn vt_probe_sequence(name: &str, seed: u64, steps: usize, check_every: usize) {
         kept > 0 && reverted > 0,
         "{name}: {kept} demotions kept and {reverted} reverted; the sequence needs both"
     );
+    constraint_edge_cases(&mut graph, &format!("{name} edges"));
 }
 
 #[test]

@@ -12,14 +12,16 @@
 //! budget — each firing where it should without changing bits; the
 //! uniform flushing contract of `net_load_ff` and
 //! `gate_delay_worst_ps`; slack and required reads on a fanout-free net,
-//! which flush forward only, and only their fanin cone; and validity and determinism of the synthetic
-//! scaling fabrics.
+//! which flush forward only, and only their fanin cone; the Vt pass's
+//! probe loop decided by `meets_constraint`, which never flushes
+//! backward and leaves one deferred flush that lands on fresh bits; and
+//! validity and determinism of the synthetic scaling fabrics.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
 
 use pops::netlist::rng::SplitMix64;
 use pops::netlist::surgery::{EditOp, EditPlan};
-use pops::netlist::{builders, suite};
+use pops::netlist::{builders, suite, VtClass};
 use pops::prelude::*;
 use pops::sta::analysis::{analyze_with, AnalyzeOptions, EdgeDir};
 use pops::sta::kpaths::completion_bounds;
@@ -600,6 +602,99 @@ fn fanout_free_slack_reads_flush_forward_only() {
         "the cones and the rest re-evaluate exactly the gates one merged flush does"
     );
     assert_matches_fresh(&graph, &lib, "after the fanout-free reads");
+}
+
+#[test]
+fn vt_probes_decided_on_the_forward_state_defer_every_backward_flush() {
+    // The flow's Vt pass on c880: three corners at 1.4·T0, every gate
+    // demoted to HVT in turn and kept when the design still meets tc.
+    // Decided by `meets_constraint`, no probe flushes backward (the
+    // worst-slack rule pays one backward flush per probe) and the loop
+    // keeps exactly the gates that rule keeps. The backward marks and
+    // moved slacks the probes deferred then drain in one flush that
+    // lands on a fresh graph's bits.
+    let lib = Library::cmos025();
+    let circuit = suite::circuit("c880").unwrap();
+    let corners = CornerSet::slow_typical_fast(lib.process().clone());
+    let options = AnalyzeOptions::default();
+    let sizing = Sizing::minimum(&circuit, &lib);
+    let build = || TimingGraph::with_corners(&circuit, &lib, &sizing, &options, &corners).unwrap();
+    let (mut graph, mut reference) = (build(), build());
+    let tc = 1.4 * graph.critical_delay_ps();
+    graph.set_constraint(tc);
+    reference.set_constraint(tc);
+    let start = graph.stats();
+    assert_eq!(
+        graph.meets_constraint(),
+        Some(true),
+        "1.4·T0 leaves headroom"
+    );
+    let ref_start = reference.stats();
+
+    let (mut kept, mut ref_kept) = (Vec::new(), Vec::new());
+    for g in circuit.gate_ids() {
+        graph.set_vt_class(g, VtClass::Hvt);
+        if graph.meets_constraint() == Some(true) {
+            kept.push(g);
+        } else {
+            graph.set_vt_class(g, VtClass::Svt);
+        }
+        reference.set_vt_class(g, VtClass::Hvt);
+        if matches!(reference.worst_slack_overall_ps(), Some(s) if s >= 0.0) {
+            ref_kept.push(g);
+        } else {
+            reference.set_vt_class(g, VtClass::Svt);
+        }
+    }
+    let probed = graph.stats();
+    assert_eq!(
+        probed.backward_flushes, start.backward_flushes,
+        "no probe decided on the forward state flushes backward"
+    );
+    assert_eq!(probed.required_reevaluated, start.required_reevaluated);
+    assert_eq!(
+        reference.stats().backward_flushes - ref_start.backward_flushes,
+        circuit.gate_count(),
+        "the worst-slack rule flushes backward once per probe"
+    );
+    assert_eq!(
+        probed.gates_reevaluated - start.gates_reevaluated,
+        reference.stats().gates_reevaluated - ref_start.gates_reevaluated,
+        "both rules re-time the same forward cones"
+    );
+    assert_eq!(kept, ref_kept, "both rules keep the same gates");
+    assert!(
+        !kept.is_empty() && kept.len() < circuit.gate_count(),
+        "{} of {} demotions kept; the loop needs both outcomes",
+        kept.len(),
+        circuit.gate_count()
+    );
+
+    let mut fresh = build();
+    for &g in &kept {
+        fresh.set_vt_class(g, VtClass::Hvt);
+    }
+    fresh.set_constraint(tc);
+    assert_eq!(
+        graph.worst_slack_overall_ps().map(f64::to_bits),
+        fresh.worst_slack_overall_ps().map(f64::to_bits),
+        "design-worst slack after the deferred flush"
+    );
+    assert_eq!(graph.stats().backward_flushes, probed.backward_flushes + 1);
+    for net in circuit.net_ids() {
+        for dir in [EdgeDir::Rising, EdgeDir::Falling] {
+            for c in 0..graph.n_corners() {
+                assert_eq!(
+                    graph.required_ps_corner(net, dir, c).to_bits(),
+                    fresh.required_ps_corner(net, dir, c).to_bits(),
+                    "corner {c} required time of {net}, {dir:?}"
+                );
+            }
+        }
+    }
+    graph
+        .verify_state()
+        .unwrap_or_else(|e| panic!("deep-consistency audit failed: {e}"));
 }
 
 #[test]

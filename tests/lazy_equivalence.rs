@@ -152,6 +152,62 @@ fn random_lazy_sequence(name: &str, seed: u64, steps: usize, check_every: usize)
     assert_lazy_equals_eager(&graph, &lib, steps);
 }
 
+/// `meets_constraint` on the single-corner sizing graph: after random
+/// resize bursts, at the latest output arrival, one ulp either side of
+/// it and random constraints — kept across bursts a third of the time,
+/// so backward marks pile up unflushed — the answer equals the sign of
+/// the exact design-worst slack (read on a copy), and only the rounding
+/// band flushes backward.
+#[test]
+fn meets_constraint_matches_the_worst_slack_sign_under_random_resizes() {
+    let lib = Library::cmos025();
+    let circuit = suite::circuit("c880").expect("suite circuit");
+    let mut rng = SplitMix64::new(0x3EE7_0880);
+    let mut graph =
+        TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).expect("acyclic");
+    let t0 = graph.critical_delay_ps();
+    graph.set_constraint(t0);
+    let cref = lib.min_drive_ff();
+    let gates: Vec<GateId> = circuit.gate_ids().collect();
+    // Answers seen: failed fast, met fast, decided inside the band.
+    let (mut failed, mut met, mut band) = (0usize, 0usize, 0usize);
+    for step in 0..60 {
+        let batch: Vec<(GateId, f64)> = (0..1 + rng.below(6))
+            .map(|_| (*rng.pick(&gates), cref * (1.0 + 9.0 * rng.next_f64())))
+            .collect();
+        graph.resize_gates(batch);
+        if rng.below(3) > 0 {
+            let latest = graph.critical_delay_ps();
+            graph.set_constraint(match rng.below(4) {
+                0 => latest,
+                1 => f64::from_bits(latest.to_bits() - 1),
+                2 => f64::from_bits(latest.to_bits() + 1),
+                _ => t0 * (0.8 + 0.4 * rng.next_f64()),
+            });
+        }
+        let flushes = graph.stats().backward_flushes;
+        let meets = graph.meets_constraint();
+        let exact = graph.clone().worst_slack_overall_ps().map(|s| s >= 0.0);
+        assert_eq!(
+            meets, exact,
+            "step {step}: meets_constraint against the worst-slack sign"
+        );
+        match (graph.stats().backward_flushes - flushes, meets) {
+            (0, Some(false)) => failed += 1,
+            (0, Some(true)) => met += 1,
+            (1, _) => band += 1,
+            other => panic!("step {step}: unexpected flushes and answer {other:?}"),
+        }
+        if step % 10 == 9 {
+            assert_lazy_equals_eager(&graph, &lib, step);
+        }
+    }
+    assert!(
+        failed > 0 && met > 0 && band > 0,
+        "every path must run: {failed} failed, {met} met, {band} in the band"
+    );
+}
+
 #[test]
 fn fpd_lazy_matches_eager() {
     random_lazy_sequence("fpd", 0x01A2_F00D, 48, 5);
