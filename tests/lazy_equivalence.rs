@@ -310,12 +310,12 @@ fn mutation_alone_never_flushes() {
 
 #[test]
 fn all_infinite_slack_designs_report_no_worst_slack() {
-    // PR 5 regression (`WorstSlackIndex`): when no endpoint carries a
-    // finite slack, the tournament tree's root must stay the `+inf`
-    // neutral element and `worst_slack_overall_ps` must report `None` —
-    // through every flush path (initial full pass, cone drain, sweep,
-    // wholesale refold, per-leaf updates) and across graph surgery that
-    // grows the leaf space. Folding the `+inf` leaves into a finite
+    // Regression guard for the worst-slack tree: when no endpoint
+    // carries a finite slack, the tournament tree's root must stay the
+    // `+inf` neutral element and `worst_slack_overall_ps` must report
+    // `None` — through every flush path (initial full pass, cone drain,
+    // sweep, wholesale refold, per-leaf updates) and across graph
+    // surgery that grows the leaf space. Folding the `+inf` leaves into a finite
     // answer would read as an infinitely relaxed design being
     // constrained by nothing in particular.
     use pops::netlist::{CellKind, Circuit};
