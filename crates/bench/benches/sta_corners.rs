@@ -1,17 +1,19 @@
-//! Fused multi-corner throughput: the sizing loop's burst-mutate
-//! workload (K gate resizes per worst-slack read, K ∈ {1, 8, 64})
-//! timed on one fused slow/typical/fast graph against the same
-//! mutations replayed on three independent single-corner graphs.
+//! Fused multi-corner throughput: K gate resizes (K ∈ {1, 8, 64})
+//! followed by one design-worst-slack read, timed on one fused
+//! slow/typical/fast graph against the same mutations replayed on
+//! three independent single-corner graphs.
 //!
 //! Both sides execute identical mutation sequences and are
 //! cross-checked bit-for-bit every round (each fused corner view
 //! against its single-corner twin, and the fused worst-over-corners
 //! against the twins' folded worst — the `corner_equivalence` suite's
-//! invariant, enforced here while timing). The fused side drains each
-//! dirty-cone gate **once covering all three corners** through the
-//! stride-3 slabs; the per-corner side pays the cone — arc hoisting,
-//! dirty bookkeeping, tournament-tree folds — once per corner. The
-//! speedup is that bookkeeping amortization; the acceptance bar is a
+//! invariant, enforced here while timing). Each read pays the forward
+//! dirty cone of the resizes, then one full backward sweep and one
+//! slack fold over the slabs. The fused side evaluates each gate
+//! **once covering all three corners** through the stride-3 slabs; the
+//! per-corner side pays the cone, the sweep and the fold — arc
+//! hoisting, dirty bookkeeping, loop and slab traversal — once per
+//! corner. The speedup is that amortization; the acceptance bar is a
 //! median above 1.0 at every K.
 //!
 //! Results are recorded in `BENCH_sta_corners.json` at the repository
@@ -68,8 +70,8 @@ fn run_fused(graph: &mut TimingGraph, changes: &[(GateId, f64)]) -> (Option<f64>
 }
 
 /// One timed round of the per-corner side: the same K resizes and a
-/// worst-slack read on *every* single-corner twin, plus the fold the
-/// fused engine maintains for free.
+/// worst-slack read on *every* single-corner twin, plus the fold over
+/// corners that the fused read does in the same pass.
 #[inline(never)]
 fn run_per_corner(twins: &mut [TimingGraph], changes: &[(GateId, f64)]) -> (Option<f64>, f64) {
     let t0 = Instant::now();

@@ -7,9 +7,9 @@
 //!   budget and the delay read pays the seed materialization (every
 //!   fanin load re-summed) plus one rank-major forward sweep.
 //! * `backward_sweep` — same shape for the backward direction: each
-//!   round toggles the timing constraint (wholesale backward
-//!   invalidation) so the worst-slack read pays exactly one gate-centric
-//!   `sweep_required_full` plus the worst-slack index refold.
+//!   round toggles the timing constraint, so the worst-slack read pays
+//!   exactly one gate-centric `sweep_required_full` (what every stale
+//!   backward read costs) plus the fold over the slabs.
 //! * `lazy` — the merged-flush-vs-per-mutation workload of
 //!   `sta_forward`, K resizes per delay read, on the fabrics. The
 //!   speedup is a ratio of two strategies on the same machine in the
@@ -172,10 +172,9 @@ fn main() {
         {
             let mut graph = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
             // Settle the forward side once up front; each timed round
-            // then toggles the constraint — a wholesale backward
-            // invalidation — so the worst-slack read pays exactly one
-            // gate-centric backward sweep plus the worst-slack index
-            // refold, and nothing on the forward side.
+            // then toggles the constraint, so the worst-slack read pays
+            // exactly one gate-centric backward sweep plus the fold over
+            // the slabs, and nothing on the forward side.
             let d0 = graph.critical_delay_ps();
             let tc = [d0 * 1.05, d0 * 1.10];
             let rounds = ((1usize << 21) / n).clamp(4, 64) & !1;

@@ -6,8 +6,9 @@
 //! slow/typical/fast graph, every gate demoted to HVT in id order and
 //! kept when the design still meets tc at every corner, reverted
 //! otherwise. Each probe is decided by `meets_constraint` (the flow's
-//! rule) and, on a second graph, by the sign of
-//! `worst_slack_overall_ps` (the rule before it). The two keep the same
+//! rule, which reads the forward state) and, on a second graph, by the
+//! sign of `worst_slack_overall_ps` (the rule before it, which pays one
+//! full three-corner backward sweep per probe). The two keep the same
 //! gates; the rows give each rule's engine work and the best of five
 //! wall-clock runs of the loop alone:
 //!

@@ -45,6 +45,9 @@ pub enum NetlistError {
     /// (e.g. De Morgan on a cell without a series-stack dual, or a
     /// buffer insertion naming a pin that does not load the net).
     UnsupportedEdit(String),
+    /// A numeric parameter outside its domain (e.g. a timing option
+    /// that is NaN, infinite or negative).
+    InvalidParameter(String),
 }
 
 impl fmt::Display for NetlistError {
@@ -74,6 +77,7 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::InvalidId(what) => write!(f, "invalid id: {what}"),
             NetlistError::UnsupportedEdit(what) => write!(f, "unsupported edit: {what}"),
+            NetlistError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
         }
     }
 }
@@ -106,6 +110,7 @@ mod tests {
             },
             NetlistError::MissingInputValue("a".into()),
             NetlistError::InvalidId("gate 42".into()),
+            NetlistError::InvalidParameter("po_load_ff = NaN".into()),
         ];
         for e in samples {
             let s = e.to_string();

@@ -30,6 +30,25 @@ impl Default for AnalyzeOptions {
     }
 }
 
+impl AnalyzeOptions {
+    /// Both fields must be finite and non-negative: a NaN times every
+    /// output at 0 ps, a negative latch load shortens the delay, and an
+    /// infinite or negative slope has no physical meaning.
+    pub(crate) fn check(&self) -> Result<(), NetlistError> {
+        for (name, value) in [
+            ("po_load_ff", self.po_load_ff),
+            ("input_transition_ps", self.input_transition_ps),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(NetlistError::InvalidParameter(format!(
+                    "{name} = {value} must be finite and non-negative"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A simple (gate-disjoint) combinational path through a circuit, from a
 /// primary-input-fed gate to a gate driving a primary output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,7 +245,9 @@ pub fn analyze(
 ///
 /// # Errors
 ///
-/// As [`analyze`].
+/// As [`analyze`]; [`NetlistError::InvalidParameter`] when
+/// `options.po_load_ff` or `options.input_transition_ps` is NaN,
+/// infinite or negative.
 pub fn analyze_with(
     circuit: &Circuit,
     lib: &Library,
@@ -234,6 +255,7 @@ pub fn analyze_with(
     options: &AnalyzeOptions,
 ) -> Result<TimingReport, NetlistError> {
     sizing.check_covers(circuit)?;
+    options.check()?;
     let order = circuit.topo_order()?;
     let n_nets = circuit.net_count();
 

@@ -1,42 +1,28 @@
-//! The dirty set every incremental flush drains, and the one drain loop
+//! The dirty set every forward flush drains, and the one drain loop
 //! that drains it.
 //!
-//! A [`DirtySet`] is a bitset over positions — topo positions for the
-//! forward, required-time and completion flushes, source slots for the
-//! required-time sinks — with a mark count and a low/high cursor hint.
-//! [`DirtySet::drain`] pops it in dependency order and marks each
-//! changed kernel's neighbours as it goes. Those marks always land past
-//! the cursor (a gate's fanouts sit at higher positions, its fanin
-//! drivers at lower ones), so one pass over the words visits every mark
-//! in order without a priority queue.
+//! A [`DirtySet`] is a bitset over topo positions with a mark count and
+//! a low cursor hint. [`DirtySet::drain`] pops it in ascending
+//! (dependency) order and marks each changed gate's fanouts as it goes.
+//! Those marks always land past the cursor (a gate's fanouts sit at
+//! higher positions), so one pass over the words visits every mark in
+//! order without a priority queue.
 
-/// Which way a flush propagates: forward pops the lowest position
-/// first, backward the highest.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Direction {
-    Forward,
-    Backward,
-}
-
-/// What one [`DirtySet::drain`] did: kernel evaluations, the ones whose
-/// output came back bit-unchanged (cutting the cone there), and whether
-/// it stopped at its evaluation limit with marks still pending.
+/// What one drain did: kernel evaluations, and the ones whose output
+/// came back bit-unchanged (cutting the cone there).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Drained {
     pub evals: usize,
     pub cuts: usize,
-    pub bailed: bool,
 }
 
-/// A set of positions `0..size`; every mark `i` satisfies
-/// `lo <= i < hi`.
+/// A set of positions `0..size`; every mark `i` satisfies `lo <= i`.
 #[derive(Debug, Clone)]
 pub(crate) struct DirtySet {
     bits: Vec<u64>,
     size: usize,
     count: usize,
     lo: usize,
-    hi: usize,
 }
 
 impl DirtySet {
@@ -46,7 +32,6 @@ impl DirtySet {
             size,
             count: 0,
             lo: size,
-            hi: 0,
         }
     }
 
@@ -69,7 +54,6 @@ impl DirtySet {
             self.bits[word] |= bit;
             self.count += 1;
             self.lo = self.lo.min(i);
-            self.hi = self.hi.max(i + 1);
         }
     }
 
@@ -80,12 +64,12 @@ impl DirtySet {
         if let Some(last) = self.bits.last_mut().filter(|_| tail != 0) {
             *last = (1u64 << tail) - 1;
         }
-        (self.count, self.lo, self.hi) = (self.size, 0, self.size);
+        (self.count, self.lo) = (self.size, 0);
     }
 
     pub(crate) fn clear(&mut self) {
         self.bits.fill(0);
-        (self.count, self.lo, self.hi) = (0, self.size, 0);
+        (self.count, self.lo) = (0, self.size);
     }
 
     pub(crate) fn pop_lowest(&mut self) -> Option<usize> {
@@ -101,66 +85,40 @@ impl DirtySet {
         Some(self.unmark(i))
     }
 
-    pub(crate) fn pop_highest(&mut self) -> Option<usize> {
-        if self.count == 0 {
-            return None;
-        }
-        let mut word = (self.hi - 1) / 64;
-        while self.bits[word] == 0 {
-            word -= 1;
-        }
-        let i = word * 64 + 63 - self.bits[word].leading_zeros() as usize;
-        self.hi = i;
-        Some(self.unmark(i))
-    }
-
     fn unmark(&mut self, i: usize) -> usize {
         self.bits[i / 64] &= !(1u64 << (i % 64));
         self.count -= 1;
         if self.count == 0 {
-            (self.lo, self.hi) = (self.size, 0);
+            self.lo = self.size;
         }
         i
     }
 
-    /// Drain the set in `dir`'s dependency order. Each popped position
-    /// runs `step` — the kernel re-evaluation, returning whether its
-    /// output changed — and a changed one runs `neighbours`, which marks
-    /// the positions reading that output. Stops once `limit`
-    /// evaluations are spent with marks still pending.
+    /// Drain the set in ascending order. Each popped position runs
+    /// `step` — the kernel re-evaluation, returning whether its output
+    /// changed — and a changed one runs `neighbours`, which marks the
+    /// positions reading that output.
     pub(crate) fn drain(
         &mut self,
-        dir: Direction,
-        limit: usize,
         mut step: impl FnMut(usize) -> bool,
         mut neighbours: impl FnMut(usize, &mut Self),
     ) -> Drained {
         let mut done = Drained::default();
-        loop {
-            let popped = match dir {
-                Direction::Forward => self.pop_lowest(),
-                Direction::Backward => self.pop_highest(),
-            };
-            let Some(i) = popped else {
-                return done;
-            };
+        while let Some(i) = self.pop_lowest() {
             done.evals += 1;
             if step(i) {
                 neighbours(i, self);
             } else {
                 done.cuts += 1;
             }
-            if done.evals >= limit && !self.is_empty() {
-                done.bailed = true;
-                return done;
-            }
         }
+        done
     }
 
-    /// [`DirtySet::drain`] forward, restricted to the marks inside
-    /// `within` (a bitset over the same positions, none above `last`):
-    /// those pop in ascending order, while every other mark stays,
-    /// still bounded by the cursor hints. Never bails.
+    /// [`DirtySet::drain`], restricted to the marks inside `within` (a
+    /// bitset over the same positions, none above `last`): those pop in
+    /// ascending order, while every other mark stays, still bounded by
+    /// the cursor hint.
     pub(crate) fn drain_within(
         &mut self,
         within: &[u64],
@@ -188,17 +146,17 @@ impl DirtySet {
         done
     }
 
-    /// `(lowest level hit, highest, number of levels hit)`, where
+    /// `(lowest level hit, number of levels hit)`, where
     /// `level_start[l]..level_start[l + 1]` are the positions of level
     /// `l`; `None` for an empty set. O(levels + words).
-    pub(crate) fn level_profile(&self, level_start: &[u32]) -> Option<(usize, usize, usize)> {
+    pub(crate) fn level_profile(&self, level_start: &[u32]) -> Option<(usize, usize)> {
         let mut hits = level_start
             .windows(2)
             .enumerate()
             .filter(|(_, w)| self.any_in(w[0] as usize, w[1] as usize))
             .map(|(level, _)| level);
         let lo = hits.next()?;
-        Some(hits.fold((lo, lo, 1), |(lo, _, n), level| (lo, level, n + 1)))
+        Some((lo, 1 + hits.count()))
     }
 
     /// Whether any position in `lo..hi` is marked.
@@ -242,15 +200,15 @@ mod tests {
     }
 
     #[test]
-    fn marks_dedupe_count_and_pop_in_both_directions() {
+    fn marks_dedupe_count_and_pop_in_ascending_order() {
         let marks = [3, 63, 64, 65, 127, 128, 200];
-        let mut up = set_of(201, &[200, 64, 3, 128, 63, 64, 127, 65, 3]);
-        assert_eq!(up.count(), marks.len());
-        up.check_count().unwrap();
-        let mut down = up.clone();
-        assert!(std::iter::from_fn(|| up.pop_lowest()).eq(marks));
-        assert!(std::iter::from_fn(|| down.pop_highest()).eq(marks.into_iter().rev()));
-        assert!(up.is_empty() && down.is_empty());
+        let mut set = set_of(201, &[200, 64, 3, 128, 63, 64, 127, 65, 3]);
+        assert_eq!(set.count(), marks.len());
+        assert_eq!(set.low_bound(), 3);
+        set.check_count().unwrap();
+        assert!(std::iter::from_fn(|| set.pop_lowest()).eq(marks));
+        assert!(set.is_empty());
+        assert_eq!(set.low_bound(), 201);
     }
 
     #[test]
@@ -258,9 +216,8 @@ mod tests {
         // Each changed position marks the next two in drain order, all
         // inside one word; the ends stop changing.
         let mut seen = Vec::new();
-        let done = set_of(64, &[1]).drain(
-            Direction::Forward,
-            usize::MAX,
+        let mut set = set_of(64, &[1]);
+        let done = set.drain(
             |i| {
                 seen.push(i);
                 i < 60
@@ -268,32 +225,8 @@ mod tests {
             |i, set| (1..=2).for_each(|d| set.mark(i + d)),
         );
         assert_eq!(seen, (1..=61).collect::<Vec<_>>());
-        assert_eq!((done.evals, done.cuts, done.bailed), (61, 2, false));
-        seen.clear();
-        set_of(64, &[62]).drain(
-            Direction::Backward,
-            usize::MAX,
-            |i| {
-                seen.push(i);
-                i > 3
-            },
-            |i, set| (1..=2).for_each(|d| set.mark(i - d)),
-        );
-        assert_eq!(seen, (2..=62).rev().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn drains_bail_at_their_limit_only_with_marks_pending() {
-        // Even positions change and mark their successor.
-        let run = |limit| {
-            let mut set = set_of(100, &[0, 10, 20]);
-            let step = |i: usize| i.is_multiple_of(2);
-            let done = set.drain(Direction::Forward, limit, step, |i, s| s.mark(i + 1));
-            (done.evals, done.cuts, done.bailed, set.count())
-        };
-        assert_eq!(run(usize::MAX), (6, 3, false, 0));
-        assert_eq!(run(4), (4, 2, true, 1));
-        assert_eq!(run(6), (6, 3, false, 0));
+        assert_eq!((done.evals, done.cuts), (61, 2));
+        assert!(set.is_empty());
     }
 
     #[test]
@@ -304,7 +237,7 @@ mod tests {
             set.check_count().unwrap();
             assert!(std::iter::from_fn(|| set.pop_lowest()).eq(0..size));
             set.fill();
-            assert_eq!(set.pop_highest(), size.checked_sub(1));
+            assert_eq!(set.pop_lowest(), (size > 0).then_some(0));
             set.clear();
             assert_eq!((set.count(), set.pop_lowest()), (0, None));
             set.check_count().unwrap();
@@ -317,9 +250,9 @@ mod tests {
         let levels = [0, 1, 70, 71, 150, 151, 192];
         let profile = |marks: &[usize]| set_of(192, marks).level_profile(&levels);
         assert_eq!(profile(&[]), None);
-        assert_eq!(profile(&[0, 70, 150]), Some((0, 4, 3)));
-        assert_eq!(profile(&[69, 149]), Some((1, 3, 2)));
-        assert_eq!(profile(&[64, 191]), Some((1, 5, 2)));
+        assert_eq!(profile(&[0, 70, 150]), Some((0, 3)));
+        assert_eq!(profile(&[69, 149]), Some((1, 2)));
+        assert_eq!(profile(&[64, 191]), Some((1, 2)));
         let set = set_of(192, &[0, 70, 150]);
         let probes = [
             (0, 1),

@@ -55,8 +55,9 @@ pub enum StaError {
     /// A structural edit plan rejected by validation or application.
     InvalidEdit(NetlistError),
     /// The deep-consistency audit found internal state that violates an
-    /// invariant (slot bijection, level monotonicity, dirty-bit
-    /// bookkeeping, slack-tree agreement or the finiteness policy).
+    /// invariant (slot bijection, level monotonicity, flush
+    /// bookkeeping, critical-output-tree agreement or the finiteness
+    /// policy).
     StateCorrupt {
         /// Which invariant failed, with the offending values.
         detail: String,

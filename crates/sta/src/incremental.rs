@@ -17,7 +17,7 @@
 //! The child modules hold the rest: `structure` (the circuit-derived
 //! arrays and their one constructor, and the slab layout), `flush` (the
 //! forward and backward states, the lazy flushes, the full sweeps and
-//! the drain-or-sweep rule), `surgery` ([`TimingGraph::apply_edits`])
+//! the forward drain-or-sweep rule), `surgery` ([`TimingGraph::apply_edits`])
 //! and `audit` ([`TimingGraph::verify_state`]). The per-gate kernels and
 //! their cached model constants are in `crate::kernel`.
 //!
@@ -42,20 +42,17 @@
 //!
 //! # Backward state: required times and slack
 //!
-//! Slack — not just arrival — is what a constraint-driven sizing loop
-//! consults on every probe. After [`TimingGraph::set_constraint`] the
-//! graph additionally maintains the per-net required times under that
-//! constraint (the [`required_times`](crate::required_times) state),
-//! kept consistent by the same dirty-cone machinery running in
-//! *reverse* rank order — a resize dirties the fanin cone (arc delays
-//! through the gate and through the drivers of its fanin nets changed)
-//! while the forward propagation reports every net whose slope moved,
-//! seeding the backward cones on the fanout side. The same bitwise
-//! convergence rule applies: a net whose recomputed required times are
-//! bit-identical to the cached value cuts its backward cone. A
-//! constraint change invalidates the backward state wholesale —
-//! required times are subtract-chains from `tc`, not `tc`-offsets — so
-//! its next flush is one full backward pass. `tests/backward_equivalence.rs` and
+//! After [`TimingGraph::set_constraint`] the graph also answers the
+//! per-net required times under that constraint (the
+//! [`required_times`](crate::required_times) state). They are kept
+//! whole, not incrementally: a backward read at a mutation generation
+//! the required times were not swept at runs one full gate-centric
+//! backward sweep over the cached constants (after the forward flush),
+//! and repeat reads are free until the next mutation. The flow reads
+//! them rarely — around structural edits, at endpoints that feed gates
+//! and inside [`TimingGraph::meets_constraint`]'s rounding band — and
+//! after mutations spread over the circuit, so a backward dirty-cone
+//! drain would buy it nothing. `tests/backward_equivalence.rs` and
 //! `tests/lazy_equivalence.rs` assert bit-identity against a fresh
 //! [`crate::required_times`] after every step of random mutation
 //! sequences.
@@ -71,7 +68,7 @@
 //! design-worst slack bit for bit, flushing the backward state only
 //! inside a proven rounding band below the constraint. A probe loop
 //! decided this way (the flow's Vt pass) pays its forward cones only;
-//! the backward marks wait for the next slack read.
+//! the backward state stays stale until the next slack read.
 //!
 //! The k-paths completion bounds are *not* maintained: the flow reads
 //! them once per round, after resizes spread over the whole circuit, so
@@ -82,6 +79,7 @@
 
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
+use std::ops::Range;
 
 use pops_delay::{CornerSet, Library};
 use pops_netlist::{Circuit, GateId, NetId, NetlistError, VtClass};
@@ -111,12 +109,9 @@ pub struct UpdateStats {
     pub converged_early: usize,
     /// Mutator calls (resize batches, Vt swaps, edit plans) processed.
     pub updates: usize,
-    /// Per-net required-time re-evaluations (backward cone walks; the
-    /// constraint-setting full pass is counted too).
+    /// Per-net required-time re-evaluations: every backward flush is a
+    /// full sweep and counts one per net.
     pub required_reevaluated: usize,
-    /// Required-time re-evaluations that were bit-unchanged, cutting
-    /// the backward cone.
-    pub required_converged_early: usize,
     /// Always 0: the graph no longer maintains k-paths completion
     /// bounds ([`crate::k_most_critical_paths`] derives them per call).
     /// Kept only for callers that still read the field.
@@ -129,13 +124,11 @@ pub struct UpdateStats {
     /// state machine). A mutation that marks nothing forward (e.g. a
     /// constraint change) costs no flush.
     pub forward_flushes: usize,
-    /// Lazy backward flushes actually performed — one per *query* that
-    /// found the backward state behind the mutation generation, never
-    /// one per mutation (see the module docs' state machine).
+    /// Lazy backward flushes actually performed — one full sweep per
+    /// *query* that found the backward state behind the mutation
+    /// generation, never one per mutation (see the module docs' state
+    /// machine).
     pub backward_flushes: usize,
-    /// Worst-slack tournament-tree leaf refreshes folded in by flushes
-    /// (each O(log nets); a wholesale refold counts one per net).
-    pub slack_index_updates: usize,
 }
 
 /// Incrementally maintained timing state of one circuit.
@@ -198,16 +191,17 @@ pub struct TimingGraph<'c> {
     /// Vt variant per gate (id-indexed, like [`Sizing`]); gates created
     /// by surgery enter as the default [`VtClass::Svt`].
     vt_class: Vec<VtClass>,
-    /// No arc delay can be negative: the input slope, the latch load
-    /// and every gate's constants are non-negative. The rounding bound
-    /// behind [`TimingGraph::meets_constraint`]'s early "met" answer
-    /// rests on it.
+    /// No arc delay can be negative: every gate's constants are
+    /// non-negative (the input slope and the latch load are, by
+    /// construction). The rounding bound behind
+    /// [`TimingGraph::meets_constraint`]'s early "met" answer rests on
+    /// it.
     delays_nonnegative: bool,
 
     /// Mutation generation: bumped by every state-changing mutator
-    /// (resize batches, Vt swaps, constraint changes, structural edits).
-    /// The backward state records the generation it last flushed at;
-    /// the pair implements its lazy clean → dirty(gen) → flushed cycle.
+    /// (resize batches, Vt swaps, structural edits). The backward state
+    /// records the generation it was last swept at; the pair implements
+    /// its lazy clean → stale(gen) → swept cycle.
     gen: u64,
     /// Maintained forward state (arrivals, slopes, loads, worst gate
     /// delays) plus its pending marks. Interior-mutable so `&self`
@@ -215,8 +209,8 @@ pub struct TimingGraph<'c> {
     /// `get_mut` (no runtime borrow), queries borrow-check at runtime
     /// but never nest a mutable borrow under a shared one.
     fwd: RefCell<ForwardState>,
-    /// Maintained backward state; `None` until
-    /// [`TimingGraph::set_constraint`]. Interior-mutable as `fwd`.
+    /// Backward state; `None` until [`TimingGraph::set_constraint`].
+    /// Interior-mutable as `fwd`.
     backward: RefCell<Option<BackwardState>>,
     stats: Cell<UpdateStats>,
 }
@@ -229,7 +223,9 @@ impl<'c> TimingGraph<'c> {
     ///
     /// Propagates netlist structural errors (cycles, undriven nets) from
     /// [`Circuit::topo_order`]; [`NetlistError::InvalidId`] when `sizing`
-    /// does not have exactly one entry per gate of `circuit`.
+    /// does not have exactly one entry per gate of `circuit`;
+    /// [`NetlistError::InvalidParameter`] for options that are NaN,
+    /// infinite or negative (see [`crate::analysis::analyze_with`]).
     pub fn new(
         circuit: &'c Circuit,
         lib: &'c Library,
@@ -255,7 +251,7 @@ impl<'c> TimingGraph<'c> {
     /// Build a **multi-corner** graph: one characterized library per
     /// [`CornerSet`] corner, with every forward/backward slab widened to
     /// a fixed-stride per-corner array propagated together in one pass —
-    /// same dirty-cone drain, same lazy generation-counted flush. Corner
+    /// same dirty-cone drain, same lazy flushes. Corner
     /// 0 (the set's primary corner) is what every plain query reads; the
     /// `*_corner` query variants view the rest, and
     /// [`TimingGraph::worst_slack_overall_ps`] becomes the
@@ -289,6 +285,7 @@ impl<'c> TimingGraph<'c> {
         options: &AnalyzeOptions,
     ) -> Result<Self, NetlistError> {
         sizing.check_covers(circuit)?;
+        options.check()?;
         let vt_class = vec![VtClass::Svt; circuit.gate_count()];
         let gate_params = build_gate_params(circuit, &corner_libs, &vt_class);
         let s = build_structure(circuit)?;
@@ -300,7 +297,7 @@ impl<'c> TimingGraph<'c> {
             options: options.clone(),
             sizing: sizing.clone(),
             s,
-            delays_nonnegative: delays_nonnegative(options, &gate_params),
+            delays_nonnegative: gate_params.iter().all(GateParams::delays_nonnegative),
             gate_params,
             corner_libs,
             vt_class,
@@ -310,13 +307,12 @@ impl<'c> TimingGraph<'c> {
             stats: Cell::new(UpdateStats::default()),
         };
         // Initial timing: evaluate every gate once in topological order
-        // — exactly the full pass of `analyze_with`. Construction
-        // precedes any constraint (no backward state to mark) and is
-        // not counted in the incremental-work stats.
+        // — exactly the full pass of `analyze_with`. Not counted in the
+        // incremental-work stats.
         {
             let mut fwd = graph.fwd.borrow_mut();
             graph.init_forward(&mut fwd);
-            graph.full_forward_sweep(&mut fwd, None);
+            graph.full_forward_sweep(&mut fwd);
         }
         Ok(graph)
     }
@@ -380,14 +376,6 @@ impl<'c> TimingGraph<'c> {
         self.s.slot_of[net.index()] as usize
     }
 
-    /// The net whose timing state occupies `slot`.
-    fn net_at(&self, slot: usize) -> NetId {
-        match slot.checked_sub(self.s.n_src) {
-            Some(pos) => self.s.out_net[self.s.topo[pos].index()],
-            None => self.s.sources[slot],
-        }
-    }
-
     /// Topo position of a gate.
     #[inline]
     fn pos(&self, gate: GateId) -> usize {
@@ -422,8 +410,8 @@ impl<'c> TimingGraph<'c> {
     }
 
     /// Apply a batch of resizes. Nothing re-times here: each change
-    /// re-sums the loads of the gate's fanin nets and marks the gates
-    /// and required times it moves, and the first timing query drains
+    /// re-sums the loads of the gate's fanin nets and marks the gates it
+    /// moves, and the first timing query drains
     /// every batch since the last query in one merged rank-ordered
     /// propagation — cheaper than per-mutation flushes whenever the
     /// cones overlap (writing back a whole optimized path, a sensitivity
@@ -491,11 +479,6 @@ impl<'c> TimingGraph<'c> {
                 }
             }
             fwd.dirty.mark(self.s.rank[gi] as usize);
-            // Backward: arcs through this gate and through its fanin
-            // drivers moved with its C_IN.
-            if let Some(bw) = self.backward.get_mut() {
-                bw.mark_resized(&self.s, gate);
-            }
         }
         if any {
             self.gen = self.gen.wrapping_add(1);
@@ -543,17 +526,10 @@ impl<'c> TimingGraph<'c> {
             self.delays_nonnegative &= params.delays_nonnegative();
             self.gate_params[gi * nc + c] = params;
         }
-        // Forward: the gate's delay, slope and arrival all re-derive
-        // (loads are untouched — no fanin-driver re-time needed).
+        // The gate's delay, slope and arrival all re-derive (loads are
+        // untouched — no fanin-driver re-time needed).
         let pos = self.pos(gate);
         self.fwd.get_mut().dirty.mark(pos);
-        if let Some(bw) = self.backward.get_mut() {
-            // Backward: arcs *through* the gate moved, so its fanin nets'
-            // required times re-derive. No capacitance moved, so the
-            // fanin drivers' arcs did not; the drain carries any change
-            // further up.
-            bw.mark_fanins(&self.s, gate);
-        }
         self.gen = self.gen.wrapping_add(1);
         self.stat(|s| s.updates += 1);
         Ok(())
@@ -675,14 +651,11 @@ impl<'c> TimingGraph<'c> {
 
     // ---- backward query surface (mirrors `SlackReport`) ----
 
-    /// Set the cycle constraint and start maintaining the backward
-    /// state (required times and slacks) under it. The first call — and
-    /// every call with a *different* `tc_ps`, since required times are
-    /// subtract-chains from the constraint, not offsets of it —
-    /// schedules one full backward pass, paid by the first backward
-    /// query (the lazy flush); from then on mutations only accumulate
-    /// dirty marks and each query drains whatever accumulated in one
-    /// merged O(backward cone) pass.
+    /// Set the cycle constraint and answer the backward state (required
+    /// times and slacks) under it. Nothing is computed here: the first
+    /// backward query after this call — and after every mutation —
+    /// runs one full backward pass (the lazy flush). A call with the
+    /// constraint already set is a no-op.
     ///
     /// An infinite `tc_ps` is accepted and behaves like the full pass:
     /// `+inf` leaves every net unconstrained (no finite slack anywhere),
@@ -717,10 +690,12 @@ impl<'c> TimingGraph<'c> {
             }
         }
         // Required times are subtract-chains from `tc`, not offsets of
-        // it, so the new state starts wholly invalid.
-        self.gen = self.gen.wrapping_add(1);
-        let nc = self.corner_libs.len();
-        *self.backward.get_mut() = Some(BackwardState::invalid(tc_ps, &self.s, nc, self.gen));
+        // it, so the new state is swept from scratch.
+        *self.backward.get_mut() = Some(BackwardState {
+            tc_ps,
+            required: Vec::new(),
+            swept_gen: None,
+        });
         Ok(())
     }
 
@@ -739,11 +714,11 @@ impl<'c> TimingGraph<'c> {
     /// Required time of a net for an edge (ps); `+inf` where
     /// unconstrained. Bit-identical to a fresh
     /// [`required_times`](crate::required_times) under the same
-    /// constraint. Like every backward query, flushes pending marks
-    /// first (one merged cone for everything since the last query),
-    /// except on a net that feeds no gate: no arc ends there, so its
-    /// required time is the constraint at a primary output and `+inf`
-    /// elsewhere, whatever is pending, and the read flushes nothing.
+    /// constraint. Like every backward query, runs the full backward
+    /// sweep first when a mutation came since the last one, except on a
+    /// net that feeds no gate: no arc ends there, so its required time
+    /// is the constraint at a primary output and `+inf` elsewhere,
+    /// whatever is pending, and the read flushes nothing.
     ///
     /// # Panics
     ///
@@ -788,7 +763,7 @@ impl<'c> TimingGraph<'c> {
     /// [`crate::slack`]'s module docs). On a net that feeds no gate only
     /// the forward marks in its driver's fanin cone flush (see
     /// [`TimingGraph::required_ps`]); the rest wait for the next full
-    /// flush.
+    /// flush, and the backward state stays as it is.
     ///
     /// # Panics
     ///
@@ -829,17 +804,16 @@ impl<'c> TimingGraph<'c> {
 
     /// Worst finite slack over the whole design **and all corners**;
     /// `None` when no net carries a finite slack (e.g. zero primary
-    /// outputs). Read off the maintained tournament tree: O(1) after
-    /// the flush, bit-identical to the full fold over all nets (each
-    /// leaf is its net's min over corners). On a single-corner graph
-    /// this is exactly the pre-corner design-worst slack.
+    /// outputs). One O(nets × corners) fold over the slabs after the
+    /// flush, bit-identical to a fresh
+    /// [`SlackReport::worst_slack_overall_ps`](crate::SlackReport::worst_slack_overall_ps)
+    /// on every corner's lane, folded over corners.
     ///
     /// # Panics
     ///
     /// As [`TimingGraph::required_ps`].
     pub fn worst_slack_overall_ps(&self) -> Option<f64> {
-        self.flush_required();
-        self.backward().worst.finite_root()
+        self.worst_slack_over(0..self.corner_libs.len())
     }
 
     /// Whether the design meets its constraint at every corner:
@@ -909,36 +883,32 @@ impl<'c> TimingGraph<'c> {
     }
 
     /// Worst finite slack over the whole design on **one** corner;
-    /// `None` when no net carries a finite slack there. O(nets) per
-    /// call — the maintained tournament tree folds corners into its
-    /// leaves, so a single corner's view re-folds the slabs (same `min`
-    /// semantics, bit-identical to an independent single-corner graph's
-    /// [`TimingGraph::worst_slack_overall_ps`]).
+    /// `None` when no net carries a finite slack there. The same fold as
+    /// [`TimingGraph::worst_slack_overall_ps`] over one corner's lane,
+    /// bit-identical to an independent single-corner graph's.
     ///
     /// # Panics
     ///
     /// As [`TimingGraph::required_ps`]; also if `corner >= n_corners()`.
     pub fn worst_slack_overall_ps_corner(&self, corner: usize) -> Option<f64> {
         assert!(corner < self.corner_libs.len(), "corner out of range");
+        self.worst_slack_over(corner..corner + 1)
+    }
+
+    /// The design-worst finite slack over the corners in `corners`: the
+    /// [`min2`] fold of every net's [`slack_key`] on those lanes, after
+    /// the backward flush.
+    fn worst_slack_over(&self, corners: Range<usize>) -> Option<f64> {
         self.flush_required();
         let nc = self.corner_libs.len();
         let fwd = self.fwd.borrow();
         let bw = self.backward();
-        let mut worst = f64::INFINITY;
-        for slot in 0..self.s.slot_of.len() {
-            let entry = slot * nc + corner;
-            worst = min2(worst, slack_key(bw.required[entry], fwd.arrival[entry]));
-        }
+        let worst = (0..self.s.slot_of.len())
+            .flat_map(|slot| corners.clone().map(move |c| slot * nc + c))
+            .map(|entry| slack_key(bw.required[entry], fwd.arrival[entry]))
+            .fold(f64::INFINITY, min2);
         (worst != f64::INFINITY).then_some(worst)
     }
-}
-
-/// Whether no arc delay can be negative under `options` and the model
-/// constants `gate_params` (see [`GateParams::delays_nonnegative`]).
-fn delays_nonnegative(options: &AnalyzeOptions, gate_params: &[GateParams]) -> bool {
-    options.input_transition_ps >= 0.0
-        && options.po_load_ff >= 0.0
-        && gate_params.iter().all(GateParams::delays_nonnegative)
 }
 
 impl TimingView for TimingGraph<'_> {
@@ -1179,37 +1149,13 @@ mod tests {
     }
 
     #[test]
-    fn backward_update_touches_only_a_cone() {
-        let lib = Library::cmos025();
-        let c = suite::circuit("c880").unwrap();
-        let s = Sizing::minimum(&c, &lib);
-        let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
-        graph.set_constraint(0.9 * graph.critical_delay_ps());
-        // Settle the initial (lazy) full backward pass.
-        let _ = graph.worst_slack_overall_ps();
-        let after_build = graph.stats();
-        let g = c.gate_ids().nth(c.gate_count() / 2).unwrap();
-        graph.resize_gate(g, 3.0 * lib.min_drive_ff());
-        // The flush is query-driven: read slack to drain the seeds.
-        let _ = graph.worst_slack_overall_ps();
-        let stats = graph.stats();
-        let reevals = stats.required_reevaluated - after_build.required_reevaluated;
-        assert!(
-            reevals < c.net_count(),
-            "backward cone {} must be smaller than the circuit {}",
-            reevals,
-            c.net_count()
-        );
-    }
-
-    #[test]
     fn mutations_alone_never_trigger_a_flush() {
         let lib = Library::cmos025();
         let c = suite::circuit("c432").unwrap();
         let s = Sizing::minimum(&c, &lib);
         let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
         graph.set_constraint(0.9 * graph.critical_delay_ps());
-        // Even the initial full backward pass is lazy: nothing has been
+        // Even the first full backward pass is lazy: nothing has been
         // flushed until the first query.
         assert_eq!(graph.stats().backward_flushes, 0);
         assert_eq!(graph.stats().required_reevaluated, 0);
@@ -1228,7 +1174,7 @@ mod tests {
         // Forward is lazy too: the resizes did no arc work either.
         assert_eq!(after.forward_flushes, settled.forward_flushes);
         assert_eq!(after.gates_reevaluated, settled.gates_reevaluated);
-        // One query drains the merged cone of all 32 resizes at once…
+        // One query sweeps once for all 32 resizes…
         let _ = graph.worst_slack_overall_ps();
         assert_eq!(graph.stats().backward_flushes, settled.backward_flushes + 1);
         // …and a second read without mutations does no further work.
@@ -1248,7 +1194,7 @@ mod tests {
         let gates: Vec<GateId> = c.gate_ids().collect();
         for (i, &g) in gates.iter().enumerate().step_by(7) {
             graph.resize_gate(g, (1.0 + (i % 9) as f64 * 0.4) * lib.min_drive_ff());
-            // Tournament-tree root vs the O(nets) fold over a fresh
+            // The graph's fold over its slabs vs the fold over a fresh
             // backward pass: bit-identical at every step.
             let fresh = crate::slack::required_times(&c, &lib, graph.sizing(), &graph, tc).unwrap();
             assert_eq!(
@@ -1256,66 +1202,6 @@ mod tests {
                 fresh.worst_slack_overall_ps().map(f64::to_bits),
             );
         }
-    }
-
-    #[test]
-    fn deferred_slack_log_stays_bounded() {
-        // Probes decided on the forward state defer every backward
-        // flush, and each moved arrival would log its net. Past a
-        // quarter of the nets the log gives way to one wholesale refold,
-        // which lands on the bits of a fresh backward pass.
-        let lib = Library::cmos025();
-        let c = suite::circuit("c880").unwrap();
-        let s = Sizing::minimum(&c, &lib);
-        let mut graph = TimingGraph::new(&c, &lib, &s).unwrap();
-        let tc = 1.4 * graph.critical_delay_ps();
-        graph.set_constraint(tc);
-        let _ = graph.worst_slack_overall_ps();
-        let bound = c.net_count() / 4;
-        let log_len = |graph: &TimingGraph| {
-            let bw = graph.backward.borrow();
-            let bw = bw.as_ref().unwrap();
-            (bw.slack_net_log.len(), bw.refold_all)
-        };
-        let mut hit = false;
-        for g in c.gate_ids() {
-            graph.set_vt_class(g, VtClass::Hvt);
-            if graph.meets_constraint() != Some(true) {
-                graph.set_vt_class(g, VtClass::Svt);
-            }
-            let (len, refold_all) = log_len(&graph);
-            assert!(len <= bound, "log of {len} entries past its bound {bound}");
-            assert!(!refold_all || len == 0, "a refold needs no log");
-            hit |= refold_all;
-        }
-        assert!(
-            hit,
-            "the probes moved more than a quarter of the nets' arrivals"
-        );
-        assert_eq!(
-            graph.stats().backward_flushes,
-            1,
-            "only the settling read flushed"
-        );
-        let mut fresh = TimingGraph::new(&c, &lib, &s).unwrap();
-        for (g, &class) in c.gate_ids().zip(&graph.vt_class) {
-            fresh.set_vt_class(g, class);
-        }
-        fresh.set_constraint(tc);
-        assert_eq!(
-            graph.worst_slack_overall_ps().map(f64::to_bits),
-            fresh.worst_slack_overall_ps().map(f64::to_bits)
-        );
-        for net in c.net_ids() {
-            for dir in [EdgeDir::Rising, EdgeDir::Falling] {
-                assert_eq!(
-                    graph.required_ps(net, dir).to_bits(),
-                    fresh.required_ps(net, dir).to_bits(),
-                    "required {net} {dir:?}"
-                );
-            }
-        }
-        graph.verify_state().unwrap();
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! [`TimingGraph::verify_state`], the deep-consistency audit.
 
-use super::flush::slack_key;
 use super::TimingGraph;
 use crate::error::StaError;
 
@@ -18,15 +17,12 @@ impl TimingGraph<'_> {
     /// * **level monotonicity** — `level_start` partitions the topo
     ///   positions and every gate's fanin drivers sit in strictly lower
     ///   levels;
-    /// * **dirty-set vs generation agreement** — every dirty set's
-    ///   popcount matches its maintained count, the backward state is
-    ///   flushed to the current mutation generation, and flushed state
-    ///   holds no pending marks, slack leaves or refold;
+    /// * **flush agreement** — the forward dirty set's popcount matches
+    ///   its maintained count and no mark is left, and the backward
+    ///   state was swept at the current mutation generation, over every
+    ///   slot and corner;
     /// * **critical-output tree agreement** — on every corner, every
     ///   leaf bit-matches its primary output's arrivals and every
-    ///   internal node (the root included) the min of its children;
-    /// * **worst-slack tree agreement** — every leaf bit-matches an
-    ///   independent refold of the required/arrival slabs and every
     ///   internal node (the root included) the min of its children;
     /// * **per-corner finiteness policy** — loads finite and
     ///   non-negative, slopes and worst gate delays finite, arrivals
@@ -193,30 +189,14 @@ impl TimingGraph<'_> {
 
         let guard = self.backward.borrow();
         if let Some(bw) = guard.as_ref() {
-            for (name, set) in [("required", &bw.req), ("required source", &bw.req_src)] {
-                if let Err(e) = set.check_count() {
-                    return corrupt(format!("{name} dirty set: {e}"));
-                }
-            }
-            if bw.req_flushed_gen != self.gen {
+            if bw.swept_gen != Some(self.gen) || bw.required.len() != fwd.arrival.len() {
                 return corrupt(format!(
-                    "backward state at generation {} behind mutation generation {} after a \
-                     flush",
-                    bw.req_flushed_gen, self.gen
-                ));
-            }
-            if !bw.req.is_empty()
-                || !bw.req_src.is_empty()
-                || !bw.slack_net_log.is_empty()
-                || bw.refold_all
-            {
-                return corrupt(format!(
-                    "flushed backward state still dirty: {} marks, {} PI sinks, {} slack leaves, \
-                     refold_all {}",
-                    bw.req.count(),
-                    bw.req_src.count(),
-                    bw.slack_net_log.len(),
-                    bw.refold_all
+                    "backward state swept at generation {:?} over {} entries, after a flush at \
+                     generation {} over {}",
+                    bw.swept_gen,
+                    bw.required.len(),
+                    self.gen,
+                    fwd.arrival.len()
                 ));
             }
 
@@ -231,16 +211,6 @@ impl TimingGraph<'_> {
                         ));
                     }
                 }
-            }
-
-            // Worst-slack tree: leaves against an independent refold of
-            // the slabs, internal nodes (root included) against their
-            // children.
-            let keys: Vec<f64> = (0..n_nets)
-                .map(|slot| slack_key(&bw.required, &fwd.arrival, nc, slot))
-                .collect();
-            if let Err(detail) = bw.worst.audit_against(&keys) {
-                return corrupt(format!("worst-slack tree: {detail}"));
             }
         }
         Ok(())

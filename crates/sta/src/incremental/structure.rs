@@ -46,8 +46,6 @@ pub(crate) struct Structure {
     pub(crate) slot_of: Vec<u32>,
     /// Number of driverless nets (= the first gate-driven slot).
     pub(crate) n_src: usize,
-    /// The driverless nets in slot order (`sources[s]` occupies slot `s`).
-    pub(crate) sources: Vec<NetId>,
     /// Driver gate of each net (`None` for primary inputs).
     pub(crate) net_driver: Vec<Option<GateId>>,
     /// Cell kind per gate (flat copy: avoids chasing `circuit.gate()`
@@ -202,7 +200,6 @@ pub(super) fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistErr
         level_start,
         slot_of,
         n_src,
-        sources,
         net_driver,
         cell,
         out_net,

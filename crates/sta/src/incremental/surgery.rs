@@ -4,9 +4,9 @@
 use pops_netlist::surgery::{AppliedEdit, EditPlan};
 use pops_netlist::{NetlistError, VtClass};
 
-use super::flush::{BackwardState, ForwardState};
-use super::{build_structure, delays_nonnegative, TimingGraph};
-use crate::kernel::build_gate_params;
+use super::flush::ForwardState;
+use super::{build_structure, TimingGraph};
+use crate::kernel::{build_gate_params, GateParams};
 
 impl TimingGraph<'_> {
     /// Apply a batch of structural edits — buffer insertions and De
@@ -27,7 +27,8 @@ impl TimingGraph<'_> {
     /// 3. rebuilds its structural arrays and per-gate model constants
     ///    with the constructor's code,
     /// 4. resets the timing state: every gate marked forward and the
-    ///    backward state (if a constraint is set) wholly invalid.
+    ///    mutation generation bumped, which leaves the backward state
+    ///    (if a constraint is set) stale.
     ///
     /// No arc is evaluated here: the next forward query runs one full
     /// forward pass and the next backward query one full backward pass,
@@ -104,17 +105,13 @@ impl TimingGraph<'_> {
         // append-only surgery).
         self.vt_class.resize(n_gates, VtClass::Svt);
         self.gate_params = build_gate_params(circuit, &self.corner_libs, &self.vt_class);
-        self.delays_nonnegative = delays_nonnegative(&self.options, &self.gate_params);
+        self.delays_nonnegative = self.gate_params.iter().all(GateParams::delays_nonnegative);
 
-        let nc = self.corner_libs.len();
-        let mut fwd = ForwardState::new(&self.s, nc);
+        let mut fwd = ForwardState::new(&self.s, self.corner_libs.len());
         self.init_forward(&mut fwd);
         fwd.dirty.fill();
         *self.fwd.get_mut() = fwd;
         self.gen = self.gen.wrapping_add(1);
-        if let Some(bw) = self.backward.get_mut() {
-            *bw = BackwardState::invalid(bw.tc_ps, &self.s, nc, self.gen);
-        }
         self.stat(|s| {
             s.updates += 1;
             s.structural_edits += applied.len();

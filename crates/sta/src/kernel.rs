@@ -4,10 +4,10 @@
 //! Each kernel re-runs one step of a full pass over the rank-major
 //! slabs (see [`crate::incremental`]) with the model constants cached
 //! per (gate, corner): the forward gate evaluation of
-//! [`crate::analysis::analyze_with`], the per-net required-time fold of
-//! [`crate::required_times`], and the gate-centric required scatter the
-//! backward full sweep uses. Dirty-cone drains (the one drain loop of
-//! `crate::dirty`) and full sweeps call the same kernels, so they cannot
+//! [`crate::analysis::analyze_with`], and the gate-centric required
+//! scatter of [`crate::required_times`] that the backward sweep runs.
+//! Forward dirty-cone drains (the one drain loop of `crate::dirty`)
+//! and full forward sweeps call the same kernel, so they cannot
 //! diverge: bit-identical state is a structural property (the
 //! differential suites assert it anyway).
 
@@ -18,10 +18,10 @@ use pops_netlist::{CellKind, Circuit, NetId, VtClass};
 use crate::analysis::{compatible_input_edges, eidx, EDGES};
 use crate::incremental::Structure;
 
-/// Arrival or slope of the gate's output net changed (bitwise) — the
-/// forward cone expands through its fanouts.
+/// The slope of the gate's output net changed (bitwise).
 pub(crate) const F_SLOPE: u8 = 1 << 0;
-/// The output net's arrival changed — its slack leaf re-folds.
+/// The output net's arrival changed — a primary output's
+/// critical-output leaves update.
 pub(crate) const F_ARRIVAL: u8 = 1 << 1;
 /// The output net moved at all (slope or arrival): fanouts re-mark.
 pub(crate) const F_OUT_CHANGED: u8 = F_SLOPE | F_ARRIVAL;
@@ -285,94 +285,16 @@ impl FwdView<'_> {
     }
 }
 
-/// The mutable backward slabs for one flush, plus the read-only forward
-/// state they derive from (settled first — the two-phase flush
+/// The mutable backward slab for one sweep, plus the read-only forward
+/// state it derives from (settled first — the two-phase flush
 /// contract).
 pub(crate) struct BwdView<'a> {
     pub required: &'a mut [[f64; 2]],
     pub slope: &'a [[f64; 2]],
     pub load: &'a [f64],
-    pub tc_ps: f64,
 }
 
 impl BwdView<'_> {
-    /// Recompute the required times of the net `net` (slab slot `slot`)
-    /// from its fanout arcs, write its slot and return whether it
-    /// changed (bitwise).
-    ///
-    /// Candidates are exactly the full backward pass's for this net —
-    /// same arc delays (via the cached constants, asserted against the
-    /// model), accumulated by the same `<` min — so the result is
-    /// bit-identical to a fresh [`crate::required_times`]: a min over
-    /// one multiset is order-independent.
-    pub(crate) fn eval_required_net(&mut self, ctx: &EvalCtx<'_>, net: usize, slot: usize) -> bool {
-        let nc = ctx.n_corners;
-        let (lo, hi) = (
-            ctx.s.fanout_off[net] as usize,
-            ctx.s.fanout_off[net + 1] as usize,
-        );
-        let mut changed = false;
-        for c in 0..nc {
-            let mut req = if ctx.s.is_po[net] {
-                [self.tc_ps; 2]
-            } else {
-                [f64::INFINITY; 2]
-            };
-            let slope = self.slope[slot * nc + c];
-            for &h in &ctx.s.fanout[lo..hi] {
-                let g = h.index();
-                let cell = ctx.s.cell[g];
-                // A gate's output slot is `n_src + rank` — no net-id
-                // round-trip.
-                let h_out_slot = ctx.s.n_src + ctx.s.rank[g] as usize;
-                let cin = ctx.cins[g];
-                let load = self.load[h_out_slot];
-                let params = &ctx.gate_params[g * nc + c];
-                // Same hoisted arc terms as the forward kernel
-                // (bit-identical to `gate_delay_with_output_edge_vt`).
-                let ArcTerms {
-                    tau_out_by_edge,
-                    miller,
-                } = params.arc_terms(cin, load);
-                for out_edge in EDGES {
-                    let req_out = self.required[h_out_slot * nc + c][eidx(out_edge)];
-                    if req_out == f64::INFINITY {
-                        continue;
-                    }
-                    let tau_out = tau_out_by_edge[eidx(out_edge)];
-                    for &in_edge in compatible_input_edges(cell, out_edge) {
-                        let i = eidx(in_edge);
-                        let delay_ps = 0.5 * params.vt[i] * slope[i] + 0.5 * miller[i] * tau_out;
-                        debug_assert_eq!(
-                            delay_ps.to_bits(),
-                            gate_delay_with_output_edge_vt(
-                                &ctx.libs[c],
-                                cell,
-                                VtTiming::of(ctx.vt_class[g]),
-                                cin,
-                                load,
-                                slope[i],
-                                in_edge,
-                                out_edge,
-                            )
-                            .delay_ps
-                            .to_bits(),
-                            "cached-constant backward arc delay must match the model"
-                        );
-                        let candidate = req_out - delay_ps;
-                        if candidate < req[i] {
-                            req[i] = candidate;
-                        }
-                    }
-                }
-            }
-            let cur = &mut self.required[slot * nc + c];
-            changed |= req[0].to_bits() != cur[0].to_bits() || req[1].to_bits() != cur[1].to_bits();
-            *cur = req;
-        }
-        changed
-    }
-
     /// One gate of the gate-centric required sweep: read the gate's own
     /// (settled) required slot, hoist its arc terms once, and min-fold
     /// one candidate per fanin arc straight into the fanin slots —

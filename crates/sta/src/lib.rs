@@ -8,10 +8,11 @@
 //!
 //! * [`analysis`] — dual-edge (rise/fall) block-based STA with slope
 //!   propagation under the eqs. (1)–(3) model,
-//! * [`incremental`] — the same timing state maintained incrementally:
-//!   gate resizes re-propagate only their dirty fanout cone, in one
-//!   sequential rank-ordered flush per direction (the sizing loop's hot
-//!   path),
+//! * [`incremental`] — the same timing state kept lazily: gate resizes
+//!   re-propagate only their dirty fanout cone, in one sequential
+//!   rank-ordered forward flush (the sizing loop's hot path), and a
+//!   slack read after a mutation re-derives every required time in one
+//!   backward sweep,
 //! * [`kpaths`] — the K most critical paths (ref. \[11\]),
 //! * [`extract`] — turning a netlist path into a bounded `TimedPath`
 //!   including the off-path loading every on-path gate sees.

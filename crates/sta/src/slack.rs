@@ -18,15 +18,16 @@
 //! returns `None` when *no* net carries a finite slack (e.g. a circuit
 //! with zero primary outputs).
 //!
-//! # Tournament trees
+//! # Critical-output trees
 //!
 //! The crate-private `MinTree` keeps a minimum up to date under point
 //! updates. The incremental [`TimingGraph`](crate::TimingGraph) keeps
-//! two kinds: the worst-slack tree over per-net slack keys, and one
-//! critical-output tree per corner over minus each primary output's
-//! later arrival, which makes the critical delay an O(1) read and lets
+//! one per corner over minus each primary output's later arrival,
+//! which makes the critical delay an O(1) read and lets
 //! [`TimingGraph::meets_constraint`](crate::TimingGraph::meets_constraint)
-//! decide the constraint without a backward pass.
+//! decide the constraint without a backward pass. The design-worst
+//! slack is a fold over the slabs per read, like
+//! [`SlackReport::worst_slack_overall_ps`]'s.
 
 use pops_delay::model::{gate_delay_with_output_edge, Edge};
 use pops_delay::Library;
@@ -54,12 +55,11 @@ pub(crate) fn worst_finite_slack(pairs: impl Iterator<Item = ([f64; 2], [f64; 2]
 }
 
 /// Deterministic two-way minimum over non-NaN keys. Agrees with the
-/// [`worst_finite_slack`] fold on every multiset a [`MinTree`] of
-/// slacks can hold: keys are finite slacks or the `+inf` neutral
-/// element, and a finite `required − arrival` is never `-0.0` (IEEE
-/// `x − y` with `x == y` rounds to `+0.0`), so equal keys are equal
-/// *bits* and any association of the minimum reproduces the fold
-/// bit-for-bit.
+/// [`worst_finite_slack`] fold on every multiset of [`slack_key`]s:
+/// keys are finite slacks or the `+inf` neutral element, and a finite
+/// `required − arrival` is never `-0.0` (IEEE `x − y` with `x == y`
+/// rounds to `+0.0`), so equal keys are equal *bits* and any order or
+/// association of the minimum reproduces the fold bit-for-bit.
 #[inline]
 pub(crate) fn min2(a: f64, b: f64) -> f64 {
     if a <= b {
@@ -69,9 +69,9 @@ pub(crate) fn min2(a: f64, b: f64) -> f64 {
     }
 }
 
-/// The worst-slack key of one net: its worst finite slack over both
-/// edges, `+inf` when no edge carries one — bit-compatible with what
-/// [`worst_finite_slack`] would fold in for this net.
+/// The worst-slack key of one net on one corner: its worst finite slack
+/// over both edges, `+inf` when no edge carries one — bit-compatible
+/// with what [`worst_finite_slack`] would fold in for this net.
 pub(crate) fn slack_key(required: [f64; 2], arrival: [f64; 2]) -> f64 {
     let mut k = f64::INFINITY;
     for i in 0..2 {
@@ -79,20 +79,6 @@ pub(crate) fn slack_key(required: [f64; 2], arrival: [f64; 2]) -> f64 {
         if s.is_finite() && s < k {
             k = s;
         }
-    }
-    k
-}
-
-/// [`slack_key`] across every corner: `required`/`arrival` are the
-/// net's corner-innermost slices (length = corner count), and the key
-/// is the min over corners of the per-corner key — folded with [`min2`]
-/// in corner order, so with one corner this reduces to `slack_key`
-/// bit-for-bit.
-pub(crate) fn slack_key_over(required: &[[f64; 2]], arrival: &[[f64; 2]]) -> f64 {
-    debug_assert_eq!(required.len(), arrival.len());
-    let mut k = slack_key(required[0], arrival[0]);
-    for c in 1..required.len() {
-        k = min2(k, slack_key(required[c], arrival[c]));
     }
     k
 }
@@ -109,17 +95,11 @@ pub(crate) fn slack_key_over(required: &[[f64; 2]], arrival: &[[f64; 2]]) -> f64
 /// the same bits.
 ///
 /// The incremental [`TimingGraph`](crate::incremental::TimingGraph)
-/// keeps two kinds:
-///
-/// * the **worst-slack tree**, one leaf per net keyed by
-///   [`slack_key_over`] (the net's worst finite slack over corners); its
-///   backward flush feeds it the nets whose required time or arrival
-///   moved, so the design-worst slack is O(1) on a flushed graph;
-/// * one **critical-output tree** per corner, one leaf per primary
-///   output keyed by `−max(arrival)` over its two edges (`+inf` where
-///   unreachable); the forward step updates the leaf whenever an
-///   output's arrival moves, so the critical delay is O(1) after any
-///   forward flush.
+/// keeps one **critical-output tree** per corner, one leaf per primary
+/// output keyed by `−max(arrival)` over its two edges (`+inf` where
+/// unreachable); the forward step updates the leaf whenever an output's
+/// arrival moves, so the critical delay is O(1) after any forward
+/// flush.
 #[derive(Debug, Clone)]
 pub(crate) struct MinTree {
     /// Leaf capacity: leaf count rounded up to a power of two (so the
@@ -146,10 +126,10 @@ impl MinTree {
     /// bit-unchanged.
     pub(crate) fn update(&mut self, leaf: usize, key: f64) {
         // The key domain is finite-or-`+inf` (the neutral element) by
-        // construction of both key kinds. A NaN or `-inf` smuggled in
-        // here is the only way the root could ever fold an all-neutral
-        // tree into a bogus finite answer — refuse it at the boundary
-        // instead of letting `min2` propagate it silently.
+        // construction of the keys. A NaN or `-inf` smuggled in here is
+        // the only way the root could ever fold an all-neutral tree into
+        // a bogus finite answer — refuse it at the boundary instead of
+        // letting `min2` propagate it silently.
         debug_assert!(
             !key.is_nan() && key != f64::NEG_INFINITY,
             "min-tree keys are finite or the +inf neutral element, got {key}"
@@ -175,18 +155,8 @@ impl MinTree {
         self.tree[1]
     }
 
-    /// The minimum key when it is finite; `None` when every leaf holds
-    /// the neutral element — for the worst-slack tree, no net carries a
-    /// finite slack (zero primary outputs, an infinite constraint), which
-    /// must never be folded into a finite answer.
-    pub(crate) fn finite_root(&self) -> Option<f64> {
-        let root = self.tree[1];
-        root.is_finite().then_some(root)
-    }
-
     /// Rebuild wholesale from one key per leaf — O(leaves) min folds,
-    /// used when every key may have moved (a new state, a flush that
-    /// moved most of them). The tree is created at its final size:
+    /// used when every key may have moved (after a full forward sweep). The tree is created at its final size:
     /// `keys` holds one key per leaf it was created for, and the padding
     /// leaves past them keep the `+inf` neutral element.
     pub(crate) fn rebuild(&mut self, keys: &[f64]) {
@@ -312,9 +282,10 @@ impl SlackReport {
 /// from (arc delays are re-derived with the report's slopes). Accepts any
 /// timing backend — a one-shot [`crate::TimingReport`] or an incremental
 /// [`crate::TimingGraph`] — so the sizing loop never forces a full
-/// re-analysis just to read slacks. A graph that maintains its own
-/// backward state answers the same queries incrementally after
+/// re-analysis just to read slacks. A graph answers the same queries
+/// itself after
 /// [`set_constraint`](crate::incremental::TimingGraph::set_constraint),
+/// with one sweep over its cached constants per stale read,
 /// bit-identical to this pass.
 ///
 /// # Errors
@@ -499,11 +470,15 @@ mod tests {
                 })
                 .collect();
             let keys: Vec<f64> = pairs.iter().map(|&(r, a)| slack_key(r, a)).collect();
+            let finite_min = |tree: &MinTree| Some(tree.root()).filter(|r| r.is_finite());
             let mut index = MinTree::new(nets);
             index.rebuild(&keys);
             let fold = worst_finite_slack(pairs.iter().copied());
+            assert_eq!(finite_min(&index).map(f64::to_bits), fold.map(f64::to_bits));
+            // The graph's linear fold of the same keys agrees too.
+            let linear = keys.iter().copied().fold(f64::INFINITY, min2);
             assert_eq!(
-                index.finite_root().map(f64::to_bits),
+                Some(linear).filter(|r| r.is_finite()).map(f64::to_bits),
                 fold.map(f64::to_bits)
             );
 
@@ -513,7 +488,7 @@ mod tests {
                 incremental.update(i, k);
             }
             assert_eq!(
-                incremental.finite_root().map(f64::to_bits),
+                finite_min(&incremental).map(f64::to_bits),
                 fold.map(f64::to_bits)
             );
             // Raising the minimum's key re-derives the next-worst.
@@ -527,8 +502,8 @@ mod tests {
                         let mut refold = MinTree::new(nets);
                         refold.rebuild(&rest);
                         assert_eq!(
-                            incremental.finite_root().map(f64::to_bits),
-                            refold.finite_root().map(f64::to_bits)
+                            finite_min(&incremental).map(f64::to_bits),
+                            finite_min(&refold).map(f64::to_bits)
                         );
                     }
                 }

@@ -205,20 +205,17 @@ pub fn optimize_circuit(
     if tc_ps.is_nan() || tc_ps <= 0.0 {
         return Err(OptimizeError::InvalidConstraint { tc_ps }.into());
     }
-    // The timing picture is built once and kept consistent through
-    // incremental dirty-cone updates that are *lazy in both
-    // directions*: a whole round's batched resizes only mark dirty
-    // sets — no `resize_gates` call below forces a forward pass — and
-    // the first timing read after them flushes them as one merged
-    // forward-then-backward cone (so overlapping per-path write-backs
-    // deduplicate instead of each paying its own propagation). A
-    // structural edit resets the state instead: the read after
-    // `apply_edits` runs one full pass in each direction. Setting the
-    // constraint additionally maintains the backward state — per-net
-    // required times and the worst-slack tournament tree — under a
-    // generation counter; the design-worst slack reads below are O(1)
-    // off the tournament root once flushed. The sign tests ask
-    // `meets_constraint`, which answers from the forward state (the
+    // The timing picture is built once and kept consistent lazily: a
+    // whole round's batched resizes only mark the forward dirty set —
+    // no `resize_gates` call below forces a forward pass — and the
+    // first timing read after them flushes them as one merged forward
+    // cone (so overlapping per-path write-backs deduplicate instead of
+    // each paying its own propagation). A structural edit resets the
+    // state instead: the read after `apply_edits` runs one full pass in
+    // each direction. Setting the constraint adds the backward state —
+    // per-net required times — which the first slack read after a
+    // mutation re-derives in one full backward sweep. The sign tests
+    // ask `meets_constraint`, which answers from the forward state (the
     // latest output arrival against tc) and flushes backward only
     // inside a proven rounding band, so required times re-derive only
     // where a slack value is read: the edit gain, the endpoints that

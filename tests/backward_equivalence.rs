@@ -1,11 +1,11 @@
-//! Randomized backward equivalence: the incremental backward state of a
+//! Randomized backward equivalence: the backward state of a
 //! [`TimingGraph`] — per-net required times, slacks and the design-worst
 //! slack — must match a from-scratch backward pass (`required_times`
 //! over a fresh `analyze_with` report) after **every** step of a random
 //! resize sequence, and the k-paths completion bounds derived over the
 //! graph must match `completion_bounds` over the same fresh report. The
 //! mirror of `tests/incremental_equivalence.rs` for the reverse
-//! direction.
+//! direction, plus the cost contract: one full sweep per stale read.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
 
@@ -179,33 +179,43 @@ fn option_and_constraint_changes_interleaved_with_resizes_match() {
 }
 
 #[test]
-fn backward_work_is_a_fraction_of_full_backward_passes() {
-    // The point of the backward engine: over a long random sequence the
-    // average re-derived backward cone must be well below one full
-    // backward pass (one required evaluation per net) per step. A slack
-    // read per step keeps each flush covering exactly one resize — the
-    // backward state is lazy, so an unqueried sequence would do no
-    // backward work at all (that property has its own test in
-    // `tests/lazy_equivalence.rs`).
+fn each_stale_backward_read_costs_one_full_sweep() {
+    // The backward state is whole or stale: the first backward read
+    // after a mutation is one backward flush of exactly one required
+    // evaluation per net (the full sweep), a repeat read at the same
+    // generation costs nothing, and a forward read never flushes
+    // backward.
     let lib = Library::cmos025();
     let circuit = suite::circuit("c880").unwrap();
     let mut rng = SplitMix64::new(0x57A7_BACC);
     let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).unwrap();
     graph.set_constraint(0.9 * graph.critical_delay_ps());
-    let _ = graph.worst_slack_overall_ps(); // settle the initial pass
-    let after_build = graph.stats();
     let gates: Vec<GateId> = circuit.gate_ids().collect();
     let cref = lib.min_drive_ff();
-    let steps = 200;
-    for _ in 0..steps {
+    for step in 0..50 {
+        let before = graph.stats();
+        let _ = graph.worst_slack_overall_ps();
+        let stale = graph.stats();
+        assert_eq!(
+            (
+                stale.backward_flushes - before.backward_flushes,
+                stale.required_reevaluated - before.required_reevaluated
+            ),
+            (1, circuit.net_count()),
+            "step {step}: a stale read sweeps once"
+        );
+        let net = *rng.pick(&circuit.net_ids().collect::<Vec<_>>());
+        let _ = graph.slack_ps(net, EdgeDir::Rising);
+        let _ = graph.worst_slack_overall_ps();
+        assert_eq!(graph.stats(), stale, "step {step}: a repeat read is free");
+
         let g = *rng.pick(&gates);
         graph.resize_gate(g, cref * (1.0 + 10.0 * rng.next_f64()));
-        let _ = graph.worst_slack_overall_ps();
+        let _ = graph.critical_delay_ps();
+        assert_eq!(
+            graph.stats().backward_flushes,
+            stale.backward_flushes,
+            "step {step}: a forward read never flushes backward"
+        );
     }
-    let full_equivalent = steps * circuit.net_count();
-    let actual = graph.stats().required_reevaluated - after_build.required_reevaluated;
-    assert!(
-        actual * 2 < full_equivalent,
-        "incremental backward {actual} vs full-pass equivalent {full_equivalent}"
-    );
 }

@@ -1,16 +1,16 @@
-//! Flush scheduling: the lazy drains and the drain-to-sweep cut-overs
-//! must land on the bits of a from-scratch pass, and every forward read
-//! flushes before it answers.
+//! Flush scheduling: the lazy forward drains, the drain-to-sweep
+//! cut-overs and the backward sweeps must land on the bits of a
+//! from-scratch pass, and every forward read flushes before it answers.
 //!
 //! Covered here: random mutation bursts on the synth10k fabric (wide
 //! levels, spread cones, frequent full-sweep cut-overs) checked against
 //! fresh `analyze_with` / `required_times` passes — with the k-paths
 //! bounds derived over the graph checked against `completion_bounds`
-//! over the fresh report — and the deep-consistency audit; the cut-over
-//! rule's three ways to the sweep — a saturated count, the closure
-//! estimate on spread seeds and the backward drain's bail at its
-//! budget — each firing where it should without changing bits; the
-//! uniform flushing contract of `net_load_ff` and
+//! over the fresh report — and the deep-consistency audit; the forward
+//! cut-over rule's two ways to the sweep — a saturated count and the
+//! closure estimate on spread seeds — each firing where it should
+//! without changing bits; the backward sweep after a constraint change;
+//! the uniform flushing contract of `net_load_ff` and
 //! `gate_delay_worst_ps`; slack and required reads on a fanout-free net,
 //! which flush forward only, and only their fanin cone; the Vt pass's
 //! probe loop decided by `meets_constraint`, which never flushes
@@ -187,11 +187,9 @@ fn random_forward_sequence(circuit: Circuit, seed: u64, steps: usize, check_ever
 }
 
 /// Backward-focused bursts: every burst is *immediately* followed by
-/// backward queries, so the backward flush fires once per burst — in
-/// whatever dirty-state mix the burst schedule leaves behind — instead
-/// of only at the periodic checks. Constraint bursts saturate the
-/// backward dirty sets, so the next query runs the gate-centric
-/// full-sweep path.
+/// backward queries, so the backward sweep fires once per burst — after
+/// whatever forward flush the burst schedule leaves behind — instead of
+/// only at the periodic checks.
 fn random_backward_sequence(circuit: Circuit, seed: u64, steps: usize, check_every: usize) {
     let lib = Library::cmos025();
     let sizing = Sizing::minimum(&circuit, &lib);
@@ -218,8 +216,7 @@ fn random_backward_sequence(circuit: Circuit, seed: u64, steps: usize, check_eve
                     graph.apply_edits(&plan).expect("valid edit");
                 }
             }
-            // Wholesale backward invalidation: the queries below run
-            // the full-sweep flush path.
+            // A new constraint: the queries below sweep from scratch.
             2 => graph.set_constraint(t0 * (0.7 + 0.6 * rng.next_f64())),
             _ => {
                 let g = *rng.pick(&gates);
@@ -260,10 +257,10 @@ fn synth100k_backward_bursts_match_eager() {
 
 #[test]
 fn backward_full_sweep_fires_and_is_bit_identical() {
-    // A constraint change saturates the backward dirty sets, so the
-    // next slack query must take the gate-centric full-sweep path —
-    // proven by the reevaluation count covering every net — and land on
-    // the bits of a fresh backward pass.
+    // After a constraint change the next slack query runs the
+    // gate-centric full sweep — proven by the reevaluation count
+    // covering every net — and lands on the bits of a fresh backward
+    // pass.
     let lib = Library::cmos025();
     let circuit = suite::circuit("c880").unwrap();
     let sizing = Sizing::minimum(&circuit, &lib);
@@ -333,34 +330,6 @@ fn adaptive_cutover_fires_on_spread_seeds_and_keeps_bits() {
         after.gates_reevaluated - before.gates_reevaluated < n_gates,
         "a probe cone must not trigger the adaptive sweep"
     );
-}
-
-#[test]
-fn backward_drain_bails_to_the_sweep_at_its_budget() {
-    // Resizing the last gate of the critical path moves the required
-    // times of most of its fanin cone, far beyond the seeds: the drain
-    // spends its budget of `n/3 + 1` evaluations with marks still
-    // pending, bails, and the full sweep re-evaluates every net. A drain
-    // run to completion evaluates each net at most once, so only the
-    // bail can cost budget + nets.
-    let lib = Library::cmos025();
-    let circuit = suite::circuit("c432").unwrap();
-    let sizing = Sizing::minimum(&circuit, &lib);
-    let mut graph = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    graph.set_constraint(0.9 * graph.critical_delay_ps());
-    let _ = graph.worst_slack_overall_ps();
-    let last = *graph.critical_path().gates.last().unwrap();
-    graph.resize_gate(last, 4.0 * graph.sizing().cin_ff(last));
-
-    let before = graph.stats().required_reevaluated;
-    let _ = graph.worst_slack_overall_ps();
-    let budget = circuit.gate_count() / 3 + 1;
-    assert_eq!(
-        graph.stats().required_reevaluated - before,
-        budget + circuit.net_count(),
-        "the required drain must bail to the sweep at its budget"
-    );
-    assert_matches_fresh(&graph, &lib, "after the bail");
 }
 
 #[test]
@@ -609,10 +578,9 @@ fn vt_probes_decided_on_the_forward_state_defer_every_backward_flush() {
     // The flow's Vt pass on c880: three corners at 1.4·T0, every gate
     // demoted to HVT in turn and kept when the design still meets tc.
     // Decided by `meets_constraint`, no probe flushes backward (the
-    // worst-slack rule pays one backward flush per probe) and the loop
-    // keeps exactly the gates that rule keeps. The backward marks and
-    // moved slacks the probes deferred then drain in one flush that
-    // lands on a fresh graph's bits.
+    // worst-slack rule pays one full backward sweep per probe) and the
+    // loop keeps exactly the gates that rule keeps. The one backward
+    // sweep the next slack read runs lands on a fresh graph's bits.
     let lib = Library::cmos025();
     let circuit = suite::circuit("c880").unwrap();
     let corners = CornerSet::slow_typical_fast(lib.process().clone());
@@ -656,6 +624,11 @@ fn vt_probes_decided_on_the_forward_state_defer_every_backward_flush() {
         reference.stats().backward_flushes - ref_start.backward_flushes,
         circuit.gate_count(),
         "the worst-slack rule flushes backward once per probe"
+    );
+    assert_eq!(
+        reference.stats().required_reevaluated - ref_start.required_reevaluated,
+        circuit.gate_count() * circuit.net_count(),
+        "each of its flushes is a full sweep"
     );
     assert_eq!(
         probed.gates_reevaluated - start.gates_reevaluated,

@@ -292,7 +292,7 @@ fn mutations_alone_never_flush_either_direction() {
     );
 
     // A slack query joins the flushed forward generation (no second
-    // forward flush) and drains the backward side once.
+    // forward flush) and sweeps the backward side once.
     let _ = graph.worst_slack_overall_ps();
     let after_bwd = graph.stats();
     assert_eq!(after_bwd.forward_flushes, after_fwd.forward_flushes);
@@ -409,7 +409,7 @@ fn surgery_interleaved_with_pending_logs_keeps_both_id_spaces_consistent() {
     let cref = lib.min_drive_ff();
 
     for round in 0..6 {
-        // 1. Resize burst: forward + backward marks go pending.
+        // 1. Resize burst: forward marks go pending, backward goes stale.
         let gates: Vec<GateId> = graph.circuit().gate_ids().collect();
         for _ in 0..5 {
             let g = *rng.pick(&gates);

@@ -9,8 +9,8 @@
 //! The mirror of `tests/backward_equivalence.rs` for the lazy engine:
 //! that suite queries after every step (so each flush covers one
 //! mutation); this one lets whole mutation bursts accumulate unqueried,
-//! exercising the merged-cone flush, the saturation sweep cut-over and
-//! the reset a structural edit makes under pending marks.
+//! exercising the merged forward flush, the sweep cut-over and the
+//! reset a structural edit makes under pending marks.
 //!
 //! Seeded via `pops_netlist::rng::SplitMix64`, so failures reproduce.
 
@@ -155,9 +155,9 @@ fn random_lazy_sequence(name: &str, seed: u64, steps: usize, check_every: usize)
 /// `meets_constraint` on the single-corner sizing graph: after random
 /// resize bursts, at the latest output arrival, one ulp either side of
 /// it and random constraints — kept across bursts a third of the time,
-/// so backward marks pile up unflushed — the answer equals the sign of
-/// the exact design-worst slack (read on a copy), and only the rounding
-/// band flushes backward.
+/// so the backward state stays stale across bursts — the answer equals
+/// the sign of the exact design-worst slack (read on a copy), and only
+/// the rounding band flushes backward.
 #[test]
 fn meets_constraint_matches_the_worst_slack_sign_under_random_resizes() {
     let lib = Library::cmos025();
@@ -274,7 +274,6 @@ fn mutation_alone_never_flushes() {
         let s = graph.stats();
         assert_eq!(s.backward_flushes, 0, "step {step}: mutation flushed");
         assert_eq!(s.required_reevaluated, 0, "step {step}: required work");
-        assert_eq!(s.slack_index_updates, 0, "step {step}: index work");
     }
 
     // A k-paths query on the constrained graph: one forward flush, no
@@ -310,14 +309,13 @@ fn mutation_alone_never_flushes() {
 
 #[test]
 fn all_infinite_slack_designs_report_no_worst_slack() {
-    // Regression guard for the worst-slack tree: when no endpoint
-    // carries a finite slack, the tournament tree's root must stay the
-    // `+inf` neutral element and `worst_slack_overall_ps` must report
-    // `None` — through every flush path (initial full pass, cone drain,
-    // sweep, wholesale refold, per-leaf updates) and across graph
-    // surgery that grows the leaf space. Folding the `+inf` leaves into a finite
-    // answer would read as an infinitely relaxed design being
-    // constrained by nothing in particular.
+    // Regression guard for the design-worst fold: when no endpoint
+    // carries a finite slack, the fold must stay at the `+inf` neutral
+    // element and `worst_slack_overall_ps` must report `None` — on the
+    // first sweep, after a resize and across graph surgery that grows
+    // the slabs. Folding the `+inf` keys into a finite answer would
+    // read as an infinitely relaxed design being constrained by
+    // nothing in particular.
     use pops::netlist::{CellKind, Circuit};
     let lib = Library::cmos025();
     // Gates, but nothing marked as a primary output: every required
@@ -330,16 +328,15 @@ fn all_infinite_slack_designs_report_no_worst_slack() {
     let _w = c.add_gate(CellKind::Inv, &[z], "w").unwrap();
     let mut graph = TimingGraph::new(&c, &lib, &Sizing::minimum(&c, &lib)).unwrap();
     graph.set_constraint(100.0);
-    // Initial (refold) path.
+    // The first sweep.
     assert_eq!(graph.worst_slack_overall_ps(), None);
-    // Cone-drain and per-leaf-update path: a resize whose arrival moves
-    // feeds the index slack_net_log, all keys still +inf.
+    // A resize whose arrivals move: all keys still +inf.
     let g = graph.circuit().gate_ids().next().unwrap();
     graph.resize_gate(g, 5.0 * lib.min_drive_ff());
     assert_eq!(graph.worst_slack_overall_ps(), None);
     // Surgery grows the net space (zero-PO still): the post-surgery
-    // wholesale refold must pad the fresh leaves with the neutral
-    // element, not garbage.
+    // sweep must fill the grown slab with the neutral element, not
+    // garbage.
     let net = graph
         .circuit()
         .net_ids()
@@ -371,9 +368,8 @@ fn all_infinite_slack_designs_report_no_worst_slack() {
 #[test]
 fn merged_flush_does_less_work_than_per_mutation_flushes() {
     // N resizes + one query must re-evaluate (far) fewer required times
-    // than N eager per-resize updates would have: the merged cone
-    // deduplicates, and the saturation cut-over caps it at roughly one
-    // full pass.
+    // than N eager per-resize updates would have: the lazy state sweeps
+    // once for the whole burst.
     let lib = Library::cmos025();
     let circuit = suite::circuit("c1908").unwrap();
     let mut rng = SplitMix64::new(0x01A2_BEEF);

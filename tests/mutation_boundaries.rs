@@ -9,7 +9,8 @@
 //!   drives/constraints and malformed edit plans with typed
 //!   [`StaError`]s, never by corrupting state;
 //! * the timing entry points reject a sizing whose length is not the
-//!   circuit's gate count with a typed [`NetlistError`];
+//!   circuit's gate count, and options that are NaN, infinite or
+//!   negative, with a typed [`NetlistError`];
 //! * [`TimingGraph::verify_state`] (the deep-consistency audit) passes
 //!   on fresh, mutated, edited and multi-corner graphs.
 
@@ -252,6 +253,84 @@ fn timing_entry_points_reject_a_sizing_of_another_circuit() {
             );
         }
     }
+}
+
+#[test]
+fn timing_entry_points_reject_invalid_options() {
+    // Unchecked, a NaN latch load or input slope times every output at
+    // 0 ps, a negative latch load shortens the delay and a negative
+    // slope panics inside the flow: every entry point names the bad
+    // field in a typed error, and zero stays valid.
+    use pops::flow::{optimize_circuit, FlowError, FlowOptions};
+    use pops::sta::analysis::analyze_with;
+    let lib = Library::cmos025();
+    let adder = builders::ripple_carry_adder(4);
+    let sizing = Sizing::minimum(&adder, &lib);
+    let corners = CornerSet::slow_typical_fast(lib.process().clone());
+    let t0 = analyze(&adder, &lib, &sizing).unwrap().critical_delay_ps();
+    let valid = AnalyzeOptions::default();
+    for (field, bad) in [
+        ("po_load_ff", f64::NAN),
+        ("po_load_ff", f64::INFINITY),
+        ("po_load_ff", -1.0),
+        ("input_transition_ps", f64::NAN),
+        ("input_transition_ps", f64::NEG_INFINITY),
+        ("input_transition_ps", -20.0),
+    ] {
+        let options = match field {
+            "po_load_ff" => AnalyzeOptions {
+                po_load_ff: bad,
+                ..valid.clone()
+            },
+            _ => AnalyzeOptions {
+                input_transition_ps: bad,
+                ..valid.clone()
+            },
+        };
+        let flow = FlowOptions {
+            extract: options.clone(),
+            ..FlowOptions::default()
+        };
+        let results = [
+            (
+                "analyze_with",
+                analyze_with(&adder, &lib, &sizing, &options).err(),
+            ),
+            (
+                "with_options",
+                TimingGraph::with_options(&adder, &lib, &sizing, &options).err(),
+            ),
+            (
+                "with_corners",
+                TimingGraph::with_corners(&adder, &lib, &sizing, &options, &corners).err(),
+            ),
+            (
+                "optimize_circuit",
+                match optimize_circuit(&adder, &lib, 0.8 * t0, &flow) {
+                    Err(FlowError::Netlist(e)) => Some(e),
+                    other => panic!(
+                        "optimize_circuit: {field} = {bad} gave {:?}",
+                        other.map(|r| r.final_delay_ps)
+                    ),
+                },
+            ),
+        ];
+        for (entry, err) in results {
+            let Some(NetlistError::InvalidParameter(what)) = err else {
+                panic!("{entry}: {field} = {bad} gave {err:?}");
+            };
+            assert!(
+                what.contains(field) && what.contains(&bad.to_string()),
+                "{entry}: {what}"
+            );
+        }
+    }
+    let zero = AnalyzeOptions {
+        po_load_ff: 0.0,
+        input_transition_ps: 0.0,
+    };
+    analyze_with(&adder, &lib, &sizing, &zero).unwrap();
+    TimingGraph::with_corners(&adder, &lib, &sizing, &zero, &corners).unwrap();
 }
 
 #[test]
