@@ -44,13 +44,22 @@ const CHAR_DRIVE_FACTOR: f64 = 4.0;
 ///
 /// Returns `None` when no crossover exists below the probed fan-out range
 /// (the gate never benefits from local buffering).
+///
+/// The figure depends on the library alone, so `lib` keeps it
+/// ([`Library::flimit_slot`]): the first call per (driver, gate) pair
+/// runs the characterization (a bisection with a golden-section inner
+/// loop, about 0.6 ms) and every later call on `lib` or a clone of it
+/// is a table read.
 pub fn flimit(lib: &Library, driver: CellKind, gate: CellKind) -> Option<f64> {
-    let eval = |path: &TimedPath, sizes: &[f64]| path.delay_worst(lib, sizes);
-    flimit_with(lib, driver, gate, eval)
+    *lib.flimit_slot(driver, gate).get_or_init(|| {
+        let eval = |path: &TimedPath, sizes: &[f64]| path.delay_worst(lib, sizes);
+        flimit_with(lib, driver, gate, eval)
+    })
 }
 
 /// [`flimit`] with a custom delay evaluator (e.g. the transient
-/// simulator, producing Table 2's "Simulation" column).
+/// simulator, producing Table 2's "Simulation" column). Characterizes
+/// on every call: nothing is read from or kept in the library.
 pub fn flimit_with(
     lib: &Library,
     driver: CellKind,
@@ -234,12 +243,10 @@ pub fn insert_buffers(lib: &Library, path: &TimedPath) -> (BufferedPath, TminRes
     )
 }
 
-/// [`flimit`] lookups. Characterizing one (driver, gate) pair runs a
-/// bisection with a golden-section inner loop (about 0.6 ms); the
-/// figure depends on the library alone, so the library keeps it
-/// ([`Library::flimit_slot`]) and every later lookup, through any
-/// cache, is a table read. A planning pass touches the same handful
-/// of pairs for thousands of nets, and a flow plans many times.
+/// [`flimit`] lookups for the structural planners. Stateless: [`flimit`]
+/// itself characterizes each pair once per library, so a planning pass
+/// that touches the same handful of pairs for thousands of nets pays
+/// table reads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FlimitCache;
 
@@ -252,8 +259,7 @@ impl FlimitCache {
     /// `Flimit` of `gate` driven by `driver`, characterized on first use
     /// of `lib`.
     pub fn get(&mut self, lib: &Library, driver: CellKind, gate: CellKind) -> Option<f64> {
-        *lib.flimit_slot(driver, gate)
-            .get_or_init(|| flimit(lib, driver, gate))
+        flimit(lib, driver, gate)
     }
 }
 
@@ -494,6 +500,42 @@ mod tests {
         assert!(nodes.iter().any(|&(i, _)| i == 1), "{nodes:?}");
     }
 
+    /// The model evaluator `flimit` characterizes with, for uncached
+    /// reference values.
+    fn model_flimit(lib: &Library, driver: CellKind, gate: CellKind) -> Option<f64> {
+        flimit_with(lib, driver, gate, |path, sizes| {
+            path.delay_worst(lib, sizes)
+        })
+    }
+
+    #[test]
+    fn over_limit_nodes_characterizes_each_pair_once_per_library() {
+        let lib = lib();
+        let cells = [
+            CellKind::Nor3,
+            CellKind::Nand2,
+            CellKind::Inv,
+            CellKind::Nor2,
+        ];
+        let path = TimedPath::new(
+            cells.iter().map(|&c| PathStage::new(c)).collect(),
+            2.7,
+            60.0,
+        );
+        let sizes = path.min_sizes(&lib);
+        let first = over_limit_nodes(&lib, &path, &sizes);
+        // Stage 0 is driven by the latch, an inverter stage.
+        let drivers = std::iter::once(CellKind::Inv).chain(cells.iter().copied());
+        for (driver, gate) in drivers.zip(cells) {
+            assert_eq!(
+                lib.flimit_slot(driver, gate).get().copied(),
+                Some(model_flimit(&lib, driver, gate)),
+                "{driver} -> {gate}"
+            );
+        }
+        assert_eq!(over_limit_nodes(&lib, &path, &sizes), first);
+    }
+
     #[test]
     fn buffer_insertion_improves_tmin_on_overloaded_path() {
         // Table 3's effect: sizing+buffers reaches a lower minimum delay
@@ -625,10 +667,11 @@ mod tests {
         let lib = lib();
         let mut cache = FlimitCache::new();
         for gate in [CellKind::Inv, CellKind::Nor3] {
-            let direct = flimit(&lib, CellKind::Inv, gate);
+            let direct = model_flimit(&lib, CellKind::Inv, gate);
             assert_eq!(cache.get(&lib, CellKind::Inv, gate), direct);
-            // Second hit is served from the map.
+            // Later hits are served from the library's slot.
             assert_eq!(cache.get(&lib, CellKind::Inv, gate), direct);
+            assert_eq!(flimit(&lib, CellKind::Inv, gate), direct);
         }
     }
 

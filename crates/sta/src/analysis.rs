@@ -120,7 +120,10 @@ pub(crate) fn compatible_input_edges(cell: CellKind, out: Edge) -> &'static [Edg
 /// [`crate::required_times`] — are generic over this trait, so they
 /// work unchanged whether the numbers came from a full `analyze` pass
 /// or from dirty-cone re-propagation. On a graph every read is a
-/// flushing query: pending mutations settle before it answers.
+/// flushing query: pending mutations settle before it answers. A
+/// report stores every value; a graph stores arrivals, slopes and
+/// loads, and derives [`TimingView::gate_delay_worst_ps`] per call from
+/// them with one scan of the gate's arcs.
 pub trait TimingView {
     /// Worst arrival time over all primary outputs (ps).
     fn critical_delay_ps(&self) -> f64;

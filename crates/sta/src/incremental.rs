@@ -70,9 +70,15 @@
 //! decided this way (the flow's Vt pass) pays its forward cones only;
 //! the backward state stays stale until the next slack read.
 //!
-//! The k-paths completion bounds are *not* maintained: the flow reads
-//! them once per round, after resizes spread over the whole circuit, so
-//! a maintained copy would re-derive every gate on every read anyway.
+//! # Derived on demand
+//!
+//! The forward state keeps arrivals, slopes and loads only:
+//! [`TimingGraph::critical_path`] re-runs the forward kernel's arc scan
+//! at each stage of its traceback, and
+//! [`TimingGraph::gate_delay_worst_ps`] folds that scan's arc delays per
+//! call. The k-paths completion bounds are not maintained either: the
+//! flow reads them once per round, after resizes spread over the whole
+//! circuit, so a maintained copy would re-derive every gate anyway.
 //! [`k_most_critical_paths`](crate::k_most_critical_paths) derives them
 //! per call with [`completion_bounds`](crate::completion_bounds) over
 //! this graph's worst gate delays.
@@ -88,7 +94,7 @@ use crate::analysis::{eidx, AnalyzeOptions, EdgeDir, NetlistPath, TimingView};
 use crate::error::StaError;
 use crate::kernel::{build_gate_params, gate_params_for, GateParams};
 use crate::sizing::Sizing;
-use crate::slack::{min2, slack_key};
+use crate::slack::{min2, worst_slack_of};
 
 mod audit;
 mod flush;
@@ -203,11 +209,11 @@ pub struct TimingGraph<'c> {
     /// records the generation it was last swept at; the pair implements
     /// its lazy clean → stale(gen) → swept cycle.
     gen: u64,
-    /// Maintained forward state (arrivals, slopes, loads, worst gate
-    /// delays) plus its pending marks. Interior-mutable so `&self`
-    /// queries can perform the lazy flush — mutators go through
-    /// `get_mut` (no runtime borrow), queries borrow-check at runtime
-    /// but never nest a mutable borrow under a shared one.
+    /// Maintained forward state (arrivals, slopes, loads) plus its
+    /// pending marks. Interior-mutable so `&self` queries can perform
+    /// the lazy flush — mutators go through `get_mut` (no runtime
+    /// borrow), queries borrow-check at runtime but never nest a
+    /// mutable borrow under a shared one.
     fwd: RefCell<ForwardState>,
     /// Backward state; `None` until [`TimingGraph::set_constraint`].
     /// Interior-mutable as `fwd`.
@@ -614,7 +620,8 @@ impl<'c> TimingGraph<'c> {
         self.gate_delay_worst_ps_corner(gate, 0)
     }
 
-    /// [`TimingGraph::gate_delay_worst_ps`] on one corner.
+    /// [`TimingGraph::gate_delay_worst_ps`] on one corner, re-derived
+    /// per call by the forward kernel's arc scan.
     ///
     /// # Panics
     ///
@@ -622,28 +629,35 @@ impl<'c> TimingGraph<'c> {
     pub fn gate_delay_worst_ps_corner(&self, gate: GateId, corner: usize) -> f64 {
         assert!(corner < self.corner_libs.len(), "corner out of range");
         self.flush_forward();
-        let nc = self.corner_libs.len();
-        self.fwd.borrow().gate_delay_worst[self.s.rank[gate.index()] as usize * nc + corner]
+        let fwd = self.fwd.borrow();
+        let load = fwd.load[self.slot(self.s.out_net[gate.index()])];
+        self.eval_ctx()
+            .arcs(gate.index(), corner, load)
+            .worst_delay(&fwd.arrival, &fwd.slope)
     }
 
-    /// The most critical path: traceback from the worst primary output,
-    /// following the primary corner's predecessors. The output is the
-    /// first in declaration order, and its edge the first, that reach
-    /// the critical delay — the full pass's tie rule. O(outputs) for
-    /// that scan.
+    /// The most critical path on the primary corner: from the first
+    /// output in declaration order, and its first edge, that reach the
+    /// critical delay, each stage re-runs the forward kernel's arc scan
+    /// and steps to the first input arc that sets the arrival — the
+    /// full pass's tie rules.
     ///
     /// Returns an empty path only for circuits without gates.
     pub fn critical_path(&self) -> NetlistPath {
         self.flush_forward();
-        let nc = self.corner_libs.len();
         let fwd = self.fwd.borrow();
+        let ctx = self.eval_ctx();
         let mut gates = Vec::new();
         let mut cur = self.critical_output(&fwd, 0);
-        while let Some((n, e)) = cur {
-            if let Some(gid) = self.s.net_driver[n.index()] {
-                gates.push(gid);
-            }
-            cur = fwd.pred[self.slot(n) * nc][eidx(e)];
+        while let Some((net, edge)) = cur {
+            let Some(gate) = self.s.net_driver[net.index()] else {
+                break;
+            };
+            gates.push(gate);
+            cur = ctx
+                .arcs(gate.index(), 0, fwd.load[self.slot(net)])
+                .latest(&fwd.arrival, &fwd.slope, edge)
+                .map(|(_, in_net, in_edge)| (in_net, in_edge));
         }
         gates.reverse();
         NetlistPath { gates }
@@ -895,19 +909,18 @@ impl<'c> TimingGraph<'c> {
         self.worst_slack_over(corner..corner + 1)
     }
 
-    /// The design-worst finite slack over the corners in `corners`: the
-    /// [`min2`] fold of every net's [`slack_key`] on those lanes, after
-    /// the backward flush.
+    /// The design-worst finite slack over the corners in `corners`:
+    /// [`worst_slack_of`] every net's lanes, after the backward flush.
     fn worst_slack_over(&self, corners: Range<usize>) -> Option<f64> {
         self.flush_required();
         let nc = self.corner_libs.len();
         let fwd = self.fwd.borrow();
         let bw = self.backward();
-        let worst = (0..self.s.slot_of.len())
-            .flat_map(|slot| corners.clone().map(move |c| slot * nc + c))
-            .map(|entry| slack_key(bw.required[entry], fwd.arrival[entry]))
-            .fold(f64::INFINITY, min2);
-        (worst != f64::INFINITY).then_some(worst)
+        worst_slack_of(
+            (0..self.s.slot_of.len())
+                .flat_map(|slot| corners.clone().map(move |c| slot * nc + c))
+                .map(|entry| (bw.required[entry], fwd.arrival[entry])),
+        )
     }
 }
 
@@ -1184,7 +1197,7 @@ mod tests {
     }
 
     #[test]
-    fn worst_slack_index_matches_the_full_fold() {
+    fn worst_slack_fold_matches_a_fresh_backward_pass() {
         let lib = Library::cmos025();
         let c = suite::circuit("c880").unwrap();
         let s = Sizing::minimum(&c, &lib);
@@ -1278,7 +1291,7 @@ mod tests {
     }
 
     #[test]
-    fn buffer_insertion_patches_state_bit_identically() {
+    fn buffer_insertion_resets_to_the_fresh_state() {
         use pops_netlist::surgery::{EditOp, EditPlan};
         let lib = Library::cmos025();
         let c = suite::circuit("c432").unwrap();
@@ -1336,7 +1349,7 @@ mod tests {
     }
 
     #[test]
-    fn demorgan_patches_state_and_preserves_logic() {
+    fn demorgan_resets_to_the_fresh_state_and_preserves_logic() {
         use pops_netlist::surgery::{EditOp, EditPlan};
         let lib = Library::cmos025();
         let c = suite::circuit("fpd").unwrap();

@@ -25,9 +25,8 @@ impl TimingGraph<'_> {
     ///   leaf bit-matches its primary output's arrivals and every
     ///   internal node (the root included) the min of its children;
     /// * **per-corner finiteness policy** — loads finite and
-    ///   non-negative, slopes and worst gate delays finite, arrivals
-    ///   `-inf` or finite, required times `+inf` or finite; NaN
-    ///   nowhere.
+    ///   non-negative, slopes finite, arrivals `-inf` or finite,
+    ///   required times `+inf` or finite; NaN nowhere.
     ///
     /// # Errors
     ///
@@ -175,15 +174,6 @@ impl TimingGraph<'_> {
                         i % nc
                     ));
                 }
-            }
-        }
-        for (i, &d) in fwd.gate_delay_worst.iter().enumerate() {
-            if !d.is_finite() {
-                return corrupt(format!(
-                    "worst gate delay at position {}/corner {} is {d} (finite required)",
-                    i / nc,
-                    i % nc
-                ));
             }
         }
 

@@ -51,6 +51,11 @@
 //! [`UpdateStats::backward_flushes`](super::UpdateStats::backward_flushes)
 //! prove mutations alone never flush either direction.
 //!
+//! A forward evaluation stores arrivals and slopes only. After a flush
+//! each stored value is what evaluating its gate now would give, so
+//! `critical_path` and `gate_delay_worst_ps` re-run the kernel's arc
+//! scan over the settled state and carry the full pass's bits.
+//!
 //! # Critical-output trees
 //!
 //! The forward state keeps one [`MinTree`] per corner over the primary
@@ -77,11 +82,11 @@ use super::structure::NO_LEAF;
 use super::{Structure, TimingGraph};
 use crate::analysis::{eidx, EDGES};
 use crate::dirty::DirtySet;
-use crate::kernel::{BwdView, EvalCtx, FwdView, PredPair, F_ARRIVAL, F_OUT_CHANGED};
+use crate::kernel::{BwdView, EvalCtx, FwdView, F_ARRIVAL, F_OUT_CHANGED};
 use crate::slack::{min2, MinTree};
 
 /// Incrementally maintained forward timing state of a [`TimingGraph`]:
-/// the floating-point arrays plus the pending marks. Lives in a
+/// arrivals, slopes and loads plus the pending marks. Lives in a
 /// [`RefCell`](std::cell::RefCell) so forward queries on `&self` can
 /// drain them.
 #[derive(Debug, Clone)]
@@ -96,16 +101,10 @@ pub(super) struct ForwardState {
     pub(super) arrival: Vec<[f64; 2]>,
     /// Transition time per edge (ps), slot- and corner-indexed.
     pub(super) slope: Vec<[f64; 2]>,
-    /// Predecessor `(net, input edge)` of the worst arrival, slot- and
-    /// corner-indexed.
-    pub(super) pred: Vec<PredPair>,
     /// Capacitive load (fF) under the current sizing, slot-indexed —
     /// corner-*invariant* (corners derate only electrical parameters,
     /// never geometry), so this slab keeps stride 1.
     pub(super) load: Vec<f64>,
-    /// Worst-case delay of each gate under the current slopes,
-    /// **position- and corner-indexed** (`pos * n_corners + c`).
-    pub(super) gate_delay_worst: Vec<f64>,
     /// One critical-output tree per corner (corner-indexed): leaf `i`
     /// holds [`critical_key`] of primary output `pos[i]`, so the root is
     /// minus the corner's critical delay. Kept current by every forward
@@ -131,9 +130,7 @@ impl ForwardState {
         ForwardState {
             arrival: vec![[f64::NEG_INFINITY; 2]; n_nets * nc],
             slope: vec![[0.0; 2]; n_nets * nc],
-            pred: vec![[None, None]; n_nets * nc],
             load: vec![0.0; n_nets],
-            gate_delay_worst: vec![0.0; n_gates * nc],
             critical: vec![MinTree::new(s.pos.len()); nc],
             cone: vec![0; n_gates.div_ceil(64)],
             cone_stack: Vec::new(),
@@ -147,9 +144,7 @@ impl ForwardState {
         let view = FwdView {
             arrival: &mut self.arrival,
             slope: &mut self.slope,
-            pred: &mut self.pred,
             load: &self.load,
-            gate_delay_worst: &mut self.gate_delay_worst,
         };
         (view, &mut self.dirty, &mut self.critical)
     }
@@ -307,8 +302,8 @@ impl TimingGraph<'_> {
     }
 
     /// Assemble the read-only circuit-array view the per-gate kernels
-    /// ([`crate::kernel`]) consume.
-    fn eval_ctx(&self) -> EvalCtx<'_> {
+    /// and the on-demand reads ([`crate::kernel`]) consume.
+    pub(super) fn eval_ctx(&self) -> EvalCtx<'_> {
         EvalCtx {
             s: &self.s,
             gate_params: &self.gate_params,

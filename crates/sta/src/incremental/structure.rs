@@ -15,7 +15,7 @@
 //! **slot**: the driverless nets (primary inputs and any undriven nets)
 //! occupy slots `0..n_src` in net-id order, and the net driven by the
 //! gate at position `p` occupies slot `n_src + p` — a full sweep
-//! therefore *streams* the arrival/slope/pred/load/required slabs in
+//! therefore *streams* the arrival/slope/load/required slabs in
 //! memory order instead of pointer-chasing the netlist.
 
 use pops_netlist::{CellKind, Circuit, GateId, NetId, NetlistError};

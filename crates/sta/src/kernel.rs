@@ -1,15 +1,17 @@
 //! The per-gate timing kernels of [`crate::incremental`], both
-//! directions.
+//! directions, and the arc scans its on-demand reads re-run.
 //!
 //! Each kernel re-runs one step of a full pass over the rank-major
 //! slabs (see [`crate::incremental`]) with the model constants cached
 //! per (gate, corner): the forward gate evaluation of
-//! [`crate::analysis::analyze_with`], and the gate-centric required
-//! scatter of [`crate::required_times`] that the backward sweep runs.
-//! Forward dirty-cone drains (the one drain loop of `crate::dirty`)
-//! and full forward sweeps call the same kernel, so they cannot
-//! diverge: bit-identical state is a structural property (the
-//! differential suites assert it anyway).
+//! [`crate::analysis::analyze_with`], keeping each output edge's latest
+//! arrival and its slope, and the gate-centric required scatter of
+//! [`crate::required_times`] that the backward sweep runs. Forward
+//! dirty-cone drains and full sweeps call the same kernel, so they
+//! cannot diverge. The full pass's predecessors and worst gate delays
+//! follow from the settled state: the graph re-runs the forward
+//! kernel's arc scan ([`GateArcs::latest`], [`GateArcs::worst_delay`])
+//! when asked. Every arc delay comes from [`GateArcs::delay`].
 
 use pops_delay::model::{gate_delay_with_output_edge_vt, Edge};
 use pops_delay::{Library, VtTiming};
@@ -25,10 +27,6 @@ pub(crate) const F_SLOPE: u8 = 1 << 0;
 pub(crate) const F_ARRIVAL: u8 = 1 << 1;
 /// The output net moved at all (slope or arrival): fanouts re-mark.
 pub(crate) const F_OUT_CHANGED: u8 = F_SLOPE | F_ARRIVAL;
-
-/// Predecessor record per edge: `(fanin net, input edge)` of the worst
-/// arrival.
-pub(crate) type PredPair = [Option<(NetId, Edge)>; 2];
 
 /// Per-(gate, corner) model constants, flattened out of the corner
 /// libraries at build time.
@@ -53,46 +51,7 @@ pub(crate) struct GateParams {
     tau_s: [f64; 2],
     /// Reduced thresholds `v_T · vt_scale` of this gate's corner and Vt
     /// variant, indexed by [`eidx`] of the *input* edge.
-    pub(crate) vt: [f64; 2],
-}
-
-/// Fanin-independent arc terms of one gate under its current drive and
-/// load, hoisted out of the per-arc loops of the forward and backward
-/// kernels ([`crate::kernel`]).
-pub(crate) struct ArcTerms {
-    /// τ_out per *output* edge: `(τ·S) · C_L / C_IN`.
-    pub(crate) tau_out_by_edge: [f64; 2],
-    /// Miller amplification per *input* edge (C_M couples through the
-    /// P device on a rising input, the N device on a falling one).
-    pub(crate) miller: [f64; 2],
-}
-
-impl GateParams {
-    /// Compute the hoisted arc terms. This is the single home of the
-    /// delay-model arithmetic shared by the forward and backward
-    /// evaluators: every expression reproduces the exact operation
-    /// order of `gate_delay_with_output_edge`, so arc delays (and
-    /// therefore the whole timing state, both directions) stay
-    /// bit-identical to the full passes.
-    pub(crate) fn arc_terms(&self, cin: f64, load: f64) -> ArcTerms {
-        let cl_total = self.cpar_factor * cin + load;
-        let tau_out_by_edge = [
-            self.tau_s[0] * cl_total / cin,
-            self.tau_s[1] * cl_total / cin,
-        ];
-        let cm = [
-            0.5 * cin * self.k / (1.0 + self.k),
-            0.5 * cin / (1.0 + self.k),
-        ];
-        let miller = [
-            1.0 + 2.0 * cm[0] / (cm[0] + cl_total),
-            1.0 + 2.0 * cm[1] / (cm[1] + cl_total),
-        ];
-        ArcTerms {
-            tau_out_by_edge,
-            miller,
-        }
-    }
+    vt: [f64; 2],
 }
 
 impl GateParams {
@@ -175,111 +134,191 @@ pub(crate) struct EvalCtx<'a> {
     pub libs: &'a [Library],
 }
 
+impl EvalCtx<'_> {
+    /// The arcs of gate `gi` on corner `c` under the load `load` on its
+    /// output net, their fanin-independent terms hoisted. With
+    /// [`GateArcs::delay`] this is the single home of the delay-model
+    /// arithmetic: every expression reproduces the exact operation order
+    /// of `gate_delay_with_output_edge`, so arc delays (and therefore the
+    /// whole timing state, both directions) stay bit-identical to the
+    /// full passes.
+    #[inline]
+    pub(crate) fn arcs(&self, gi: usize, c: usize, load: f64) -> GateArcs<'_> {
+        let p = &self.gate_params[gi * self.n_corners + c];
+        let cin = self.cins[gi];
+        let cl_total = p.cpar_factor * cin + load;
+        let cm = [0.5 * cin * p.k / (1.0 + p.k), 0.5 * cin / (1.0 + p.k)];
+        GateArcs {
+            ctx: self,
+            gi,
+            c,
+            load,
+            vt: p.vt,
+            tau_out_by_edge: [p.tau_s[0] * cl_total / cin, p.tau_s[1] * cl_total / cin],
+            miller: [
+                1.0 + 2.0 * cm[0] / (cm[0] + cl_total),
+                1.0 + 2.0 * cm[1] / (cm[1] + cl_total),
+            ],
+        }
+    }
+}
+
+/// One gate's arcs on one corner under its current drive and load: the
+/// hoisted terms, the one arc-delay expression and the full pass's arc
+/// scan over them.
+pub(crate) struct GateArcs<'a> {
+    ctx: &'a EvalCtx<'a>,
+    gi: usize,
+    c: usize,
+    load: f64,
+    /// [`GateParams::vt`].
+    vt: [f64; 2],
+    /// τ_out per *output* edge: `(τ·S) · C_L / C_IN`.
+    tau_out_by_edge: [f64; 2],
+    /// Miller amplification per *input* edge (C_M couples through the
+    /// P device on a rising input, the N device on a falling one).
+    miller: [f64; 2],
+}
+
+impl GateArcs<'_> {
+    /// τ_out of `out_edge`: the output slope of every arc into it.
+    #[inline]
+    pub(crate) fn tau_out(&self, out_edge: Edge) -> f64 {
+        self.tau_out_by_edge[eidx(out_edge)]
+    }
+
+    /// Delay of the arc from `in_edge`, at input slope `s_in`, to
+    /// `out_edge`: `0.5·v_T·τ_in + 0.5·miller·τ_out` over the cached
+    /// constants, cross-checked in debug builds against
+    /// [`gate_delay_with_output_edge_vt`] bit for bit.
+    #[inline]
+    pub(crate) fn delay(&self, s_in: f64, in_edge: Edge, out_edge: Edge) -> f64 {
+        let i = eidx(in_edge);
+        let delay_ps = 0.5 * self.vt[i] * s_in + 0.5 * self.miller[i] * self.tau_out(out_edge);
+        debug_assert_eq!(
+            delay_ps.to_bits(),
+            gate_delay_with_output_edge_vt(
+                &self.ctx.libs[self.c],
+                self.ctx.s.cell[self.gi],
+                VtTiming::of(self.ctx.vt_class[self.gi]),
+                self.ctx.cins[self.gi],
+                self.load,
+                s_in,
+                in_edge,
+                out_edge,
+            )
+            .delay_ps
+            .to_bits(),
+            "cached-constant arc delay must match the model"
+        );
+        delay_ps
+    }
+
+    /// The full pass's arc scan into `out_edge`: every arc from a reached
+    /// input edge (arrival not `-inf`), fanin by fanin, visited with the
+    /// fanin's index into `Structure::fanin`, the input edge, its
+    /// arrival and the arc delay, read from the slot-major slabs.
+    #[inline]
+    fn scan(
+        &self,
+        arrival: &[[f64; 2]],
+        slope: &[[f64; 2]],
+        out_edge: Edge,
+        mut visit: impl FnMut(usize, Edge, f64, f64),
+    ) {
+        let s = self.ctx.s;
+        let nc = self.ctx.n_corners;
+        let cell = s.cell[self.gi];
+        for idx in s.fanin_off[self.gi] as usize..s.fanin_off[self.gi + 1] as usize {
+            let entry = s.fanin_slots[idx] as usize * nc + self.c;
+            let (in_arrival, in_slope) = (arrival[entry], slope[entry]);
+            for &in_edge in compatible_input_edges(cell, out_edge) {
+                let t_in = in_arrival[eidx(in_edge)];
+                if t_in == f64::NEG_INFINITY {
+                    continue;
+                }
+                let delay_ps = self.delay(in_slope[eidx(in_edge)], in_edge, out_edge);
+                visit(idx, in_edge, t_in, delay_ps);
+            }
+        }
+    }
+
+    /// The latest arrival into `out_edge` and the `(fanin net, input
+    /// edge)` that sets it: the first strict maximum of `t_in + delay`
+    /// in scan order, the full pass's tie rule. `None` when no input
+    /// is reached.
+    #[inline]
+    pub(crate) fn latest(
+        &self,
+        arrival: &[[f64; 2]],
+        slope: &[[f64; 2]],
+        out_edge: Edge,
+    ) -> Option<(f64, NetId, Edge)> {
+        let mut best: Option<(f64, usize, Edge)> = None;
+        self.scan(arrival, slope, out_edge, |idx, in_edge, t_in, delay_ps| {
+            let t_out = t_in + delay_ps;
+            if best.is_none_or(|(t, ..)| t_out > t) {
+                best = Some((t_out, idx, in_edge));
+            }
+        });
+        best.map(|(t, idx, in_edge)| (t, self.ctx.s.fanin[idx], in_edge))
+    }
+
+    /// The gate's worst arc delay: the largest delay the scans into both
+    /// output edges visit, 0 when no input is reached — the full pass's
+    /// per-gate k-paths weight.
+    pub(crate) fn worst_delay(&self, arrival: &[[f64; 2]], slope: &[[f64; 2]]) -> f64 {
+        let mut worst = 0.0f64;
+        for out_edge in EDGES {
+            self.scan(arrival, slope, out_edge, |_, _, _, delay_ps| {
+                worst = worst.max(delay_ps);
+            });
+        }
+        worst
+    }
+}
+
 /// The mutable forward slabs for one flush.
 pub(crate) struct FwdView<'a> {
     pub arrival: &'a mut [[f64; 2]],
     pub slope: &'a mut [[f64; 2]],
-    pub pred: &'a mut [PredPair],
     pub load: &'a [f64],
-    pub gate_delay_worst: &'a mut [f64],
 }
 
 impl FwdView<'_> {
     /// Re-run the full pass's step for the gate at `pos` across every
-    /// corner, write its output slots and return the change flags
-    /// OR-ed over corners. Corners are fully independent lanes —
-    /// identical arc order, comparisons and floating-point operations
-    /// per corner to a single-corner engine (the `debug_assert`
-    /// cross-checks the model).
+    /// corner — each output edge's latest arrival and its slope — write
+    /// its output slots and return the change flags OR-ed over corners.
+    /// Corners are fully independent lanes: identical arc order,
+    /// comparisons and floating-point operations per corner to a
+    /// single-corner engine.
     pub(crate) fn eval_gate(&mut self, ctx: &EvalCtx<'_>, pos: usize) -> u8 {
-        let gid = ctx.s.topo[pos];
-        let gi = gid.index();
-        let cell = ctx.s.cell[gi];
-        let cin = ctx.cins[gi];
+        let gi = ctx.s.topo[pos].index();
         let out_slot = ctx.s.n_src + pos;
         let load = self.load[out_slot];
         let nc = ctx.n_corners;
-        let fanin_range = ctx.s.fanin_off[gi] as usize..ctx.s.fanin_off[gi + 1] as usize;
 
         let mut flags = 0u8;
         for c in 0..nc {
-            let params = &ctx.gate_params[gi * nc + c];
-            // The arc terms that do not depend on the fanin are hoisted
-            // out of the loop (shared with the backward kernels).
-            let ArcTerms {
-                tau_out_by_edge,
-                miller,
-            } = params.arc_terms(cin, load);
-
+            let arcs = ctx.arcs(gi, c, load);
             let mut new_arrival = [f64::NEG_INFINITY; 2];
             let mut new_slope = [0.0f64; 2];
-            let mut new_pred: PredPair = [None, None];
-            let mut worst_gate_delay = 0.0f64;
-
             for out_edge in EDGES {
-                let tau_out = tau_out_by_edge[eidx(out_edge)];
-                let mut best: Option<(f64, NetId, Edge)> = None;
-                for idx in fanin_range.clone() {
-                    let in_net = ctx.s.fanin[idx];
-                    let in_slot = ctx.s.fanin_slots[idx] as usize;
-                    let in_arrival = self.arrival[in_slot * nc + c];
-                    let in_slope = self.slope[in_slot * nc + c];
-                    for &in_edge in compatible_input_edges(cell, out_edge) {
-                        let t_in = in_arrival[eidx(in_edge)];
-                        if t_in == f64::NEG_INFINITY {
-                            continue;
-                        }
-                        let s_in = in_slope[eidx(in_edge)];
-                        let i = eidx(in_edge);
-                        let delay_ps = 0.5 * params.vt[i] * s_in + 0.5 * miller[i] * tau_out;
-                        debug_assert!(
-                            delay_ps.to_bits()
-                                == gate_delay_with_output_edge_vt(
-                                    &ctx.libs[c],
-                                    cell,
-                                    VtTiming::of(ctx.vt_class[gi]),
-                                    cin,
-                                    load,
-                                    s_in,
-                                    in_edge,
-                                    out_edge,
-                                )
-                                .delay_ps
-                                .to_bits(),
-                            "cached-constant arc delay must match the model"
-                        );
-                        worst_gate_delay = worst_gate_delay.max(delay_ps);
-                        let t_out = t_in + delay_ps;
-                        if best.map(|(t, ..)| t_out > t).unwrap_or(true) {
-                            best = Some((t_out, in_net, in_edge));
-                        }
-                    }
-                }
-                if let Some((t, n, e)) = best {
-                    let i = eidx(out_edge);
-                    new_arrival[i] = t;
-                    new_slope[i] = tau_out;
-                    new_pred[i] = Some((n, e));
+                if let Some((t, ..)) = arcs.latest(self.arrival, self.slope, out_edge) {
+                    new_arrival[eidx(out_edge)] = t;
+                    new_slope[eidx(out_edge)] = arcs.tau_out(out_edge);
                 }
             }
 
             let out = out_slot * nc + c;
-            let old_arrival = self.arrival[out];
-            let old_slope = self.slope[out];
-            if new_slope[0].to_bits() != old_slope[0].to_bits()
-                || new_slope[1].to_bits() != old_slope[1].to_bits()
-            {
+            if new_slope.map(f64::to_bits) != self.slope[out].map(f64::to_bits) {
                 flags |= F_SLOPE;
             }
-            if new_arrival[0].to_bits() != old_arrival[0].to_bits()
-                || new_arrival[1].to_bits() != old_arrival[1].to_bits()
-            {
+            if new_arrival.map(f64::to_bits) != self.arrival[out].map(f64::to_bits) {
                 flags |= F_ARRIVAL;
             }
-            self.gate_delay_worst[pos * nc + c] = worst_gate_delay;
             self.arrival[out] = new_arrival;
             self.slope[out] = new_slope;
-            self.pred[out] = new_pred;
         }
         flags
     }
@@ -302,49 +341,24 @@ impl BwdView<'_> {
     /// constants. Run in descending topo order, every candidate into a
     /// slot lands before that slot's own gate reads it.
     pub(crate) fn sweep_gate(&mut self, ctx: &EvalCtx<'_>, pos: usize) {
-        let gid = ctx.s.topo[pos];
-        let gi = gid.index();
+        let gi = ctx.s.topo[pos].index();
         let out_slot = ctx.s.n_src + pos;
         let cell = ctx.s.cell[gi];
-        let cin = ctx.cins[gi];
-        let load = self.load[out_slot];
         let nc = ctx.n_corners;
         let fanin_range = ctx.s.fanin_off[gi] as usize..ctx.s.fanin_off[gi + 1] as usize;
         for c in 0..nc {
-            let params = &ctx.gate_params[gi * nc + c];
-            let ArcTerms {
-                tau_out_by_edge,
-                miller,
-            } = params.arc_terms(cin, load);
+            let arcs = ctx.arcs(gi, c, self.load[out_slot]);
             for out_edge in EDGES {
                 let req_out = self.required[out_slot * nc + c][eidx(out_edge)];
                 if req_out == f64::INFINITY {
                     continue;
                 }
-                let tau_out = tau_out_by_edge[eidx(out_edge)];
                 for idx in fanin_range.clone() {
                     let in_slot = ctx.s.fanin_slots[idx] as usize;
                     for &in_edge in compatible_input_edges(cell, out_edge) {
                         let i = eidx(in_edge);
                         let slope = self.slope[in_slot * nc + c][i];
-                        let delay_ps = 0.5 * params.vt[i] * slope + 0.5 * miller[i] * tau_out;
-                        debug_assert_eq!(
-                            delay_ps.to_bits(),
-                            gate_delay_with_output_edge_vt(
-                                &ctx.libs[c],
-                                cell,
-                                VtTiming::of(ctx.vt_class[gi]),
-                                cin,
-                                load,
-                                slope,
-                                in_edge,
-                                out_edge,
-                            )
-                            .delay_ps
-                            .to_bits(),
-                            "cached-constant sweep arc delay must match the model"
-                        );
-                        let candidate = req_out - delay_ps;
+                        let candidate = req_out - arcs.delay(slope, in_edge, out_edge);
                         let cur = &mut self.required[in_slot * nc + c][i];
                         if candidate < *cur {
                             *cur = candidate;

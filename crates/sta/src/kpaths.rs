@@ -8,7 +8,11 @@
 //! slopes (the exact path delay depends on the slope history along the
 //! path, which would make exact enumeration exponential; the frozen-weight
 //! ranking is the standard block-based approximation and is re-timed
-//! exactly when the path is handed to the optimizer).
+//! exactly when the path is handed to the optimizer). The weights are
+//! read once per call: a [`crate::TimingReport`] stores them, and a
+//! [`crate::TimingGraph`] derives each one from its settled state with
+//! one scan of the gate's arcs, so a call on a graph pays one arc scan
+//! per gate.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -26,40 +26,32 @@
 //! which makes the critical delay an O(1) read and lets
 //! [`TimingGraph::meets_constraint`](crate::TimingGraph::meets_constraint)
 //! decide the constraint without a backward pass. The design-worst
-//! slack is a fold over the slabs per read, like
-//! [`SlackReport::worst_slack_overall_ps`]'s.
+//! slack is one fold per read, the same in both backends:
+//! [`SlackReport::worst_slack_overall_ps`] and the graph's
+//! `worst_slack_overall_ps[_corner]` land on the same bits.
 
-use pops_delay::model::{gate_delay_with_output_edge, Edge};
+use pops_delay::model::gate_delay_with_output_edge;
 use pops_delay::Library;
 use pops_netlist::{Circuit, NetId, NetlistError};
 
-use crate::analysis::{compatible_input_edges, EdgeDir, TimingView};
+use crate::analysis::{compatible_input_edges, eidx, EdgeDir, TimingView, EDGES};
 use crate::sizing::Sizing;
 
-/// Fold the design-worst finite slack out of `(required, arrival)`
-/// pairs. Shared by both backends so their answers are bit-identical.
-pub(crate) fn worst_finite_slack(pairs: impl Iterator<Item = ([f64; 2], [f64; 2])>) -> Option<f64> {
-    let mut worst: Option<f64> = None;
-    for (required, arrival) in pairs {
-        for i in 0..2 {
-            let slack = required[i] - arrival[i];
-            if slack.is_finite() {
-                worst = Some(match worst {
-                    Some(w) => w.min(slack),
-                    None => slack,
-                });
-            }
-        }
-    }
-    worst
+/// The design-worst finite slack of `(required, arrival)` pairs: the
+/// [`min2`] fold of their [`slack_key`]s, `None` when no pair carries a
+/// finite slack. Both backends fold with it, so their answers are
+/// bit-identical.
+pub(crate) fn worst_slack_of(pairs: impl Iterator<Item = ([f64; 2], [f64; 2])>) -> Option<f64> {
+    let worst = pairs
+        .map(|(required, arrival)| slack_key(required, arrival))
+        .fold(f64::INFINITY, min2);
+    (worst != f64::INFINITY).then_some(worst)
 }
 
-/// Deterministic two-way minimum over non-NaN keys. Agrees with the
-/// [`worst_finite_slack`] fold on every multiset of [`slack_key`]s:
-/// keys are finite slacks or the `+inf` neutral element, and a finite
-/// `required − arrival` is never `-0.0` (IEEE `x − y` with `x == y`
-/// rounds to `+0.0`), so equal keys are equal *bits* and any order or
-/// association of the minimum reproduces the fold bit-for-bit.
+/// Deterministic two-way minimum over non-NaN keys. On keys whose equal
+/// values have equal bits (no `-0.0` beside a `+0.0`), any order or
+/// association of the minimum lands on the same bits, so a
+/// [`MinTree`]'s root equals the linear fold.
 #[inline]
 pub(crate) fn min2(a: f64, b: f64) -> f64 {
     if a <= b {
@@ -70,8 +62,7 @@ pub(crate) fn min2(a: f64, b: f64) -> f64 {
 }
 
 /// The worst-slack key of one net on one corner: its worst finite slack
-/// over both edges, `+inf` when no edge carries one — bit-compatible
-/// with what [`worst_finite_slack`] would fold in for this net.
+/// over both edges, `+inf` when no edge carries one.
 pub(crate) fn slack_key(required: [f64; 2], arrival: [f64; 2]) -> f64 {
     let mut k = f64::INFINITY;
     for i in 0..2 {
@@ -226,13 +217,6 @@ pub struct SlackReport {
     arrival: Vec<[f64; 2]>,
 }
 
-fn eidx(e: Edge) -> usize {
-    match e {
-        Edge::Rising => 0,
-        Edge::Falling => 1,
-    }
-}
-
 impl SlackReport {
     /// The cycle constraint the required times were computed against
     /// (ps).
@@ -266,7 +250,7 @@ impl SlackReport {
     /// with zero primary outputs has nothing to constrain, and the old
     /// `+inf` sentinel read like an infinitely relaxed design.
     pub fn worst_slack_overall_ps(&self) -> Option<f64> {
-        worst_finite_slack(
+        worst_slack_of(
             self.required
                 .iter()
                 .copied()
@@ -312,7 +296,6 @@ pub fn required_times<V: TimingView + ?Sized>(
         }
     }
 
-    const EDGES: [Edge; 2] = [Edge::Rising, Edge::Falling];
     for &gid in order.iter().rev() {
         let gate = circuit.gate(gid);
         let out = gate.output();
@@ -473,14 +456,8 @@ mod tests {
             let finite_min = |tree: &MinTree| Some(tree.root()).filter(|r| r.is_finite());
             let mut index = MinTree::new(nets);
             index.rebuild(&keys);
-            let fold = worst_finite_slack(pairs.iter().copied());
+            let fold = worst_slack_of(pairs.iter().copied());
             assert_eq!(finite_min(&index).map(f64::to_bits), fold.map(f64::to_bits));
-            // The graph's linear fold of the same keys agrees too.
-            let linear = keys.iter().copied().fold(f64::INFINITY, min2);
-            assert_eq!(
-                Some(linear).filter(|r| r.is_finite()).map(f64::to_bits),
-                fold.map(f64::to_bits)
-            );
 
             // Point updates converge to the same root as a rebuild.
             let mut incremental = MinTree::new(nets);

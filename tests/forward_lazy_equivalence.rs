@@ -391,14 +391,14 @@ fn merged_forward_flush_beats_per_mutation_propagation() {
 }
 
 #[test]
-fn surgery_interleaved_with_pending_logs_keeps_both_id_spaces_consistent() {
-    // The lazy/surgery seam: resizes whose forward *and* backward
-    // marks are still pending when a structural edit re-ranks the
-    // netlist and resets the timing state — and then resizes of the
-    // freshly created gates on top — must leave nothing stale behind,
-    // and the sizing must extend exactly by the planned (clamped)
-    // sizes at the new dense ids. The first query after the pile-up
-    // answers bit-identically to a from-scratch eager pass.
+fn surgery_between_pending_resizes_matches_an_eager_pass() {
+    // The lazy/surgery seam: resizes whose forward marks are still
+    // pending, with the backward state stale, when a structural edit
+    // re-ranks the netlist and resets the timing state — and then
+    // resizes of the freshly created gates on top — must leave nothing
+    // stale behind, and the sizing must extend exactly by the planned
+    // (clamped) sizes at the new dense ids. The first query after the
+    // pile-up answers bit-identically to a from-scratch eager pass.
     let lib = Library::cmos025();
     let circuit = suite::circuit("c432").unwrap();
     let mut rng = SplitMix64::new(0x05F0_5EA1);

@@ -54,12 +54,12 @@ fn assert_equivalent(graph: &TimingGraph, circuit: &Circuit, lib: &Library, step
     );
 }
 
-fn random_resize_sequence(name: &str, seed: u64) {
+fn random_resize_sequence(circuit: &Circuit, seed: u64) {
     let lib = Library::cmos025();
-    let circuit = suite::circuit(name).expect("suite circuit exists");
+    let name = circuit.name();
     let mut rng = SplitMix64::new(seed);
-    let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib))
-        .expect("suite circuits are acyclic");
+    let mut graph = TimingGraph::new(circuit, &lib, &Sizing::minimum(circuit, &lib))
+        .expect("test circuits are acyclic");
     let gates: Vec<GateId> = circuit.gate_ids().collect();
     let cref = lib.min_drive_ff();
 
@@ -85,14 +85,14 @@ fn random_resize_sequence(name: &str, seed: u64) {
                 graph.resize_gate(g, cref * (1.0 + 30.0 * rng.next_f64()));
             }
         }
-        assert_equivalent(&graph, &circuit, &lib, step);
+        assert_equivalent(&graph, circuit, &lib, step);
     }
 
     // After the whole sequence the K-paths ranking through the
     // incremental view agrees with the one through a fresh report.
-    let fresh = analyze_with(&circuit, &lib, graph.sizing(), graph.options()).unwrap();
-    let via_graph = k_most_critical_paths(&circuit, &graph, 8);
-    let via_fresh = k_most_critical_paths(&circuit, &fresh, 8);
+    let fresh = analyze_with(circuit, &lib, graph.sizing(), graph.options()).unwrap();
+    let via_graph = k_most_critical_paths(circuit, &graph, 8);
+    let via_fresh = k_most_critical_paths(circuit, &fresh, 8);
     assert_eq!(via_graph.len(), via_fresh.len());
     for (a, b) in via_graph.iter().zip(&via_fresh) {
         assert_eq!(a.gates, b.gates, "{name}: k-paths diverged");
@@ -101,17 +101,48 @@ fn random_resize_sequence(name: &str, seed: u64) {
 
 #[test]
 fn fpd_random_resizes_match_full_analysis() {
-    random_resize_sequence("fpd", 0xF00D);
+    random_resize_sequence(&suite::circuit("fpd").unwrap(), 0xF00D);
 }
 
 #[test]
 fn c432_random_resizes_match_full_analysis() {
-    random_resize_sequence("c432", 0x432);
+    random_resize_sequence(&suite::circuit("c432").unwrap(), 0x432);
 }
 
 #[test]
 fn c880_random_resizes_match_full_analysis() {
-    random_resize_sequence("c880", 0x880);
+    random_resize_sequence(&suite::circuit("c880").unwrap(), 0x880);
+}
+
+#[test]
+fn tied_arrivals_trace_back_through_the_first_pin() {
+    // Two identical inverters on one primary input drive the two pins
+    // of a NAND2, the only output: at equal sizes their arrivals into
+    // the NAND tie bit for bit, and the traceback must take the first
+    // strict maximum in fanin order, the pin-0 inverter.
+    let mut circuit = Circuit::new("tied");
+    let a = circuit.add_input("a");
+    let n0 = circuit.add_gate(CellKind::Inv, &[a], "n0").unwrap();
+    let n1 = circuit.add_gate(CellKind::Inv, &[a], "n1").unwrap();
+    let y = circuit.add_gate(CellKind::Nand2, &[n0, n1], "y").unwrap();
+    circuit.mark_output(y);
+    let pin0 = circuit.driver_gate(n0).unwrap();
+
+    let lib = Library::cmos025();
+    let sizing = Sizing::minimum(&circuit, &lib);
+    let graph = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
+    let fresh = analyze_with(&circuit, &lib, &sizing, graph.options()).unwrap();
+    for dir in [EdgeDir::Rising, EdgeDir::Falling] {
+        assert_eq!(
+            graph.arrival_ps(n0, dir).to_bits(),
+            graph.arrival_ps(n1, dir).to_bits()
+        );
+    }
+    assert_eq!(graph.critical_path().gates[0], pin0);
+    assert_eq!(fresh.critical_path().gates[0], pin0);
+
+    // Shrink-to-minimum steps of the random sequence can restore the tie.
+    random_resize_sequence(&circuit, 0x71ED);
 }
 
 #[test]
