@@ -11,6 +11,13 @@
 //! rewrite (§4.2), both as an [`EditPlan`] written back through
 //! [`TimingGraph::apply_edits`], after which the next timing read runs
 //! one full pass in each direction.
+//!
+//! The loop stops when the constraint holds, when a round sizes no path,
+//! when a round settles (it ends on the netlist and sizing it began
+//! with, so every later round would repeat it bit for bit), or when the
+//! round budget runs out; [`FlowResult::stop`] records which. A settled
+//! loop counts the rounds it skipped as run, so every [`FlowResult`]
+//! field equals the full loop's.
 
 use std::collections::{HashMap, HashSet};
 
@@ -122,7 +129,9 @@ pub struct FlowResult {
     pub final_delay_ps: f64,
     /// Total input capacitance after optimization (fF).
     pub total_cin_ff: f64,
-    /// Paths optimized.
+    /// Paths sized (solved and written back), summed over `rounds`.
+    /// After [`FlowStop::Settled`] the settled round's paths count once
+    /// more for each round the loop skipped.
     pub paths_optimized: usize,
     /// Structural edits present in the returned `circuit` (buffer
     /// pairs + De Morgan rewrites) — the applied successor of the old
@@ -140,8 +149,13 @@ pub struct FlowResult {
     /// sizes, so most of their value is realized by the sizing rounds
     /// that follow.
     pub edit_slack_gain_ps: f64,
-    /// Rounds executed.
+    /// Rounds of the loop, counting the round that stopped it. After
+    /// [`FlowStop::Settled`] this is [`FlowOptions::max_rounds`]: the
+    /// rounds the loop skipped would each have repeated the settled one,
+    /// and they count as run.
     pub rounds: usize,
+    /// Why the loop stopped.
+    pub stop: FlowStop,
     /// Vt class of every gate of `circuit` (gate-id indexed). All-SVT
     /// unless [`FlowOptions::vt_assignment`] demoted slack-rich gates.
     pub vt_classes: Vec<VtClass>,
@@ -150,6 +164,27 @@ pub struct FlowResult {
     /// Total subthreshold leakage of the returned implementation (nW):
     /// every gate's [`leakage_nw`] under its final width and Vt class.
     pub leakage_nw: f64,
+}
+
+/// Why [`optimize_circuit`]'s sizing loop stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlowStop {
+    /// A round began with no output missing tc
+    /// ([`TimingGraph::meets_constraint`] not `Some(false)`; `tc = +inf`
+    /// included).
+    ConstraintMet,
+    /// A round sized no path and applied no structural edit.
+    NoPathSized,
+    /// Round `round` (1-based) applied no structural edit and wrote back
+    /// the very sizing it started from, so every later round would repeat
+    /// it bit for bit.
+    Settled {
+        /// The round that changed nothing.
+        round: usize,
+    },
+    /// The loop ran all [`FlowOptions::max_rounds`] rounds, and the last
+    /// one still changed the netlist or the sizing.
+    RoundLimit,
 }
 
 /// Optimize a circuit's K most critical paths under `tc_ps`.
@@ -163,7 +198,9 @@ pub struct FlowResult {
 /// De Morgan rewrites of their over-limit NORs, written back via
 /// [`TimingGraph::apply_edits`] (the next timing read re-times the
 /// edited netlist in one full pass each way). Repeat until the
-/// constraint holds at every output or the round budget is exhausted.
+/// constraint holds at every output, a round sizes no path, a round
+/// settles (it ends on the netlist and sizing it started from), or the
+/// round budget is exhausted; [`FlowResult::stop`] says which.
 ///
 /// The input circuit is never mutated: the first applied edit clones it
 /// into the graph (copy-on-write), and the edited netlist is returned
@@ -256,18 +293,22 @@ pub fn optimize_circuit(
     let mut best_delay = initial_delay_ps;
     let mut best_edits = (0usize, 0usize, 0usize, 0.0f64);
     let mut flimits = FlimitCache::new();
+    let mut stop = FlowStop::RoundLimit;
 
     for _ in 0..options.max_rounds {
         rounds += 1;
         // Slack-driven convergence: stop when no net misses its
         // required time.
         if graph.meets_constraint() != Some(false) {
+            stop = FlowStop::ConstraintMet;
             break;
         }
         let round_entry_delay = graph.critical_delay_ps();
         let round_start = graph.sizing().clone();
+        let paths_before = paths_optimized;
         let paths = k_most_critical_paths(graph.circuit(), &graph, options.paths_per_round);
         let mut any_change = false;
+        let mut edited = false;
         // Paths whose constraint sat below the sizing-only Tmin this
         // round: the structure-modification candidates.
         let mut stalled: Vec<NetlistPath> = Vec::new();
@@ -366,6 +407,7 @@ pub fn optimize_circuit(
                 }
                 edit_slack_gain_ps += graph.worst_slack_overall_ps().unwrap_or(0.0) - ws_before;
                 any_change = true;
+                edited = true;
             }
         }
 
@@ -381,6 +423,27 @@ pub fn optimize_circuit(
             );
         }
         if !any_change {
+            stop = FlowStop::NoPathSized;
+            break;
+        }
+        // Fixed point: a round reads only the netlist, the sizing, the
+        // constraint, the graph's Vt classes (all SVT here) and
+        // `edits_applied`; the graph answers bit for bit as a full pass
+        // over them and `FlimitCache` keeps no state. A round that
+        // applied no edit and wrote back its start sizing (sizes are
+        // positive, so `==` is bitwise) leaves all of them as it found
+        // them, so every later round would repeat it bit for bit: no
+        // break fires, none beats the best snapshot (the test is a
+        // strict `<`), and the Vt pass below sees the same best pair.
+        // Stop here and count those repeats as the full loop would
+        // (saturating, since `max_rounds` may be as large as `usize::MAX`).
+        if !edited && *graph.sizing() == round_start {
+            let skipped = options.max_rounds - rounds;
+            paths_optimized = skipped
+                .saturating_mul(paths_optimized - paths_before)
+                .saturating_add(paths_optimized);
+            stop = FlowStop::Settled { round: rounds };
+            rounds = options.max_rounds;
             break;
         }
     }
@@ -441,6 +504,7 @@ pub fn optimize_circuit(
         gates_restructured,
         edit_slack_gain_ps,
         rounds,
+        stop,
         vt_classes,
         hvt_gates,
         leakage_nw: leakage,
@@ -550,6 +614,7 @@ mod tests {
         // Already met: one analysis round, no sizing changes.
         let r = optimize_circuit(&adder, &lib, 1.5 * t0, &FlowOptions::default()).unwrap();
         assert_eq!(r.paths_optimized, 0);
+        assert_eq!((r.stop, r.rounds), (FlowStop::ConstraintMet, 1));
         assert!((r.final_delay_ps - t0).abs() < 1e-9);
     }
 
@@ -802,6 +867,7 @@ mod tests {
         let t0 = analyze(&adder, &lib, &s0).unwrap().critical_delay_ps();
         let r = optimize_circuit(&adder, &lib, f64::INFINITY, &FlowOptions::default()).unwrap();
         assert_eq!(r.paths_optimized, 0);
+        assert_eq!(r.stop, FlowStop::ConstraintMet);
         assert!((r.final_delay_ps - t0).abs() < 1e-9);
     }
 
@@ -832,5 +898,29 @@ mod tests {
         // Could not meet it, but improved, and flagged structural needs.
         assert!(r.final_delay_ps > 0.01 * t0);
         assert!(r.final_delay_ps < t0);
+        // With no path to size or no round to run, the loop stops at once
+        // and the input timing comes back.
+        for (options, stop, rounds) in [
+            (
+                FlowOptions {
+                    paths_per_round: 0,
+                    ..FlowOptions::default()
+                },
+                FlowStop::NoPathSized,
+                1,
+            ),
+            (
+                FlowOptions {
+                    max_rounds: 0,
+                    ..FlowOptions::default()
+                },
+                FlowStop::RoundLimit,
+                0,
+            ),
+        ] {
+            let r = optimize_circuit(&adder, &lib, 0.01 * t0, &options).unwrap();
+            assert_eq!((r.stop, r.rounds, r.paths_optimized), (stop, rounds, 0));
+            assert!((r.final_delay_ps - t0).abs() < 1e-9);
+        }
     }
 }
